@@ -181,18 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=["json"], default="json")
-        return p
-
-    p = add("girth", "exact girth of a digraph file, with witness")
+    p = sub.add_parser("girth", help="exact girth of a digraph file, with witness")
     p.add_argument("file")
 
-    p = add("peel", "peeling trace and a cycle of length <= 2 phi")
+    p = sub.add_parser("peel", help="peeling trace and a cycle of length <= 2 phi")
     p.add_argument("file")
 
-    p = add("rainbow", "rainbow cycle of length <= ceil((n+p)/2)")
+    p = sub.add_parser("rainbow", help="rainbow cycle of length <= ceil((n+p)/2)")
     p.add_argument("file")
     p.add_argument(
         "--oracle",
@@ -200,10 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact shortest rainbow cycle instead of the constructive bound",
     )
 
-    p = add("two-cycles", "two cycles with minimum vertex intersection")
+    p = sub.add_parser("two-cycles", help="two cycles with minimum vertex intersection")
     p.add_argument("file")
 
-    p = add("verify", "run a checking suite over an instance population")
+    p = sub.add_parser("verify", help="run a checking suite over an instance population")
     p.add_argument("--n", required=True, help="size N or range LO-HI")
     p.add_argument(
         "--generator",
@@ -214,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("search-ratio", "explore for large girth/psi ratios")
+    p = sub.add_parser("search-ratio", help="explore for large girth/psi ratios")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

@@ -8,7 +8,7 @@ arithmetic.  Python integers are unbounded, so nothing here limits n.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphInputError
 
@@ -19,6 +19,18 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def in_masks_of(out_masks: Sequence[int]) -> tuple[int, ...]:
+    """In-neighborhood bitmasks of the digraph with these out-neighborhoods."""
+    inn = [0] * len(out_masks)
+    for u, m in enumerate(out_masks):
+        bit_u = 1 << u
+        while m:
+            low = m & -m
+            inn[low.bit_length() - 1] |= bit_u
+            m ^= low
+    return tuple(inn)
 
 
 class Digraph:
@@ -45,27 +57,19 @@ class Digraph:
             out[u] |= bit
         self._init_from_masks(n, out)
 
-    def _init_from_masks(self, n: int, out: list[int]) -> None:
-        inn = [0] * n
-        for u in range(n):
-            m = out[u]
-            bit_u = 1 << u
-            while m:
-                low = m & -m
-                inn[low.bit_length() - 1] |= bit_u
-                m ^= low
+    def _init_from_masks(self, n: int, out: Sequence[int]) -> None:
         self.n = n
         self.out_masks = tuple(out)
-        self.in_masks = tuple(inn)
+        self.in_masks = in_masks_of(self.out_masks)
         self.out_deg = tuple(m.bit_count() for m in out)
-        self.in_deg = tuple(m.bit_count() for m in inn)
+        self.in_deg = tuple(m.bit_count() for m in self.in_masks)
         self._arcs = None
 
     @classmethod
     def from_out_masks(cls, n: int, out_masks: Iterable[int]) -> "Digraph":
         """Build directly from out-neighborhood bitmasks (no loop/range checks)."""
         d = cls.__new__(cls)
-        d._init_from_masks(n, list(out_masks))
+        d._init_from_masks(n, tuple(out_masks))
         return d
 
     @property

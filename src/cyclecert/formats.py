@@ -26,6 +26,11 @@ from .errors import FormatError
 from .families import RainbowInstance
 
 
+# Largest vertex count a digraph header may declare.  Digraph allocates
+# per-vertex tables, so larger headers are refused before parsing arcs.
+MAX_DIGRAPH_VERTICES = 1 << 20
+
+
 def _data_lines(text: str) -> list[str]:
     return [ln.strip() for ln in text.splitlines() if ln.strip()]
 
@@ -41,6 +46,8 @@ def parse_digraph(text: str) -> Digraph:
         n, m = int(head[1]), int(head[2])
     except ValueError:
         raise FormatError(f"bad header {lines[0]!r}: n and m must be integers") from None
+    if n > MAX_DIGRAPH_VERTICES:
+        raise FormatError(f"header declares {n} vertices, more than {MAX_DIGRAPH_VERTICES}")
     if len(lines) - 1 != m:
         raise FormatError(f"header promises {m} arcs, found {len(lines) - 1} lines")
     arcs = []

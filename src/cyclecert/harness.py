@@ -1,13 +1,13 @@
 """Exhaustive and randomized verification harness.
 
-Generators enumerate whole populations of instances (all labeled
-digraphs, all bounded-out-degree maps, seeded random rainbow
-instances); run_suite streams them through named checks and returns a
-deterministic Report.  Checks backed by proved statements record
-violations, which callers treat as fatal; checks backed by open
-conjectures record findings only.  Reports are independent of the
-worker count: shards partition the instance index space and merge by
-sums, concatenation sorted by index, and index-tie-broken extremes.
+Populations are all labeled digraphs, all bounded-out-degree maps (both
+from one mixed-radix generator over per-vertex out-mask choices), or
+seeded random rainbow instances.  run_suite streams them through the
+named checks of one table and returns a deterministic Report.  Checks of
+proved statements record violations, which callers treat as fatal;
+checks of open conjectures record findings only.  Reports are
+independent of the worker count: shards partition the index space and
+merge by sums, concatenation sorted by index, and tie-broken extremes.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import math
 import multiprocessing
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, NamedTuple, Sequence, Union
 
-from .certificates import validate_cycle, validate_rainbow_cycle
-from .digraph import Digraph
+from .certificates import RainbowCycleCertificate, validate_cycle, validate_rainbow_cycle
+from .digraph import Digraph, in_masks_of
 from .errors import (
     CapExceeded,
     CounterexampleFound,
@@ -38,12 +38,14 @@ from .formats import (
     rational_json,
 )
 from .oracles import _girth_masks, shortest_rainbow_cycle_exact, two_cycles_min_intersection
-from .peeling import short_cycle_via_peeling
-from .rainbow import all_pairs_rainbow_distances, find_rainbow_cycle
+from .peeling import _scale, short_cycle_via_peeling
+from .rainbow import Collector, all_pairs_rainbow_distances, find_rainbow_cycle
 
 LABELED_CAP = 5
 OUTMAP_CAP = 7
 RAINBOW_CAP = 12
+# run_suite starts this many worker processes at most.
+WORKERS_CAP = 64
 
 CHECK_TWO_PHI = "two-phi"
 CHECK_TWO_PSI_STRICT = "two-psi-strict"
@@ -64,9 +66,6 @@ DIGRAPH_CHECKS = (
 )
 RAINBOW_CHECKS = (CHECK_RAINBOW_BOUND, CHECK_RD_CLAIM)
 ALL_CHECKS = DIGRAPH_CHECKS + RAINBOW_CHECKS
-
-# Checks that test open conjectures: failures are findings, not violations.
-CONJECTURE_CHECKS = frozenset({CHECK_CHC})
 
 _GENERATORS = ("labeled", "outmaps", "rainbow")
 _FILTERS = ("none", "sinkless", "strong")
@@ -117,6 +116,8 @@ class SuiteConfig:
             raise GraphInputError(f"bad n range {self.n_lo}..{self.n_hi}")
         if self.workers < 1:
             raise GraphInputError("workers must be >= 1")
+        if self.workers > WORKERS_CAP:
+            raise CapExceeded(f"workers is capped at {WORKERS_CAP}, asked for {self.workers}")
         cap = {"labeled": LABELED_CAP, "outmaps": OUTMAP_CAP, "rainbow": RAINBOW_CAP}[
             self.generator
         ]
@@ -187,48 +188,55 @@ class Report:
 # Generators
 
 
-def _head_tables(n: int) -> list[list[int]]:
-    """Per tail u, a table from head-slot submask to out-neighborhood mask.
+def _outmap_choices(n: int, dmin: int, dmax: int) -> list[tuple[int, ...]]:
+    """Per vertex, the allowed out-neighborhood masks in ascending order."""
+    hi = min(dmax, n - 1)
+    choices = []
+    for u in range(n):
+        opts = [
+            m for m in range(1 << n) if not (m >> u) & 1 and dmin <= m.bit_count() <= hi
+        ]
+        choices.append(tuple(opts))
+    return choices
 
-    Arc (u, v) occupies bit u*(n-1) + slot(v) where slot skips u itself,
-    so codes enumerate digraphs in arc-bitmask order.
+
+def _sweep(
+    choices: list[tuple[int, ...]], lo: int, hi: int, filter: str = "none"
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(index, out-masks) for each mixed-radix index in [lo, hi) passing filter.
+
+    Digit u of an index, in radix len(choices[u]) with vertex 0 varying
+    fastest, picks vertex u's out-mask from choices[u].  When every
+    out-mask is allowed (_outmap_choices(n, 0, n - 1)), the index is the
+    arc-bitmask code: arc (u, v) is bit u*(n-1) + v - (v > u).  filter
+    "sinkless" drops digraphs with a sink; "strong" keeps only strongly
+    connected ones.
     """
-    tables = []
-    for u in range(n):
-        heads = [v for v in range(n) if v != u]
-        table = []
-        for sub in range(1 << (n - 1)):
-            mask = 0
-            for j in range(n - 1):
-                if (sub >> j) & 1:
-                    mask |= 1 << heads[j]
-            table.append(mask)
-        tables.append(table)
-    return tables
+    if lo >= hi:
+        return
+    first, later = choices[0], choices[1:]
+    r0 = len(first)
+    # Vertices 1.. are decoded once per block of r0 consecutive indices.
+    for block in range(lo // r0, -(-hi // r0)):
+        x = block
+        rest = []
+        for c in later:
+            x, r = divmod(x, len(c))
+            rest.append(c[r])
+        tail = tuple(rest)
+        base = block * r0
+        for r in range(max(lo - base, 0), min(hi - base, r0)):
+            out = (first[r],) + tail
+            if filter != "none" and 0 in out:
+                continue
+            if filter == "strong" and not _is_strongly_connected(out):
+                continue
+            yield base + r, out
 
 
-def _decode_labeled(n: int, code: int, tables: list[list[int]]) -> tuple[int, ...]:
-    w = n - 1
-    full = (1 << w) - 1
-    return tuple(tables[u][(code >> (u * w)) & full] for u in range(n))
-
-
-def _in_masks(n: int, out: tuple[int, ...]) -> tuple[int, ...]:
-    inn = [0] * n
-    for u in range(n):
-        m = out[u]
-        bu = 1 << u
-        while m:
-            low = m & -m
-            inn[low.bit_length() - 1] |= bu
-            m ^= low
-    return tuple(inn)
-
-
-def _is_strongly_connected(n: int, out: tuple[int, ...], inn: tuple[int, ...]) -> bool:
-    if n == 0:
-        return True
-    for adj in (out, inn):
+def _is_strongly_connected(out: tuple[int, ...]) -> bool:
+    n = len(out)
+    for adj in (out, in_masks_of(out)):
         seen = 1
         frontier = 1
         while frontier:
@@ -255,39 +263,8 @@ def enumerate_digraphs(n: int, filter: str = "none") -> Iterator[Digraph]:
         raise CapExceeded(f"labeled enumeration capped at n <= {LABELED_CAP}")
     if filter not in _FILTERS:
         raise GraphInputError(f"unknown filter {filter!r}")
-    tables = _head_tables(n)
-    w = n - 1
-    full = (1 << w) - 1
-    for code in range(1 << (n * w)):
-        if filter != "none" and any((code >> (u * w)) & full == 0 for u in range(n)):
-            continue
-        out = _decode_labeled(n, code, tables)
-        if filter == "strong" and not _is_strongly_connected(n, out, _in_masks(n, out)):
-            continue
+    for _, out in _sweep(_outmap_choices(n, 0, n - 1), 0, 1 << (n * (n - 1)), filter):
         yield Digraph.from_out_masks(n, out)
-
-
-def _outmap_choices(n: int, dmin: int, dmax: int) -> list[tuple[int, ...]]:
-    """Per vertex, the allowed out-neighborhood masks in ascending order."""
-    hi = min(dmax, n - 1)
-    choices = []
-    for u in range(n):
-        opts = [
-            m for m in range(1 << n) if not (m >> u) & 1 and dmin <= m.bit_count() <= hi
-        ]
-        choices.append(tuple(opts))
-    return choices
-
-
-def _decode_outmap(
-    choices: list[tuple[int, ...]], radix: list[int], idx: int
-) -> tuple[int, ...]:
-    out = []
-    x = idx
-    for u in range(len(radix)):
-        x, r = divmod(x, radix[u])
-        out.append(choices[u][r])
-    return tuple(out)
 
 
 def enumerate_outmaps(n: int, dmin: int = 1, dmax: int = 2) -> Iterator[Digraph]:
@@ -301,11 +278,8 @@ def enumerate_outmaps(n: int, dmin: int = 1, dmax: int = 2) -> Iterator[Digraph]
     if not 1 <= dmin <= dmax:
         raise GraphInputError(f"bad degree range {dmin}..{dmax}")
     choices = _outmap_choices(n, dmin, dmax)
-    if any(not c for c in choices):
-        return
-    radix = [len(c) for c in choices]
-    for idx in range(math.prod(radix)):
-        yield Digraph.from_out_masks(n, _decode_outmap(choices, radix, idx))
+    for _, out in _sweep(choices, 0, math.prod(map(len, choices))):
+        yield Digraph.from_out_masks(n, out)
 
 
 def random_rainbow_instance(
@@ -365,30 +339,29 @@ def _rainbow_for_index(n: int, seed: int, i: int) -> RainbowInstance:
 # Per-instance checks
 
 
+def _beats(a: Sequence[Any], b: Sequence[Any]) -> bool:
+    """Whether ratio candidate a = (num, den, n, index, ...) outranks b.
+
+    The larger ratio wins; equal ratios go to the smaller (n, index).
+    Denominators are positive, so cross-multiplying compares exactly.
+    """
+    lhs, rhs = a[0] * b[1], b[0] * a[1]
+    return lhs > rhs or (lhs == rhs and (a[2], a[3]) < (b[2], b[3]))
+
+
+@dataclass(slots=True)
 class _Accum:
-    """Shard-local tallies, merged deterministically by run_suite."""
+    """Shard-local tallies; as a dict, a shard's result for run_suite to merge."""
 
-    __slots__ = (
-        "generated",
-        "checked",
-        "passed",
-        "violations",
-        "findings",
-        "best_ratio",
-        "tight_count",
-        "tight_witnesses",
-    )
-
-    def __init__(self) -> None:
-        self.generated = 0
-        self.checked: dict[str, int] = {}
-        self.passed: dict[str, int] = {}
-        self.violations: list[dict[str, Any]] = []
-        self.findings: list[dict[str, Any]] = []
-        # (ratio, n, index, instance text); ratio maximal, index minimal on ties.
-        self.best_ratio: tuple[Fraction, int, int, str] | None = None
-        self.tight_count = 0
-        self.tight_witnesses: list[tuple[int, int, str]] = []
+    generated: int = 0
+    checked: dict[str, int] = field(default_factory=dict)
+    passed: dict[str, int] = field(default_factory=dict)
+    violations: list[dict[str, Any]] = field(default_factory=list)
+    findings: list[dict[str, Any]] = field(default_factory=list)
+    # [num, den, n, index, instance text]: girth/psi is num/den in lowest terms.
+    best_ratio: list[Any] | None = None
+    tight_count: int = 0
+    tight_witnesses: list[tuple[int, int, str]] = field(default_factory=list)
 
     def hit(self, check: str, ok: bool) -> None:
         self.checked[check] = self.checked.get(check, 0) + 1
@@ -396,38 +369,103 @@ class _Accum:
             self.passed[check] = self.passed.get(check, 0) + 1
 
     def record(
-        self,
-        kind: str,
-        check: str,
-        n: int,
-        index: int,
-        message: str,
-        instance_text: str,
-        certificate: Any = None,
+        self, kind: str, check: str, case: Any, message: str, certificate: Any = None
     ) -> None:
         rec = {
             "check": check,
-            "n": n,
-            "index": index,
+            "n": case.n,
+            "index": case.index,
             "message": message,
-            "instance": instance_text,
+            "instance": case.text,
             "certificate": certificate,
         }
         (self.violations if kind == "violation" else self.findings).append(rec)
 
-    def offer_ratio(self, ratio: Fraction, n: int, index: int, text: str) -> None:
-        cur = self.best_ratio
-        if (
-            cur is None
-            or ratio > cur[0]
-            or (ratio == cur[0] and (n, index) < (cur[1], cur[2]))
-        ):
-            self.best_ratio = (ratio, n, index, text)
+    def offer_ratio(self, num: int, den: int, x: _DigraphCase) -> None:
+        if self.best_ratio is None or _beats((num, den, x.n, x.index), self.best_ratio):
+            g = math.gcd(num, den)
+            self.best_ratio = [num // g, den // g, x.n, x.index, x.text]
 
-    def offer_tight(self, n: int, index: int, text: str) -> None:
+    def offer_tight(self, x: _DigraphCase) -> None:
         self.tight_count += 1
         if len(self.tight_witnesses) < 5:
-            self.tight_witnesses.append((n, index, text))
+            self.tight_witnesses.append((x.n, x.index, x.text))
+
+
+@dataclass(slots=True)
+class _DigraphCase:
+    """One digraph under check, given by its out-masks.
+
+    In-masks, girth, the Digraph and the text form are derived on first
+    use, at most once each, so a check pays only for what it reads.
+    """
+
+    n: int
+    index: int
+    out: tuple[int, ...]
+    scale: int  # lcm(1..n): every potential term scaled by it is an integer
+    degs: list[int] = field(init=False)
+    p: int = field(init=False)  # vertices of out-degree 1
+    deg2: bool = field(init=False)  # every out-degree is at most 2
+    _inn: tuple[int, ...] | None = None
+    _girth: int | None = 0  # 0 until computed; None when acyclic
+    _digraph: Digraph | None = None
+    _text: str | None = None
+
+    def __post_init__(self) -> None:
+        self.degs = degs = [m.bit_count() for m in self.out]
+        self.p = degs.count(1)
+        self.deg2 = max(degs) <= 2
+
+    @property
+    def inn(self) -> tuple[int, ...]:
+        if self._inn is None:
+            self._inn = in_masks_of(self.out)
+        return self._inn
+
+    @property
+    def girth(self) -> int | None:
+        if self._girth == 0:
+            hit = _girth_masks(self.n, self.out, self.inn)
+            self._girth = None if hit is None else hit[0]
+        return self._girth
+
+    @property
+    def digraph(self) -> Digraph:
+        if self._digraph is None:
+            self._digraph = Digraph.from_out_masks(self.n, self.out)
+        return self._digraph
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            self._text = format_digraph(self.digraph)
+        return self._text
+
+
+@dataclass(slots=True)
+class _RainbowCase:
+    """One rainbow instance under check; the construction runs once, on first use."""
+
+    n: int
+    index: int
+    inst: RainbowInstance
+    _built: tuple[RainbowCycleCertificate | None, str, Collector] | None = None
+
+    @property
+    def built(self) -> tuple[RainbowCycleCertificate | None, str, Collector]:
+        """(the certificate, or None and why; every greedy subgraph grown)."""
+        if self._built is None:
+            grown: Collector = []
+            try:
+                self._built = (find_rainbow_cycle(self.inst, collect=grown), "", grown)
+            except CounterexampleFound as exc:
+                self._built = (None, f"{type(exc).__name__}: {exc}", grown)
+        return self._built
+
+    @property
+    def text(self) -> str:
+        return format_rainbow(self.inst)
 
 
 def _cycle_pair_within(n: int, out: tuple[int, ...], limit: int) -> bool:
@@ -462,331 +500,200 @@ def _cycle_pair_within(n: int, out: tuple[int, ...], limit: int) -> bool:
     return False
 
 
-def _process_digraph(
-    n: int,
-    idx: int,
-    out: tuple[int, ...],
-    checks: tuple[str, ...],
-    acc: _Accum,
-    scale: int,
-    cross_check: bool = False,
-) -> None:
-    degs = [m.bit_count() for m in out]
-    if not all(d >= 1 for d in degs):
-        return
-
-    inn: tuple[int, ...] | None = None
-    girth_known = False
-    girth: int | None = None
-
-    def need_inn() -> tuple[int, ...]:
-        nonlocal inn
-        if inn is None:
-            inn = _in_masks(n, out)
-        return inn
-
-    def need_girth() -> int | None:
-        nonlocal girth_known, girth
-        if not girth_known:
-            hit = _girth_masks(n, out, need_inn())
-            girth = None if hit is None else hit[0]
-            girth_known = True
-        return girth
-
-    def text() -> str:
-        return format_digraph(Digraph.from_out_masks(n, out))
-
-    if CHECK_EQ1 in checks:
-        # Every in-neighbor u has an out-arc, so deg(u) >= 1 below.
-        phi_m = sum(scale // (d + 1) for d in degs)
-        rhs_total = 0
-        for v in range(n):
-            mm = need_inn()[v]
-            while mm:
-                low = mm & -mm
-                du = degs[low.bit_length() - 1]
-                rhs_total += scale // (du * (du + 1))
-                mm ^= low
-        ok = rhs_total == phi_m
-        acc.hit(CHECK_EQ1, ok)
-        if not ok:
-            acc.record(
-                "violation",
-                CHECK_EQ1,
-                n,
-                idx,
-                f"removability right sides sum to {rhs_total}/{scale}, "
-                f"phi is {phi_m}/{scale}",
-                text(),
-            )
-
-    if CHECK_TWO_PHI in checks:
-        phi_m = sum(scale // (d + 1) for d in degs)
-        g = need_girth()
-        ok = g is not None and g * scale <= 2 * phi_m
-        cert_json = None
-        msg = ""
-        if ok:
-            d = Digraph.from_out_masks(n, out)
-            try:
-                cert = short_cycle_via_peeling(d)
-                if not validate_cycle(d, cert):
-                    ok = False
-                    msg = "peeling produced an invalid certificate"
-                    cert_json = cycle_cert_json(cert)
-            except CounterexampleFound as exc:
-                ok = False
-                msg = f"{type(exc).__name__}: {exc}"
-        else:
-            msg = f"girth {g} exceeds 2 phi = {2 * phi_m}/{scale}"
-        acc.hit(CHECK_TWO_PHI, ok)
-        if not ok:
-            acc.record("violation", CHECK_TWO_PHI, n, idx, msg, text(), cert_json)
-        elif g is not None and g * scale == 2 * phi_m:
-            acc.offer_tight(n, idx, text())
-
-    if CHECK_TWO_PSI_STRICT in checks:
-        psi_m = sum(scale // d for d in degs)
-        g = need_girth()
-        ok = g is not None and g * scale < 2 * psi_m
-        acc.hit(CHECK_TWO_PSI_STRICT, ok)
-        if not ok:
-            acc.record(
-                "violation",
-                CHECK_TWO_PSI_STRICT,
-                n,
-                idx,
-                f"girth {g} is not strictly below 2 psi = {2 * psi_m}/{scale}",
-                text(),
-            )
-        if g is not None:
-            acc.offer_ratio(Fraction(g * scale, psi_m), n, idx, text())
-
-    if CHECK_CHC in checks:
-        g = need_girth()
-        bound = -(-n // min(degs))
-        ok = g is not None and g <= bound
-        acc.hit(CHECK_CHC, ok)
-        if not ok:
-            acc.record(
-                "finding",
-                CHECK_CHC,
-                n,
-                idx,
-                f"girth {g} exceeds ceil(n / min out-degree) = {bound}",
-                text(),
-            )
-
-    deg2 = all(d <= 2 for d in degs)
-    p = degs.count(1)
-
-    if CHECK_DEG2_GIRTH in checks and deg2:
-        g = need_girth()
-        bound = (n + p + 1) // 2
-        ok = g is not None and g <= bound
-        acc.hit(CHECK_DEG2_GIRTH, ok)
-        if not ok:
-            acc.record(
-                "violation",
-                CHECK_DEG2_GIRTH,
-                n,
-                idx,
-                f"girth {g} exceeds ceil((n + p) / 2) = {bound}",
-                text(),
-            )
-
-    if CHECK_TWO_CYCLES in checks and deg2:
-        limit = p + 1
-        g = need_girth()
-        # A cycle no longer than the limit pairs with itself.
-        ok = (g is not None and g <= limit) or _cycle_pair_within(n, out, limit)
-        if not ok or cross_check:
-            try:
-                pair = two_cycles_min_intersection(Digraph.from_out_masks(n, out))
-                oracle_ok = len(pair.intersection) <= limit
-            except TheoremViolation:
-                oracle_ok = False
-            if oracle_ok != ok:
-                acc.record(
-                    "violation",
-                    CHECK_TWO_CYCLES,
-                    n,
-                    idx,
-                    "fast pair scan disagrees with the exhaustive oracle",
-                    text(),
-                )
-                ok = False
-            else:
-                ok = oracle_ok
-        acc.hit(CHECK_TWO_CYCLES, ok)
-        if not ok:
-            acc.record(
-                "violation",
-                CHECK_TWO_CYCLES,
-                n,
-                idx,
-                f"every cycle pair meets in more than p + 1 = {limit} vertices",
-                text(),
-            )
+# A check returns None when the instance passes, else a failure message
+# or a (message, certificate JSON) pair.
+_Failure = Union[str, tuple[str, Any], None]
 
 
-def _process_rainbow(
-    n: int, idx: int, inst: RainbowInstance, checks: tuple[str, ...], acc: _Accum
-) -> None:
-    collect = [] if CHECK_RD_CLAIM in checks else None
-    cert = None
-    fail_msg = None
+def _check_eq1(x: _DigraphCase, acc: _Accum) -> _Failure:
+    scale, degs = x.scale, x.degs
+    phi_m = sum(scale // (d + 1) for d in degs)
+    # Every in-neighbor u has an out-arc, so deg(u) >= 1 below.
+    rhs_total = 0
+    for mm in x.inn:
+        while mm:
+            low = mm & -mm
+            du = degs[low.bit_length() - 1]
+            rhs_total += scale // (du * (du + 1))
+            mm ^= low
+    if rhs_total != phi_m:
+        return f"removability right sides sum to {rhs_total}/{scale}, phi is {phi_m}/{scale}"
+    return None
+
+
+def _check_two_phi(x: _DigraphCase, acc: _Accum) -> _Failure:
+    scale = x.scale
+    phi_m = sum(scale // (d + 1) for d in x.degs)
+    g = x.girth
+    if g is None or g * scale > 2 * phi_m:
+        return f"girth {g} exceeds 2 phi = {2 * phi_m}/{scale}"
+    d = x.digraph
     try:
-        cert = find_rainbow_cycle(inst, collect=collect)
+        cert = short_cycle_via_peeling(d)
     except CounterexampleFound as exc:
-        fail_msg = f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}"
+    if not validate_cycle(d, cert):
+        return "peeling produced an invalid certificate", cycle_cert_json(cert)
+    if g * scale == 2 * phi_m:
+        acc.offer_tight(x)
+    return None
 
-    if CHECK_RAINBOW_BOUND in checks:
-        bound = (inst.n + inst.p + 1) // 2
-        ok = (
-            cert is not None
-            and validate_rainbow_cycle(inst, cert)
-            and cert.length <= bound
+
+def _check_two_psi_strict(x: _DigraphCase, acc: _Accum) -> _Failure:
+    scale = x.scale
+    psi_m = sum(scale // d for d in x.degs)
+    g = x.girth
+    if g is not None:
+        acc.offer_ratio(g * scale, psi_m, x)
+    if g is None or g * scale >= 2 * psi_m:
+        return f"girth {g} is not strictly below 2 psi = {2 * psi_m}/{scale}"
+    return None
+
+
+def _check_chc(x: _DigraphCase, acc: _Accum) -> _Failure:
+    g = x.girth
+    bound = -(-x.n // min(x.degs))
+    if g is None or g > bound:
+        return f"girth {g} exceeds ceil(n / min out-degree) = {bound}"
+    return None
+
+
+def _check_deg2_girth(x: _DigraphCase, acc: _Accum) -> _Failure:
+    g = x.girth
+    bound = (x.n + x.p + 1) // 2
+    if g is None or g > bound:
+        return f"girth {g} exceeds ceil((n + p) / 2) = {bound}"
+    return None
+
+
+def _check_two_cycles(x: _DigraphCase, acc: _Accum) -> _Failure:
+    limit = x.p + 1
+    g = x.girth
+    # A cycle no longer than the limit pairs with itself.
+    ok = (g is not None and g <= limit) or _cycle_pair_within(x.n, x.out, limit)
+    if ok and x.index % _CROSS_CHECK_EVERY:
+        return None
+    try:
+        pair = two_cycles_min_intersection(x.digraph)
+        oracle_ok = len(pair.intersection) <= limit
+    except TheoremViolation:
+        oracle_ok = False
+    if oracle_ok != ok:
+        return "fast pair scan disagrees with the exhaustive oracle"
+    if not ok:
+        return f"every cycle pair meets in more than p + 1 = {limit} vertices"
+    return None
+
+
+def _check_rainbow_bound(x: _RainbowCase, acc: _Accum) -> _Failure:
+    inst = x.inst
+    cert, why, _ = x.built
+    if cert is None:
+        return why, None
+    bound = (inst.n + inst.p + 1) // 2
+    if not validate_rainbow_cycle(inst, cert) or cert.length > bound:
+        why = "constructed cycle invalid or longer than ceil((n + p) / 2)"
+        return why, rainbow_cert_json(cert)
+    exact, _ = shortest_rainbow_cycle_exact(inst)
+    if exact > cert.length:
+        return (
+            f"independent search says the shortest rainbow cycle has "
+            f"length {exact}, yet one of length {cert.length} validated",
+            rainbow_cert_json(cert),
         )
-        msg = fail_msg or ""
-        if ok:
-            assert cert is not None
-            exact, _ = shortest_rainbow_cycle_exact(inst)
-            if exact > cert.length:
-                ok = False
-                msg = (
-                    f"independent search says the shortest rainbow cycle has "
-                    f"length {exact}, yet one of length {cert.length} validated"
-                )
-            elif inst.p == 0 and exact > (inst.n + 1) // 2:
-                # All families have size exactly 2, so the stronger
-                # published ceil(n/2) bound applies; an exceedance here
-                # is a headline event even though this library does not
-                # prove that bound itself.
-                acc.record(
-                    "finding",
-                    CHECK_RAINBOW_BOUND,
-                    n,
-                    idx,
-                    f"rainbow girth {exact} exceeds ceil(n/2) = {(inst.n + 1) // 2}",
-                    format_rainbow(inst),
-                )
-        elif not msg:
-            msg = "constructed cycle invalid or longer than ceil((n + p) / 2)"
-        acc.hit(CHECK_RAINBOW_BOUND, ok)
-        if not ok:
-            acc.record(
-                "violation",
-                CHECK_RAINBOW_BOUND,
-                n,
-                idx,
-                msg,
-                format_rainbow(inst),
-                None if cert is None else rainbow_cert_json(cert),
-            )
+    if inst.p == 0 and exact > (inst.n + 1) // 2:
+        # All families have size exactly 2, so the stronger published
+        # ceil(n/2) bound applies; an exceedance here is a headline event
+        # even though this library does not prove that bound itself.
+        why = f"rainbow girth {exact} exceeds ceil(n/2) = {(inst.n + 1) // 2}"
+        acc.record("finding", CHECK_RAINBOW_BOUND, x, why)
+    return None
 
-    if CHECK_RD_CLAIM in checks and collect is not None:
-        ok = True
-        msg = ""
-        for _level_inst, h in collect:
-            try:
-                dists = all_pairs_rainbow_distances(h)
-            except CounterexampleFound as exc:
-                ok = False
-                msg = f"{type(exc).__name__}: {exc}"
-                break
-            bound = h.t // 2 + 1
-            if any(dv > bound for dv in dists.values()):
-                ok = False
-                msg = f"a vertex pair has rainbow distance above {bound}"
-                break
-            if h.t % 2 == 0:
-                extremal = sum(1 for dv in dists.values() if dv == bound)
-                if extremal > 1:
-                    ok = False
-                    msg = (
-                        f"{extremal} pairs sit at the extremal distance {bound}; "
-                        "at most one may"
-                    )
-                    break
-        acc.hit(CHECK_RD_CLAIM, ok)
-        if not ok:
-            acc.record("violation", CHECK_RD_CLAIM, n, idx, msg, format_rainbow(inst))
+
+def _check_rd_claim(x: _RainbowCase, acc: _Accum) -> _Failure:
+    for _, h in x.built[2]:
+        try:
+            dists = all_pairs_rainbow_distances(h)
+        except CounterexampleFound as exc:
+            return f"{type(exc).__name__}: {exc}"
+        bound = h.t // 2 + 1
+        if any(dv > bound for dv in dists.values()):
+            return f"a vertex pair has rainbow distance above {bound}"
+        if h.t % 2 == 0:
+            extremal = sum(1 for dv in dists.values() if dv == bound)
+            if extremal > 1:
+                return (
+                    f"{extremal} pairs sit at the extremal distance {bound}; "
+                    "at most one may"
+                )
+    return None
+
+
+class _Check(NamedTuple):
+    name: str
+    run: Callable[[Any, _Accum], _Failure]
+    kind: str  # what a failure records: "violation" (proved) or "finding" (open)
+    deg2_only: bool = False  # applies only when every out-degree is at most 2
+
+
+# Run in this order, so what one check derives serves the later ones.
+_CHECKS = (
+    _Check(CHECK_EQ1, _check_eq1, "violation"),
+    _Check(CHECK_TWO_PHI, _check_two_phi, "violation"),
+    _Check(CHECK_TWO_PSI_STRICT, _check_two_psi_strict, "violation"),
+    _Check(CHECK_CHC, _check_chc, "finding"),
+    _Check(CHECK_DEG2_GIRTH, _check_deg2_girth, "violation", deg2_only=True),
+    _Check(CHECK_TWO_CYCLES, _check_two_cycles, "violation", deg2_only=True),
+    _Check(CHECK_RAINBOW_BOUND, _check_rainbow_bound, "violation"),
+    _Check(CHECK_RD_CLAIM, _check_rd_claim, "violation"),
+)
+
+
+def _run_checks(case: Any, checks: Sequence[_Check], acc: _Accum) -> None:
+    for name, run, kind, deg2_only in checks:
+        if deg2_only and not case.deg2:
+            continue
+        fail = run(case, acc)
+        acc.hit(name, fail is None)
+        if fail is not None:
+            message, certificate = fail if isinstance(fail, tuple) else (fail, None)
+            acc.record(kind, name, case, message, certificate)
 
 
 # ---------------------------------------------------------------------------
 # Sharded driver
 
 
-def _scale_for(n: int) -> int:
-    return math.lcm(*range(1, n + 1)) if n >= 1 else 1
+def _population(cfg: SuiteConfig, n: int) -> tuple[list[tuple[int, ...]], str]:
+    """The out-mask choice lists and filter of a digraph population at size n."""
+    if cfg.generator == "labeled":
+        return _outmap_choices(n, 0, n - 1), cfg.filter
+    return _outmap_choices(n, cfg.dmin, cfg.dmax), "none"
 
 
 def _domain_size(cfg: SuiteConfig, n: int) -> int:
-    if cfg.generator == "labeled":
-        return 1 << (n * (n - 1))
-    if cfg.generator == "outmaps":
-        choices = _outmap_choices(n, cfg.dmin, cfg.dmax)
-        if any(not c for c in choices):
-            return 0
-        return math.prod(len(c) for c in choices)
-    return cfg.count
+    if cfg.generator == "rainbow":
+        return cfg.count
+    return math.prod(map(len, _population(cfg, n)[0]))
 
 
 def _run_shard(cfg: SuiteConfig, n: int, lo: int, hi: int) -> dict[str, Any]:
     """Process raw domain indices [lo, hi) at size n."""
     acc = _Accum()
-    scale = _scale_for(n)
-    if cfg.generator == "labeled":
-        tables = _head_tables(n)
-        w = n - 1
-        full = (1 << w) - 1
-        flt = cfg.filter
-        for code in range(lo, hi):
-            if flt != "none" and any(
-                (code >> (u * w)) & full == 0 for u in range(n)
-            ):
-                continue
-            out = _decode_labeled(n, code, tables)
-            if flt == "strong" and not _is_strongly_connected(
-                n, out, _in_masks(n, out)
-            ):
-                continue
-            acc.generated += 1
-            _process_digraph(n, code, out, cfg.checks, acc, scale)
-    elif cfg.generator == "outmaps":
-        choices = _outmap_choices(n, cfg.dmin, cfg.dmax)
-        radix = [len(c) for c in choices]
+    checks = [c for c in _CHECKS if c.name in cfg.checks]
+    if cfg.generator == "rainbow":
         for idx in range(lo, hi):
-            out = _decode_outmap(choices, radix, idx)
             acc.generated += 1
-            _process_digraph(
-                n,
-                idx,
-                out,
-                cfg.checks,
-                acc,
-                scale,
-                cross_check=(idx % _CROSS_CHECK_EVERY == 0),
-            )
-    else:
-        for idx in range(lo, hi):
             inst = _rainbow_for_index(n, cfg.seed, idx)
+            _run_checks(_RainbowCase(n, idx, inst), checks, acc)
+    else:
+        choices, flt = _population(cfg, n)
+        scale = _scale(n)
+        for idx, out in _sweep(choices, lo, hi, flt):
             acc.generated += 1
-            _process_rainbow(n, idx, inst, cfg.checks, acc)
-    best = acc.best_ratio
-    return {
-        "generated": acc.generated,
-        "checked": acc.checked,
-        "passed": acc.passed,
-        "violations": acc.violations,
-        "findings": acc.findings,
-        "best_ratio": None
-        if best is None
-        else [best[0].numerator, best[0].denominator, best[1], best[2], best[3]],
-        "tight_count": acc.tight_count,
-        "tight_witnesses": acc.tight_witnesses,
-    }
+            if 0 not in out:  # psi is undefined with a sink: counted, never checked
+                _run_checks(_DigraphCase(n, idx, out, scale), checks, acc)
+    return asdict(acc)
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
@@ -815,7 +722,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
                 file=sys.stderr,
                 flush=True,
             )
-    best: tuple[Fraction, int, int, str] | None = None
+    best: list[Any] | None = None
     tight_count = 0
     tight_witnesses: list[tuple[int, int, str]] = []
     for res in shard_results:
@@ -826,24 +733,19 @@ def run_suite(cfg: SuiteConfig) -> Report:
             report.passed[k] = report.passed.get(k, 0) + v
         report.violations.extend(res["violations"])
         report.findings.extend(res["findings"])
-        if res["best_ratio"] is not None:
-            num, den, bn, bi, btext = res["best_ratio"]
-            cand = (Fraction(num, den), bn, bi, btext)
-            if (
-                best is None
-                or cand[0] > best[0]
-                or (cand[0] == best[0] and (cand[1], cand[2]) < (best[1], best[2]))
-            ):
-                best = cand
+        cand = res["best_ratio"]
+        if cand is not None and (best is None or _beats(cand, best)):
+            best = cand
         tight_count += res["tight_count"]
         tight_witnesses.extend((wn, wi, wt) for wn, wi, wt in res["tight_witnesses"])
     extremal: dict[str, Any] = {}
     if best is not None:
+        num, den, bn, bi, btext = best
         extremal["max_girth_psi_ratio"] = {
-            "ratio": rational_json(best[0]),
-            "n": best[1],
-            "index": best[2],
-            "instance": best[3],
+            "ratio": rational_json(Fraction(num, den)),
+            "n": bn,
+            "index": bi,
+            "instance": btext,
         }
     if CHECK_TWO_PHI in cfg.checks and cfg.generator != "rainbow":
         tight_witnesses.sort()
@@ -877,7 +779,7 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
     )
     if budget == 0:
         return report
-    scale = _scale_for(n)
+    scale = _scale(n)
     evaluated = 0
     best: tuple[Fraction, tuple[int, ...]] | None = None
 
@@ -885,7 +787,7 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
         nonlocal evaluated, best
         evaluated += 1
         psi_m = sum(scale // m.bit_count() for m in out)
-        hit = _girth_masks(n, out, _in_masks(n, out))
+        hit = _girth_masks(n, out, in_masks_of(out))
         assert hit is not None  # sink-less digraphs always contain a cycle
         ratio = Fraction(hit[0] * scale, psi_m)
         if ratio >= 2:
@@ -898,15 +800,10 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
         return ratio
 
     space = 1 << (n * (n - 1))
-    w = n - 1
-    full = (1 << w) - 1
     if space <= budget:
         report.config["mode"] = "exhaustive"
-        tables = _head_tables(n)
-        for code in range(space):
-            if any((code >> (u * w)) & full == 0 for u in range(n)):
-                continue
-            evaluate(_decode_labeled(n, code, tables))
+        for _, out in _sweep(_outmap_choices(n, 0, n - 1), 0, space, "sinkless"):
+            evaluate(out)
     else:
         report.config["mode"] = "hill-climb"
         rng = random.Random(seed)
@@ -946,7 +843,7 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
                 stale = 0
     assert best is not None
     ratio, out = best
-    hit = _girth_masks(n, out, _in_masks(n, out))
+    hit = _girth_masks(n, out, in_masks_of(out))
     assert hit is not None
     report.extremal["max_girth_psi_ratio"] = {
         "ratio": rational_json(ratio),

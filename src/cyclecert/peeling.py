@@ -119,19 +119,15 @@ class _PeelState:
 
     __slots__ = ("n", "scale", "out", "inn", "deg", "indeg", "alive", "alive_count")
 
-    def __init__(self, n: int, out_masks: Sequence[int]):
-        self.n = n
-        self.scale = _scale(n)
-        self.out = list(out_masks)
-        inn = [0] * n
-        for u in range(n):
-            for v in bits(self.out[u]):
-                inn[v] |= 1 << u
-        self.inn = inn
-        self.deg = [m.bit_count() for m in self.out]
-        self.indeg = [m.bit_count() for m in inn]
-        self.alive = (1 << n) - 1
-        self.alive_count = n
+    def __init__(self, d: Digraph):
+        self.n = d.n
+        self.scale = _scale(d.n)
+        self.out = list(d.out_masks)
+        self.inn = list(d.in_masks)
+        self.deg = list(d.out_deg)
+        self.indeg = list(d.in_deg)
+        self.alive = (1 << d.n) - 1
+        self.alive_count = d.n
 
     def phi_scaled(self) -> int:
         m = self.scale
@@ -239,7 +235,7 @@ def peel_step(d: Digraph) -> int | None:
     _require_sinkless_nonempty(d)
     if is_union_of_cycles(d):
         return None
-    state = _PeelState(d.n, d.out_masks)
+    state = _PeelState(d)
     found = state.eligible(stop_at_first=True)
     if not found:
         raise _lemma_violation(state)
@@ -254,7 +250,7 @@ def _run_peel(d: Digraph, choose: ChoiceHook | None) -> tuple[_PeelState, int, l
     vertices each round; the default takes the smallest index.
     """
     _require_sinkless_nonempty(d)
-    state = _PeelState(d.n, d.out_masks)
+    state = _PeelState(d)
     phi0 = state.phi_scaled()
     steps: list[tuple[int, int]] = []
     while not state.is_union_of_cycles():

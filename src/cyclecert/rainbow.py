@@ -190,10 +190,10 @@ def rainbow_path_in_subgraph(
     attachment, i.e. by taking a forbidden turn at its vertex x.  So a
     shortest walk that never backtracks an edge and never takes a
     forbidden turn is already simple and rainbow; that is found by BFS
-    over (vertex, entering edge) states.  The result is re-checked, with
-    an exact search as fallback, and a length above floor(t/2) + 1
-    raises ClaimViolation: the subgraph would refute the distance bound
-    its construction guarantees.
+    over (vertex, entering edge) states.  The result is re-checked:
+    a walk that is not simple and rainbow, a missing path, or a length
+    above floor(t/2) + 1 raises ClaimViolation, since each would refute
+    the structure or the distance bound the construction guarantees.
     """
     if u not in h.vertices or v not in h.vertices:
         raise GraphInputError("path endpoints must lie in the subgraph")
@@ -234,28 +234,28 @@ def rainbow_path_in_subgraph(
             if goal is not None:
                 break
         queue = nxt_queue
-    path: list[tuple[Edge, int]] | None = None
-    if goal is not None:
-        ids = []
-        st = goal
-        while st != start:
-            st, eid = parent[st]
-            ids.append(eid)
-        ids.reverse()
-        path = [edges[eid] for eid in ids]
-        seq = [u]
-        for e, _ in path:
-            seq.append(e[1] if e[0] == seq[-1] else e[0])
-        colors = [c for _, c in path]
-        if len(set(seq)) != len(seq) or len(set(colors)) != len(colors):
-            path = None
-    if path is None:
-        path = _brute_shortest_rainbow_path(h, u, v)
-    if path is None or len(path) > bound:
-        got = "none" if path is None else str(len(path))
+    if goal is None:
+        raise ClaimViolation(f"no rainbow path from {u} to {v} in subgraph {h!r}")
+    ids = []
+    st = goal
+    while st != start:
+        st, eid = parent[st]
+        ids.append(eid)
+    ids.reverse()
+    path = [edges[eid] for eid in ids]
+    seq = [u]
+    for e, _ in path:
+        seq.append(e[1] if e[0] == seq[-1] else e[0])
+    colors = [c for _, c in path]
+    if len(set(seq)) != len(seq) or len(set(colors)) != len(colors):
+        raise ClaimViolation(
+            f"the turn-restricted walk {seq} from {u} to {v} is not a simple "
+            f"rainbow path in subgraph {h!r}"
+        )
+    if len(path) > bound:
         raise ClaimViolation(
             f"no rainbow path of length <= floor(t/2)+1 = {bound} from {u} to {v} "
-            f"(got {got}) in subgraph {h!r}"
+            f"(got {len(path)}) in subgraph {h!r}"
         )
     return path
 

@@ -197,6 +197,17 @@ class TestUsage:
         r = run_cli("girth", write(tmp_path, "d.txt", "not a digraph\n"))
         assert r.returncode == 2
 
+    def test_oversized_digraph_header_is_usage_error(self, tmp_path):
+        r = run_cli("girth", write(tmp_path, "d.txt", "digraph 1000000000000000 0\n"))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+
+    def test_format_option_is_gone(self, tmp_path):
+        r = run_cli("girth", "--format", "json", write(tmp_path, "d.txt", TRIANGLE))
+        assert r.returncode == 2
+        assert r.stdout == ""
+
     def test_bad_n_syntax(self):
         r = run_cli("verify", "--generator", "labeled", "--n", "x-y")
         assert r.returncode == 2

@@ -15,6 +15,7 @@ from cyclecert.digraph import Digraph
 from cyclecert.errors import FormatError
 from cyclecert.families import RainbowInstance
 from cyclecert.formats import (
+    MAX_DIGRAPH_VERTICES,
     cycle_cert_from_json,
     cycle_cert_json,
     digraph_json,
@@ -72,6 +73,11 @@ class TestDigraphText:
     def test_malformed_digraph_rejected(self, text):
         with pytest.raises(FormatError):
             parse_digraph(text)
+
+    @pytest.mark.parametrize("n", [10**15, MAX_DIGRAPH_VERTICES + 1])
+    def test_oversized_header_refused_before_allocation(self, n):
+        with pytest.raises(FormatError, match="vertices"):
+            parse_digraph(f"digraph {n} 0\n")
 
 
 class TestRainbowText:

@@ -1,5 +1,6 @@
 """Enumeration generators, the verification suite driver, and the ratio search."""
 
+import hashlib
 import json
 import math
 
@@ -15,6 +16,7 @@ from cyclecert.harness import (
     OUTMAP_CAP,
     RAINBOW_CAP,
     RAINBOW_CHECKS,
+    WORKERS_CAP,
     SuiteConfig,
     enumerate_digraphs,
     enumerate_outmaps,
@@ -61,6 +63,12 @@ class TestSuiteConfig:
             ).validate()
         # at the cap is fine
         SuiteConfig(1, OUTMAP_CAP, "outmaps", ("two-cycles",)).validate()
+
+    def test_workers_capped(self):
+        # Checked through validate() only: a run would start the pool.
+        SuiteConfig(1, 3, "labeled", ("two-phi",), workers=WORKERS_CAP).validate()
+        with pytest.raises(CapExceeded):
+            SuiteConfig(1, 3, "labeled", ("two-phi",), workers=WORKERS_CAP + 1).validate()
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(GraphInputError):
@@ -283,3 +291,59 @@ class TestExtremalRatioSearch:
             extremal_ratio_search(1, 100)
         with pytest.raises(GraphInputError):
             extremal_ratio_search(4, -1)
+
+
+def report_digest(report):
+    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenReports:
+    """Byte-for-byte pins of whole reports, so engine rewrites cannot drift.
+
+    The digests were taken before the sweep engine was unified.  They
+    cover both labeled filters that skip or keep sinks, three out-degree
+    ranges (a single radix, a range wider than 2 that skips the
+    deg2-only checks, and one that excludes out-degree 1), the chc
+    finding channel, and both ratio-search modes.
+    """
+
+    @pytest.mark.parametrize(
+        "flt, generated, checked, digest",
+        [
+            # Instances with a sink are counted, then skip every check.
+            ("none", 4165, 2429, "2ad08d6672803167995c3dc8e2f3978f5bca84dc32e2f9e5b25d9bfad25c1475"),
+            ("strong", 1625, 1625, "85b27277eb3bd7723e0ac1c15161eebd35455147bc60cdc58c75e6b9cfb62e96"),
+        ],
+    )
+    def test_labeled(self, flt, generated, checked, digest):
+        report = run_suite(SuiteConfig(1, 4, "labeled", DIGRAPH_CHECKS, filter=flt))
+        assert report.instances_generated == generated
+        assert report.checked["two-phi"] == checked
+        assert report_digest(report) == digest
+
+    @pytest.mark.parametrize(
+        "dmin, dmax, digest",
+        [
+            (1, 1, "2f4b753558458005389015dff8ba8047365dff613ef8548b69840a66d96d30fe"),
+            (1, 3, "dae05470d6a8e201d00b374db331b8766fdd10201b88450c0ef97bcb23657258"),
+            (2, 3, "4c469c2e62738b105003ace0377df477cc4fdb279677c84e1db8d2c68126a077"),
+        ],
+    )
+    def test_outmaps(self, dmin, dmax, digest):
+        cfg = SuiteConfig(1, 4, "outmaps", DIGRAPH_CHECKS, dmin=dmin, dmax=dmax)
+        assert report_digest(run_suite(cfg)) == digest
+
+    def test_ratio_search_exhaustive(self):
+        report = extremal_ratio_search(4, 10**6)
+        assert report.config["mode"] == "exhaustive"
+        assert report_digest(report) == (
+            "0776312b7b1a81eac43fdbffd129371be937022c0d6011c87d0d37e25b4840a5"
+        )
+
+    def test_ratio_search_hill_climb(self):
+        report = extremal_ratio_search(5, 3000, seed=1)
+        assert report.config["mode"] == "hill-climb"
+        assert report_digest(report) == (
+            "95ff4af01b9836d97d589c29b512f26fe5ac35d9fea256c203a7759e31a10aa2"
+        )

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from cyclecert.certificates import validate_rainbow_cycle
-from cyclecert.errors import GraphInputError, SeedNotSingleton
+from cyclecert.errors import ClaimViolation, GraphInputError, SeedNotSingleton
 from cyclecert.families import RainbowInstance
 from cyclecert.harness import random_rainbow_instance
 from cyclecert.oracles import shortest_rainbow_cycle_exact
@@ -106,6 +106,20 @@ class TestRainbowPaths:
         h = build_greedy_subgraph(inst, 0)
         with pytest.raises(GraphInputError):
             rainbow_path_in_subgraph(h, 0, 3)
+
+    def test_non_rainbow_walk_raises(self, monkeypatch):
+        # Without the forbidden turns the shortest walk from 4 to 5 is
+        # 4-6-5, whose two edges share color 5.  The re-check must refuse
+        # it rather than quietly search for another path.
+        h = GreedySubgraph(
+            seed_color=0,
+            seed_edge=(0, 1),
+            attachments=((2, 0, 1, 1), (3, 1, 0, 2), (4, 0, 2, 3), (5, 1, 3, 4), (6, 5, 4, 5)),
+        )
+        assert len(rainbow_path_in_subgraph(h, 4, 5)) <= h.t // 2 + 1
+        monkeypatch.setattr(GreedySubgraph, "forbidden_turns", lambda self: {})
+        with pytest.raises(ClaimViolation):
+            rainbow_path_in_subgraph(h, 4, 5)
 
     def test_distance_bound_over_many_subgraphs(self):
         # every H grown from random instances keeps all-pairs distance
