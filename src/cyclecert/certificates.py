@@ -3,11 +3,13 @@
 Every algorithm in this package that promises a short cycle hands back a
 certificate that an independent validator can confirm against the input
 alone.  Validators never trust the producer: they re-check arcs, vertex
-distinctness, color distinctness, and the numeric bound.
+distinctness, color distinctness, and the numeric bound, which they
+recompute from the input by its kind.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,8 +56,33 @@ class RainbowCycleCertificate:
         return len(self.steps)
 
 
+def _bound_holds(d: Digraph, cert: CycleCertificate) -> bool:
+    """Whether cert's stated bound is the one its kind gives on d.
+
+    phi is summed here on its own, sharing no code with the peeling that
+    produces two-phi certificates, and compared in integers.
+    """
+    kind, bound = cert.bound_kind, cert.bound
+    degs = d.out_deg
+    if kind == BOUND_TWO_PHI:
+        den = math.lcm(*{deg + 1 for deg in degs})
+        two_phi = 2 * sum(den // (deg + 1) for deg in degs)
+        return bound.numerator * den == two_phi * bound.denominator
+    if kind == BOUND_CEIL_N_PLUS_P:
+        if any(deg not in (1, 2) for deg in degs):
+            return False
+        return bound == (d.n + degs.count(1) + 1) // 2
+    if kind == BOUND_EXACT_LENGTH:
+        return bound == cert.length
+    from .oracles import _girth_masks  # BOUND_EXACT_GIRTH: the true girth
+
+    hit = _girth_masks(d.n, d.out_masks, d.in_masks)
+    return hit is not None and bound == hit[0]
+
+
 def validate_cycle(d: Digraph, cert: CycleCertificate) -> bool:
-    """True iff cert is a genuine directed cycle of d within its stated bound."""
+    """True iff cert is a genuine directed cycle of d within its bound, and
+    that bound is the one its kind gives on d."""
     if cert.bound_kind not in BOUND_KINDS:
         return False
     vs = cert.vertices
@@ -66,7 +93,7 @@ def validate_cycle(d: Digraph, cert: CycleCertificate) -> bool:
         return False
     if any(not d.has_arc(vs[i], vs[(i + 1) % k]) for i in range(k)):
         return False
-    return Fraction(k) <= cert.bound
+    return k <= cert.bound and _bound_holds(d, cert)
 
 
 def _walk_vertices(steps: tuple[tuple[Edge, int], ...]) -> list[int] | None:

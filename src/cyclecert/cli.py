@@ -34,7 +34,7 @@ from .oracles import (
     shortest_rainbow_cycle_exact,
     two_cycles_min_intersection,
 )
-from .peeling import peel, short_cycle_via_peeling
+from .peeling import peel
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -66,9 +66,8 @@ def _cmd_girth(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_peel(args: argparse.Namespace) -> dict[str, Any]:
     d = parse_digraph(_read_text(args.file))
     trace = peel(d)
-    cert = short_cycle_via_peeling(d)
-    _require_valid(validate_cycle(d, cert), "peeling certificate")
-    return {"trace": trace.to_json_dict(), "certificate": cycle_cert_json(cert)}
+    _require_valid(validate_cycle(d, trace.certificate), "peeling certificate")
+    return {"trace": trace.to_json_dict(), "certificate": cycle_cert_json(trace.certificate)}
 
 
 def _cmd_rainbow(args: argparse.Namespace) -> dict[str, Any]:

@@ -57,19 +57,26 @@ class Digraph:
             out[u] |= bit
         self._init_from_masks(n, out)
 
-    def _init_from_masks(self, n: int, out: Sequence[int]) -> None:
+    def _init_from_masks(
+        self, n: int, out: Sequence[int], inn: tuple[int, ...] | None = None
+    ) -> None:
         self.n = n
         self.out_masks = tuple(out)
-        self.in_masks = in_masks_of(self.out_masks)
+        self.in_masks = in_masks_of(self.out_masks) if inn is None else inn
         self.out_deg = tuple(m.bit_count() for m in out)
         self.in_deg = tuple(m.bit_count() for m in self.in_masks)
         self._arcs = None
 
     @classmethod
-    def from_out_masks(cls, n: int, out_masks: Iterable[int]) -> "Digraph":
-        """Build directly from out-neighborhood bitmasks (no loop/range checks)."""
+    def from_out_masks(
+        cls, n: int, out_masks: Iterable[int], in_masks: tuple[int, ...] | None = None
+    ) -> "Digraph":
+        """Build directly from out-neighborhood bitmasks (no loop/range checks).
+
+        in_masks, when given, must be in_masks_of(out_masks), already derived.
+        """
         d = cls.__new__(cls)
-        d._init_from_masks(n, tuple(out_masks))
+        d._init_from_masks(n, tuple(out_masks), in_masks)
         return d
 
     @property

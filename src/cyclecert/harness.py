@@ -38,7 +38,7 @@ from .formats import (
     rational_json,
 )
 from .oracles import _girth_masks, shortest_rainbow_cycle_exact, two_cycles_min_intersection
-from .peeling import _scale, short_cycle_via_peeling
+from .peeling import _phi_scaled, _psi_scaled, _rhs_scaled, _scale, psi, short_cycle_via_peeling
 from .rainbow import Collector, all_pairs_rainbow_distances, find_rainbow_cycle
 
 LABELED_CAP = 5
@@ -396,8 +396,8 @@ class _Accum:
 class _DigraphCase:
     """One digraph under check, given by its out-masks.
 
-    In-masks, girth, the Digraph and the text form are derived on first
-    use, at most once each, so a check pays only for what it reads.
+    In-masks, girth, scaled phi, the Digraph and the text are derived on
+    first use, at most once each, so a check pays only for what it reads.
     """
 
     n: int
@@ -409,6 +409,7 @@ class _DigraphCase:
     deg2: bool = field(init=False)  # every out-degree is at most 2
     _inn: tuple[int, ...] | None = None
     _girth: int | None = 0  # 0 until computed; None when acyclic
+    _phi: int | None = None  # phi times scale, once computed
     _digraph: Digraph | None = None
     _text: str | None = None
 
@@ -431,9 +432,15 @@ class _DigraphCase:
         return self._girth
 
     @property
+    def phi(self) -> int:
+        if self._phi is None:
+            self._phi = _phi_scaled(self.scale, self.degs)
+        return self._phi
+
+    @property
     def digraph(self) -> Digraph:
         if self._digraph is None:
-            self._digraph = Digraph.from_out_masks(self.n, self.out)
+            self._digraph = Digraph.from_out_masks(self.n, self.out, self.inn)
         return self._digraph
 
     @property
@@ -506,24 +513,15 @@ _Failure = Union[str, tuple[str, Any], None]
 
 
 def _check_eq1(x: _DigraphCase, acc: _Accum) -> _Failure:
-    scale, degs = x.scale, x.degs
-    phi_m = sum(scale // (d + 1) for d in degs)
-    # Every in-neighbor u has an out-arc, so deg(u) >= 1 below.
-    rhs_total = 0
-    for mm in x.inn:
-        while mm:
-            low = mm & -mm
-            du = degs[low.bit_length() - 1]
-            rhs_total += scale // (du * (du + 1))
-            mm ^= low
+    scale, phi_m = x.scale, x.phi
+    rhs_total = sum(_rhs_scaled(scale, x.degs, mm) for mm in x.inn)
     if rhs_total != phi_m:
         return f"removability right sides sum to {rhs_total}/{scale}, phi is {phi_m}/{scale}"
     return None
 
 
 def _check_two_phi(x: _DigraphCase, acc: _Accum) -> _Failure:
-    scale = x.scale
-    phi_m = sum(scale // (d + 1) for d in x.degs)
+    scale, phi_m = x.scale, x.phi
     g = x.girth
     if g is None or g * scale > 2 * phi_m:
         return f"girth {g} exceeds 2 phi = {2 * phi_m}/{scale}"
@@ -541,7 +539,7 @@ def _check_two_phi(x: _DigraphCase, acc: _Accum) -> _Failure:
 
 def _check_two_psi_strict(x: _DigraphCase, acc: _Accum) -> _Failure:
     scale = x.scale
-    psi_m = sum(scale // d for d in x.degs)
+    psi_m = _psi_scaled(scale, x.degs)
     g = x.girth
     if g is not None:
         acc.offer_ratio(g * scale, psi_m, x)
@@ -786,7 +784,7 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
     def evaluate(out: tuple[int, ...]) -> Fraction:
         nonlocal evaluated, best
         evaluated += 1
-        psi_m = sum(scale // m.bit_count() for m in out)
+        psi_m = _psi_scaled(scale, [m.bit_count() for m in out])
         hit = _girth_masks(n, out, in_masks_of(out))
         assert hit is not None  # sink-less digraphs always contain a cycle
         ratio = Fraction(hit[0] * scale, psi_m)
@@ -843,13 +841,14 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
                 stale = 0
     assert best is not None
     ratio, out = best
-    hit = _girth_masks(n, out, in_masks_of(out))
+    d = Digraph.from_out_masks(n, out)
+    hit = _girth_masks(n, d.out_masks, d.in_masks)
     assert hit is not None
     report.extremal["max_girth_psi_ratio"] = {
         "ratio": rational_json(ratio),
         "girth": hit[0],
-        "psi": rational_json(sum(Fraction(1, m.bit_count()) for m in out)),
-        "instance": format_digraph(Digraph.from_out_masks(n, out)),
+        "psi": rational_json(psi(d)),
+        "instance": format_digraph(d),
     }
     report.instances_generated = evaluated
     return report

@@ -7,7 +7,7 @@ in-neighbors u from 1/(deg(u)+1) to 1/deg(u), a gain of exactly
 1/(deg(u)(deg(u)+1)), and drops v's own term.  So
 
     phi(D - v) <= phi(D)   iff   1/(deg(v)+1) >= sum over u -> v of
-                                 1/(deg(u) (deg(u) + 1)).
+                                 1/(deg(u) (deg(u) + 1)).        (1)
 
 Summing the right side over all v counts each u once per out-arc and
 collapses to phi(D) again, which is why a qualifying v always exists:
@@ -26,13 +26,42 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .certificates import BOUND_TWO_PHI, CycleCertificate
-from .digraph import Digraph, bits, is_union_of_cycles
+from .digraph import Digraph, bits
 from .errors import BoundViolation, EmptyGraph, GraphInputError, LemmaViolation, NotSinkless, SinkPresent
 
 ChoiceHook = Callable[[Sequence[int], Sequence[int]], int]
+
+
+def _scale(n: int) -> int:
+    """lcm(1..n): scaled by it, every potential term on n vertices is an integer."""
+    return math.lcm(*range(1, n + 1)) if n >= 1 else 1
+
+
+def _phi_scaled(scale: int, degs: Iterable[int]) -> int:
+    """phi times scale, for these out-degrees."""
+    return sum(scale // (deg + 1) for deg in degs)
+
+
+def _psi_scaled(scale: int, degs: Iterable[int]) -> int:
+    """psi times scale, for these out-degrees (all >= 1)."""
+    return sum(scale // deg for deg in degs)
+
+
+def _rhs_scaled(scale: int, degs: Sequence[int], inn: int) -> int:
+    """The right side of (1) times scale, at a vertex with in-mask inn.
+
+    Every in-neighbor u has an out-arc, so deg(u) >= 1 here.
+    """
+    rhs = 0
+    while inn:
+        low = inn & -inn
+        du = degs[low.bit_length() - 1]
+        rhs += scale // (du * (du + 1))
+        inn ^= low
+    return rhs
 
 
 def psi(d: Digraph) -> Fraction:
@@ -40,12 +69,14 @@ def psi(d: Digraph) -> Fraction:
     for v in range(d.n):
         if d.out_deg[v] == 0:
             raise SinkPresent(f"sink at vertex {v}")
-    return sum((Fraction(1, deg) for deg in d.out_deg), Fraction(0))
+    m = _scale(d.n)
+    return Fraction(_psi_scaled(m, d.out_deg), m)
 
 
 def phi(d: Digraph) -> Fraction:
     """Sum of 1/(outdeg(v) + 1).  Defined for every digraph."""
-    return sum((Fraction(1, deg + 1) for deg in d.out_deg), Fraction(0))
+    m = _scale(d.n)
+    return Fraction(_phi_scaled(m, d.out_deg), m)
 
 
 def eq1_terms(d: Digraph) -> list[tuple[Fraction, Fraction]]:
@@ -55,15 +86,12 @@ def eq1_terms(d: Digraph) -> list[tuple[Fraction, Fraction]]:
     1/(deg(u)(deg(u)+1)).  v is removable without raising phi iff
     lhs(v) >= rhs(v).  Both sides sum to phi(D) over all v.
     """
-    out = []
-    for v in range(d.n):
-        lhs = Fraction(1, d.out_deg[v] + 1)
-        rhs = Fraction(0)
-        for u in bits(d.in_masks[v]):
-            du = d.out_deg[u]
-            rhs += Fraction(1, du * (du + 1))
-        out.append((lhs, rhs))
-    return out
+    m = _scale(d.n)
+    degs = d.out_deg
+    return [
+        (Fraction(m // (degs[v] + 1), m), Fraction(_rhs_scaled(m, degs, d.in_masks[v]), m))
+        for v in range(d.n)
+    ]
 
 
 def removable_vertices(d: Digraph) -> list[int]:
@@ -86,13 +114,15 @@ class PeelingTrace:
     steps holds (removed vertex, phi after removal); vertices are
     indices of the original digraph throughout.  terminal is the final
     union of cycles reindexed densely, and terminal_vertices maps its
-    vertices back to original indices (ascending).
+    vertices back to original indices (ascending).  certificate is the
+    shortest terminal cycle, bounded by 2 * initial_phi.
     """
 
     initial_phi: Fraction
     steps: tuple[tuple[int, Fraction], ...]
     terminal: Digraph
     terminal_vertices: tuple[int, ...]
+    certificate: CycleCertificate
 
     def to_json_dict(self) -> dict[str, Any]:
         from .formats import rational_json
@@ -110,42 +140,35 @@ class PeelingTrace:
         }
 
 
-def _scale(n: int) -> int:
-    return math.lcm(*range(1, n + 1)) if n >= 1 else 1
-
-
 class _PeelState:
     """Mutable peeling workspace over original indices, bitmask-backed."""
 
-    __slots__ = ("n", "scale", "out", "inn", "deg", "indeg", "alive", "alive_count")
+    __slots__ = ("scale", "out", "inn", "deg", "alive")
 
     def __init__(self, d: Digraph):
-        self.n = d.n
         self.scale = _scale(d.n)
         self.out = list(d.out_masks)
         self.inn = list(d.in_masks)
         self.deg = list(d.out_deg)
-        self.indeg = list(d.in_deg)
         self.alive = (1 << d.n) - 1
-        self.alive_count = d.n
-
-    def phi_scaled(self) -> int:
-        m = self.scale
-        deg = self.deg
-        return sum(m // (deg[v] + 1) for v in bits(self.alive))
 
     def is_union_of_cycles(self) -> bool:
+        """Every live out-degree is 1 and the out-masks cover the live set,
+        so every live in-degree is 1 too."""
+        cover = 0
         for v in bits(self.alive):
-            if self.deg[v] != 1 or self.indeg[v] != 1:
+            if self.deg[v] != 1:
                 return False
-        return True
+            cover |= self.out[v]
+        return cover == self.alive
 
-    def eligible(self, stop_at_first: bool) -> list[int]:
-        """Vertices passing both removal conditions, ascending.
+    def eligible(self, stop_at_first: bool) -> list[tuple[int, int]]:
+        """(vertex, scaled phi drop on deleting it) for each vertex passing
+        both removal conditions, ascending.
 
-        A vertex is eligible when deleting it keeps phi from rising
-        (integer-scaled inequality) and leaves no new sink: it must not
-        be the sole out-neighbor of any live vertex.
+        A vertex is eligible when deleting it keeps phi from rising, by
+        inequality (1), and leaves no new sink: it must not be the sole
+        out-neighbor of any live vertex.
         """
         m = self.scale
         deg = self.deg
@@ -154,19 +177,10 @@ class _PeelState:
             if deg[u] == 1:
                 protected |= self.out[u]
         res = []
-        for v in bits(self.alive):
-            if (protected >> v) & 1:
-                continue
-            lhs = m // (deg[v] + 1)
-            rhs = 0
-            mm = self.inn[v]
-            while mm:
-                low = mm & -mm
-                du = deg[low.bit_length() - 1]
-                rhs += m // (du * (du + 1))
-                mm ^= low
-            if lhs >= rhs:
-                res.append(v)
+        for v in bits(self.alive & ~protected):
+            drop = m // (deg[v] + 1) - _rhs_scaled(m, deg, self.inn[v])
+            if drop >= 0:
+                res.append((v, drop))
                 if stop_at_first:
                     break
         return res
@@ -174,36 +188,20 @@ class _PeelState:
     def remove(self, v: int) -> None:
         bit = 1 << v
         self.alive ^= bit
-        self.alive_count -= 1
-        mm = self.inn[v]
-        while mm:
-            low = mm & -mm
-            u = low.bit_length() - 1
+        for u in bits(self.inn[v]):
             self.out[u] &= ~bit
             self.deg[u] -= 1
-            mm ^= low
-        mm = self.out[v]
-        while mm:
-            low = mm & -mm
-            w = low.bit_length() - 1
+        for w in bits(self.out[v]):
             self.inn[w] &= ~bit
-            self.indeg[w] -= 1
-            mm ^= low
         self.out[v] = 0
         self.inn[v] = 0
         self.deg[v] = 0
-        self.indeg[v] = 0
 
     def alive_digraph(self) -> tuple[Digraph, tuple[int, ...]]:
         """The live subgraph reindexed densely, plus original labels."""
         keep = list(bits(self.alive))
         pos = {v: i for i, v in enumerate(keep)}
-        out = []
-        for v in keep:
-            mask = 0
-            for w in bits(self.out[v]):
-                mask |= 1 << pos[w]
-            out.append(mask)
+        out = [sum(1 << pos[w] for w in bits(self.out[v])) for v in keep]
         return Digraph.from_out_masks(len(keep), out), tuple(keep)
 
 
@@ -225,50 +223,45 @@ def _lemma_violation(state: _PeelState) -> LemmaViolation:
     )
 
 
-def peel_step(d: Digraph) -> int | None:
-    """The smallest vertex whose removal keeps phi non-increasing and the
-    digraph sink-less, or None when d is already a union of cycles.
-
-    A sink-less digraph that is not a union of cycles but has no such
-    vertex would be a counterexample; that raises LemmaViolation.
-    """
-    _require_sinkless_nonempty(d)
-    if is_union_of_cycles(d):
-        return None
-    state = _PeelState(d)
-    found = state.eligible(stop_at_first=True)
-    if not found:
-        raise _lemma_violation(state)
-    return found[0]
-
-
-def _run_peel(d: Digraph, choose: ChoiceHook | None) -> tuple[_PeelState, int, list[tuple[int, int]]]:
+def _run_peel(
+    d: Digraph, choose: ChoiceHook | None = None
+) -> tuple[_PeelState, int, list[tuple[int, int]]]:
     """Peel to the terminal union of cycles.
 
     Returns (final state, initial scaled phi, steps as (vertex, scaled
-    phi after removal)).  choose, if given, picks among all eligible
-    vertices each round; the default takes the smallest index.
+    phi after removal)).  phi is carried through (1): deleting v changes
+    it by rhs(v) - lhs(v).  choose, if given, picks among all eligible
+    vertices each round; the default takes the smallest index.  A stuck
+    run would refute the averaging argument and raises LemmaViolation.
     """
     _require_sinkless_nonempty(d)
     state = _PeelState(d)
-    phi0 = state.phi_scaled()
+    phi0 = phi_m = _phi_scaled(state.scale, d.out_deg)
     steps: list[tuple[int, int]] = []
     while not state.is_union_of_cycles():
+        found = state.eligible(stop_at_first=choose is None)
+        if not found:
+            raise _lemma_violation(state)
         if choose is None:
-            found = state.eligible(stop_at_first=True)
-            if not found:
-                raise _lemma_violation(state)
-            v = found[0]
+            v, drop = found[0]
         else:
-            found = state.eligible(stop_at_first=False)
-            if not found:
-                raise _lemma_violation(state)
-            v = choose(tuple(bits(state.alive)), tuple(found))
-            if v not in found:
+            drops = dict(found)
+            v = choose(tuple(bits(state.alive)), tuple(drops))
+            if v not in drops:
                 raise GraphInputError(f"choice hook returned ineligible vertex {v}")
+            drop = drops[v]
         state.remove(v)
-        steps.append((v, state.phi_scaled()))
+        phi_m -= drop
+        steps.append((v, phi_m))
     return state, phi0, steps
+
+
+def peel_step(d: Digraph) -> int | None:
+    """The first vertex the default peeling run removes: the smallest one
+    whose removal keeps phi non-increasing and the digraph sink-less, or
+    None when d is already a union of cycles."""
+    steps = _run_peel(d)[2]
+    return steps[0][0] if steps else None
 
 
 def peel(d: Digraph, choose: ChoiceHook | None = None) -> PeelingTrace:
@@ -285,6 +278,7 @@ def peel(d: Digraph, choose: ChoiceHook | None = None) -> PeelingTrace:
         steps=tuple((v, Fraction(ph, m)) for v, ph in steps),
         terminal=terminal,
         terminal_vertices=labels,
+        certificate=_certificate(d, state, phi0),
     )
 
 
@@ -312,19 +306,11 @@ def _terminal_shortest_cycle(state: _PeelState) -> list[int]:
     return best
 
 
-def short_cycle_via_peeling(
-    d: Digraph, choose: ChoiceHook | None = None
-) -> CycleCertificate:
-    """A directed cycle of length <= 2 phi(D), certified, for sink-less D.
-
-    The certificate's vertices are indices of the original digraph.
-    """
-    state, phi0, _ = _run_peel(d, choose)
+def _certificate(d: Digraph, state: _PeelState, phi0: int) -> CycleCertificate:
+    """The shortest terminal cycle of a finished run, bounded by 2 phi(d)."""
     cyc = _terminal_shortest_cycle(state)
     bound = Fraction(2 * phi0, state.scale)
-    cert = CycleCertificate(
-        vertices=tuple(cyc), bound=bound, bound_kind=BOUND_TWO_PHI
-    )
+    cert = CycleCertificate(tuple(cyc), bound, BOUND_TWO_PHI)
     if cert.length > bound:
         from .formats import format_digraph
 
@@ -333,3 +319,12 @@ def short_cycle_via_peeling(
             + format_digraph(d)
         )
     return cert
+
+
+def short_cycle_via_peeling(d: Digraph) -> CycleCertificate:
+    """A directed cycle of length <= 2 phi(D), certified, for sink-less D.
+
+    The certificate's vertices are indices of the original digraph.
+    """
+    state, phi0, _ = _run_peel(d)
+    return _certificate(d, state, phi0)

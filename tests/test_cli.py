@@ -64,6 +64,22 @@ class TestPeel:
         assert doc["certificate"]["vertices"] == [1, 2]
         assert doc["certificate"]["bound"] == {"num": 2, "den": 1}
 
+    def test_peels_once(self, tmp_path, monkeypatch, capsys):
+        # The certificate comes from the trace's own run.
+        from cyclecert import cli, peeling
+
+        calls = []
+        run = peeling._run_peel
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(peeling, "_run_peel", counting)
+        assert cli.main(["peel", write(tmp_path, "d.txt", BI_TRIANGLE)]) == 0
+        assert json.loads(capsys.readouterr().out)["certificate"]["vertices"] == [1, 2]
+        assert len(calls) == 1
+
     def test_sink_is_usage_error(self, tmp_path):
         r = run_cli("peel", write(tmp_path, "d.txt", PATH))
         assert r.returncode == 2

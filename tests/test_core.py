@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclecert.certificates import (
+    BOUND_CEIL_N_PLUS_P,
     BOUND_EXACT_GIRTH,
+    BOUND_EXACT_LENGTH,
+    BOUND_TWO_PHI,
     CycleCertificate,
     RainbowCycleCertificate,
     validate_cycle,
@@ -25,6 +28,7 @@ from cyclecert.families import RainbowInstance, normalize_edge
 from cyclecert.oracles import enumerate_cycles
 
 TRIANGLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+C4 = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 BI_TRIANGLE = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)])
 
 
@@ -173,6 +177,35 @@ class TestCycleValidation:
         assert not validate_cycle(TRIANGLE, out_of_range)
         empty = CycleCertificate((), Fraction(1), BOUND_EXACT_GIRTH)
         assert not validate_cycle(TRIANGLE, empty)
+
+    def test_bounds_are_recomputed_not_trusted(self):
+        # Each of these validated when only length <= bound was checked.
+        loose_phi = CycleCertificate((0, 1, 2, 3), Fraction(100), BOUND_TWO_PHI)
+        assert not validate_cycle(C4, loose_phi)
+        girth2 = Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 0)])
+        not_girth = CycleCertificate((0, 1, 2, 3), Fraction(4), BOUND_EXACT_GIRTH)
+        assert not validate_cycle(girth2, not_girth)
+        loose_ceil = CycleCertificate((0, 1, 2, 3), Fraction(9), BOUND_CEIL_N_PLUS_P)
+        assert not validate_cycle(C4, loose_ceil)
+
+    def test_honest_bounds_of_every_kind_validate(self):
+        cyc = (0, 1, 2, 3)
+        # phi(C4) = 4 * 1/2 and p = 4, so 2 phi = ceil((4 + 4) / 2) = girth = 4
+        for kind in (BOUND_TWO_PHI, BOUND_CEIL_N_PLUS_P, BOUND_EXACT_GIRTH, BOUND_EXACT_LENGTH):
+            assert validate_cycle(C4, CycleCertificate(cyc, Fraction(4), kind))
+        # 2 phi(BI_TRIANGLE) = 2 * 3 * 1/3
+        assert validate_cycle(BI_TRIANGLE, CycleCertificate((0, 1), Fraction(2), BOUND_TWO_PHI))
+        assert not validate_cycle(
+            BI_TRIANGLE, CycleCertificate((0, 1), Fraction(3), BOUND_TWO_PHI)
+        )
+        # exact-length is the cycle's own length, even when longer would do
+        assert not validate_cycle(C4, CycleCertificate(cyc, Fraction(5), BOUND_EXACT_LENGTH))
+
+    def test_ceil_bound_needs_out_degrees_one_or_two(self):
+        k4 = Digraph(4, [(u, v) for u in range(4) for v in range(4) if u != v])
+        # out-degree 3 everywhere: p = 0 gives ceil(4 / 2) = 2, yet the bound does not apply
+        assert not validate_cycle(k4, CycleCertificate((0, 1), Fraction(2), BOUND_CEIL_N_PLUS_P))
+        assert validate_cycle(k4, CycleCertificate((0, 1), Fraction(2), BOUND_EXACT_GIRTH))
 
     def test_every_rotation_of_every_cycle_validates(self):
         # exhaustive over all digraphs with n <= 3

@@ -195,6 +195,25 @@ class TestRunSuite:
         assert tight["count"] == 4
         assert len(tight["witnesses"]) == 4
 
+    def test_in_masks_derived_once_per_digraph(self, monkeypatch):
+        # eq1-identity reads the in-masks and two-phi peels a Digraph built
+        # on them: one derivation for each of the 27 sink-less n = 3 digraphs.
+        from cyclecert import digraph, harness
+
+        calls = []
+        derive = digraph.in_masks_of
+
+        def counting(out):
+            calls.append(out)
+            return derive(out)
+
+        monkeypatch.setattr(digraph, "in_masks_of", counting)
+        monkeypatch.setattr(harness, "in_masks_of", counting)
+        cfg = SuiteConfig(3, 3, "labeled", ("eq1-identity", "two-phi"))
+        report = run_suite(cfg)
+        assert report.checked == {"eq1-identity": 27, "two-phi": 27}
+        assert len(calls) == 27
+
     def test_deterministic_and_worker_invariant(self):
         base = doc_of(run_suite(self.CFG))
         again = doc_of(run_suite(self.CFG))

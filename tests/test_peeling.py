@@ -24,6 +24,12 @@ from test_core import BI_TRIANGLE, TRIANGLE, all_digraphs, digraph_strategy
 APEX = Digraph(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1)])
 
 
+def induced(d, keep):
+    """The subdigraph of d induced on the vertices keep, reindexed densely."""
+    pos = {v: i for i, v in enumerate(keep)}
+    return Digraph(len(keep), [(pos[u], pos[w]) for u, w in d.arcs if u in pos and w in pos])
+
+
 def sinkless_strategy(max_n=5):
     return digraph_strategy(max_n).filter(lambda d: d.n > 0 and is_sinkless(d))
 
@@ -186,6 +192,17 @@ class TestPeel:
         assert tr.terminal.m == sum(
             1 for u, w in d.arcs if u in pos and w in pos
         )
+        # the phi carried through (1) matches a re-sum over the survivors
+        alive = list(range(d.n))
+        for v, ph in tr.steps:
+            alive.remove(v)
+            assert ph == phi(induced(d, alive))
+
+    def test_trace_carries_its_certificate(self):
+        for d in (TRIANGLE, BI_TRIANGLE, APEX):
+            tr = peel(d)
+            assert tr.certificate == short_cycle_via_peeling(d)
+            assert tr.certificate.bound == 2 * tr.initial_phi
 
 
 class TestShortCycle:
