@@ -93,7 +93,8 @@ def validate_cycle(d: Digraph, cert: CycleCertificate) -> bool:
         return False
     if any(not d.has_arc(vs[i], vs[(i + 1) % k]) for i in range(k)):
         return False
-    return k <= cert.bound and _bound_holds(d, cert)
+    bound = cert.bound
+    return k * bound.denominator <= bound.numerator and _bound_holds(d, cert)
 
 
 def _walk_vertices(steps: tuple[tuple[Edge, int], ...]) -> list[int] | None:

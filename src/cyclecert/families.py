@@ -23,9 +23,12 @@ def normalize_edge(e: Iterable[int]) -> Edge:
 
 
 class RainbowInstance:
-    """Edge families with one color per family, immutable by convention."""
+    """Edge families with one color per family, immutable by convention.
 
-    __slots__ = ("n", "families", "simple_origin")
+    p, the number of size-1 families, is counted once, on construction.
+    """
+
+    __slots__ = ("n", "families", "simple_origin", "p")
 
     def __init__(
         self,
@@ -51,16 +54,12 @@ class RainbowInstance:
         self.n = n
         self.families = tuple(fams)
         self.simple_origin = simple_origin
+        self.p = sum(1 for fam in fams if len(fam) == 1)
 
     @property
     def m(self) -> int:
         """Number of families."""
         return len(self.families)
-
-    @property
-    def p(self) -> int:
-        """Number of size-1 families."""
-        return sum(1 for fam in self.families if len(fam) == 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RainbowInstance):

@@ -18,6 +18,7 @@ import random
 import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from operator import or_
 from typing import Any, Callable, Iterator, NamedTuple, Sequence, Union
 
 from .certificates import RainbowCycleCertificate, validate_cycle, validate_rainbow_cycle
@@ -38,7 +39,16 @@ from .formats import (
     rational_json,
 )
 from .oracles import _girth_masks, shortest_rainbow_cycle_exact, two_cycles_min_intersection
-from .peeling import _phi_scaled, _psi_scaled, _rhs_scaled, _scale, psi, short_cycle_via_peeling
+from .peeling import (
+    PeelMemo,
+    _gains,
+    _phi_scaled,
+    _psi_scaled,
+    _rhs_scaled,
+    _scale,
+    psi,
+    short_cycle_via_peeling,
+)
 from .rainbow import Collector, all_pairs_rainbow_distances, find_rainbow_cycle
 
 LABELED_CAP = 5
@@ -202,8 +212,9 @@ def _outmap_choices(n: int, dmin: int, dmax: int) -> list[tuple[int, ...]]:
 
 def _sweep(
     choices: list[tuple[int, ...]], lo: int, hi: int, filter: str = "none"
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(index, out-masks) for each mixed-radix index in [lo, hi) passing filter.
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """(index, out-masks, in-masks) for each mixed-radix index in [lo, hi)
+    passing filter.
 
     Digit u of an index, in radix len(choices[u]) with vertex 0 varying
     fastest, picks vertex u's out-mask from choices[u].  When every
@@ -211,11 +222,19 @@ def _sweep(
     arc-bitmask code: arc (u, v) is bit u*(n-1) + v - (v > u).  filter
     "sinkless" drops digraphs with a sink; "strong" keeps only strongly
     connected ones.
+
+    In-masks are carried along the odometer: the part vertices 1.. give
+    is derived once per block of vertex-0 choices, and each choice ORs
+    in its own column, bit 0 at each of its out-neighbors.  Under a
+    filter, a block whose vertices 1.. include a sink is skipped whole,
+    as is a vertex-0 choice with no out-arc, before any masks are built.
     """
     if lo >= hi:
         return
     first, later = choices[0], choices[1:]
     r0 = len(first)
+    cols = [tuple((m >> v) & 1 for v in range(len(choices))) for m in first]
+    sinkless = filter != "none"
     # Vertices 1.. are decoded once per block of r0 consecutive indices.
     for block in range(lo // r0, -(-hi // r0)):
         x = block
@@ -224,19 +243,27 @@ def _sweep(
             x, r = divmod(x, len(c))
             rest.append(c[r])
         tail = tuple(rest)
+        if sinkless and 0 in tail:
+            continue
+        tail_inn = in_masks_of((0,) + tail)
         base = block * r0
         for r in range(max(lo - base, 0), min(hi - base, r0)):
-            out = (first[r],) + tail
-            if filter != "none" and 0 in out:
+            m0 = first[r]
+            if sinkless and not m0:
                 continue
-            if filter == "strong" and not _is_strongly_connected(out):
+            out = (m0,) + tail
+            # Unpacked rather than tuple(map(...)), which would build a
+            # 10-slot tuple and shrink it, filling the interpreter's tuple
+            # free lists (about 0.4 MB more peak memory over a sweep).
+            inn = (*map(or_, tail_inn, cols[r]),)
+            if filter == "strong" and not _is_strongly_connected(out, inn):
                 continue
-            yield base + r, out
+            yield base + r, out, inn
 
 
-def _is_strongly_connected(out: tuple[int, ...]) -> bool:
+def _is_strongly_connected(out: tuple[int, ...], inn: tuple[int, ...]) -> bool:
     n = len(out)
-    for adj in (out, in_masks_of(out)):
+    for adj in (out, inn):
         seen = 1
         frontier = 1
         while frontier:
@@ -263,8 +290,8 @@ def enumerate_digraphs(n: int, filter: str = "none") -> Iterator[Digraph]:
         raise CapExceeded(f"labeled enumeration capped at n <= {LABELED_CAP}")
     if filter not in _FILTERS:
         raise GraphInputError(f"unknown filter {filter!r}")
-    for _, out in _sweep(_outmap_choices(n, 0, n - 1), 0, 1 << (n * (n - 1)), filter):
-        yield Digraph.from_out_masks(n, out)
+    for _, out, inn in _sweep(_outmap_choices(n, 0, n - 1), 0, 1 << (n * (n - 1)), filter):
+        yield Digraph.from_out_masks(n, out, inn)
 
 
 def enumerate_outmaps(n: int, dmin: int = 1, dmax: int = 2) -> Iterator[Digraph]:
@@ -278,8 +305,8 @@ def enumerate_outmaps(n: int, dmin: int = 1, dmax: int = 2) -> Iterator[Digraph]
     if not 1 <= dmin <= dmax:
         raise GraphInputError(f"bad degree range {dmin}..{dmax}")
     choices = _outmap_choices(n, dmin, dmax)
-    for _, out in _sweep(choices, 0, math.prod(map(len, choices))):
-        yield Digraph.from_out_masks(n, out)
+    for _, out, inn in _sweep(choices, 0, math.prod(map(len, choices))):
+        yield Digraph.from_out_masks(n, out, inn)
 
 
 def random_rainbow_instance(
@@ -394,20 +421,21 @@ class _Accum:
 
 @dataclass(slots=True)
 class _DigraphCase:
-    """One digraph under check, given by its out-masks.
+    """One digraph under check, given by its out- and in-masks.
 
-    In-masks, girth, scaled phi, the Digraph and the text are derived on
-    first use, at most once each, so a check pays only for what it reads.
+    Girth, scaled phi, the Digraph and the text are derived on first
+    use, at most once each, so a check pays only for what it reads.
     """
 
     n: int
     index: int
     out: tuple[int, ...]
+    inn: tuple[int, ...]
     scale: int  # lcm(1..n): every potential term scaled by it is an integer
+    peel_memo: PeelMemo  # the shard's, for two-phi
     degs: list[int] = field(init=False)
     p: int = field(init=False)  # vertices of out-degree 1
     deg2: bool = field(init=False)  # every out-degree is at most 2
-    _inn: tuple[int, ...] | None = None
     _girth: int | None = 0  # 0 until computed; None when acyclic
     _phi: int | None = None  # phi times scale, once computed
     _digraph: Digraph | None = None
@@ -417,12 +445,6 @@ class _DigraphCase:
         self.degs = degs = [m.bit_count() for m in self.out]
         self.p = degs.count(1)
         self.deg2 = max(degs) <= 2
-
-    @property
-    def inn(self) -> tuple[int, ...]:
-        if self._inn is None:
-            self._inn = in_masks_of(self.out)
-        return self._inn
 
     @property
     def girth(self) -> int | None:
@@ -513,8 +535,8 @@ _Failure = Union[str, tuple[str, Any], None]
 
 
 def _check_eq1(x: _DigraphCase, acc: _Accum) -> _Failure:
-    scale, phi_m = x.scale, x.phi
-    rhs_total = sum(_rhs_scaled(scale, x.degs, mm) for mm in x.inn)
+    scale, phi_m, gains = x.scale, x.phi, _gains(x.n, x.n - 1)
+    rhs_total = sum(_rhs_scaled(gains, x.degs, mm) for mm in x.inn)
     if rhs_total != phi_m:
         return f"removability right sides sum to {rhs_total}/{scale}, phi is {phi_m}/{scale}"
     return None
@@ -527,7 +549,7 @@ def _check_two_phi(x: _DigraphCase, acc: _Accum) -> _Failure:
         return f"girth {g} exceeds 2 phi = {2 * phi_m}/{scale}"
     d = x.digraph
     try:
-        cert = short_cycle_via_peeling(d)
+        cert = short_cycle_via_peeling(d, x.peel_memo)
     except CounterexampleFound as exc:
         return f"{type(exc).__name__}: {exc}"
     if not validate_cycle(d, cert):
@@ -687,10 +709,13 @@ def _run_shard(cfg: SuiteConfig, n: int, lo: int, hi: int) -> dict[str, Any]:
     else:
         choices, flt = _population(cfg, n)
         scale = _scale(n)
-        for idx, out in _sweep(choices, lo, hi, flt):
+        # Peeling outcomes shared by this shard's two-phi runs; bounded by
+        # peeling.PEEL_MEMO_CAP and never part of the shard's result.
+        memo: PeelMemo = {}
+        for idx, out, inn in _sweep(choices, lo, hi, flt):
             acc.generated += 1
             if 0 not in out:  # psi is undefined with a sink: counted, never checked
-                _run_checks(_DigraphCase(n, idx, out, scale), checks, acc)
+                _run_checks(_DigraphCase(n, idx, out, inn, scale, memo), checks, acc)
     return asdict(acc)
 
 
@@ -781,11 +806,11 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
     evaluated = 0
     best: tuple[Fraction, tuple[int, ...]] | None = None
 
-    def evaluate(out: tuple[int, ...]) -> Fraction:
+    def evaluate(out: tuple[int, ...], inn: tuple[int, ...] | None = None) -> Fraction:
         nonlocal evaluated, best
         evaluated += 1
         psi_m = _psi_scaled(scale, [m.bit_count() for m in out])
-        hit = _girth_masks(n, out, in_masks_of(out))
+        hit = _girth_masks(n, out, in_masks_of(out) if inn is None else inn)
         assert hit is not None  # sink-less digraphs always contain a cycle
         ratio = Fraction(hit[0] * scale, psi_m)
         if ratio >= 2:
@@ -800,8 +825,8 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
     space = 1 << (n * (n - 1))
     if space <= budget:
         report.config["mode"] = "exhaustive"
-        for _, out in _sweep(_outmap_choices(n, 0, n - 1), 0, space, "sinkless"):
-            evaluate(out)
+        for _, out, inn in _sweep(_outmap_choices(n, 0, n - 1), 0, space, "sinkless"):
+            evaluate(out, inn)
     else:
         report.config["mode"] = "hill-climb"
         rng = random.Random(seed)

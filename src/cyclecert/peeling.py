@@ -23,6 +23,7 @@ integers.  Floats appear nowhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,11 +34,27 @@ from .digraph import Digraph, bits
 from .errors import BoundViolation, EmptyGraph, GraphInputError, LemmaViolation, NotSinkless, SinkPresent
 
 ChoiceHook = Callable[[Sequence[int], Sequence[int]], int]
+# Live out-masks of a peeling state -> the shortest terminal cycle reached from it.
+PeelMemo = dict[tuple[int, ...], tuple[int, ...]]
+
+# A peel memo is emptied before it would grow past this many entries.
+PEEL_MEMO_CAP = 1 << 16
 
 
+@functools.lru_cache(maxsize=64)
 def _scale(n: int) -> int:
     """lcm(1..n): scaled by it, every potential term on n vertices is an integer."""
     return math.lcm(*range(1, n + 1)) if n >= 1 else 1
+
+
+@functools.lru_cache(maxsize=64)
+def _gains(n: int, top: int) -> tuple[int, ...]:
+    """For out-degrees d = 0..top, _scale(n) // (d (d + 1)): the scaled rise
+    in phi when a vertex of out-degree d loses an out-arc.  Entry 0 is
+    unused.  top is the largest out-degree in use, not n - 1, so a large
+    sparse digraph gets a short table."""
+    scale = _scale(n)
+    return (0,) + tuple(scale // (d * (d + 1)) for d in range(1, top + 1))
 
 
 def _phi_scaled(scale: int, degs: Iterable[int]) -> int:
@@ -50,16 +67,16 @@ def _psi_scaled(scale: int, degs: Iterable[int]) -> int:
     return sum(scale // deg for deg in degs)
 
 
-def _rhs_scaled(scale: int, degs: Sequence[int], inn: int) -> int:
-    """The right side of (1) times scale, at a vertex with in-mask inn.
+def _rhs_scaled(gains: Sequence[int], degs: Sequence[int], inn: int) -> int:
+    """The right side of (1) times scale, at a vertex with in-mask inn;
+    gains is _gains(n, top) for some top >= every degree in degs.
 
     Every in-neighbor u has an out-arc, so deg(u) >= 1 here.
     """
     rhs = 0
     while inn:
         low = inn & -inn
-        du = degs[low.bit_length() - 1]
-        rhs += scale // (du * (du + 1))
+        rhs += gains[degs[low.bit_length() - 1]]
         inn ^= low
     return rhs
 
@@ -88,8 +105,9 @@ def eq1_terms(d: Digraph) -> list[tuple[Fraction, Fraction]]:
     """
     m = _scale(d.n)
     degs = d.out_deg
+    gains = _gains(d.n, max(degs, default=0))
     return [
-        (Fraction(m // (degs[v] + 1), m), Fraction(_rhs_scaled(m, degs, d.in_masks[v]), m))
+        (Fraction(m // (degs[v] + 1), m), Fraction(_rhs_scaled(gains, degs, d.in_masks[v]), m))
         for v in range(d.n)
     ]
 
@@ -143,10 +161,11 @@ class PeelingTrace:
 class _PeelState:
     """Mutable peeling workspace over original indices, bitmask-backed."""
 
-    __slots__ = ("scale", "out", "inn", "deg", "alive")
+    __slots__ = ("scale", "gains", "out", "inn", "deg", "alive")
 
     def __init__(self, d: Digraph):
         self.scale = _scale(d.n)
+        self.gains = _gains(d.n, max(d.out_deg, default=0))
         self.out = list(d.out_masks)
         self.inn = list(d.in_masks)
         self.deg = list(d.out_deg)
@@ -170,7 +189,7 @@ class _PeelState:
         inequality (1), and leaves no new sink: it must not be the sole
         out-neighbor of any live vertex.
         """
-        m = self.scale
+        m, gains = self.scale, self.gains
         deg = self.deg
         protected = 0
         for u in bits(self.alive):
@@ -178,7 +197,7 @@ class _PeelState:
                 protected |= self.out[u]
         res = []
         for v in bits(self.alive & ~protected):
-            drop = m // (deg[v] + 1) - _rhs_scaled(m, deg, self.inn[v])
+            drop = m // (deg[v] + 1) - _rhs_scaled(gains, deg, self.inn[v])
             if drop >= 0:
                 res.append((v, drop))
                 if stop_at_first:
@@ -224,21 +243,45 @@ def _lemma_violation(state: _PeelState) -> LemmaViolation:
 
 
 def _run_peel(
-    d: Digraph, choose: ChoiceHook | None = None
-) -> tuple[_PeelState, int, list[tuple[int, int]]]:
+    d: Digraph,
+    choose: ChoiceHook | None = None,
+    memo: PeelMemo | None = None,
+) -> tuple[_PeelState, int, list[tuple[int, int]], tuple[int, ...]]:
     """Peel to the terminal union of cycles.
 
     Returns (final state, initial scaled phi, steps as (vertex, scaled
-    phi after removal)).  phi is carried through (1): deleting v changes
-    it by rhs(v) - lhs(v).  choose, if given, picks among all eligible
-    vertices each round; the default takes the smallest index.  A stuck
-    run would refute the averaging argument and raises LemmaViolation.
+    phi after removal), shortest terminal cycle).  phi is carried
+    through (1): deleting v changes it by rhs(v) - lhs(v).  choose, if
+    given, picks among all eligible vertices each round; the default
+    takes the smallest index.  A stuck run would refute the averaging
+    argument and raises LemmaViolation.
+
+    memo, for the default policy only, maps the live out-masks of a
+    state reached after at least one removal to the shortest terminal
+    cycle of the run from there.  The rest of a default run depends on
+    those out-masks alone: degrees, in-masks, the live set (every live
+    vertex keeps an out-arc), the protected set and, through their
+    number, the scale all follow from them.  On a hit the run stops, so
+    the state and steps returned cover only the part walked.  A run
+    stores the states it walked only once it has finished, so a stuck
+    run stores nothing, and it never looks up or stores its initial
+    state, of which a sweep has one per digraph.
     """
     _require_sinkless_nonempty(d)
     state = _PeelState(d)
     phi0 = phi_m = _phi_scaled(state.scale, d.out_deg)
     steps: list[tuple[int, int]] = []
-    while not state.is_union_of_cycles():
+    walked: list[tuple[int, ...]] = []
+    while True:
+        if memo is not None and steps:
+            key = tuple(state.out)
+            cyc = memo.get(key)
+            if cyc is not None:
+                break
+            walked.append(key)
+        if state.is_union_of_cycles():
+            cyc = _terminal_shortest_cycle(state)
+            break
         found = state.eligible(stop_at_first=choose is None)
         if not found:
             raise _lemma_violation(state)
@@ -253,7 +296,11 @@ def _run_peel(
         state.remove(v)
         phi_m -= drop
         steps.append((v, phi_m))
-    return state, phi0, steps
+    for key in walked:
+        if len(memo) >= PEEL_MEMO_CAP:
+            memo.clear()
+        memo[key] = cyc
+    return state, phi0, steps, cyc
 
 
 def peel_step(d: Digraph) -> int | None:
@@ -270,7 +317,7 @@ def peel(d: Digraph, choose: ChoiceHook | None = None) -> PeelingTrace:
     choose(alive, eligible) may override the default smallest-index
     policy; it must return a member of eligible.
     """
-    state, phi0, steps = _run_peel(d, choose)
+    state, phi0, steps, cyc = _run_peel(d, choose)
     m = state.scale
     terminal, labels = state.alive_digraph()
     return PeelingTrace(
@@ -278,11 +325,11 @@ def peel(d: Digraph, choose: ChoiceHook | None = None) -> PeelingTrace:
         steps=tuple((v, Fraction(ph, m)) for v, ph in steps),
         terminal=terminal,
         terminal_vertices=labels,
-        certificate=_certificate(d, state, phi0),
+        certificate=_certificate(d, m, phi0, cyc),
     )
 
 
-def _terminal_shortest_cycle(state: _PeelState) -> list[int]:
+def _terminal_shortest_cycle(state: _PeelState) -> tuple[int, ...]:
     """Shortest cycle of the terminal union of cycles, original indices.
 
     Scanning unvisited vertices in ascending order means each walk
@@ -303,28 +350,30 @@ def _terminal_shortest_cycle(state: _PeelState) -> list[int]:
         if best is None or len(cyc) < len(best):
             best = cyc
     assert best is not None
-    return best
+    return tuple(best)
 
 
-def _certificate(d: Digraph, state: _PeelState, phi0: int) -> CycleCertificate:
-    """The shortest terminal cycle of a finished run, bounded by 2 phi(d)."""
-    cyc = _terminal_shortest_cycle(state)
-    bound = Fraction(2 * phi0, state.scale)
-    cert = CycleCertificate(tuple(cyc), bound, BOUND_TWO_PHI)
-    if cert.length > bound:
+def _certificate(d: Digraph, scale: int, phi0: int, cyc: tuple[int, ...]) -> CycleCertificate:
+    """The certificate for a run's shortest terminal cycle, bounded by 2 phi(d)."""
+    if len(cyc) * scale > 2 * phi0:
         from .formats import format_digraph
 
         raise BoundViolation(
-            f"peeled cycle length {cert.length} exceeds 2 phi = {bound} on:\n"
+            f"peeled cycle length {len(cyc)} exceeds 2 phi = {Fraction(2 * phi0, scale)} on:\n"
             + format_digraph(d)
         )
-    return cert
+    return CycleCertificate(cyc, Fraction(2 * phi0, scale), BOUND_TWO_PHI)
 
 
-def short_cycle_via_peeling(d: Digraph) -> CycleCertificate:
+def short_cycle_via_peeling(
+    d: Digraph, memo: PeelMemo | None = None
+) -> CycleCertificate:
     """A directed cycle of length <= 2 phi(D), certified, for sink-less D.
 
     The certificate's vertices are indices of the original digraph.
+    memo, a dict shared across calls, lets runs that reach a state an
+    earlier run passed through reuse its outcome; it holds at most
+    PEEL_MEMO_CAP entries and gives the same certificates as no memo.
     """
-    state, phi0, _ = _run_peel(d)
-    return _certificate(d, state, phi0)
+    state, phi0, _, cyc = _run_peel(d, memo=memo)
+    return _certificate(d, state.scale, phi0, cyc)

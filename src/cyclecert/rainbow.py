@@ -25,6 +25,7 @@ one; the final certificate is checked against the original instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .certificates import RainbowCycleCertificate, validate_rainbow_cycle
@@ -49,7 +50,8 @@ class GreedySubgraph:
     family.  Edge ids: 0 is the seed edge, attachment i contributes
     ids 1 + 2i (x-a) and 2 + 2i (x-b).  The (x-a, x-b) id pair at x is
     a forbidden turn: a path entering x by one may not leave by the
-    other, because both edges carry the same color.
+    other, because both edges carry the same color.  Its vertex and
+    color sets are built once, on first use.
     """
 
     seed_color: int
@@ -60,13 +62,13 @@ class GreedySubgraph:
     def t(self) -> int:
         return len(self.attachments)
 
-    @property
+    @cached_property
     def vertices(self) -> frozenset[int]:
         vs = {self.seed_edge[0], self.seed_edge[1]}
         vs.update(x for x, _, _, _ in self.attachments)
         return frozenset(vs)
 
-    @property
+    @cached_property
     def colors(self) -> frozenset[int]:
         cs = {self.seed_color}
         cs.update(c for _, _, _, c in self.attachments)

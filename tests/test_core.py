@@ -141,6 +141,13 @@ class TestRainbowInstance:
         b = RainbowInstance(3, [[(1, 0)], [(0, 2), (2, 1)]])
         assert a == b and hash(a) == hash(b)
 
+    def test_singleton_count_is_kept_not_shown(self):
+        inst = RainbowInstance(3, [[(0, 1)], [(1, 2), (0, 2)], [(1, 2)]])
+        assert inst.p == sum(1 for fam in inst.families if len(fam) == 1) == 2
+        assert repr(inst) == (
+            "RainbowInstance(3, [[(0, 1)], [(0, 2), (1, 2)], [(1, 2)]], simple_origin=True)"
+        )
+
     def test_simple_origin_rejections(self):
         with pytest.raises(GraphInputError):
             RainbowInstance(3, [[(0, 0)]])  # loop
@@ -200,6 +207,16 @@ class TestCycleValidation:
         )
         # exact-length is the cycle's own length, even when longer would do
         assert not validate_cycle(C4, CycleCertificate(cyc, Fraction(5), BOUND_EXACT_LENGTH))
+
+    def test_cycle_longer_than_its_honest_bound_is_rejected(self):
+        # 2 phi bounds the shortest peeled cycle, not every cycle.
+        k4 = Digraph(4, [(u, v) for u in range(4) for v in range(4) if u != v])
+        assert validate_cycle(k4, CycleCertificate((0, 1), Fraction(2), BOUND_TWO_PHI))
+        assert not validate_cycle(k4, CycleCertificate((0, 1, 2), Fraction(2), BOUND_TWO_PHI))
+        # out-degrees 2, 2, 1: 2 phi = 7/3, just below the triangle's length
+        d = Digraph(3, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0)])
+        assert validate_cycle(d, CycleCertificate((0, 2), Fraction(7, 3), BOUND_TWO_PHI))
+        assert not validate_cycle(d, CycleCertificate((0, 1, 2), Fraction(7, 3), BOUND_TWO_PHI))
 
     def test_ceil_bound_needs_out_degrees_one_or_two(self):
         k4 = Digraph(4, [(u, v) for u in range(4) for v in range(4) if u != v])

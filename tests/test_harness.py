@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from cyclecert.digraph import Digraph, is_sinkless
+from cyclecert.digraph import Digraph, in_masks_of, is_sinkless
 from cyclecert.errors import CapExceeded, GraphInputError, Infeasible
 from cyclecert.families import RainbowInstance
 from cyclecert.harness import (
@@ -18,6 +18,9 @@ from cyclecert.harness import (
     RAINBOW_CHECKS,
     WORKERS_CAP,
     SuiteConfig,
+    _outmap_choices,
+    _run_shard,
+    _sweep,
     enumerate_digraphs,
     enumerate_outmaps,
     extremal_ratio_search,
@@ -80,6 +83,57 @@ class TestSuiteConfig:
         assert set(DIGRAPH_CHECKS) | set(RAINBOW_CHECKS) == set(ALL_CHECKS)
         assert not set(DIGRAPH_CHECKS) & set(RAINBOW_CHECKS)
         assert len(ALL_CHECKS) == len(set(ALL_CHECKS))
+
+
+def reference_sweep(choices, lo, hi, flt):
+    """(index, out-masks) by plain divmod decoding of every index in [lo, hi)."""
+    n = len(choices)
+    for idx in range(lo, hi):
+        x, out = idx, []
+        for c in choices:
+            x, r = divmod(x, len(c))
+            out.append(c[r])
+        if flt != "none" and 0 in out:
+            continue
+        if flt == "strong" and not all(
+            reaches(out, s) == (1 << n) - 1 for s in range(n)
+        ):
+            continue
+        yield idx, tuple(out)
+
+
+def reaches(out, s):
+    """The set of vertices reachable from s, as a bitmask."""
+    seen, stack = 1 << s, [s]
+    while stack:
+        u = stack.pop()
+        for v in range(len(out)):
+            if out[u] >> v & 1 and not seen >> v & 1:
+                seen |= 1 << v
+                stack.append(v)
+    return seen
+
+
+SWEEP_CASES = [("labeled", n, flt) for n in range(1, 5) for flt in ("none", "sinkless", "strong")]
+SWEEP_CASES += [("outmaps", n, "none") for n in range(2, 6)]
+
+
+class TestSweep:
+    """The odometer's in-masks and indices against a plain reference decode."""
+
+    @pytest.mark.parametrize("kind, n, flt", SWEEP_CASES)
+    def test_matches_reference(self, kind, n, flt):
+        choices = _outmap_choices(n, 0, n - 1) if kind == "labeled" else _outmap_choices(n, 1, 2)
+        size = math.prod(map(len, choices))
+        r0 = len(choices[0])
+        ranges = [(0, size)]
+        if size > 2 * r0:
+            # Start and end inside a block of vertex-0 choices, across blocks.
+            ranges += [(1, r0 - 1), (r0 // 2, size - r0 // 2 - 1), (r0 + 1, 3 * r0 - 2)]
+        for lo, hi in ranges:
+            got = list(_sweep(choices, lo, hi, flt))
+            assert [(i, out) for i, out, _ in got] == list(reference_sweep(choices, lo, hi, flt))
+            assert all(inn == in_masks_of(out) for _, out, inn in got)
 
 
 class TestEnumerateDigraphs:
@@ -197,7 +251,10 @@ class TestRunSuite:
 
     def test_in_masks_derived_once_per_digraph(self, monkeypatch):
         # eq1-identity reads the in-masks and two-phi peels a Digraph built
-        # on them: one derivation for each of the 27 sink-less n = 3 digraphs.
+        # on them.  The sweep derives the in-masks of vertices 1..2 once per
+        # block of vertex-0 choices and carries them to each digraph, so the
+        # 27 sink-less n = 3 digraphs cost one derivation per block whose
+        # vertices 1..2 have no sink: 3 * 3 = 9.
         from cyclecert import digraph, harness
 
         calls = []
@@ -212,7 +269,22 @@ class TestRunSuite:
         cfg = SuiteConfig(3, 3, "labeled", ("eq1-identity", "two-phi"))
         report = run_suite(cfg)
         assert report.checked == {"eq1-identity": 27, "two-phi": 27}
-        assert len(calls) == 27
+        assert len(calls) == 9
+
+    def test_shard_result_holds_only_tallies(self):
+        # The shard's peel memo stays out of the result run_suite merges.
+        res = _run_shard(SuiteConfig(3, 3, "labeled", ("two-phi",)), 3, 0, 64)
+        assert sorted(res) == [
+            "best_ratio",
+            "checked",
+            "findings",
+            "generated",
+            "passed",
+            "tight_count",
+            "tight_witnesses",
+            "violations",
+        ]
+        assert res["generated"] == 27 and res["checked"] == {"two-phi": 27}
 
     def test_deterministic_and_worker_invariant(self):
         base = doc_of(run_suite(self.CFG))

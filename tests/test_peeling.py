@@ -1,5 +1,7 @@
 """Potential functions and the peeling procedure, checked exactly."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from cyclecert.certificates import BOUND_TWO_PHI, validate_cycle
 from cyclecert.digraph import Digraph, is_sinkless, is_union_of_cycles, remove_vertex
-from cyclecert.errors import EmptyGraph, GraphInputError, NotSinkless, SinkPresent
+from cyclecert import peeling
+from cyclecert.errors import EmptyGraph, GraphInputError, LemmaViolation, NotSinkless, SinkPresent
+from cyclecert.harness import enumerate_digraphs
 from cyclecert.oracles import girth_exact
 from cyclecert.peeling import (
     eq1_terms,
@@ -244,3 +248,67 @@ class TestShortCycle:
         cert = short_cycle_via_peeling(d)
         assert validate_cycle(d, cert)
         assert cert.length <= 2 * phi(d)
+
+
+def sinkless_up_to_4():
+    """Every sink-less labeled digraph with n <= 4, in sweep order."""
+    return [d for n in range(1, 5) for d in enumerate_digraphs(n, "sinkless")]
+
+
+class TestPeelMemo:
+    """A memo shared across runs must change no certificate."""
+
+    # sha256 of the JSON list of short_cycle_via_peeling vertex tuples over
+    # sinkless_up_to_4(), taken before the memo existed: a memo that returns
+    # a different but still valid cycle fails here.
+    GOLDEN = "bac57c27cd83c6a5ec57e71d7fc90ecd4d7ea355d66de9e83293ec2ad9ee71bc"
+
+    @staticmethod
+    def digest(certs):
+        return hashlib.sha256(json.dumps([list(c.vertices) for c in certs]).encode()).hexdigest()
+
+    def test_golden_cycles(self):
+        ds = sinkless_up_to_4()
+        assert len(ds) == 2429
+        assert self.digest(short_cycle_via_peeling(d) for d in ds) == self.GOLDEN
+        memo = {}
+        assert self.digest(short_cycle_via_peeling(d, memo) for d in ds) == self.GOLDEN
+
+    @pytest.mark.parametrize("order", ["sweep", "reverse"])
+    def test_shared_memo_changes_nothing(self, order):
+        ds = sinkless_up_to_4()
+        if order == "reverse":
+            ds.reverse()
+        memo = {}
+        for d in ds:
+            assert short_cycle_via_peeling(d, memo) == short_cycle_via_peeling(d)
+        assert memo
+
+    def test_no_initial_state_is_stored(self):
+        memo = {}
+        for d in sinkless_up_to_4():
+            short_cycle_via_peeling(d, memo)
+        # Every key has a removed vertex, so no whole digraph is ever a key.
+        assert all(0 in key for key in memo)
+
+    def test_stuck_run_stores_nothing(self, monkeypatch):
+        eligible = peeling._PeelState.eligible
+
+        def stuck_after_first_removal(self, stop_at_first):
+            if self.alive != (1 << len(self.out)) - 1:
+                return []
+            return eligible(self, stop_at_first)
+
+        monkeypatch.setattr(peeling._PeelState, "eligible", stuck_after_first_removal)
+        memo = {}
+        k4 = Digraph(4, [(u, v) for u in range(4) for v in range(4) if u != v])
+        with pytest.raises(LemmaViolation):
+            short_cycle_via_peeling(k4, memo)  # stuck after one removal
+        assert memo == {}
+
+    def test_memo_stays_within_its_cap(self, monkeypatch):
+        monkeypatch.setattr(peeling, "PEEL_MEMO_CAP", 7)
+        memo = {}
+        for d in sinkless_up_to_4():
+            assert short_cycle_via_peeling(d, memo) == short_cycle_via_peeling(d)
+            assert len(memo) <= 7

@@ -33,6 +33,17 @@ class TestGreedySubgraph:
         assert h.vertices == frozenset({0, 1, 2, 3})
         assert h.colors == frozenset({0, 1, 2})
 
+    def test_vertex_and_color_sets_are_built_once(self):
+        h = build_greedy_subgraph(CHAIN, 0)
+        assert h.vertices is h.vertices and h.colors is h.colors
+        twin = GreedySubgraph(h.seed_color, h.seed_edge, h.attachments)
+        # Cached sets play no part in equality, hashing or the repr.
+        assert h == twin and hash(h) == hash(twin) and repr(h) == repr(twin)
+        assert repr(h) == (
+            "GreedySubgraph(seed_color=0, seed_edge=(0, 1), "
+            "attachments=((2, 0, 1, 1), (3, 0, 2, 2)))"
+        )
+
     def test_edge_ids_and_forbidden_turns(self):
         h = build_greedy_subgraph(CHAIN, 0)
         assert h.edges() == [
