@@ -3,7 +3,9 @@
 Populations are all labeled digraphs, all bounded-out-degree maps (both
 from one mixed-radix generator over per-vertex out-mask choices), or
 seeded random rainbow instances.  run_suite streams them through the
-named checks of one table and returns a deterministic Report.  Checks of
+named checks of one table and returns a deterministic Report.  Each check
+runs over a unit of instances at once: a block of digraphs that differ
+only in vertex 0's out-mask, or a short run of rainbow instances.  Checks of
 proved statements record violations, which callers treat as fatal;
 checks of open conjectures record findings only.  Reports are
 independent of the worker count: shards partition the index space and
@@ -12,14 +14,15 @@ merge by sums, concatenation sorted by index, and tie-broken extremes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import random
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import or_
-from typing import Any, Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .certificates import RainbowCycleCertificate, validate_cycle, validate_rainbow_cycle
 from .digraph import Digraph, in_masks_of
@@ -38,7 +41,12 @@ from .formats import (
     rainbow_cert_json,
     rational_json,
 )
-from .oracles import _girth_masks, shortest_rainbow_cycle_exact, two_cycles_min_intersection
+from .oracles import (
+    _girth_masks,
+    _girth_table,
+    shortest_rainbow_cycle_exact,
+    two_cycles_min_intersection,
+)
 from .peeling import (
     PeelMemo,
     _gains,
@@ -80,7 +88,8 @@ ALL_CHECKS = DIGRAPH_CHECKS + RAINBOW_CHECKS
 _GENERATORS = ("labeled", "outmaps", "rainbow")
 _FILTERS = ("none", "sinkless", "strong")
 
-# How often the fast pair scan is re-derived through the full oracle.
+# How often, in indices, the girth table and the fast pair scan are checked
+# against a search from scratch (see _Block.recheck).
 _CROSS_CHECK_EVERY = 100_000
 
 
@@ -210,11 +219,154 @@ def _outmap_choices(n: int, dmin: int, dmax: int) -> list[tuple[int, ...]]:
     return choices
 
 
+class _Head:
+    """Vertex 0's out-mask choices in a sweep, and what each one adds to an
+    instance: its in-mask column (bit 0 at each out-neighbor), its
+    out-degree, and its scaled phi and psi terms (psi None for no arc)."""
+
+    __slots__ = ("n", "first", "cols", "deg0", "phi0", "psi0", "scale", "has_empty")
+
+    def __init__(self, choices: list[tuple[int, ...]]) -> None:
+        self.n = n = len(choices)
+        self.first = first = choices[0]
+        self.cols = [tuple((m >> v) & 1 for v in range(n)) for m in first]
+        self.deg0 = deg0 = [m.bit_count() for m in first]
+        self.scale = scale = _scale(n)
+        self.phi0 = [_phi_scaled(scale, (d,)) for d in deg0]
+        self.psi0 = [_psi_scaled(scale, (d,)) if d else None for d in deg0]
+        self.has_empty = 0 in first
+
+
+class _Block:
+    """The kept instances base + r of a sweep that share the out-masks tail
+    of vertices 1..: vertex 0's out-mask is head.first[r], r in kept.
+
+    The tail's degrees are taken once.  The per-choice tables p, deg2,
+    phi, psi and girth are built on first read, each over every choice;
+    out, inn and the Digraph only for the r a check asks about.
+    """
+
+    __slots__ = (
+        "head", "n", "base", "tail", "tail_inn", "kept", "degs",
+        "_p", "_deg2", "_phi", "_psi", "_girth", "_digraphs",
+    )
+
+    def __init__(
+        self, head: _Head, base: int, tail: tuple[int, ...], kept: Sequence[int]
+    ) -> None:
+        self.head = head
+        self.n = head.n
+        self.base = base
+        self.tail = tail
+        # In-masks of (0,) + tail: what vertices 1.. give every instance.
+        self.tail_inn = in_masks_of((0,) + tail)
+        self.kept = kept
+        # Out-degrees of (0,) + tail; vertex 0's own is head.deg0[r].
+        self.degs = (0, *[m.bit_count() for m in tail])
+        self._p: list[int] | None = None
+        self._deg2: list[bool] | None = None
+        self._phi: list[int] | None = None
+        self._psi: list[int | None] | None = None
+        self._girth: list[int | None] | None = None
+        self._digraphs: dict[int, Digraph] = {}
+
+    def out(self, r: int) -> tuple[int, ...]:
+        return (self.head.first[r],) + self.tail
+
+    def inn(self, r: int) -> tuple[int, ...]:
+        # Unpacked rather than tuple(map(...)), which would build a 10-slot
+        # tuple and shrink it, filling the interpreter's tuple free lists
+        # (about 0.4 MB more peak memory over a sweep).
+        return (*map(or_, self.tail_inn, self.head.cols[r]),)
+
+    def digraph(self, r: int) -> Digraph:
+        d = self._digraphs.get(r)
+        if d is None:
+            d = self._digraphs[r] = Digraph.from_out_masks(self.n, self.out(r), self.inn(r))
+        return d
+
+    def text(self, r: int) -> str:
+        return format_digraph(self.digraph(r))
+
+    def sink_free(self) -> Sequence[int]:
+        """The kept choices whose instance has no sink."""
+        if 0 in self.tail:
+            return ()
+        if not self.head.has_empty:
+            return self.kept
+        first = self.head.first
+        return [r for r in self.kept if first[r]]
+
+    def recheck(self) -> int | None:
+        """The kept choice whose instance the cross-checks search again from
+        scratch: in a block holding a multiple of _CROSS_CHECK_EVERY, the
+        first kept at or after it (the multiple itself is often filtered
+        out: at labeled n <= 5 its vertex 0 has no out-arc); else None."""
+        r = -self.base % _CROSS_CHECK_EVERY
+        if r >= len(self.head.first):
+            return None
+        return next((k for k in self.kept if k >= r), None)
+
+    @property
+    def p(self) -> list[int]:
+        """Per choice, the number of vertices of out-degree 1."""
+        if self._p is None:
+            tail_p = self.degs.count(1)
+            self._p = [tail_p + (d == 1) for d in self.head.deg0]
+        return self._p
+
+    @property
+    def deg2(self) -> list[bool]:
+        """Per choice, whether every out-degree is at most 2."""
+        if self._deg2 is None:
+            tail_ok = max(self.degs) <= 2
+            self._deg2 = [tail_ok and d <= 2 for d in self.head.deg0]
+        return self._deg2
+
+    @property
+    def phi(self) -> list[int]:
+        """Per choice, phi times the scale."""
+        if self._phi is None:
+            tail_phi = _phi_scaled(self.head.scale, self.degs[1:])
+            self._phi = [tail_phi + t for t in self.head.phi0]
+        return self._phi
+
+    @property
+    def psi(self) -> list[int | None]:
+        """Per choice, psi times the scale; None where the instance has a sink."""
+        if self._psi is None:
+            if 0 in self.tail:
+                self._psi = [None] * len(self.head.first)
+            else:
+                tail_psi = _psi_scaled(self.head.scale, self.degs[1:])
+                self._psi = [None if t is None else tail_psi + t for t in self.head.psi0]
+        return self._psi
+
+    @property
+    def girth(self) -> list[int | None]:
+        """Per choice, the girth, None where acyclic (see oracles._girth_table).
+
+        The recheck() instance has its girth searched again from scratch,
+        and a disagreement raises.
+        """
+        if self._girth is None:
+            self._girth = table = _girth_table(self.n, self.tail, self.tail_inn, self.head.first)
+            r = self.recheck()
+            if r is not None:
+                hit = _girth_masks(self.n, self.out(r), self.inn(r))
+                if (None if hit is None else hit[0]) != table[r]:
+                    raise TheoremViolation(
+                        f"girth table says {table[r]}, breadth-first search says "
+                        f"{None if hit is None else hit[0]}, on:\n{self.text(r)}"
+                    )
+        return self._girth
+
+
 def _sweep(
     choices: list[tuple[int, ...]], lo: int, hi: int, filter: str = "none"
-) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """(index, out-masks, in-masks) for each mixed-radix index in [lo, hi)
-    passing filter.
+) -> Iterator[_Block]:
+    """The blocks of vertex-0 choices that hold the mixed-radix indices in
+    [lo, hi) passing filter, each with at least one kept choice.
 
     Digit u of an index, in radix len(choices[u]) with vertex 0 varying
     fastest, picks vertex u's out-mask from choices[u].  When every
@@ -223,19 +375,17 @@ def _sweep(
     "sinkless" drops digraphs with a sink; "strong" keeps only strongly
     connected ones.
 
-    In-masks are carried along the odometer: the part vertices 1.. give
-    is derived once per block of vertex-0 choices, and each choice ORs
-    in its own column, bit 0 at each of its out-neighbors.  Under a
-    filter, a block whose vertices 1.. include a sink is skipped whole,
-    as is a vertex-0 choice with no out-arc, before any masks are built.
+    A block is r0 = len(choices[0]) consecutive indices with vertices 1..
+    fixed; vertices 1.. are decoded, and their in-masks derived, once
+    per block.  Under a filter, a block whose vertices 1.. include a sink
+    is skipped whole, and a vertex-0 choice with no out-arc is not kept.
     """
     if lo >= hi:
         return
-    first, later = choices[0], choices[1:]
+    head = _Head(choices)
+    first, later = head.first, choices[1:]
     r0 = len(first)
-    cols = [tuple((m >> v) & 1 for v in range(len(choices))) for m in first]
     sinkless = filter != "none"
-    # Vertices 1.. are decoded once per block of r0 consecutive indices.
     for block in range(lo // r0, -(-hi // r0)):
         x = block
         rest = []
@@ -245,20 +395,24 @@ def _sweep(
         tail = tuple(rest)
         if sinkless and 0 in tail:
             continue
-        tail_inn = in_masks_of((0,) + tail)
         base = block * r0
-        for r in range(max(lo - base, 0), min(hi - base, r0)):
-            m0 = first[r]
-            if sinkless and not m0:
-                continue
-            out = (m0,) + tail
-            # Unpacked rather than tuple(map(...)), which would build a
-            # 10-slot tuple and shrink it, filling the interpreter's tuple
-            # free lists (about 0.4 MB more peak memory over a sweep).
-            inn = (*map(or_, tail_inn, cols[r]),)
-            if filter == "strong" and not _is_strongly_connected(out, inn):
-                continue
-            yield base + r, out, inn
+        kept: Sequence[int] = range(max(lo - base, 0), min(hi - base, r0))
+        if sinkless and head.has_empty:
+            kept = [r for r in kept if first[r]]
+        b = _Block(head, base, tail, kept)
+        if filter == "strong":
+            b.kept = [r for r in kept if _is_strongly_connected(b.out(r), b.inn(r))]
+        if b.kept:
+            yield b
+
+
+def _instances(
+    blocks: Iterable[_Block],
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """(index, out-masks, in-masks) of each kept instance, in index order."""
+    for b in blocks:
+        for r in b.kept:
+            yield b.base + r, b.out(r), b.inn(r)
 
 
 def _is_strongly_connected(out: tuple[int, ...], inn: tuple[int, ...]) -> bool:
@@ -290,7 +444,8 @@ def enumerate_digraphs(n: int, filter: str = "none") -> Iterator[Digraph]:
         raise CapExceeded(f"labeled enumeration capped at n <= {LABELED_CAP}")
     if filter not in _FILTERS:
         raise GraphInputError(f"unknown filter {filter!r}")
-    for _, out, inn in _sweep(_outmap_choices(n, 0, n - 1), 0, 1 << (n * (n - 1)), filter):
+    blocks = _sweep(_outmap_choices(n, 0, n - 1), 0, 1 << (n * (n - 1)), filter)
+    for _, out, inn in _instances(blocks):
         yield Digraph.from_out_masks(n, out, inn)
 
 
@@ -305,7 +460,7 @@ def enumerate_outmaps(n: int, dmin: int = 1, dmax: int = 2) -> Iterator[Digraph]
     if not 1 <= dmin <= dmax:
         raise GraphInputError(f"bad degree range {dmin}..{dmax}")
     choices = _outmap_choices(n, dmin, dmax)
-    for _, out, inn in _sweep(choices, 0, math.prod(map(len, choices))):
+    for _, out, inn in _instances(_sweep(choices, 0, math.prod(map(len, choices)))):
         yield Digraph.from_out_masks(n, out, inn)
 
 
@@ -377,124 +532,93 @@ def _beats(a: Sequence[Any], b: Sequence[Any]) -> bool:
 
 
 @dataclass(slots=True)
+class _RainbowRun:
+    """Seeded rainbow instances base + r at size n, r < len(insts); each
+    construction runs once, on first use."""
+
+    n: int
+    base: int
+    insts: list[RainbowInstance]
+    _built: dict[int, tuple[RainbowCycleCertificate | None, str, Collector]] = field(
+        default_factory=dict
+    )
+
+    def built(self, r: int) -> tuple[RainbowCycleCertificate | None, str, Collector]:
+        """(the certificate, or None and why; every greedy subgraph grown)."""
+        if r not in self._built:
+            grown: Collector = []
+            try:
+                self._built[r] = (find_rainbow_cycle(self.insts[r], collect=grown), "", grown)
+            except CounterexampleFound as exc:
+                self._built[r] = (None, f"{type(exc).__name__}: {exc}", grown)
+        return self._built[r]
+
+    def text(self, r: int) -> str:
+        return format_rainbow(self.insts[r])
+
+
+# Rainbow instances per _RainbowRun: each holds its construction until
+# the run's checks are done, so a run stays short.
+_RAINBOW_RUN = 16
+
+# What checks run over: a block of digraphs or a run of rainbow instances.
+_Unit = Union[_Block, _RainbowRun]
+
+
+@dataclass(slots=True)
 class _Accum:
-    """Shard-local tallies; as a dict, a shard's result for run_suite to merge."""
+    """Shard-local tallies; result() is the shard's result for run_suite to merge."""
 
     generated: int = 0
     checked: dict[str, int] = field(default_factory=dict)
-    passed: dict[str, int] = field(default_factory=dict)
+    failed: dict[str, int] = field(default_factory=dict)
     violations: list[dict[str, Any]] = field(default_factory=list)
     findings: list[dict[str, Any]] = field(default_factory=list)
     # [num, den, n, index, instance text]: girth/psi is num/den in lowest terms.
     best_ratio: list[Any] | None = None
     tight_count: int = 0
     tight_witnesses: list[tuple[int, int, str]] = field(default_factory=list)
-
-    def hit(self, check: str, ok: bool) -> None:
-        self.checked[check] = self.checked.get(check, 0) + 1
-        if ok:
-            self.passed[check] = self.passed.get(check, 0) + 1
+    # Peeling outcomes shared by this shard's two-phi runs; bounded by
+    # peeling.PEEL_MEMO_CAP and never part of the shard's result.
+    peel_memo: PeelMemo = field(default_factory=dict)
 
     def record(
-        self, kind: str, check: str, case: Any, message: str, certificate: Any = None
+        self, kind: str, check: str, x: _Unit, r: int, message: str, certificate: Any = None
     ) -> None:
         rec = {
             "check": check,
-            "n": case.n,
-            "index": case.index,
+            "n": x.n,
+            "index": x.base + r,
             "message": message,
-            "instance": case.text,
+            "instance": x.text(r),
             "certificate": certificate,
         }
         (self.violations if kind == "violation" else self.findings).append(rec)
 
-    def offer_ratio(self, num: int, den: int, x: _DigraphCase) -> None:
-        if self.best_ratio is None or _beats((num, den, x.n, x.index), self.best_ratio):
+    def offer_ratio(self, num: int, den: int, x: _Block, r: int) -> None:
+        index = x.base + r
+        if self.best_ratio is None or _beats((num, den, x.n, index), self.best_ratio):
             g = math.gcd(num, den)
-            self.best_ratio = [num // g, den // g, x.n, x.index, x.text]
+            self.best_ratio = [num // g, den // g, x.n, index, x.text(r)]
 
-    def offer_tight(self, x: _DigraphCase) -> None:
+    def offer_tight(self, x: _Block, r: int) -> None:
         self.tight_count += 1
         if len(self.tight_witnesses) < 5:
-            self.tight_witnesses.append((x.n, x.index, x.text))
+            self.tight_witnesses.append((x.n, x.base + r, x.text(r)))
 
-
-@dataclass(slots=True)
-class _DigraphCase:
-    """One digraph under check, given by its out- and in-masks.
-
-    Girth, scaled phi, the Digraph and the text are derived on first
-    use, at most once each, so a check pays only for what it reads.
-    """
-
-    n: int
-    index: int
-    out: tuple[int, ...]
-    inn: tuple[int, ...]
-    scale: int  # lcm(1..n): every potential term scaled by it is an integer
-    peel_memo: PeelMemo  # the shard's, for two-phi
-    degs: list[int] = field(init=False)
-    p: int = field(init=False)  # vertices of out-degree 1
-    deg2: bool = field(init=False)  # every out-degree is at most 2
-    _girth: int | None = 0  # 0 until computed; None when acyclic
-    _phi: int | None = None  # phi times scale, once computed
-    _digraph: Digraph | None = None
-    _text: str | None = None
-
-    def __post_init__(self) -> None:
-        self.degs = degs = [m.bit_count() for m in self.out]
-        self.p = degs.count(1)
-        self.deg2 = max(degs) <= 2
-
-    @property
-    def girth(self) -> int | None:
-        if self._girth == 0:
-            hit = _girth_masks(self.n, self.out, self.inn)
-            self._girth = None if hit is None else hit[0]
-        return self._girth
-
-    @property
-    def phi(self) -> int:
-        if self._phi is None:
-            self._phi = _phi_scaled(self.scale, self.degs)
-        return self._phi
-
-    @property
-    def digraph(self) -> Digraph:
-        if self._digraph is None:
-            self._digraph = Digraph.from_out_masks(self.n, self.out, self.inn)
-        return self._digraph
-
-    @property
-    def text(self) -> str:
-        if self._text is None:
-            self._text = format_digraph(self.digraph)
-        return self._text
-
-
-@dataclass(slots=True)
-class _RainbowCase:
-    """One rainbow instance under check; the construction runs once, on first use."""
-
-    n: int
-    index: int
-    inst: RainbowInstance
-    _built: tuple[RainbowCycleCertificate | None, str, Collector] | None = None
-
-    @property
-    def built(self) -> tuple[RainbowCycleCertificate | None, str, Collector]:
-        """(the certificate, or None and why; every greedy subgraph grown)."""
-        if self._built is None:
-            grown: Collector = []
-            try:
-                self._built = (find_rainbow_cycle(self.inst, collect=grown), "", grown)
-            except CounterexampleFound as exc:
-                self._built = (None, f"{type(exc).__name__}: {exc}", grown)
-        return self._built
-
-    @property
-    def text(self) -> str:
-        return format_rainbow(self.inst)
+    def result(self) -> dict[str, Any]:
+        # A check with nothing passed has no "passed" entry, as with checked.
+        passed = {k: v - self.failed.get(k, 0) for k, v in self.checked.items()}
+        return {
+            "generated": self.generated,
+            "checked": self.checked,
+            "passed": {k: v for k, v in passed.items() if v},
+            "violations": self.violations,
+            "findings": self.findings,
+            "best_ratio": self.best_ratio,
+            "tight_count": self.tight_count,
+            "tight_witnesses": self.tight_witnesses,
+        }
 
 
 def _cycle_pair_within(n: int, out: tuple[int, ...], limit: int) -> bool:
@@ -505,153 +629,183 @@ def _cycle_pair_within(n: int, out: tuple[int, ...], limit: int) -> bool:
     first qualifying pair.  Intended for small bounded-degree graphs.
     """
     found: list[int] = []
-
-    def dfs(sbit: int, w: int, used: int) -> bool:
-        m = out[w]
-        while m:
-            low = m & -m
-            m ^= low
-            if low == sbit:
-                if used.bit_count() <= limit:
-                    return True
-                for pm in found:
-                    if (pm & used).bit_count() <= limit:
-                        return True
-                found.append(used)
-            elif low > sbit and not (used & low):
-                if dfs(sbit, low.bit_length() - 1, used | low):
-                    return True
-        return False
-
     for s in range(n):
-        if dfs(1 << s, s, 1 << s):
+        if _pair_dfs(out, limit, found, 1 << s, s, 1 << s):
             return True
     return False
 
 
-# A check returns None when the instance passes, else a failure message
-# or a (message, certificate JSON) pair.
-_Failure = Union[str, tuple[str, Any], None]
+def _pair_dfs(
+    out: tuple[int, ...], limit: int, found: list[int], sbit: int, w: int, used: int
+) -> bool:
+    """Extend the path on vertex set used, from sbit's vertex to w, by each
+    arc out of w: closing a cycle at sbit, or to a larger unused vertex.
+    Each closed cycle's mask joins found."""
+    m = out[w]
+    while m:
+        low = m & -m
+        m ^= low
+        if low == sbit:
+            if used.bit_count() <= limit:
+                return True
+            for pm in found:
+                if (pm & used).bit_count() <= limit:
+                    return True
+            found.append(used)
+        elif low > sbit and not (used & low):
+            if _pair_dfs(out, limit, found, sbit, low.bit_length() - 1, used | low):
+                return True
+    return False
 
 
-def _check_eq1(x: _DigraphCase, acc: _Accum) -> _Failure:
-    scale, phi_m, gains = x.scale, x.phi, _gains(x.n, x.n - 1)
-    rhs_total = sum(_rhs_scaled(gains, x.degs, mm) for mm in x.inn)
-    if rhs_total != phi_m:
-        return f"removability right sides sum to {rhs_total}/{scale}, phi is {phi_m}/{scale}"
-    return None
+# A check runs over the choices rs of a unit and yields (r, failure) for
+# each one that fails: a message or a (message, certificate JSON) pair.
+_Failure = Union[str, tuple[str, Any]]
+_Failures = Iterator[tuple[int, _Failure]]
 
 
-def _check_two_phi(x: _DigraphCase, acc: _Accum) -> _Failure:
-    scale, phi_m = x.scale, x.phi
-    g = x.girth
-    if g is None or g * scale > 2 * phi_m:
-        return f"girth {g} exceeds 2 phi = {2 * phi_m}/{scale}"
-    d = x.digraph
-    try:
-        cert = short_cycle_via_peeling(d, x.peel_memo)
-    except CounterexampleFound as exc:
-        return f"{type(exc).__name__}: {exc}"
-    if not validate_cycle(d, cert):
-        return "peeling produced an invalid certificate", cycle_cert_json(cert)
-    if g * scale == 2 * phi_m:
-        acc.offer_tight(x)
-    return None
+def _check_eq1(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
+    # Summed over v, the right side of (1) adds gains[deg(u)] once per arc
+    # u -> v.  The arcs out of vertices 1.. are the block's, read from its
+    # in-masks once; vertex 0's deg0 arcs add deg0 * gains[deg0].
+    scale, phi, deg0 = b.head.scale, b.phi, b.head.deg0
+    gains = _gains(b.n, b.n - 1)
+    tail_rhs = sum(_rhs_scaled(gains, b.degs, mm) for mm in b.tail_inn)
+    for r in rs:
+        rhs_total = tail_rhs + deg0[r] * gains[deg0[r]]
+        if rhs_total != phi[r]:
+            yield r, (
+                f"removability right sides sum to {rhs_total}/{scale}, "
+                f"phi is {phi[r]}/{scale}"
+            )
 
 
-def _check_two_psi_strict(x: _DigraphCase, acc: _Accum) -> _Failure:
-    scale = x.scale
-    psi_m = _psi_scaled(scale, x.degs)
-    g = x.girth
-    if g is not None:
-        acc.offer_ratio(g * scale, psi_m, x)
-    if g is None or g * scale >= 2 * psi_m:
-        return f"girth {g} is not strictly below 2 psi = {2 * psi_m}/{scale}"
-    return None
-
-
-def _check_chc(x: _DigraphCase, acc: _Accum) -> _Failure:
-    g = x.girth
-    bound = -(-x.n // min(x.degs))
-    if g is None or g > bound:
-        return f"girth {g} exceeds ceil(n / min out-degree) = {bound}"
-    return None
-
-
-def _check_deg2_girth(x: _DigraphCase, acc: _Accum) -> _Failure:
-    g = x.girth
-    bound = (x.n + x.p + 1) // 2
-    if g is None or g > bound:
-        return f"girth {g} exceeds ceil((n + p) / 2) = {bound}"
-    return None
-
-
-def _check_two_cycles(x: _DigraphCase, acc: _Accum) -> _Failure:
-    limit = x.p + 1
-    g = x.girth
-    # A cycle no longer than the limit pairs with itself.
-    ok = (g is not None and g <= limit) or _cycle_pair_within(x.n, x.out, limit)
-    if ok and x.index % _CROSS_CHECK_EVERY:
-        return None
-    try:
-        pair = two_cycles_min_intersection(x.digraph)
-        oracle_ok = len(pair.intersection) <= limit
-    except TheoremViolation:
-        oracle_ok = False
-    if oracle_ok != ok:
-        return "fast pair scan disagrees with the exhaustive oracle"
-    if not ok:
-        return f"every cycle pair meets in more than p + 1 = {limit} vertices"
-    return None
-
-
-def _check_rainbow_bound(x: _RainbowCase, acc: _Accum) -> _Failure:
-    inst = x.inst
-    cert, why, _ = x.built
-    if cert is None:
-        return why, None
-    bound = (inst.n + inst.p + 1) // 2
-    if not validate_rainbow_cycle(inst, cert) or cert.length > bound:
-        why = "constructed cycle invalid or longer than ceil((n + p) / 2)"
-        return why, rainbow_cert_json(cert)
-    exact, _ = shortest_rainbow_cycle_exact(inst)
-    if exact > cert.length:
-        return (
-            f"independent search says the shortest rainbow cycle has "
-            f"length {exact}, yet one of length {cert.length} validated",
-            rainbow_cert_json(cert),
-        )
-    if inst.p == 0 and exact > (inst.n + 1) // 2:
-        # All families have size exactly 2, so the stronger published
-        # ceil(n/2) bound applies; an exceedance here is a headline event
-        # even though this library does not prove that bound itself.
-        why = f"rainbow girth {exact} exceeds ceil(n/2) = {(inst.n + 1) // 2}"
-        acc.record("finding", CHECK_RAINBOW_BOUND, x, why)
-    return None
-
-
-def _check_rd_claim(x: _RainbowCase, acc: _Accum) -> _Failure:
-    for _, h in x.built[2]:
+def _check_two_phi(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
+    scale, phi, girth = b.head.scale, b.phi, b.girth
+    for r in rs:
+        g, phi_m = girth[r], phi[r]
+        if g is None or g * scale > 2 * phi_m:
+            yield r, f"girth {g} exceeds 2 phi = {2 * phi_m}/{scale}"
+            continue
+        d = b.digraph(r)
         try:
-            dists = all_pairs_rainbow_distances(h)
+            cert = short_cycle_via_peeling(d, acc.peel_memo)
         except CounterexampleFound as exc:
-            return f"{type(exc).__name__}: {exc}"
-        bound = h.t // 2 + 1
-        if any(dv > bound for dv in dists.values()):
-            return f"a vertex pair has rainbow distance above {bound}"
-        if h.t % 2 == 0:
-            extremal = sum(1 for dv in dists.values() if dv == bound)
-            if extremal > 1:
-                return (
-                    f"{extremal} pairs sit at the extremal distance {bound}; "
-                    "at most one may"
-                )
-    return None
+            yield r, f"{type(exc).__name__}: {exc}"
+            continue
+        if not validate_cycle(d, cert):
+            yield r, ("peeling produced an invalid certificate", cycle_cert_json(cert))
+        elif g * scale == 2 * phi_m:
+            acc.offer_tight(b, r)
+
+
+def _check_two_psi_strict(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
+    scale, psi, girth = b.head.scale, b.psi, b.girth
+    # The block's largest girth/psi, the first on ties, is offered once.
+    best: tuple[int, int, int] | None = None
+    for r in rs:
+        g, psi_m = girth[r], psi[r]
+        if g is not None and (best is None or g * scale * best[1] > best[0] * psi_m):
+            best = (g * scale, psi_m, r)
+        if g is None or g * scale >= 2 * psi_m:
+            yield r, f"girth {g} is not strictly below 2 psi = {2 * psi_m}/{scale}"
+    if best is not None:
+        num, den, r = best
+        acc.offer_ratio(num, den, b, r)
+
+
+def _check_chc(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
+    n, girth, deg0 = b.n, b.girth, b.head.deg0
+    tail_min = min(b.degs[1:], default=n)
+    for r in rs:
+        g = girth[r]
+        bound = -(-n // min(tail_min, deg0[r]))
+        if g is None or g > bound:
+            yield r, f"girth {g} exceeds ceil(n / min out-degree) = {bound}"
+
+
+def _check_deg2_girth(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
+    n, girth, p = b.n, b.girth, b.p
+    for r in rs:
+        g = girth[r]
+        bound = (n + p[r] + 1) // 2
+        if g is None or g > bound:
+            yield r, f"girth {g} exceeds ceil((n + p) / 2) = {bound}"
+
+
+def _check_two_cycles(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
+    n, girth, p, again = b.n, b.girth, b.p, b.recheck()
+    for r in rs:
+        limit = p[r] + 1
+        g = girth[r]
+        # A cycle no longer than the limit pairs with itself.
+        ok = (g is not None and g <= limit) or _cycle_pair_within(n, b.out(r), limit)
+        if ok and r != again:
+            continue
+        try:
+            pair = two_cycles_min_intersection(b.digraph(r))
+            oracle_ok = len(pair.intersection) <= limit
+        except TheoremViolation:
+            oracle_ok = False
+        if oracle_ok != ok:
+            yield r, "fast pair scan disagrees with the exhaustive oracle"
+        elif not ok:
+            yield r, f"every cycle pair meets in more than p + 1 = {limit} vertices"
+
+
+def _check_rainbow_bound(x: _RainbowRun, rs: Sequence[int], acc: _Accum) -> _Failures:
+    for r in rs:
+        inst = x.insts[r]
+        cert, why, _ = x.built(r)
+        if cert is None:
+            yield r, (why, None)
+            continue
+        bound = (inst.n + inst.p + 1) // 2
+        if not validate_rainbow_cycle(inst, cert) or cert.length > bound:
+            why = "constructed cycle invalid or longer than ceil((n + p) / 2)"
+            yield r, (why, rainbow_cert_json(cert))
+            continue
+        exact, _ = shortest_rainbow_cycle_exact(inst)
+        if exact > cert.length:
+            yield r, (
+                f"independent search says the shortest rainbow cycle has "
+                f"length {exact}, yet one of length {cert.length} validated",
+                rainbow_cert_json(cert),
+            )
+        elif inst.p == 0 and exact > (inst.n + 1) // 2:
+            # All families have size exactly 2, so the stronger published
+            # ceil(n/2) bound applies; an exceedance here is a headline event
+            # even though this library does not prove that bound itself.
+            why = f"rainbow girth {exact} exceeds ceil(n/2) = {(inst.n + 1) // 2}"
+            acc.record("finding", CHECK_RAINBOW_BOUND, x, r, why)
+
+
+def _check_rd_claim(x: _RainbowRun, rs: Sequence[int], acc: _Accum) -> _Failures:
+    # An instance's first failing greedy subgraph is its failure.
+    for r in rs:
+        for _, h in x.built(r)[2]:
+            try:
+                dists = all_pairs_rainbow_distances(h)
+            except CounterexampleFound as exc:
+                yield r, f"{type(exc).__name__}: {exc}"
+                break
+            bound = h.t // 2 + 1
+            if any(dv > bound for dv in dists.values()):
+                yield r, f"a vertex pair has rainbow distance above {bound}"
+                break
+            if h.t % 2 == 0:
+                extremal = sum(1 for dv in dists.values() if dv == bound)
+                if extremal > 1:
+                    yield r, (
+                        f"{extremal} pairs sit at the extremal distance {bound}; "
+                        "at most one may"
+                    )
+                    break
 
 
 class _Check(NamedTuple):
     name: str
-    run: Callable[[Any, _Accum], _Failure]
+    run: Callable[[Any, Sequence[int], _Accum], _Failures]
     kind: str  # what a failure records: "violation" (proved) or "finding" (open)
     deg2_only: bool = False  # applies only when every out-degree is at most 2
 
@@ -669,15 +823,23 @@ _CHECKS = (
 )
 
 
-def _run_checks(case: Any, checks: Sequence[_Check], acc: _Accum) -> None:
+def _run_checks(x: _Unit, rs: Sequence[int], checks: Sequence[_Check], acc: _Accum) -> None:
+    """Run each check over the choices rs of x, counting them checked."""
+    deg2_rs: Sequence[int] | None = None
     for name, run, kind, deg2_only in checks:
-        if deg2_only and not case.deg2:
+        sel = rs
+        if deg2_only:
+            if deg2_rs is None:
+                deg2 = x.deg2  # only digraph checks are deg2_only
+                deg2_rs = rs if all(deg2) else [r for r in rs if deg2[r]]
+            sel = deg2_rs
+        if not sel:
             continue
-        fail = run(case, acc)
-        acc.hit(name, fail is None)
-        if fail is not None:
+        acc.checked[name] = acc.checked.get(name, 0) + len(sel)
+        for r, fail in run(x, sel, acc):
+            acc.failed[name] = acc.failed.get(name, 0) + 1
             message, certificate = fail if isinstance(fail, tuple) else (fail, None)
-            acc.record(kind, name, case, message, certificate)
+            acc.record(kind, name, x, r, message, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -702,21 +864,44 @@ def _run_shard(cfg: SuiteConfig, n: int, lo: int, hi: int) -> dict[str, Any]:
     acc = _Accum()
     checks = [c for c in _CHECKS if c.name in cfg.checks]
     if cfg.generator == "rainbow":
-        for idx in range(lo, hi):
-            acc.generated += 1
-            inst = _rainbow_for_index(n, cfg.seed, idx)
-            _run_checks(_RainbowCase(n, idx, inst), checks, acc)
+        for base in range(lo, hi, _RAINBOW_RUN):
+            top = min(base + _RAINBOW_RUN, hi)
+            insts = [_rainbow_for_index(n, cfg.seed, i) for i in range(base, top)]
+            acc.generated += len(insts)
+            _run_checks(_RainbowRun(n, base, insts), range(len(insts)), checks, acc)
     else:
         choices, flt = _population(cfg, n)
-        scale = _scale(n)
-        # Peeling outcomes shared by this shard's two-phi runs; bounded by
-        # peeling.PEEL_MEMO_CAP and never part of the shard's result.
-        memo: PeelMemo = {}
-        for idx, out, inn in _sweep(choices, lo, hi, flt):
-            acc.generated += 1
-            if 0 not in out:  # psi is undefined with a sink: counted, never checked
-                _run_checks(_DigraphCase(n, idx, out, inn, scale, memo), checks, acc)
-    return asdict(acc)
+        for b in _sweep(choices, lo, hi, flt):
+            acc.generated += len(b.kept)
+            rs = b.sink_free()  # psi is undefined with a sink: counted, never checked
+            if rs:
+                _run_checks(b, rs, checks, acc)
+    return acc.result()
+
+
+def _run_task(task: tuple[SuiteConfig, int, int, int]) -> dict[str, Any]:
+    return _run_shard(*task)
+
+
+def _shard_results(
+    cfg: SuiteConfig, tasks: list[tuple[SuiteConfig, int, int, int]]
+) -> Iterator[dict[str, Any]]:
+    """Each task's shard result, in task order, from a pool of cfg.workers
+    processes when there are several; a progress line goes to stderr as
+    each one arrives."""
+    with contextlib.ExitStack() as stack:
+        results: Iterator[dict[str, Any]] = map(_run_task, tasks)
+        if cfg.workers > 1 and len(tasks) > 1:
+            ctx = multiprocessing.get_context("fork")
+            pool = stack.enter_context(ctx.Pool(processes=cfg.workers))
+            results = pool.imap(_run_task, tasks)
+        for i, (task, res) in enumerate(zip(tasks, results)):
+            print(
+                f"progress: shard {i + 1}/{len(tasks)} done (n={task[1]})",
+                file=sys.stderr,
+                flush=True,
+            )
+            yield res
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
@@ -732,23 +917,10 @@ def run_suite(cfg: SuiteConfig) -> Report:
         step = -(-size // shards)
         for lo in range(0, size, step):
             tasks.append((cfg, n, lo, min(lo + step, size)))
-    if cfg.workers > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=cfg.workers) as pool:
-            shard_results = pool.starmap(_run_shard, tasks)
-    else:
-        shard_results = []
-        for i, task in enumerate(tasks):
-            shard_results.append(_run_shard(*task))
-            print(
-                f"progress: shard {i + 1}/{len(tasks)} done (n={task[1]})",
-                file=sys.stderr,
-                flush=True,
-            )
     best: list[Any] | None = None
     tight_count = 0
     tight_witnesses: list[tuple[int, int, str]] = []
-    for res in shard_results:
+    for res in _shard_results(cfg, tasks):
         report.instances_generated += res["generated"]
         for k, v in res["checked"].items():
             report.checked[k] = report.checked.get(k, 0) + v
@@ -825,7 +997,8 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
     space = 1 << (n * (n - 1))
     if space <= budget:
         report.config["mode"] = "exhaustive"
-        for _, out, inn in _sweep(_outmap_choices(n, 0, n - 1), 0, space, "sinkless"):
+        blocks = _sweep(_outmap_choices(n, 0, n - 1), 0, space, "sinkless")
+        for _, out, inn in _instances(blocks):
             evaluate(out, inn)
     else:
         report.config["mode"] = "hill-climb"

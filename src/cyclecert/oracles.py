@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .certificates import (
     BOUND_CEIL_N_PLUS_P,
@@ -73,6 +73,45 @@ def _girth_masks(n: int, out: tuple[int, ...], inn: tuple[int, ...]) -> tuple[in
     if best_g is None:
         return None
     return best_g, best_s
+
+
+def _girth_table(
+    n: int, tail: Sequence[int], tail_inn: tuple[int, ...], heads: Sequence[int]
+) -> list[int | None]:
+    """For each h in heads, the girth of the digraph with out-masks
+    (h,) + tail, or None if it is acyclic; tail_inn is in_masks_of((0,) + tail).
+
+    A cycle either avoids vertex 0, and so is a cycle of D - 0, or leaves
+    0 by an arc 0 -> v and returns by a shortest v -> 0 path, which meets
+    0 only at its end and so uses arcs of vertices 1.. alone.  One girth
+    search of D - 0 and one backward search from 0 over tail_inn thus
+    serve every h: girth = min(g(D - 0), 1 + min over v in h of dist(v -> 0)).
+    """
+    hit = _girth_masks(n, (0, *(m & ~1 for m in tail)), (0, *tail_inn[1:]))
+    g0 = None if hit is None else hit[0]
+    # layers[k]: the vertices whose shortest path to 0 has k + 1 arcs, only
+    # as deep as a cycle through 0 (k + 2 arcs) still beats g0.
+    layers = []
+    depth = n if g0 is None else g0 - 2
+    seen, frontier = 1, tail_inn[0]
+    while frontier and len(layers) < depth:
+        layers.append(frontier)
+        seen |= frontier
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= tail_inn[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+    table = []
+    for h in heads:
+        g = g0
+        for k, layer in enumerate(layers):
+            if h & layer:
+                g = k + 2
+                break
+        table.append(g)
+    return table
 
 
 def _shortest_cycle_through(

@@ -168,6 +168,22 @@ class TestVerify:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    def test_jobs_keep_stdout_and_report_progress_in_order(self):
+        args = ("verify", "--generator", "labeled", "--n", "1-3", "--checks", "two-phi,chc")
+        one = run_cli(*args, "--jobs", "1")
+        two = run_cli(*args, "--jobs", "2")
+        assert one.returncode == two.returncode == 0
+        # The config's worker count is the only difference.
+        assert one.stdout.count('"workers": 1') == 1
+        assert two.stdout == one.stdout.replace('"workers": 1', '"workers": 2')
+        # Serial: one shard per n; jobs 2: up to 8 per n, in task order.
+        sizes = [(1, 1), (2, 1), (3, 1)], [(1, 1), (2, 4), (3, 8)]
+        for r, per_n in zip((one, two), sizes):
+            ns = [n for n, k in per_n for _ in range(k)]
+            assert r.stderr.splitlines() == [
+                f"progress: shard {i}/{len(ns)} done (n={n})" for i, n in enumerate(ns, 1)
+            ]
+
     def test_cap_exit_code(self):
         r = run_cli("verify", "--generator", "labeled", "--n", "1-9")
         assert r.returncode == 3

@@ -1,14 +1,19 @@
 """Enumeration generators, the verification suite driver, and the ratio search."""
 
+import gc
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cyclecert import harness, oracles
 from cyclecert.digraph import Digraph, in_masks_of, is_sinkless
-from cyclecert.errors import CapExceeded, GraphInputError, Infeasible
+from cyclecert.errors import CapExceeded, GraphInputError, Infeasible, TheoremViolation
 from cyclecert.families import RainbowInstance
+from cyclecert.peeling import _phi_scaled, _psi_scaled, _scale
 from cyclecert.harness import (
     ALL_CHECKS,
     DIGRAPH_CHECKS,
@@ -18,7 +23,10 @@ from cyclecert.harness import (
     RAINBOW_CHECKS,
     WORKERS_CAP,
     SuiteConfig,
+    _cycle_pair_within,
+    _instances,
     _outmap_choices,
+    _population,
     _run_shard,
     _sweep,
     enumerate_digraphs,
@@ -131,9 +139,214 @@ class TestSweep:
             # Start and end inside a block of vertex-0 choices, across blocks.
             ranges += [(1, r0 - 1), (r0 // 2, size - r0 // 2 - 1), (r0 + 1, 3 * r0 - 2)]
         for lo, hi in ranges:
-            got = list(_sweep(choices, lo, hi, flt))
+            got = list(_instances(_sweep(choices, lo, hi, flt)))
             assert [(i, out) for i, out, _ in got] == list(reference_sweep(choices, lo, hi, flt))
             assert all(inn == in_masks_of(out) for _, out, inn in got)
+
+
+def choice_lists(n):
+    """Per vertex, distinct out-masks without a loop, in any order."""
+    full = (1 << n) - 1
+    return st.tuples(
+        *(
+            st.lists(st.integers(0, full).map(lambda m, u=u: m & ~(1 << u)), min_size=1, max_size=5, unique=True)
+            for u in range(n)
+        )
+    ).map(lambda cs: [tuple(c) for c in cs])
+
+
+class TestBlocks:
+    """Every fact a block gives, against a derivation from scratch."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_facts_match_from_scratch(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        choices = data.draw(choice_lists(n), label="choices")
+        flt = data.draw(st.sampled_from(("none", "sinkless", "strong")), label="filter")
+        size = math.prod(map(len, choices))
+        lo = data.draw(st.integers(0, size), label="lo")
+        hi = data.draw(st.integers(lo, size), label="hi")
+        scale = _scale(n)
+        got = []
+        for b in _sweep(choices, lo, hi, flt):
+            assert b.kept and all(0 <= b.base + r - lo < hi - lo for r in b.kept)
+            for r in b.kept:
+                out = b.out(r)
+                degs = [m.bit_count() for m in out]
+                got.append((b.base + r, out))
+                assert b.inn(r) == in_masks_of(out)
+                assert b.p[r] == degs.count(1)
+                assert b.deg2[r] == (max(degs) <= 2)
+                assert b.phi[r] == _phi_scaled(scale, degs)
+                assert b.psi[r] == (None if 0 in degs else _psi_scaled(scale, degs))
+                hit = oracles._girth_masks(n, out, in_masks_of(out))
+                assert b.girth[r] == (None if hit is None else hit[0])
+        assert got == list(reference_sweep(choices, lo, hi, flt))
+
+
+class TestBestRatio:
+    @pytest.mark.parametrize(
+        "cfg, n",
+        [
+            (SuiteConfig(4, 4, "labeled", ("two-psi-strict",)), 4),
+            (SuiteConfig(4, 4, "outmaps", ("two-psi-strict",), dmax=3), 4),
+            (SuiteConfig(5, 5, "outmaps", ("two-psi-strict",)), 5),
+        ],
+        ids=["labeled-4", "outmaps-1-3-4", "outmaps-1-2-5"],
+    )
+    def test_shard_best_is_first_largest_ratio(self, cfg, n):
+        # Equal ratios go to the smallest index, also within one block; a
+        # shard's range, unlike a whole population, often ends on such a tie.
+        choices = _population(cfg, n)[0]
+        size = math.prod(map(len, choices))
+        width = 3 * len(choices[0]) + 3
+        scale = _scale(n)
+        for lo in range(5, size - width, size // 40):
+            want = None
+            for i, out in reference_sweep(choices, lo, lo + width, "sinkless"):
+                psi_m = _psi_scaled(scale, [m.bit_count() for m in out])
+                hit = oracles._girth_masks(n, out, in_masks_of(out))
+                ratio = Fraction(hit[0] * scale, psi_m)
+                if want is None or ratio > want[0]:
+                    want = (ratio, i)
+            best = _run_shard(cfg, n, lo, lo + width)["best_ratio"]
+            assert want == (best and (Fraction(best[0], best[1]), best[3]))
+
+
+class TestPairScan:
+    def test_leaves_no_reference_cycles(self):
+        # A recursive closure that names itself would make each call a
+        # cycle that only the cyclic collector frees.
+        triangle = (2, 4, 1)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                assert not _cycle_pair_within(3, triangle, 1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestCrossChecks:
+    """Once per block holding a multiple of _CROSS_CHECK_EVERY, the sweep
+    checks the girth table and the pair scan against searches from scratch."""
+
+    @staticmethod
+    def off_by_one(*args):
+        return [None if g is None else g + 1 for g in oracles._girth_table(*args)]
+
+    def test_disagreement_raises_with_the_instance(self, monkeypatch):
+        monkeypatch.setattr(harness, "_girth_table", self.off_by_one)
+        # Index 0 of outmaps n = 3: 0 -> 1, 1 -> 0, 2 -> 0, girth 2.
+        with pytest.raises(TheoremViolation, match=r"says 3, .* says 2, on:\ndigraph 3 3\n"):
+            run_suite(SuiteConfig(3, 3, "outmaps", ("deg2-girth",)))
+
+    def test_mid_sweep_index_is_searched_again(self, monkeypatch):
+        monkeypatch.setattr(harness, "_girth_table", self.off_by_one)
+        cfg = SuiteConfig(6, 6, "outmaps", ("two-cycles",))
+        # 100,000 is r = 10 of the block at 99,990 (15 vertex-0 choices).
+        with pytest.raises(TheoremViolation, match="digraph 6"):
+            _run_shard(cfg, 6, 99_995, 100_010)
+        # A block holding no multiple (100,005..100,019) is not searched again.
+        assert _run_shard(cfg, 6, 100_006, 100_014)["checked"] == {"two-cycles": 8}
+
+    def test_sinkless_sweep_searches_the_next_kept_instance(self, monkeypatch):
+        # Code 100,000 at n = 5 has vertex 0 empty, so the sinkless filter
+        # drops it; 100,001, next in its block, is searched again instead.
+        monkeypatch.setattr(harness, "_girth_table", self.off_by_one)
+        cfg = SuiteConfig(5, 5, "labeled", ("chc",))
+        with pytest.raises(TheoremViolation, match="digraph 5"):
+            _run_shard(cfg, 5, 100_000, 100_002)
+
+    def test_pair_scan_oracle_runs_on_sinkless_sweeps(self, monkeypatch):
+        # 100,001, the instance searched again in the block of 100,000,
+        # has out-degrees at most 2, so the pair scan's oracle runs on it.
+        calls = []
+        oracle = harness.two_cycles_min_intersection
+        monkeypatch.setattr(
+            harness, "two_cycles_min_intersection", lambda d: calls.append(d) or oracle(d)
+        )
+        res = _run_shard(SuiteConfig(5, 5, "labeled", ("two-cycles",)), 5, 100_000, 100_016)
+        assert res["checked"] == res["passed"]
+        assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)]
+
+
+def fail_on_odd(x, rs, acc):
+    return ((r, "odd index") for r in rs if (x.base + r) % 2)
+
+
+class TestShardTallies:
+    """Shard results with one table check patched to fail on odd indices.
+
+    The digests (sha256 of the sorted-key JSON of the _run_shard dict)
+    were taken before checks ran over blocks, with the same patch
+    written for the per-instance check signature.  A check that passes
+    nothing has no "passed" entry.
+    """
+
+    @pytest.mark.parametrize(
+        "check, cfg, n, lo, hi, checked, passed, failures, digest",
+        [
+            (
+                "chc",
+                SuiteConfig(3, 3, "labeled", ("chc", "two-psi-strict", "two-phi")),
+                3, 0, 64,
+                {"chc": 27, "two-psi-strict": 27, "two-phi": 27},
+                {"chc": 9, "two-psi-strict": 27, "two-phi": 27},
+                18,
+                "d56b4dc3fda8d2ec710e4fd71b8bde6452fc44d92d0978666e73bd9c24f0688a",
+            ),
+            (
+                "chc",
+                SuiteConfig(3, 3, "labeled", ("chc", "two-phi")),
+                3, 21, 22,
+                {"chc": 1, "two-phi": 1},
+                {"two-phi": 1},
+                1,
+                "2fed6a7a3ad5e311408b814c801f50e2da6db796d70e907df92dfbb07e1a4bd5",
+            ),
+            (
+                "deg2-girth",
+                SuiteConfig(4, 4, "outmaps", ("deg2-girth", "two-cycles", "eq1-identity"), dmax=3),
+                4, 5, 2390,
+                {"eq1-identity": 2385, "deg2-girth": 1291, "two-cycles": 1291},
+                {"eq1-identity": 2385, "deg2-girth": 645, "two-cycles": 1291},
+                646,
+                "96b5d60b2de3e164c2147bd4eb81828c47602a4df0f190fb3d7b095be36645d9",
+            ),
+            (
+                "two-cycles",
+                SuiteConfig(1, 4, "labeled", ("two-cycles", "chc"), filter="none"),
+                4, 100, 4000,
+                {"chc": 2324, "two-cycles": 1296},
+                {"chc": 2324, "two-cycles": 648},
+                648,
+                "4d8de94b10e4016a1154a2430eb2cfa0025f1f1c7936f078be85f87b74782d8b",
+            ),
+            (
+                "rd-claim",
+                SuiteConfig(4, 4, "rainbow", ("rainbow-bound", "rd-claim"), count=10),
+                4, 0, 10,
+                {"rainbow-bound": 10, "rd-claim": 10},
+                {"rainbow-bound": 10, "rd-claim": 5},
+                5,
+                "81b00a8db522dae56407fc72bcbedce9e72576b308872bfa975fc11b025eab86",
+            ),
+        ],
+        ids=["labeled-n3", "nothing-passed", "deg2-only", "labeled-none", "rainbow"],
+    )
+    def test_pinned(self, monkeypatch, check, cfg, n, lo, hi, checked, passed, failures, digest):
+        table = tuple(c._replace(run=fail_on_odd) if c.name == check else c for c in harness._CHECKS)
+        monkeypatch.setattr(harness, "_CHECKS", table)
+        res = _run_shard(cfg, n, lo, hi)
+        assert res["checked"] == checked
+        assert res["passed"] == passed
+        fails = [rec["index"] for rec in res["violations"] + res["findings"] if rec["check"] == check]
+        assert len(fails) == failures and all(i % 2 for i in fails)
+        text = json.dumps(res, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestEnumerateDigraphs:
@@ -270,6 +483,24 @@ class TestRunSuite:
         report = run_suite(cfg)
         assert report.checked == {"eq1-identity": 27, "two-phi": 27}
         assert len(calls) == 9
+
+    def test_rd_claim_fails_once_per_instance(self, monkeypatch):
+        # Every greedy subgraph fails here; an instance records its first.
+        sizes = []
+        for i in range(20):
+            grown = []
+            harness.find_rainbow_cycle(harness._rainbow_for_index(7, 0, i), collect=grown)
+            sizes.append(len(grown))
+        assert max(sizes) > 1
+        calls = []
+        monkeypatch.setattr(
+            harness, "all_pairs_rainbow_distances", lambda h: calls.append(h) or {(0, 1): 99}
+        )
+        res = _run_shard(SuiteConfig(7, 7, "rainbow", ("rd-claim",), count=20), 7, 0, 20)
+        failing = [i for i, k in enumerate(sizes) if k]
+        assert [v["index"] for v in res["violations"]] == failing
+        assert res["checked"]["rd-claim"] - res["passed"].get("rd-claim", 0) == len(failing)
+        assert len(calls) == len(failing)
 
     def test_shard_result_holds_only_tallies(self):
         # The shard's peel memo stays out of the result run_suite merges.

@@ -13,7 +13,7 @@ from cyclecert.certificates import (
     validate_cycle,
     validate_rainbow_cycle,
 )
-from cyclecert.digraph import Digraph
+from cyclecert.digraph import Digraph, in_masks_of
 from cyclecert.errors import (
     Acyclic,
     BoundViolation,
@@ -22,8 +22,11 @@ from cyclecert.errors import (
     ResourceCap,
 )
 from cyclecert.families import RainbowInstance
+from cyclecert.harness import _outmap_choices, _sweep
 from cyclecert.oracles import (
     RAINBOW_VERTEX_CAP,
+    _girth_masks,
+    _girth_table,
     assert_all_size2_bound,
     deg2_short_cycle,
     enumerate_cycles,
@@ -33,6 +36,43 @@ from cyclecert.oracles import (
 )
 
 from test_core import BI_TRIANGLE, TRIANGLE, all_digraphs, digraph_strategy
+
+
+def bfs_girth(out):
+    hit = _girth_masks(len(out), out, in_masks_of(out))
+    return None if hit is None else hit[0]
+
+
+class TestGirthTable:
+    """_girth_table against a girth search of each whole digraph."""
+
+    @pytest.mark.parametrize(
+        "n, dmin, dmax",
+        [(n, 0, n - 1) for n in range(1, 5)] + [(n, 1, d) for d in (2, 3) for n in range(2, 6)],
+    )
+    def test_every_instance_of_a_population(self, n, dmin, dmax):
+        # dmin 0: every labeled digraph, acyclic ones (None) included.
+        choices = _outmap_choices(n, dmin, dmax)
+        size = math.prod(map(len, choices))
+        seen = 0
+        for b in _sweep(choices, 0, size):
+            table = _girth_table(n, b.tail, b.tail_inn, choices[0])
+            for r in b.kept:
+                assert table[r] == bfs_girth(b.out(r)), b.out(r)
+                seen += 1
+        assert seen == size
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_tails(self, data):
+        n = data.draw(st.integers(6, 8), label="n")
+        full = (1 << n) - 1
+        tail = tuple(
+            data.draw(st.integers(0, full), label=f"out {v}") & ~(1 << v) for v in range(1, n)
+        )
+        heads = data.draw(st.lists(st.integers(0, full // 2).map(lambda m: m << 1), max_size=6))
+        table = _girth_table(n, tail, in_masks_of((0,) + tail), heads)
+        assert table == [bfs_girth((h,) + tail) for h in heads]
 
 
 class TestGirth:
