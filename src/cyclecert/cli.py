@@ -22,13 +22,7 @@ from .formats import (
     parse_rainbow,
     rainbow_cert_json,
 )
-from .harness import (
-    DIGRAPH_CHECKS,
-    RAINBOW_CHECKS,
-    SuiteConfig,
-    extremal_ratio_search,
-    run_suite,
-)
+from .harness import _POPULATIONS, SuiteConfig, extremal_ratio_search, run_suite
 from .oracles import (
     girth_exact,
     shortest_rainbow_cycle_exact,
@@ -113,38 +107,18 @@ def _parse_n_range(text: str) -> tuple[int, int]:
         raise GraphInputError(f"bad --n value {text!r}; use N or LO-HI") from None
 
 
+_SPELLINGS = ", ".join(p.spelling for p in _POPULATIONS.values())
+
+
 def _parse_generator(text: str) -> dict[str, Any]:
     head, _, rest = text.partition(":")
-    if head == "labeled":
-        flt = rest or "sinkless"
-        return {"generator": "labeled", "filter": flt}
-    if head == "outmaps":
-        if rest:
-            parts = rest.split(":")
-            if len(parts) != 2:
-                raise GraphInputError(
-                    f"bad generator {text!r}; use outmaps:DMIN:DMAX"
-                )
-            try:
-                dmin, dmax = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphInputError(f"bad generator {text!r}") from None
-        else:
-            dmin, dmax = 1, 2
-        return {"generator": "outmaps", "dmin": dmin, "dmax": dmax}
-    if head == "rainbow":
-        if rest:
-            try:
-                count = int(rest)
-            except ValueError:
-                raise GraphInputError(f"bad generator {text!r}") from None
-        else:
-            count = 100
-        return {"generator": "rainbow", "count": count}
-    raise GraphInputError(
-        f"unknown generator {head!r}; use labeled[:FILTER], "
-        "outmaps[:DMIN:DMAX], or rainbow[:COUNT]"
-    )
+    pop = _POPULATIONS.get(head)
+    if pop is None:
+        raise GraphInputError(f"unknown generator {head!r}; use {_SPELLINGS}")
+    try:
+        return {"generator": head, **pop.parse(rest)}
+    except ValueError:
+        raise GraphInputError(f"bad generator {text!r}; use {pop.spelling}") from None
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
@@ -153,7 +127,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.checks:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     else:
-        checks = RAINBOW_CHECKS if kw["generator"] == "rainbow" else DIGRAPH_CHECKS
+        checks = _POPULATIONS[kw["generator"]].checks
     cfg = SuiteConfig(
         n_lo=n_lo,
         n_hi=n_hi,
@@ -199,11 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a checking suite over an instance population")
     p.add_argument("--n", required=True, help="size N or range LO-HI")
-    p.add_argument(
-        "--generator",
-        required=True,
-        help="labeled[:none|sinkless|strong], outmaps[:DMIN:DMAX], rainbow[:COUNT]",
-    )
+    p.add_argument("--generator", required=True, help=_SPELLINGS)
     p.add_argument("--checks", default="", help="comma-separated check names")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import or_
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Any, Callable, Iterator, NamedTuple, Sequence, Union
 
 from .certificates import RainbowCycleCertificate, validate_cycle, validate_rainbow_cycle
 from .digraph import Digraph, in_masks_of
@@ -38,6 +38,7 @@ from .formats import (
     cycle_cert_json,
     format_digraph,
     format_rainbow,
+    parse_digraph,
     rainbow_cert_json,
     rational_json,
 )
@@ -64,6 +65,9 @@ OUTMAP_CAP = 7
 RAINBOW_CAP = 12
 # run_suite starts this many worker processes at most.
 WORKERS_CAP = 64
+# extremal_ratio_search takes n up to this; the scale lcm(1..n) and the
+# code space 2^(n(n-1)) it builds grow without bound in n.
+SEARCH_CAP = 512
 
 CHECK_TWO_PHI = "two-phi"
 CHECK_TWO_PSI_STRICT = "two-psi-strict"
@@ -85,7 +89,6 @@ DIGRAPH_CHECKS = (
 RAINBOW_CHECKS = (CHECK_RAINBOW_BOUND, CHECK_RD_CLAIM)
 ALL_CHECKS = DIGRAPH_CHECKS + RAINBOW_CHECKS
 
-_GENERATORS = ("labeled", "outmaps", "rainbow")
 _FILTERS = ("none", "sinkless", "strong")
 
 # How often, in indices, the girth table and the fast pair scan are checked
@@ -97,11 +100,11 @@ _CROSS_CHECK_EVERY = 100_000
 class SuiteConfig:
     """What to enumerate and what to check.
 
-    n_lo..n_hi is inclusive.  generator is "labeled" (all labeled
-    digraphs, optionally filtered), "outmaps" (every assignment of
-    out-neighborhoods with dmin <= out-degree <= dmax), or "rainbow"
-    (count seeded random instances per n).  Every check must apply to
-    the chosen generator kind.
+    n_lo..n_hi is inclusive.  generator names an entry of _POPULATIONS:
+    "labeled" (all labeled digraphs, optionally filtered), "outmaps"
+    (every assignment of out-neighborhoods with dmin <= out-degree <=
+    dmax), or "rainbow" (count seeded random instances per n).  Every
+    check must apply to the chosen population.
     """
 
     n_lo: int
@@ -116,7 +119,8 @@ class SuiteConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.generator not in _GENERATORS:
+        pop = _POPULATIONS.get(self.generator)
+        if pop is None:
             raise GraphInputError(f"unknown generator {self.generator!r}")
         if self.filter not in _FILTERS:
             raise GraphInputError(f"unknown filter {self.filter!r}")
@@ -125,9 +129,8 @@ class SuiteConfig:
         for c in self.checks:
             if c not in ALL_CHECKS:
                 raise GraphInputError(f"unknown check {c!r}")
-        allowed = RAINBOW_CHECKS if self.generator == "rainbow" else DIGRAPH_CHECKS
         for c in self.checks:
-            if c not in allowed:
+            if c not in pop.checks:
                 raise GraphInputError(
                     f"check {c!r} does not apply to generator {self.generator!r}"
                 )
@@ -137,20 +140,11 @@ class SuiteConfig:
             raise GraphInputError("workers must be >= 1")
         if self.workers > WORKERS_CAP:
             raise CapExceeded(f"workers is capped at {WORKERS_CAP}, asked for {self.workers}")
-        cap = {"labeled": LABELED_CAP, "outmaps": OUTMAP_CAP, "rainbow": RAINBOW_CAP}[
-            self.generator
-        ]
-        if self.n_hi > cap:
+        if self.n_hi > pop.cap:
             raise CapExceeded(
-                f"generator {self.generator!r} is capped at n <= {cap}, asked for {self.n_hi}"
+                f"generator {self.generator!r} is capped at n <= {pop.cap}, asked for {self.n_hi}"
             )
-        if self.generator == "outmaps" and not 1 <= self.dmin <= self.dmax:
-            raise GraphInputError(f"bad degree range {self.dmin}..{self.dmax}")
-        if self.generator == "rainbow":
-            if self.n_lo < 2:
-                raise GraphInputError("rainbow instances need n >= 2")
-            if self.count < 1:
-                raise GraphInputError("count must be >= 1")
+        pop.validate(self)
 
     def to_json_dict(self) -> dict[str, Any]:
         d: dict[str, Any] = {
@@ -161,13 +155,8 @@ class SuiteConfig:
             "workers": self.workers,
             "seed": self.seed,
         }
-        if self.generator == "labeled":
-            d["filter"] = self.filter
-        if self.generator == "outmaps":
-            d["dmin"] = self.dmin
-            d["dmax"] = self.dmax
-        if self.generator == "rainbow":
-            d["count"] = self.count
+        for key in _POPULATIONS[self.generator].keys:
+            d[key] = getattr(self, key)
         return d
 
 
@@ -247,8 +236,8 @@ class _Block:
     """
 
     __slots__ = (
-        "head", "n", "base", "tail", "tail_inn", "kept", "degs",
-        "_p", "_deg2", "_phi", "_psi", "_girth", "_digraphs",
+        "head", "n", "base", "tail", "kept", "degs",
+        "_tail_inn", "_p", "_deg2", "_phi", "_psi", "_girth", "_digraphs",
     )
 
     def __init__(
@@ -258,11 +247,10 @@ class _Block:
         self.n = head.n
         self.base = base
         self.tail = tail
-        # In-masks of (0,) + tail: what vertices 1.. give every instance.
-        self.tail_inn = in_masks_of((0,) + tail)
         self.kept = kept
         # Out-degrees of (0,) + tail; vertex 0's own is head.deg0[r].
         self.degs = (0, *[m.bit_count() for m in tail])
+        self._tail_inn: tuple[int, ...] | None = None
         self._p: list[int] | None = None
         self._deg2: list[bool] | None = None
         self._phi: list[int] | None = None
@@ -306,6 +294,14 @@ class _Block:
         if r >= len(self.head.first):
             return None
         return next((k for k in self.kept if k >= r), None)
+
+    @property
+    def tail_inn(self) -> tuple[int, ...]:
+        """In-masks of (0,) + tail: what vertices 1.. give every instance;
+        derived on first read, so a block never checked derives none."""
+        if self._tail_inn is None:
+            self._tail_inn = in_masks_of((0,) + self.tail)
+        return self._tail_inn
 
     @property
     def p(self) -> list[int]:
@@ -376,8 +372,8 @@ def _sweep(
     connected ones.
 
     A block is r0 = len(choices[0]) consecutive indices with vertices 1..
-    fixed; vertices 1.. are decoded, and their in-masks derived, once
-    per block.  Under a filter, a block whose vertices 1.. include a sink
+    fixed; vertices 1.. are decoded, and their in-masks derived, at most
+    once per block.  Under a filter, a block whose vertices 1.. include a sink
     is skipped whole, and a vertex-0 choice with no out-arc is not kept.
     """
     if lo >= hi:
@@ -406,15 +402,6 @@ def _sweep(
             yield b
 
 
-def _instances(
-    blocks: Iterable[_Block],
-) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """(index, out-masks, in-masks) of each kept instance, in index order."""
-    for b in blocks:
-        for r in b.kept:
-            yield b.base + r, b.out(r), b.inn(r)
-
-
 def _is_strongly_connected(out: tuple[int, ...], inn: tuple[int, ...]) -> bool:
     n = len(out)
     for adj in (out, inn):
@@ -440,13 +427,7 @@ def enumerate_digraphs(n: int, filter: str = "none") -> Iterator[Digraph]:
     filter is "none", "sinkless", or "strong" (strongly connected).
     Capped at n <= LABELED_CAP.
     """
-    if n > LABELED_CAP:
-        raise CapExceeded(f"labeled enumeration capped at n <= {LABELED_CAP}")
-    if filter not in _FILTERS:
-        raise GraphInputError(f"unknown filter {filter!r}")
-    blocks = _sweep(_outmap_choices(n, 0, n - 1), 0, 1 << (n * (n - 1)), filter)
-    for _, out, inn in _instances(blocks):
-        yield Digraph.from_out_masks(n, out, inn)
+    return _digraphs(SuiteConfig(n, n, _LABELED.name, DIGRAPH_CHECKS, filter=filter))
 
 
 def enumerate_outmaps(n: int, dmin: int = 1, dmax: int = 2) -> Iterator[Digraph]:
@@ -455,13 +436,17 @@ def enumerate_outmaps(n: int, dmin: int = 1, dmax: int = 2) -> Iterator[Digraph]
     There are (sum over d in range of C(n-1, d)) ** n of them; vertex
     0's choice varies fastest.  Capped at n <= OUTMAP_CAP.
     """
-    if n > OUTMAP_CAP:
-        raise CapExceeded(f"out-degree map enumeration capped at n <= {OUTMAP_CAP}")
-    if not 1 <= dmin <= dmax:
-        raise GraphInputError(f"bad degree range {dmin}..{dmax}")
-    choices = _outmap_choices(n, dmin, dmax)
-    for _, out, inn in _instances(_sweep(choices, 0, math.prod(map(len, choices)))):
-        yield Digraph.from_out_masks(n, out, inn)
+    return _digraphs(SuiteConfig(n, n, _OUTMAPS.name, DIGRAPH_CHECKS, dmin=dmin, dmax=dmax))
+
+
+def _digraphs(cfg: SuiteConfig) -> Iterator[Digraph]:
+    """Every digraph of a digraph population at n = cfg.n_lo, in index
+    order; the config is validated, but its checks are not run."""
+    cfg.validate()
+    pop, n = _POPULATIONS[cfg.generator], cfg.n_lo
+    for b, _, _ in pop.units(cfg, n, 0, pop.size(cfg, n)):
+        for r in b.kept:
+            yield Digraph.from_out_masks(n, b.out(r), b.inn(r))
 
 
 def random_rainbow_instance(
@@ -843,39 +828,96 @@ def _run_checks(x: _Unit, rs: Sequence[int], checks: Sequence[_Check], acc: _Acc
 
 
 # ---------------------------------------------------------------------------
+# Populations
+
+
+# A population's units over domain indices [lo, hi) at n: each unit, the
+# instances it generated, and its choices the checks run on.
+_Units = Iterator[tuple[_Unit, int, Sequence[int]]]
+
+
+def _sweep_size(cfg: SuiteConfig, n: int) -> int:
+    return math.prod(map(len, _POPULATIONS[cfg.generator].sweep(cfg, n)[0]))
+
+
+def _sweep_units(cfg: SuiteConfig, n: int, lo: int, hi: int) -> _Units:
+    choices, flt = _POPULATIONS[cfg.generator].sweep(cfg, n)
+    for b in _sweep(choices, lo, hi, flt):
+        # psi is undefined with a sink: such instances are counted, never checked.
+        yield b, len(b.kept), b.sink_free()
+
+
+def _rainbow_runs(cfg: SuiteConfig, n: int, lo: int, hi: int) -> _Units:
+    for base in range(lo, hi, _RAINBOW_RUN):
+        top = min(base + _RAINBOW_RUN, hi)
+        insts = [_rainbow_for_index(n, cfg.seed, i) for i in range(base, top)]
+        yield _RainbowRun(n, base, insts), len(insts), range(len(insts))
+
+
+def _check_degrees(cfg: SuiteConfig) -> None:
+    if not 1 <= cfg.dmin <= cfg.dmax:
+        raise GraphInputError(f"bad degree range {cfg.dmin}..{cfg.dmax}")
+
+
+def _check_rainbow(cfg: SuiteConfig) -> None:
+    if cfg.n_lo < 2:
+        raise GraphInputError("rainbow instances need n >= 2")
+    if cfg.count < 1:
+        raise GraphInputError("count must be >= 1")
+
+
+class _Population(NamedTuple):
+    """All that differs between the populations run_suite can sweep."""
+
+    name: str  # SuiteConfig.generator; on the CLI, --generator NAME[:VALUE...]
+    spelling: str  # for CLI help and errors
+    cap: int  # the largest n
+    # The SuiteConfig fields the report's config adds, with their types; the
+    # CLI's VALUEs give them in this order.
+    keys: dict[str, type]
+    checks: tuple[str, ...]  # the checks that apply; the CLI's default
+    # A digraph population's out-mask choice lists and filter at n.
+    sweep: Callable[[SuiteConfig, int], tuple[list[tuple[int, ...]], str]] | None = None
+    size: Callable[[SuiteConfig, int], int] = _sweep_size  # domain indices at n
+    units: Callable[[SuiteConfig, int, int, int], _Units] = _sweep_units
+    validate: Callable[[SuiteConfig], None] = lambda cfg: None  # raises if out of range
+
+    def parse(self, rest: str) -> dict[str, Any]:
+        """SuiteConfig keywords from the CLI's VALUEs, none for SuiteConfig's
+        defaults; a ValueError if they are malformed."""
+        if not rest:
+            return {}
+        return {k: t(v) for (k, t), v in zip(self.keys.items(), rest.split(":"), strict=True)}
+
+
+_LABELED = _Population(
+    "labeled", "labeled[:none|sinkless|strong]", LABELED_CAP, {"filter": str}, DIGRAPH_CHECKS,
+    sweep=lambda cfg, n: (_outmap_choices(n, 0, n - 1), cfg.filter),
+)
+_OUTMAPS = _Population(
+    "outmaps", "outmaps[:DMIN:DMAX]", OUTMAP_CAP, {"dmin": int, "dmax": int}, DIGRAPH_CHECKS,
+    sweep=lambda cfg, n: (_outmap_choices(n, cfg.dmin, cfg.dmax), "none"),
+    validate=_check_degrees,
+)
+_RAINBOW = _Population(
+    "rainbow", "rainbow[:COUNT]", RAINBOW_CAP, {"count": int}, RAINBOW_CHECKS,
+    size=lambda cfg, n: cfg.count, units=_rainbow_runs, validate=_check_rainbow,
+)
+_POPULATIONS = {p.name: p for p in (_LABELED, _OUTMAPS, _RAINBOW)}
+
+
+# ---------------------------------------------------------------------------
 # Sharded driver
-
-
-def _population(cfg: SuiteConfig, n: int) -> tuple[list[tuple[int, ...]], str]:
-    """The out-mask choice lists and filter of a digraph population at size n."""
-    if cfg.generator == "labeled":
-        return _outmap_choices(n, 0, n - 1), cfg.filter
-    return _outmap_choices(n, cfg.dmin, cfg.dmax), "none"
-
-
-def _domain_size(cfg: SuiteConfig, n: int) -> int:
-    if cfg.generator == "rainbow":
-        return cfg.count
-    return math.prod(map(len, _population(cfg, n)[0]))
 
 
 def _run_shard(cfg: SuiteConfig, n: int, lo: int, hi: int) -> dict[str, Any]:
     """Process raw domain indices [lo, hi) at size n."""
     acc = _Accum()
     checks = [c for c in _CHECKS if c.name in cfg.checks]
-    if cfg.generator == "rainbow":
-        for base in range(lo, hi, _RAINBOW_RUN):
-            top = min(base + _RAINBOW_RUN, hi)
-            insts = [_rainbow_for_index(n, cfg.seed, i) for i in range(base, top)]
-            acc.generated += len(insts)
-            _run_checks(_RainbowRun(n, base, insts), range(len(insts)), checks, acc)
-    else:
-        choices, flt = _population(cfg, n)
-        for b in _sweep(choices, lo, hi, flt):
-            acc.generated += len(b.kept)
-            rs = b.sink_free()  # psi is undefined with a sink: counted, never checked
-            if rs:
-                _run_checks(b, rs, checks, acc)
+    for x, generated, rs in _POPULATIONS[cfg.generator].units(cfg, n, lo, hi):
+        acc.generated += generated
+        if rs:
+            _run_checks(x, rs, checks, acc)
     return acc.result()
 
 
@@ -910,7 +952,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
     report = Report(config=cfg.to_json_dict())
     tasks: list[tuple[SuiteConfig, int, int, int]] = []
     for n in range(cfg.n_lo, cfg.n_hi + 1):
-        size = _domain_size(cfg, n)
+        size = _POPULATIONS[cfg.generator].size(cfg, n)
         if size == 0:
             continue
         shards = min(cfg.workers * 4, size) if cfg.workers > 1 else 1
@@ -942,7 +984,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
             "index": bi,
             "instance": btext,
         }
-    if CHECK_TWO_PHI in cfg.checks and cfg.generator != "rainbow":
+    if CHECK_TWO_PHI in cfg.checks:
         tight_witnesses.sort()
         extremal["tightness"] = {
             "count": tight_count,
@@ -960,13 +1002,17 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
     """Search sink-less digraphs on n vertices for a large girth/psi ratio.
 
     Exhaustive when the whole code space fits the budget, otherwise
-    seeded random restarts with single-arc-flip hill climbing.  Every
-    evaluated ratio is asserted to stay below 2; the best one found is
-    reported with its witness.  This explores; it proves nothing about
-    instances it never visits.
+    seeded random restarts with single-arc-flip hill climbing.  The
+    exhaustive mode is a shard of the labeled sink-less population with
+    the two-psi-strict check, which reads each block's girth and psi
+    tables.  Every evaluated ratio is asserted to stay below 2; the best
+    one found is reported with its witness.  This explores; it proves
+    nothing about instances it never visits.  Capped at n <= SEARCH_CAP.
     """
     if n < 2:
         raise GraphInputError("need n >= 2 for a sink-less digraph")
+    if n > SEARCH_CAP:
+        raise CapExceeded(f"search-ratio is capped at n <= {SEARCH_CAP}, asked for {n}")
     if budget < 0:
         raise GraphInputError("budget must be >= 0")
     report = Report(
@@ -978,11 +1024,11 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
     evaluated = 0
     best: tuple[Fraction, tuple[int, ...]] | None = None
 
-    def evaluate(out: tuple[int, ...], inn: tuple[int, ...] | None = None) -> Fraction:
+    def evaluate(out: tuple[int, ...]) -> Fraction:
         nonlocal evaluated, best
         evaluated += 1
         psi_m = _psi_scaled(scale, [m.bit_count() for m in out])
-        hit = _girth_masks(n, out, in_masks_of(out) if inn is None else inn)
+        hit = _girth_masks(n, out, in_masks_of(out))
         assert hit is not None  # sink-less digraphs always contain a cycle
         ratio = Fraction(hit[0] * scale, psi_m)
         if ratio >= 2:
@@ -997,9 +1043,14 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
     space = 1 << (n * (n - 1))
     if space <= budget:
         report.config["mode"] = "exhaustive"
-        blocks = _sweep(_outmap_choices(n, 0, n - 1), 0, space, "sinkless")
-        for _, out, inn in _instances(blocks):
-            evaluate(out, inn)
+        cfg = SuiteConfig(n, n, _LABELED.name, (CHECK_TWO_PSI_STRICT,))
+        res = _run_shard(cfg, n, 0, space)
+        if res["violations"]:
+            v = res["violations"][0]
+            raise TheoremViolation(f"{v['message']}, on:\n{v['instance']}")
+        evaluated = res["generated"]
+        num, den, _, _, text = res["best_ratio"]
+        ratio, d = Fraction(num, den), parse_digraph(text)
     else:
         report.config["mode"] = "hill-climb"
         rng = random.Random(seed)
@@ -1037,15 +1088,14 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
                 current = random_sinkless()
                 current_ratio = evaluate(current)
                 stale = 0
-    assert best is not None
-    ratio, out = best
-    d = Digraph.from_out_masks(n, out)
-    hit = _girth_masks(n, d.out_masks, d.in_masks)
-    assert hit is not None
+        assert best is not None
+        ratio, out = best
+        d = Digraph.from_out_masks(n, out)
+    psi_d = psi(d)
     report.extremal["max_girth_psi_ratio"] = {
         "ratio": rational_json(ratio),
-        "girth": hit[0],
-        "psi": rational_json(psi(d)),
+        "girth": int(ratio * psi_d),  # the ratio is girth / psi exactly
+        "psi": rational_json(psi_d),
         "instance": format_digraph(d),
     }
     report.instances_generated = evaluated

@@ -193,6 +193,40 @@ class TestVerify:
         r = run_cli("verify", "--generator", "labeled", "--n", "2", "--checks", "nope")
         assert r.returncode == 2
 
+    DIGRAPH = ["chc", "deg2-girth", "eq1-identity", "two-cycles", "two-phi", "two-psi-strict"]
+
+    @pytest.mark.parametrize(
+        "spelling, config",
+        [
+            ("nope", None),
+            ("outmaps:1", None),
+            ("outmaps:a:b", None),
+            ("outmaps:1:2:3", None),
+            ("rainbow:x", None),
+            ("rainbow:0", None),
+            ("labeled:odd", None),
+            ("outmaps:0:2", None),
+            ("outmaps:3:2", None),
+            ("labeled:", {"generator": "labeled", "checks": DIGRAPH, "filter": "sinkless"}),
+            ("outmaps:", {"generator": "outmaps", "checks": DIGRAPH, "dmin": 1, "dmax": 2}),
+            ("labeled:strong", {"generator": "labeled", "checks": DIGRAPH, "filter": "strong"}),
+            ("outmaps:1:3", {"generator": "outmaps", "checks": DIGRAPH, "dmin": 1, "dmax": 3}),
+            ("rainbow:7", {"generator": "rainbow", "checks": ["rainbow-bound", "rd-claim"], "count": 7}),
+        ],
+    )
+    def test_generator_spellings(self, spelling, config):
+        # Malformed or out-of-range spellings are usage errors; the rest
+        # fill the report's config, defaults included.
+        r = run_cli("verify", "--n", "2", "--generator", spelling)
+        assert "Traceback" not in r.stderr
+        if config is None:
+            assert r.returncode == 2
+            assert r.stdout == ""
+        else:
+            assert r.returncode == 0
+            base = {"n_lo": 2, "n_hi": 2, "seed": 0, "workers": 1}
+            assert json.loads(r.stdout)["config"] == {**base, **config}
+
     def test_mismatched_checks_are_usage_error(self):
         r = run_cli(
             "verify", "--generator", "labeled", "--n", "2",
@@ -217,6 +251,12 @@ class TestSearchRatio:
     def test_bad_n_is_usage_error(self):
         r = run_cli("search-ratio", "--n", "1")
         assert r.returncode == 2
+
+    def test_n_above_cap_is_refused(self):
+        r = run_cli("search-ratio", "--n", "513", "--budget", "1")
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
 
 
 class TestUsage:

@@ -21,12 +21,12 @@ from cyclecert.harness import (
     OUTMAP_CAP,
     RAINBOW_CAP,
     RAINBOW_CHECKS,
+    SEARCH_CAP,
     WORKERS_CAP,
     SuiteConfig,
+    _POPULATIONS,
     _cycle_pair_within,
-    _instances,
     _outmap_choices,
-    _population,
     _run_shard,
     _sweep,
     enumerate_digraphs,
@@ -139,7 +139,8 @@ class TestSweep:
             # Start and end inside a block of vertex-0 choices, across blocks.
             ranges += [(1, r0 - 1), (r0 // 2, size - r0 // 2 - 1), (r0 + 1, 3 * r0 - 2)]
         for lo, hi in ranges:
-            got = list(_instances(_sweep(choices, lo, hi, flt)))
+            blocks = _sweep(choices, lo, hi, flt)
+            got = [(b.base + r, b.out(r), b.inn(r)) for b in blocks for r in b.kept]
             assert [(i, out) for i, out, _ in got] == list(reference_sweep(choices, lo, hi, flt))
             assert all(inn == in_masks_of(out) for _, out, inn in got)
 
@@ -198,7 +199,7 @@ class TestBestRatio:
     def test_shard_best_is_first_largest_ratio(self, cfg, n):
         # Equal ratios go to the smallest index, also within one block; a
         # shard's range, unlike a whole population, often ends on such a tie.
-        choices = _population(cfg, n)[0]
+        choices = _POPULATIONS[cfg.generator].sweep(cfg, n)[0]
         size = math.prod(map(len, choices))
         width = 3 * len(choices[0]) + 3
         scale = _scale(n)
@@ -350,6 +351,16 @@ class TestShardTallies:
 
 
 class TestEnumerateDigraphs:
+    def test_refuses_what_a_suite_refuses(self):
+        with pytest.raises(CapExceeded):
+            next(enumerate_digraphs(LABELED_CAP + 1))
+        with pytest.raises(GraphInputError):
+            next(enumerate_digraphs(3, "odd"))
+        with pytest.raises(CapExceeded):
+            next(enumerate_outmaps(OUTMAP_CAP + 1))
+        with pytest.raises(GraphInputError):
+            next(enumerate_outmaps(3, 2, 1))
+
     def test_counts_all(self):
         assert [sum(1 for _ in enumerate_digraphs(n, "none")) for n in (1, 2, 3, 4)] \
             == [1, 4, 64, 4096]
@@ -462,13 +473,10 @@ class TestRunSuite:
         assert tight["count"] == 4
         assert len(tight["witnesses"]) == 4
 
-    def test_in_masks_derived_once_per_digraph(self, monkeypatch):
-        # eq1-identity reads the in-masks and two-phi peels a Digraph built
-        # on them.  The sweep derives the in-masks of vertices 1..2 once per
-        # block of vertex-0 choices and carries them to each digraph, so the
-        # 27 sink-less n = 3 digraphs cost one derivation per block whose
-        # vertices 1..2 have no sink: 3 * 3 = 9.
-        from cyclecert import digraph, harness
+    @staticmethod
+    def count_in_masks(monkeypatch):
+        """The out-masks of every in_masks_of call from here on."""
+        from cyclecert import digraph
 
         calls = []
         derive = digraph.in_masks_of
@@ -479,10 +487,28 @@ class TestRunSuite:
 
         monkeypatch.setattr(digraph, "in_masks_of", counting)
         monkeypatch.setattr(harness, "in_masks_of", counting)
+        return calls
+
+    def test_in_masks_derived_once_per_digraph(self, monkeypatch):
+        # eq1-identity reads the in-masks and two-phi peels a Digraph built
+        # on them.  The sweep derives the in-masks of vertices 1..2 once per
+        # block of vertex-0 choices and carries them to each digraph, so the
+        # 27 sink-less n = 3 digraphs cost one derivation per block whose
+        # vertices 1..2 have no sink: 3 * 3 = 9.
+        calls = self.count_in_masks(monkeypatch)
         cfg = SuiteConfig(3, 3, "labeled", ("eq1-identity", "two-phi"))
         report = run_suite(cfg)
         assert report.checked == {"eq1-identity": 27, "two-phi": 27}
         assert len(calls) == 9
+
+    def test_blocks_never_checked_derive_no_in_masks(self, monkeypatch):
+        # Under labeled:none every one of the 8^3 = 512 blocks at n = 4 is
+        # counted, but only the 7^3 = 343 whose vertices 1..3 have no sink
+        # are checked, and only those derive in-masks.
+        calls = self.count_in_masks(monkeypatch)
+        report = run_suite(SuiteConfig(4, 4, "labeled", DIGRAPH_CHECKS, filter="none"))
+        assert report.instances_generated == 1 << 12
+        assert len(calls) == 343
 
     def test_rd_claim_fails_once_per_instance(self, monkeypatch):
         # Every greedy subgraph fails here; an instance records its first.
@@ -613,6 +639,38 @@ class TestExtremalRatioSearch:
             extremal_ratio_search(1, 100)
         with pytest.raises(GraphInputError):
             extremal_ratio_search(4, -1)
+
+    def test_n_capped_before_anything_is_built(self, monkeypatch):
+        # Refused before the scale lcm(1..n) or the code space is built.
+        monkeypatch.setattr(harness, "_scale", None)
+        with pytest.raises(CapExceeded):
+            extremal_ratio_search(SEARCH_CAP + 1, 1)
+        with pytest.raises(CapExceeded):
+            extremal_ratio_search(SEARCH_CAP + 1, 0)
+
+    def test_exhaustive_mode_raises_when_a_ratio_reaches_two(self, monkeypatch):
+        def doubled(*args):
+            return [None if g is None else 2 * g for g in oracles._girth_table(*args)]
+
+        monkeypatch.setattr(harness, "_girth_table", doubled)
+        with pytest.raises(TheoremViolation, match="strictly below 2 psi.*, on:\ndigraph 3 "):
+            extremal_ratio_search(3, 1000)
+
+    def test_exhaustive_mode_reads_block_tables(self, monkeypatch):
+        # One girth search per block of the 7^3 = 343 whose vertices 1..3
+        # have no sink, not one per digraph plus one for the witness.
+        calls = []
+        search = oracles._girth_masks
+
+        def counting(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(oracles, "_girth_masks", counting)
+        monkeypatch.setattr(harness, "_girth_masks", counting)
+        report = extremal_ratio_search(4, 10**6)
+        assert report.instances_generated == 2401
+        assert len(calls) == 343
 
 
 def report_digest(report):
