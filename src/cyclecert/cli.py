@@ -29,6 +29,7 @@ from .oracles import (
     two_cycles_min_intersection,
 )
 from .peeling import peel
+from .rainbow import find_rainbow_cycle
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -73,8 +74,6 @@ def _cmd_rainbow(args: argparse.Namespace) -> dict[str, Any]:
             _require_valid(validate_rainbow_cycle(inst, cert), "rainbow certificate")
             doc["certificate"] = rainbow_cert_json(cert)
         return doc
-    from .rainbow import find_rainbow_cycle
-
     cert = find_rainbow_cycle(inst)
     _require_valid(validate_rainbow_cycle(inst, cert), "rainbow certificate")
     return {

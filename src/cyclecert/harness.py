@@ -1001,8 +1001,9 @@ def run_suite(cfg: SuiteConfig) -> Report:
 def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
     """Search sink-less digraphs on n vertices for a large girth/psi ratio.
 
-    Exhaustive when the whole code space fits the budget, otherwise
-    seeded random restarts with single-arc-flip hill climbing.  The
+    Exhaustive when the sink-less population, (2^(n-1) - 1)^n digraphs,
+    fits the budget, otherwise seeded random restarts with single-arc-flip
+    hill climbing; either way at most budget digraphs are evaluated.  The
     exhaustive mode is a shard of the labeled sink-less population with
     the two-psi-strict check, which reads each block's girth and psi
     tables.  Every evaluated ratio is asserted to stay below 2; the best
@@ -1040,11 +1041,10 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
             best = (ratio, out)
         return ratio
 
-    space = 1 << (n * (n - 1))
-    if space <= budget:
+    if ((1 << (n - 1)) - 1) ** n <= budget:
         report.config["mode"] = "exhaustive"
         cfg = SuiteConfig(n, n, _LABELED.name, (CHECK_TWO_PSI_STRICT,))
-        res = _run_shard(cfg, n, 0, space)
+        res = _run_shard(cfg, n, 0, 1 << (n * (n - 1)))
         if res["violations"]:
             v = res["violations"][0]
             raise TheoremViolation(f"{v['message']}, on:\n{v['instance']}")

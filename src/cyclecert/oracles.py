@@ -19,7 +19,7 @@ from .certificates import (
     CycleCertificate,
     RainbowCycleCertificate,
 )
-from .digraph import Digraph, bits, is_sinkless
+from .digraph import Digraph, bits
 from .errors import (
     Acyclic,
     BoundViolation,
@@ -29,6 +29,7 @@ from .errors import (
     TheoremViolation,
 )
 from .families import RainbowInstance
+from .formats import format_digraph, format_rainbow
 
 CYCLE_CAP = 10_000_000
 RAINBOW_VERTEX_CAP = 16
@@ -114,40 +115,32 @@ def _girth_table(
     return table
 
 
-def _shortest_cycle_through(
-    n: int, out: tuple[int, ...], inn: tuple[int, ...], s: int
-) -> list[int]:
-    """The lexicographically earliest shortest cycle through s, as a vertex list."""
-    target = inn[s]
-    parent = [-1] * n
-    frontier = [s]
-    depth = 0
-    seen = 1 << s
-    while frontier:
-        close = [w for w in frontier if (target >> w) & 1 and depth >= 1]
-        if close:
-            u = min(close)
-            path = []
-            while u != s:
-                path.append(u)
-                u = parent[u]
-            path.append(s)
-            path.reverse()
-            return path
-        nxt = []
-        for w in frontier:
-            m = out[w] & ~seen
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                if parent[v] == -1 and v != s:
-                    parent[v] = w
-                    nxt.append(v)
-                seen |= low
-                m ^= low
-        frontier = sorted(nxt)
-        depth += 1
-    raise AssertionError("no cycle through anchor vertex")
+def _shortest_cycle_through(out: tuple[int, ...], inn: tuple[int, ...], s: int) -> list[int]:
+    """A shortest cycle through s, as a vertex list starting at s.
+
+    BFS layers from s, as bitmasks, stop at the first layer holding an
+    in-neighbor of s; the walk back takes the smallest closing vertex and
+    then, layer by layer, the smallest vertex with an arc to the last one.
+    """
+    seen = layer = 1 << s
+    layers = []
+    while True:
+        nxt = 0
+        for w in bits(layer):
+            nxt |= out[w]
+        layer = nxt & ~seen
+        if not layer:
+            raise AssertionError("no cycle through anchor vertex")
+        if layer & inn[s]:
+            break
+        seen |= layer
+        layers.append(layer)
+    path = [next(bits(layer & inn[s]))]
+    for layer in reversed(layers):
+        path.append(next(bits(layer & inn[path[-1]])))
+    path.append(s)
+    path.reverse()
+    return path
 
 
 def _rotate_min(vs: list[int]) -> tuple[int, ...]:
@@ -161,29 +154,20 @@ def girth_exact(d: Digraph) -> tuple[int | float, CycleCertificate | None]:
     if hit is None:
         return math.inf, None
     g, s = hit
-    if g == 2:
-        u = next(bits(d.out_masks[s] & d.in_masks[s]))
-        vs = [s, u]
-    else:
-        vs = _shortest_cycle_through(d.n, d.out_masks, d.in_masks, s)
+    vs = _shortest_cycle_through(d.out_masks, d.in_masks, s)
     cert = CycleCertificate(
         vertices=_rotate_min(vs), bound=Fraction(g), bound_kind=BOUND_EXACT_GIRTH
     )
     return g, cert
 
 
-def _cycles_vertices(
-    n: int, out: tuple[int, ...], max_length: int | None
-) -> Iterator[list[int]]:
+def _cycles_vertices(n: int, out: tuple[int, ...]) -> Iterator[list[int]]:
     """All simple directed cycles, as vertex lists starting at their minimum vertex.
 
     Anchored enumeration: cycles are found from their smallest vertex s,
     and the search never descends below s, so each cycle appears exactly
     once.  Deterministic order: ascending anchor, then lexicographic path.
     """
-    limit = n if max_length is None else min(max_length, n)
-    if limit < 2:
-        return
     path: list[int] = []
 
     def dfs(s: int, w: int, used: int) -> Iterator[list[int]]:
@@ -194,7 +178,7 @@ def _cycles_vertices(
             m ^= low
             if v == s and len(path) >= 2:
                 yield list(path)
-            elif v > s and not (used & low) and len(path) < limit:
+            elif v > s and not (used & low):
                 path.append(v)
                 yield from dfs(s, v, used | low)
                 path.pop()
@@ -204,15 +188,13 @@ def _cycles_vertices(
         yield from dfs(s, s, 1 << s)
 
 
-def enumerate_cycles(
-    d: Digraph, max_length: int | None = None
-) -> Iterator[CycleCertificate]:
-    """Every simple directed cycle of d, up to max_length if given.
+def enumerate_cycles(d: Digraph) -> Iterator[CycleCertificate]:
+    """Every simple directed cycle of d.
 
     Emits at most CYCLE_CAP cycles; one more raises ResourceCap.
     """
     count = 0
-    for vs in _cycles_vertices(d.n, d.out_masks, max_length):
+    for vs in _cycles_vertices(d.n, d.out_masks):
         count += 1
         if count > CYCLE_CAP:
             raise ResourceCap(f"more than {CYCLE_CAP} cycles")
@@ -266,8 +248,6 @@ def two_cycles_min_intersection(d: Digraph) -> TwoCyclePair:
     isize, _, bi, bj = best
     p = sum(1 for deg in d.out_deg if deg == 1)
     if _deg2_hypothesis(d) and isize > p + 1:
-        from .formats import format_digraph
-
         raise TheoremViolation(
             f"cycle pair intersection {isize} exceeds p + 1 = {p + 1} on:\n"
             + format_digraph(d)
@@ -291,8 +271,6 @@ def deg2_short_cycle(d: Digraph) -> CycleCertificate:
     short = pair.c1 if pair.c1.length <= pair.c2.length else pair.c2
     bound = Fraction((d.n + pair.p + 1) // 2)
     if short.length > bound:
-        from .formats import format_digraph
-
         raise BoundViolation(
             f"short cycle length {short.length} exceeds ceil((n+p)/2) = {bound} on:\n"
             + format_digraph(d)
@@ -384,8 +362,6 @@ def assert_all_size2_bound(inst: RainbowInstance) -> RainbowCycleCertificate:
     length, cert = shortest_rainbow_cycle_exact(inst)
     bound = (inst.n + 1) // 2
     if cert is None or length > bound:
-        from .formats import format_rainbow
-
         raise BoundViolation(
             f"all-size-2 instance has rainbow girth {length} > ceil(n/2) = {bound} on:\n"
             + format_rainbow(inst)

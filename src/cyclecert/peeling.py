@@ -27,13 +27,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .certificates import BOUND_TWO_PHI, CycleCertificate
 from .digraph import Digraph, bits
-from .errors import BoundViolation, EmptyGraph, GraphInputError, LemmaViolation, NotSinkless, SinkPresent
+from .errors import BoundViolation, EmptyGraph, LemmaViolation, NotSinkless, SinkPresent
+from .formats import format_digraph, rational_json
 
-ChoiceHook = Callable[[Sequence[int], Sequence[int]], int]
 # Live out-masks of a peeling state -> the shortest terminal cycle reached from it.
 PeelMemo = dict[tuple[int, ...], tuple[int, ...]]
 
@@ -116,8 +116,6 @@ def removable_vertices(d: Digraph) -> list[int]:
     """Vertices whose deletion does not increase phi, in ascending order."""
     res = [v for v, (lhs, rhs) in enumerate(eq1_terms(d)) if lhs >= rhs]
     if d.n > 0 and not res:
-        from .formats import format_digraph
-
         raise LemmaViolation(
             "no vertex is phi-removable, contradicting the averaging argument, on:\n"
             + format_digraph(d)
@@ -143,8 +141,6 @@ class PeelingTrace:
     certificate: CycleCertificate
 
     def to_json_dict(self) -> dict[str, Any]:
-        from .formats import rational_json
-
         return {
             "phi_initial": rational_json(self.initial_phi),
             "steps": [
@@ -181,9 +177,9 @@ class _PeelState:
             cover |= self.out[v]
         return cover == self.alive
 
-    def eligible(self, stop_at_first: bool) -> list[tuple[int, int]]:
-        """(vertex, scaled phi drop on deleting it) for each vertex passing
-        both removal conditions, ascending.
+    def first_eligible(self) -> tuple[int, int] | None:
+        """(vertex, scaled phi drop on deleting it) for the smallest vertex
+        passing both removal conditions, or None if no vertex does.
 
         A vertex is eligible when deleting it keeps phi from rising, by
         inequality (1), and leaves no new sink: it must not be the sole
@@ -195,14 +191,11 @@ class _PeelState:
         for u in bits(self.alive):
             if deg[u] == 1:
                 protected |= self.out[u]
-        res = []
         for v in bits(self.alive & ~protected):
             drop = m // (deg[v] + 1) - _rhs_scaled(gains, deg, self.inn[v])
             if drop >= 0:
-                res.append((v, drop))
-                if stop_at_first:
-                    break
-        return res
+                return v, drop
+        return None
 
     def remove(self, v: int) -> None:
         bit = 1 << v
@@ -233,8 +226,6 @@ def _require_sinkless_nonempty(d: Digraph) -> None:
 
 
 def _lemma_violation(state: _PeelState) -> LemmaViolation:
-    from .formats import format_digraph
-
     sub, labels = state.alive_digraph()
     return LemmaViolation(
         "no vertex can be removed without raising phi or creating a sink "
@@ -243,29 +234,25 @@ def _lemma_violation(state: _PeelState) -> LemmaViolation:
 
 
 def _run_peel(
-    d: Digraph,
-    choose: ChoiceHook | None = None,
-    memo: PeelMemo | None = None,
+    d: Digraph, memo: PeelMemo | None = None
 ) -> tuple[_PeelState, int, list[tuple[int, int]], tuple[int, ...]]:
     """Peel to the terminal union of cycles.
 
     Returns (final state, initial scaled phi, steps as (vertex, scaled
     phi after removal), shortest terminal cycle).  phi is carried
-    through (1): deleting v changes it by rhs(v) - lhs(v).  choose, if
-    given, picks among all eligible vertices each round; the default
-    takes the smallest index.  A stuck run would refute the averaging
-    argument and raises LemmaViolation.
+    through (1): deleting v changes it by rhs(v) - lhs(v).  Each round
+    removes the smallest eligible vertex.  A stuck run would refute the
+    averaging argument and raises LemmaViolation.
 
-    memo, for the default policy only, maps the live out-masks of a
-    state reached after at least one removal to the shortest terminal
-    cycle of the run from there.  The rest of a default run depends on
-    those out-masks alone: degrees, in-masks, the live set (every live
-    vertex keeps an out-arc), the protected set and, through their
-    number, the scale all follow from them.  On a hit the run stops, so
-    the state and steps returned cover only the part walked.  A run
-    stores the states it walked only once it has finished, so a stuck
-    run stores nothing, and it never looks up or stores its initial
-    state, of which a sweep has one per digraph.
+    memo maps the live out-masks of a state reached after at least one
+    removal to the shortest terminal cycle of the run from there.  The
+    rest of a run depends on those out-masks alone: degrees, in-masks,
+    the live set (every live vertex keeps an out-arc), the protected set
+    and, through their number, the scale all follow from them.  On a hit
+    the run stops, so the state and steps returned cover only the part
+    walked.  A run stores the states it walked only once it has
+    finished, so a stuck run stores nothing, and it never looks up or
+    stores its initial state, of which a sweep has one per digraph.
     """
     _require_sinkless_nonempty(d)
     state = _PeelState(d)
@@ -282,17 +269,10 @@ def _run_peel(
         if state.is_union_of_cycles():
             cyc = _terminal_shortest_cycle(state)
             break
-        found = state.eligible(stop_at_first=choose is None)
-        if not found:
+        found = state.first_eligible()
+        if found is None:
             raise _lemma_violation(state)
-        if choose is None:
-            v, drop = found[0]
-        else:
-            drops = dict(found)
-            v = choose(tuple(bits(state.alive)), tuple(drops))
-            if v not in drops:
-                raise GraphInputError(f"choice hook returned ineligible vertex {v}")
-            drop = drops[v]
+        v, drop = found
         state.remove(v)
         phi_m -= drop
         steps.append((v, phi_m))
@@ -304,20 +284,17 @@ def _run_peel(
 
 
 def peel_step(d: Digraph) -> int | None:
-    """The first vertex the default peeling run removes: the smallest one
+    """The first vertex a peeling run removes: the smallest one
     whose removal keeps phi non-increasing and the digraph sink-less, or
     None when d is already a union of cycles."""
     steps = _run_peel(d)[2]
     return steps[0][0] if steps else None
 
 
-def peel(d: Digraph, choose: ChoiceHook | None = None) -> PeelingTrace:
-    """Peel d down to a union of cycles, recording every step.
-
-    choose(alive, eligible) may override the default smallest-index
-    policy; it must return a member of eligible.
-    """
-    state, phi0, steps, cyc = _run_peel(d, choose)
+def peel(d: Digraph) -> PeelingTrace:
+    """Peel d down to a union of cycles, recording every step; each step
+    removes the smallest eligible vertex."""
+    state, phi0, steps, cyc = _run_peel(d)
     m = state.scale
     terminal, labels = state.alive_digraph()
     return PeelingTrace(
@@ -356,8 +333,6 @@ def _terminal_shortest_cycle(state: _PeelState) -> tuple[int, ...]:
 def _certificate(d: Digraph, scale: int, phi0: int, cyc: tuple[int, ...]) -> CycleCertificate:
     """The certificate for a run's shortest terminal cycle, bounded by 2 phi(d)."""
     if len(cyc) * scale > 2 * phi0:
-        from .formats import format_digraph
-
         raise BoundViolation(
             f"peeled cycle length {len(cyc)} exceeds 2 phi = {Fraction(2 * phi0, scale)} on:\n"
             + format_digraph(d)
@@ -375,5 +350,5 @@ def short_cycle_via_peeling(
     earlier run passed through reuse its outcome; it holds at most
     PEEL_MEMO_CAP entries and gives the same certificates as no memo.
     """
-    state, phi0, _, cyc = _run_peel(d, memo=memo)
+    state, phi0, _, cyc = _run_peel(d, memo)
     return _certificate(d, state.scale, phi0, cyc)

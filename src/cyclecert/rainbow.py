@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
-from .certificates import RainbowCycleCertificate, validate_rainbow_cycle
+from .certificates import RainbowCycleCertificate, _walk_vertices, validate_rainbow_cycle
 from .errors import (
     BoundViolation,
     ClaimViolation,
@@ -36,6 +35,7 @@ from .errors import (
     SeedNotSingleton,
 )
 from .families import Edge, RainbowInstance, normalize_edge
+from .formats import format_rainbow
 from .oracles import assert_all_size2_bound
 
 Collector = list[tuple[RainbowInstance, "GreedySubgraph"]]
@@ -51,7 +51,7 @@ class GreedySubgraph:
     ids 1 + 2i (x-a) and 2 + 2i (x-b).  The (x-a, x-b) id pair at x is
     a forbidden turn: a path entering x by one may not leave by the
     other, because both edges carry the same color.  Its vertex and
-    color sets are built once, on first use.
+    color sets and incidence lists are built once, on first use.
     """
 
     seed_color: int
@@ -73,6 +73,16 @@ class GreedySubgraph:
         cs = {self.seed_color}
         cs.update(c for _, _, _, c in self.attachments)
         return frozenset(cs)
+
+    @cached_property
+    def incident(self) -> dict[int, list[int]]:
+        """Per vertex, the ids of its edges, ascending."""
+        inc: dict[int, list[int]] = {w: [] for w in self.vertices}
+        for eid, ((a, b), _) in enumerate(self.edges()):
+            inc[a].append(eid)
+            if a != b:
+                inc[b].append(eid)
+        return inc
 
     def edges(self) -> list[tuple[Edge, int]]:
         """All edges with colors, indexed by edge id."""
@@ -149,11 +159,7 @@ def _brute_shortest_rainbow_path(
 ) -> list[tuple[Edge, int]] | None:
     """Exact shortest simple rainbow path u -> v in H, by DFS over all paths."""
     edges = h.edges()
-    incident: dict[int, list[int]] = {w: [] for w in h.vertices}
-    for eid, ((a, b), _) in enumerate(edges):
-        incident[a].append(eid)
-        if a != b:
-            incident[b].append(eid)
+    incident = h.incident
     best: list[int] | None = None
 
     def dfs(w: int, used_v: set[int], used_c: set[int], trail: list[int]) -> None:
@@ -203,11 +209,7 @@ def rainbow_path_in_subgraph(
     if u == v:
         return []
     edges = h.edges()
-    incident: dict[int, list[int]] = {w: [] for w in h.vertices}
-    for eid, ((a, b), _) in enumerate(edges):
-        incident[a].append(eid)
-        if a != b:
-            incident[b].append(eid)
+    incident = h.incident
     forbidden = h.forbidden_turns()
     start = (u, -1)
     parent: dict[tuple[int, int], tuple[tuple[int, int], int]] = {start: (start, -1)}
@@ -353,21 +355,6 @@ def _first_loop(inst: RainbowInstance) -> tuple[Edge, int] | None:
     return None
 
 
-def _cycle_vertex_seq(cert: RainbowCycleCertificate) -> list[int]:
-    """Vertex sequence v0..v_{k-1} with steps[i] joining v_i to v_{i+1 mod k}."""
-    from .certificates import _walk_vertices
-
-    k = cert.length
-    if k == 1:
-        return [cert.steps[0][0][0]]
-    if k == 2:
-        e = cert.steps[0][0]
-        return [e[0], e[1]]
-    seq = _walk_vertices(cert.steps)
-    assert seq is not None
-    return seq
-
-
 def _parent_step(
     q_inst: RainbowInstance, cmap: ContractionMap, e: Edge, c: int
 ) -> tuple[Edge, int]:
@@ -383,7 +370,8 @@ def _lift(
     sub: RainbowCycleCertificate,
 ) -> RainbowCycleCertificate:
     """Pull a quotient cycle back through one contraction."""
-    seq = _cycle_vertex_seq(sub)
+    seq = _walk_vertices(sub.steps)
+    assert seq is not None
     k = len(seq)
     steps = list(sub.steps)
     if cmap.h not in seq:
@@ -443,8 +431,6 @@ def _find(inst: RainbowInstance, collect: Collector | None) -> RainbowCycleCerti
                 sub = _find(q_inst, collect)
                 cert = _lift(inst, h, q_inst, cmap, sub)
     if not validate_rainbow_cycle(inst, cert):
-        from .formats import format_rainbow
-
         raise BoundViolation(
             "constructed cycle failed validation on:\n" + format_rainbow(inst)
         )
@@ -469,8 +455,6 @@ def find_rainbow_cycle(
     cert = _find(inst, collect)
     bound = _length_bound(inst)
     if cert.length > bound:
-        from .formats import format_rainbow
-
         raise BoundViolation(
             f"cycle length {cert.length} exceeds ceil((n+p)/2) = {bound} on:\n"
             + format_rainbow(inst)

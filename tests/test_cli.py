@@ -13,7 +13,9 @@ DAG = "digraph 3 3\n0 1\n0 2\n1 2\n"
 RAINBOW4 = "rainbow 4 4\n0-1\n2-3\n0-2,1-2\n0-3,1-3\n"
 
 
-def run_cli(*args, files=None, tmp_path=None):
+def run_cli(*args, files=None, tmp_path=None, timeout=60):
+    """Run the CLI in a subprocess; one that outlives timeout seconds
+    raises subprocess.TimeoutExpired, so a hang fails the test."""
     argv = [sys.executable, "-m", "cyclecert"]
     for a in args:
         if files and a in files:
@@ -22,7 +24,7 @@ def run_cli(*args, files=None, tmp_path=None):
             argv.append(str(path))
         else:
             argv.append(a)
-    return subprocess.run(argv, capture_output=True, text=True)
+    return subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
 
 
 def write(tmp_path, name, text):
@@ -242,6 +244,16 @@ class TestSearchRatio:
         doc = json.loads(r.stdout)
         top = doc["extremal"]["max_girth_psi_ratio"]
         assert top["ratio"] == {"num": 4, "den": 3}
+
+    @pytest.mark.parametrize("budget", ["1", "2", "3"])
+    def test_n2_small_budgets_finish(self, budget):
+        # Every arc flip at n = 2 makes a sink, so a hill-climb here never
+        # counted a step; the single sink-less digraph is searched exhaustively.
+        r = run_cli("search-ratio", "--n", "2", "--budget", budget, timeout=30)
+        assert r.returncode == 0
+        doc = json.loads(r.stdout)
+        assert doc["config"]["mode"] == "exhaustive"
+        assert doc["instances_generated"] == 1
 
     def test_budget_zero(self):
         r = run_cli("search-ratio", "--n", "6", "--budget", "0")

@@ -617,6 +617,17 @@ class TestExtremalRatioSearch:
         top = report.extremal["max_girth_psi_ratio"]
         assert top["ratio"] == {"num": 1, "den": 1}  # the digon: g = 2, psi = 2
 
+    @pytest.mark.parametrize("n, population", [(2, 1), (3, 27), (4, 2401)])
+    def test_exhaustive_once_the_sinkless_population_fits(self, n, population):
+        # (2^(n-1) - 1)^n sink-less digraphs; the code space 2^(n(n-1)) is larger.
+        at = extremal_ratio_search(n, population)
+        assert at.config["mode"] == "exhaustive"
+        assert at.instances_generated == population
+        if population > 1:
+            below = extremal_ratio_search(n, population - 1)
+            assert below.config["mode"] == "hill-climb"
+            assert below.instances_generated == population - 1
+
     def test_budget_zero_reports_nothing(self):
         report = extremal_ratio_search(5, 0)
         assert report.extremal == {} and report.instances_generated == 0

@@ -1,4 +1,5 @@
-"""The import graph keeps oracles and validators apart from what they check."""
+"""The import graph keeps oracles and validators apart from what they check,
+and every module imports at its top, only what it uses."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,58 @@ def test_scanner_sees_lazy_and_absolute_imports(tmp_path):
     )
     assert package_imports(src) == {"digraph", "oracles", "rainbow", "harness"}
 
+
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+# (module, package module it imports inside a function): certificates needs
+# the girth search of oracles, which imports certificates at its top.
+LAZY_ALLOWED = {("certificates", "oracles")}
+
+
+def imported_names(tree):
+    """The names a module's imports bind, except __future__ features."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+
+
+def lazy_imports(tree):
+    """The modules imported inside a function body, as written after the dots."""
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    found.add(node.module or "")
+                elif isinstance(node, ast.Import):
+                    found.update(a.name for a in node.names)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert [name for name in imported_names(tree) if name not in used] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imports_are_at_module_top(path):
+    lazy = {(path.stem, m) for m in lazy_imports(ast.parse(path.read_text()))}
+    assert lazy <= LAZY_ALLOWED
+
+
+def test_scanners_see_unused_and_lazy_imports():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Any, Iterator as It\n"
+        "x: Any = os.sep\n"
+        "def f():\n"
+        "    from .formats import format_digraph\n"
+        "    import json\n"
+    )
+    assert list(imported_names(tree)) == ["os", "Any", "It", "format_digraph", "json"]
+    assert lazy_imports(tree) == {"formats", "json"}

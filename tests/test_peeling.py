@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cyclecert.certificates import BOUND_TWO_PHI, validate_cycle
 from cyclecert.digraph import Digraph, is_sinkless, is_union_of_cycles, remove_vertex
 from cyclecert import peeling
-from cyclecert.errors import EmptyGraph, GraphInputError, LemmaViolation, NotSinkless, SinkPresent
+from cyclecert.errors import EmptyGraph, LemmaViolation, NotSinkless, SinkPresent
 from cyclecert.harness import enumerate_digraphs
 from cyclecert.oracles import girth_exact
 from cyclecert.peeling import (
@@ -158,15 +158,6 @@ class TestPeel:
         assert tr.steps == ((3, Fraction(3, 2)),)
         assert tr.terminal_vertices == (0, 1, 2)
 
-    def test_choice_hook_steers_the_run(self):
-        tr = peel(BI_TRIANGLE, choose=lambda alive, elig: elig[-1])
-        assert tr.steps[0][0] == 2
-        assert tr.terminal_vertices == (0, 1)
-
-    def test_choice_hook_must_pick_eligible(self):
-        with pytest.raises(GraphInputError):
-            peel(BI_TRIANGLE, choose=lambda alive, elig: -1)
-
     def test_trace_json_shape(self):
         doc = peel(BI_TRIANGLE).to_json_dict()
         assert doc["phi_initial"] == {"num": 1, "den": 1}
@@ -292,14 +283,14 @@ class TestPeelMemo:
         assert all(0 in key for key in memo)
 
     def test_stuck_run_stores_nothing(self, monkeypatch):
-        eligible = peeling._PeelState.eligible
+        first_eligible = peeling._PeelState.first_eligible
 
-        def stuck_after_first_removal(self, stop_at_first):
+        def stuck_after_first_removal(self):
             if self.alive != (1 << len(self.out)) - 1:
-                return []
-            return eligible(self, stop_at_first)
+                return None
+            return first_eligible(self)
 
-        monkeypatch.setattr(peeling._PeelState, "eligible", stuck_after_first_removal)
+        monkeypatch.setattr(peeling._PeelState, "first_eligible", stuck_after_first_removal)
         memo = {}
         k4 = Digraph(4, [(u, v) for u in range(4) for v in range(4) if u != v])
         with pytest.raises(LemmaViolation):

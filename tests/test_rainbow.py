@@ -36,6 +36,7 @@ class TestGreedySubgraph:
     def test_vertex_and_color_sets_are_built_once(self):
         h = build_greedy_subgraph(CHAIN, 0)
         assert h.vertices is h.vertices and h.colors is h.colors
+        assert h.incident is h.incident
         twin = GreedySubgraph(h.seed_color, h.seed_edge, h.attachments)
         # Cached sets play no part in equality, hashing or the repr.
         assert h == twin and hash(h) == hash(twin) and repr(h) == repr(twin)
@@ -54,6 +55,7 @@ class TestGreedySubgraph:
             ((2, 3), 2),
         ]
         assert h.forbidden_turns() == {2: (1, 2), 3: (3, 4)}
+        assert h.incident == {0: [0, 1, 3], 1: [0, 2], 2: [1, 2, 4], 3: [3, 4]}
 
     def test_growth_stops_without_candidates(self):
         # family 1 attaches 3; family 2 hangs off vertex 4, outside the
