@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .digraph import Digraph
+from .digraph import Digraph, in_masks_of
 from .families import Edge, RainbowInstance, normalize_edge
 
 # Bound kinds a cycle certificate may carry.  The bound is a promise:
@@ -56,45 +57,55 @@ class RainbowCycleCertificate:
         return len(self.steps)
 
 
-def _bound_holds(d: Digraph, cert: CycleCertificate) -> bool:
-    """Whether cert's stated bound is the one its kind gives on d.
+def _bound_holds(n: int, out: Sequence[int], cert: CycleCertificate) -> bool:
+    """Whether cert's stated bound is the one its kind gives on the
+    digraph with these out-masks.
 
     phi is summed here on its own, sharing no code with the peeling that
     produces two-phi certificates, and compared in integers.
     """
     kind, bound = cert.bound_kind, cert.bound
-    degs = d.out_deg
     if kind == BOUND_TWO_PHI:
-        den = math.lcm(*{deg + 1 for deg in degs})
-        two_phi = 2 * sum(den // (deg + 1) for deg in degs)
+        terms = [m.bit_count() + 1 for m in out]
+        den = math.lcm(*terms)
+        two_phi = 2 * sum([den // t for t in terms])
         return bound.numerator * den == two_phi * bound.denominator
     if kind == BOUND_CEIL_N_PLUS_P:
+        degs = [m.bit_count() for m in out]
         if any(deg not in (1, 2) for deg in degs):
             return False
-        return bound == (d.n + degs.count(1) + 1) // 2
+        return bound == (n + degs.count(1) + 1) // 2
     if kind == BOUND_EXACT_LENGTH:
         return bound == cert.length
     from .oracles import _girth_masks  # BOUND_EXACT_GIRTH: the true girth
 
-    hit = _girth_masks(d.n, d.out_masks, d.in_masks)
+    hit = _girth_masks(n, out, in_masks_of(out))
     return hit is not None and bound == hit[0]
 
 
-def validate_cycle(d: Digraph, cert: CycleCertificate) -> bool:
-    """True iff cert is a genuine directed cycle of d within its bound, and
-    that bound is the one its kind gives on d."""
+def validate_cycle_masks(n: int, out: Sequence[int], cert: CycleCertificate) -> bool:
+    """True iff cert is a genuine directed cycle of the digraph on n
+    vertices with out-masks out, within its bound, and that bound is the
+    one its kind gives there."""
     if cert.bound_kind not in BOUND_KINDS:
         return False
     vs = cert.vertices
     k = len(vs)
-    if k < 2 or len(set(vs)) != k:
+    if k < 2 or len(set(vs)) != k or min(vs) < 0 or max(vs) >= n:
         return False
-    if any(not 0 <= v < d.n for v in vs):
-        return False
-    if any(not d.has_arc(vs[i], vs[(i + 1) % k]) for i in range(k)):
-        return False
+    prev = vs[-1]
+    for v in vs:
+        if not out[prev] >> v & 1:
+            return False
+        prev = v
     bound = cert.bound
-    return k * bound.denominator <= bound.numerator and _bound_holds(d, cert)
+    return k * bound.denominator <= bound.numerator and _bound_holds(n, out, cert)
+
+
+def validate_cycle(d: Digraph, cert: CycleCertificate) -> bool:
+    """True iff cert is a genuine directed cycle of d within its bound, and
+    that bound is the one its kind gives on d (see validate_cycle_masks)."""
+    return validate_cycle_masks(d.n, d.out_masks, cert)
 
 
 def _walk_vertices(steps: tuple[tuple[Edge, int], ...]) -> list[int] | None:

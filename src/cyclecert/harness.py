@@ -24,7 +24,13 @@ from fractions import Fraction
 from operator import or_
 from typing import Any, Callable, Iterator, NamedTuple, Sequence, Union
 
-from .certificates import RainbowCycleCertificate, validate_cycle, validate_rainbow_cycle
+from .certificates import (
+    CycleCertificate,
+    RainbowCycleCertificate,
+    validate_cycle,
+    validate_cycle_masks,
+    validate_rainbow_cycle,
+)
 from .digraph import Digraph, in_masks_of
 from .errors import (
     CapExceeded,
@@ -49,6 +55,7 @@ from .oracles import (
     two_cycles_min_intersection,
 )
 from .peeling import (
+    BlockPeeler,
     PeelMemo,
     _gains,
     _phi_scaled,
@@ -91,8 +98,8 @@ ALL_CHECKS = DIGRAPH_CHECKS + RAINBOW_CHECKS
 
 _FILTERS = ("none", "sinkless", "strong")
 
-# How often, in indices, the girth table and the fast pair scan are checked
-# against a search from scratch (see _Block.recheck).
+# How often, in indices, the girth table, the fast pair scan and the block
+# peel are checked against a search or run from scratch (see _Block.recheck).
 _CROSS_CHECK_EVERY = 100_000
 
 
@@ -232,12 +239,13 @@ class _Block:
 
     The tail's degrees are taken once.  The per-choice tables p, deg2,
     phi, psi and girth are built on first read, each over every choice;
-    out, inn and the Digraph only for the r a check asks about.
+    out, inn and the Digraph only for the r a check asks about, each time
+    it asks.
     """
 
     __slots__ = (
         "head", "n", "base", "tail", "kept", "degs",
-        "_tail_inn", "_p", "_deg2", "_phi", "_psi", "_girth", "_digraphs",
+        "_tail_inn", "_p", "_deg2", "_phi", "_psi", "_girth",
     )
 
     def __init__(
@@ -256,7 +264,6 @@ class _Block:
         self._phi: list[int] | None = None
         self._psi: list[int | None] | None = None
         self._girth: list[int | None] | None = None
-        self._digraphs: dict[int, Digraph] = {}
 
     def out(self, r: int) -> tuple[int, ...]:
         return (self.head.first[r],) + self.tail
@@ -268,10 +275,7 @@ class _Block:
         return (*map(or_, self.tail_inn, self.head.cols[r]),)
 
     def digraph(self, r: int) -> Digraph:
-        d = self._digraphs.get(r)
-        if d is None:
-            d = self._digraphs[r] = Digraph.from_out_masks(self.n, self.out(r), self.inn(r))
-        return d
+        return Digraph.from_out_masks(self.n, self.out(r), self.inn(r))
 
     def text(self, r: int) -> str:
         return format_digraph(self.digraph(r))
@@ -666,22 +670,36 @@ def _check_eq1(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
 
 
 def _check_two_phi(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
-    scale, phi, girth = b.head.scale, b.phi, b.girth
+    # One peeler serves the block: the choices that remove vertex 0 first
+    # share one peel of D - 0 (see peeling.BlockPeeler).
+    n, scale, phi, girth, first = b.n, b.head.scale, b.phi, b.girth, b.head.first
+    peeler = BlockPeeler(n, b.tail, b.tail_inn, acc.peel_memo)
+    again = b.recheck()
     for r in rs:
         g, phi_m = girth[r], phi[r]
         if g is None or g * scale > 2 * phi_m:
             yield r, f"girth {g} exceeds 2 phi = {2 * phi_m}/{scale}"
             continue
-        d = b.digraph(r)
         try:
-            cert = short_cycle_via_peeling(d, acc.peel_memo)
+            cert = peeler.certificate(first[r])
         except CounterexampleFound as exc:
             yield r, f"{type(exc).__name__}: {exc}"
             continue
-        if not validate_cycle(d, cert):
+        if not validate_cycle_masks(n, b.out(r), cert):
             yield r, ("peeling produced an invalid certificate", cycle_cert_json(cert))
+        elif r == again and not _peels_alike(b.digraph(r), cert):
+            yield r, ("block peeling and a run from scratch disagree", cycle_cert_json(cert))
         elif g * scale == 2 * phi_m:
             acc.offer_tight(b, r)
+
+
+def _peels_alike(d: Digraph, cert: CycleCertificate) -> bool:
+    """Whether a run from scratch on d, with no memo, gives cert, and
+    validate_cycle accepts it on d."""
+    try:
+        return short_cycle_via_peeling(d) == cert and validate_cycle(d, cert)
+    except CounterexampleFound:
+        return False
 
 
 def _check_two_psi_strict(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:

@@ -159,13 +159,13 @@ class _PeelState:
 
     __slots__ = ("scale", "gains", "out", "inn", "deg", "alive")
 
-    def __init__(self, d: Digraph):
-        self.scale = _scale(d.n)
-        self.gains = _gains(d.n, max(d.out_deg, default=0))
-        self.out = list(d.out_masks)
-        self.inn = list(d.in_masks)
-        self.deg = list(d.out_deg)
-        self.alive = (1 << d.n) - 1
+    def __init__(self, n: int, out: Sequence[int], inn: Sequence[int], deg: Sequence[int]):
+        self.scale = _scale(n)
+        self.gains = _gains(n, max(deg, default=0))
+        self.out = list(out)
+        self.inn = list(inn)
+        self.deg = list(deg)
+        self.alive = (1 << n) - 1
 
     def is_union_of_cycles(self) -> bool:
         """Every live out-degree is 1 and the out-masks cover the live set,
@@ -217,12 +217,14 @@ class _PeelState:
         return Digraph.from_out_masks(len(keep), out), tuple(keep)
 
 
-def _require_sinkless_nonempty(d: Digraph) -> None:
+def _start(d: Digraph) -> _PeelState:
+    """The state a peeling run of d begins in; d must be sink-less and nonempty."""
     if d.n == 0:
         raise EmptyGraph("peeling needs at least one vertex")
     for v in range(d.n):
         if d.out_deg[v] == 0:
             raise NotSinkless(f"sink at vertex {v}")
+    return _PeelState(d.n, d.out_masks, d.in_masks, d.out_deg)
 
 
 def _lemma_violation(state: _PeelState) -> LemmaViolation:
@@ -234,33 +236,31 @@ def _lemma_violation(state: _PeelState) -> LemmaViolation:
 
 
 def _run_peel(
-    d: Digraph, memo: PeelMemo | None = None
-) -> tuple[_PeelState, int, list[tuple[int, int]], tuple[int, ...]]:
-    """Peel to the terminal union of cycles.
+    state: _PeelState, memo: PeelMemo | None = None, removed: bool = False
+) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
+    """Peel state on to the terminal union of cycles.
 
-    Returns (final state, initial scaled phi, steps as (vertex, scaled
-    phi after removal), shortest terminal cycle).  phi is carried
-    through (1): deleting v changes it by rhs(v) - lhs(v).  Each round
-    removes the smallest eligible vertex.  A stuck run would refute the
-    averaging argument and raises LemmaViolation.
+    Returns the steps, as (vertex, scaled phi drop on removing it), and
+    the shortest terminal cycle.  Each round removes the smallest
+    eligible vertex; its drop is lhs(v) - rhs(v) of (1).  A stuck run
+    would refute the averaging argument and raises LemmaViolation.
+    removed says that state has already lost a vertex, so the run is
+    the rest of one begun earlier.
 
     memo maps the live out-masks of a state reached after at least one
     removal to the shortest terminal cycle of the run from there.  The
     rest of a run depends on those out-masks alone: degrees, in-masks,
     the live set (every live vertex keeps an out-arc), the protected set
     and, through their number, the scale all follow from them.  On a hit
-    the run stops, so the state and steps returned cover only the part
-    walked.  A run stores the states it walked only once it has
-    finished, so a stuck run stores nothing, and it never looks up or
-    stores its initial state, of which a sweep has one per digraph.
+    the run stops, so the state and steps cover only the part walked.  A
+    run stores the states it walked only once it has finished, so a
+    stuck run stores nothing, and it never looks up or stores the state
+    a digraph begins in, of which a sweep has one per digraph.
     """
-    _require_sinkless_nonempty(d)
-    state = _PeelState(d)
-    phi0 = phi_m = _phi_scaled(state.scale, d.out_deg)
     steps: list[tuple[int, int]] = []
     walked: list[tuple[int, ...]] = []
     while True:
-        if memo is not None and steps:
+        if memo is not None and (removed or steps):
             key = tuple(state.out)
             cyc = memo.get(key)
             if cyc is not None:
@@ -272,37 +272,41 @@ def _run_peel(
         found = state.first_eligible()
         if found is None:
             raise _lemma_violation(state)
-        v, drop = found
-        state.remove(v)
-        phi_m -= drop
-        steps.append((v, phi_m))
+        state.remove(found[0])
+        steps.append(found)
     for key in walked:
         if len(memo) >= PEEL_MEMO_CAP:
             memo.clear()
         memo[key] = cyc
-    return state, phi0, steps, cyc
+    return steps, cyc
 
 
 def peel_step(d: Digraph) -> int | None:
     """The first vertex a peeling run removes: the smallest one
     whose removal keeps phi non-increasing and the digraph sink-less, or
     None when d is already a union of cycles."""
-    steps = _run_peel(d)[2]
+    steps = _run_peel(_start(d))[0]
     return steps[0][0] if steps else None
 
 
 def peel(d: Digraph) -> PeelingTrace:
     """Peel d down to a union of cycles, recording every step; each step
     removes the smallest eligible vertex."""
-    state, phi0, steps, cyc = _run_peel(d)
+    state = _start(d)
     m = state.scale
+    phi0 = phi_m = _phi_scaled(m, d.out_deg)
+    steps, cyc = _run_peel(state)
+    trace = []
+    for v, drop in steps:
+        phi_m -= drop
+        trace.append((v, Fraction(phi_m, m)))
     terminal, labels = state.alive_digraph()
     return PeelingTrace(
         initial_phi=Fraction(phi0, m),
-        steps=tuple((v, Fraction(ph, m)) for v, ph in steps),
+        steps=tuple(trace),
         terminal=terminal,
         terminal_vertices=labels,
-        certificate=_certificate(d, m, phi0, cyc),
+        certificate=_certificate(d.n, d.out_masks, m, phi0, cyc),
     )
 
 
@@ -330,12 +334,15 @@ def _terminal_shortest_cycle(state: _PeelState) -> tuple[int, ...]:
     return tuple(best)
 
 
-def _certificate(d: Digraph, scale: int, phi0: int, cyc: tuple[int, ...]) -> CycleCertificate:
-    """The certificate for a run's shortest terminal cycle, bounded by 2 phi(d)."""
+def _certificate(
+    n: int, out: Sequence[int], scale: int, phi0: int, cyc: tuple[int, ...]
+) -> CycleCertificate:
+    """The certificate for a run's shortest terminal cycle on the digraph
+    with these out-masks, bounded by 2 phi, which is phi0 / scale."""
     if len(cyc) * scale > 2 * phi0:
         raise BoundViolation(
             f"peeled cycle length {len(cyc)} exceeds 2 phi = {Fraction(2 * phi0, scale)} on:\n"
-            + format_digraph(d)
+            + format_digraph(Digraph.from_out_masks(n, out))
         )
     return CycleCertificate(cyc, Fraction(2 * phi0, scale), BOUND_TWO_PHI)
 
@@ -350,5 +357,74 @@ def short_cycle_via_peeling(
     earlier run passed through reuse its outcome; it holds at most
     PEEL_MEMO_CAP entries and gives the same certificates as no memo.
     """
-    state, phi0, _, cyc = _run_peel(d, memo)
-    return _certificate(d, state.scale, phi0, cyc)
+    state = _start(d)
+    cyc = _run_peel(state, memo)[1]
+    return _certificate(d.n, d.out_masks, state.scale, _phi_scaled(state.scale, d.out_deg), cyc)
+
+
+class BlockPeeler:
+    """short_cycle_via_peeling over a block: the digraphs (h,) + tail on
+    n vertices, which share the out-masks tail of vertices 1..n-1 and
+    differ in vertex 0's out-mask h.  tail_inn is in_masks_of((0,) + tail).
+
+    The policy tries vertex 0 first.  Whether 0 is protected (some tail
+    out-mask is {0}) and the right side of (1) at 0 (tail_inn[0] read
+    with the tail's degrees) are the same for every h, and the left side
+    1/(deg0 + 1) falls as deg0 rises, so 0 is removed first exactly when
+    deg0 is at most one threshold per block.  A digraph that is already a
+    union of cycles removes nothing, but there 0's one in-neighbor has
+    out-mask {0}, so 0 is protected and such a digraph peels on its own.
+    Every digraph that removes 0 first is then in the same state, D - 0,
+    which is peeled once, through memo like any run, and serves them
+    all.  Each digraph still gets its own certificate, bounded by 2 phi
+    of its own degrees: the one short_cycle_via_peeling(d, memo) gives.
+    """
+
+    __slots__ = ("n", "tail", "tail_inn", "memo", "scale", "degs", "tail_phi", "zero_first", "_rest")
+
+    def __init__(
+        self, n: int, tail: tuple[int, ...], tail_inn: Sequence[int], memo: PeelMemo | None = None
+    ) -> None:
+        if 0 in tail:
+            raise NotSinkless(f"sink at vertex {tail.index(0) + 1}")
+        self.n, self.tail, self.tail_inn, self.memo = n, tail, tail_inn, memo
+        self.scale = scale = _scale(n)
+        # Out-degrees of (0,) + tail; vertex 0's own is h.bit_count().
+        self.degs = degs = (0, *[m.bit_count() for m in tail])
+        self.tail_phi = _phi_scaled(scale, degs[1:])
+        # The vertex-0 out-degrees whose digraphs remove vertex 0 first.
+        self.zero_first = range(0)
+        if 1 not in tail:  # else some tail vertex's only out-arc enters 0
+            rhs0 = _rhs_scaled(_gains(n, max(degs)), degs, tail_inn[0])
+            top = max((d for d in range(1, n) if scale // (d + 1) >= rhs0), default=0)
+            self.zero_first = range(1, top + 1)
+        # The shortest terminal cycle of D - 0, or the LemmaViolation its run raised.
+        self._rest: tuple[int, ...] | LemmaViolation | None = None
+
+    def certificate(self, h: int) -> CycleCertificate:
+        """short_cycle_via_peeling of the digraph (h,) + tail, with memo."""
+        if h == 0:
+            raise NotSinkless("sink at vertex 0")
+        deg0 = h.bit_count()
+        if deg0 in self.zero_first:
+            if self._rest is None:
+                state = self._state(h, deg0)
+                state.remove(0)
+                try:
+                    self._rest = _run_peel(state, self.memo, removed=True)[1]
+                except LemmaViolation as exc:
+                    self._rest = exc
+            if isinstance(self._rest, LemmaViolation):
+                raise self._rest
+            cyc = self._rest
+        else:
+            cyc = _run_peel(self._state(h, deg0), self.memo)[1]
+        phi0 = self.tail_phi + self.scale // (deg0 + 1)
+        return _certificate(self.n, (h, *self.tail), self.scale, phi0, cyc)
+
+    def _state(self, h: int, deg0: int) -> _PeelState:
+        """The state a run of the digraph (h,) + tail begins in."""
+        inn = list(self.tail_inn)
+        for v in bits(h):
+            inn[v] |= 1
+        return _PeelState(self.n, (h, *self.tail), inn, (deg0, *self.degs[1:]))

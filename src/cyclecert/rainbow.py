@@ -51,7 +51,8 @@ class GreedySubgraph:
     ids 1 + 2i (x-a) and 2 + 2i (x-b).  The (x-a, x-b) id pair at x is
     a forbidden turn: a path entering x by one may not leave by the
     other, because both edges carry the same color.  Its vertex and
-    color sets and incidence lists are built once, on first use.
+    color sets, edge list, forbidden turns and incidence lists are built
+    once, on first use; callers must not change them.
     """
 
     seed_color: int
@@ -86,14 +87,22 @@ class GreedySubgraph:
 
     def edges(self) -> list[tuple[Edge, int]]:
         """All edges with colors, indexed by edge id."""
+        return self._edges
+
+    def forbidden_turns(self) -> dict[int, tuple[int, int]]:
+        """Per attachment vertex x, the pair of same-color edge ids at x."""
+        return self._turns
+
+    @cached_property
+    def _edges(self) -> list[tuple[Edge, int]]:
         out = [(self.seed_edge, self.seed_color)]
         for x, a, b, c in self.attachments:
             out.append((normalize_edge((x, a)), c))
             out.append((normalize_edge((x, b)), c))
         return out
 
-    def forbidden_turns(self) -> dict[int, tuple[int, int]]:
-        """Per attachment vertex x, the pair of same-color edge ids at x."""
+    @cached_property
+    def _turns(self) -> dict[int, tuple[int, int]]:
         return {
             x: (1 + 2 * i, 2 + 2 * i)
             for i, (x, _, _, _) in enumerate(self.attachments)
@@ -159,34 +168,43 @@ def _brute_shortest_rainbow_path(
 ) -> list[tuple[Edge, int]] | None:
     """Exact shortest simple rainbow path u -> v in H, by DFS over all paths."""
     edges = h.edges()
-    incident = h.incident
-    best: list[int] | None = None
-
-    def dfs(w: int, used_v: set[int], used_c: set[int], trail: list[int]) -> None:
-        nonlocal best
-        if w == v:
-            if best is None or len(trail) < len(best):
-                best = list(trail)
-            return
-        if best is not None and len(trail) + 1 >= len(best):
-            return
-        for eid in incident[w]:
-            e, c = edges[eid]
-            nxt = e[1] if e[0] == w else e[0]
-            if nxt in used_v or c in used_c:
-                continue
-            used_v.add(nxt)
-            used_c.add(c)
-            trail.append(eid)
-            dfs(nxt, used_v, used_c, trail)
-            trail.pop()
-            used_v.discard(nxt)
-            used_c.discard(c)
-
-    dfs(u, {u}, set(), [])
+    best = _rainbow_dfs(edges, h.incident, v, u, {u}, set(), [], None)
     if best is None:
         return None
     return [edges[eid] for eid in best]
+
+
+def _rainbow_dfs(
+    edges: list[tuple[Edge, int]],
+    incident: dict[int, list[int]],
+    v: int,
+    w: int,
+    used_v: set[int],
+    used_c: set[int],
+    trail: list[int],
+    best: list[int] | None,
+) -> list[int] | None:
+    """Extend the trail of edge ids, which has reached w on the vertices
+    used_v in the colors used_c, by each edge at w to an unused vertex in
+    an unused color.  Returns the shortest trail to v known: best, the
+    shortest found before, or a shorter one found here."""
+    if w == v:
+        return list(trail) if best is None or len(trail) < len(best) else best
+    if best is not None and len(trail) + 1 >= len(best):
+        return best
+    for eid in incident[w]:
+        e, c = edges[eid]
+        nxt = e[1] if e[0] == w else e[0]
+        if nxt in used_v or c in used_c:
+            continue
+        used_v.add(nxt)
+        used_c.add(c)
+        trail.append(eid)
+        best = _rainbow_dfs(edges, incident, v, nxt, used_v, used_c, trail, best)
+        trail.pop()
+        used_v.discard(nxt)
+        used_c.discard(c)
+    return best
 
 
 def rainbow_path_in_subgraph(

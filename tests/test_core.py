@@ -1,18 +1,23 @@
 """Digraph and rainbow-instance basics, plus certificate validation."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cyclecert import certificates
 from cyclecert.certificates import (
     BOUND_CEIL_N_PLUS_P,
     BOUND_EXACT_GIRTH,
     BOUND_EXACT_LENGTH,
+    BOUND_KINDS,
     BOUND_TWO_PHI,
     CycleCertificate,
     RainbowCycleCertificate,
     validate_cycle,
+    validate_cycle_masks,
     validate_rainbow_cycle,
 )
 from cyclecert.digraph import (
@@ -25,7 +30,8 @@ from cyclecert.digraph import (
 )
 from cyclecert.errors import GraphInputError
 from cyclecert.families import RainbowInstance, normalize_edge
-from cyclecert.oracles import enumerate_cycles
+from cyclecert.oracles import enumerate_cycles, girth_exact
+from cyclecert.peeling import short_cycle_via_peeling
 
 TRIANGLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 C4 = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -240,6 +246,127 @@ class TestCycleValidation:
     def test_enumerated_cycles_always_validate(self, d):
         for cert in enumerate_cycles(d):
             assert validate_cycle(d, cert)
+
+
+def honest(d, cert, cycles, girth):
+    """Whether cert is valid by definition: up to rotation its vertices are
+    one of cycles (vertex tuples as enumerate_cycles gives them), and its
+    bound is the one its kind names on d, girth being d's, and no shorter
+    than the cycle."""
+    vs = cert.vertices
+    if not any(vs[i:] + vs[:i] in cycles for i in range(len(vs))):
+        return False
+    degs = d.out_deg
+    want = {
+        BOUND_TWO_PHI: 2 * sum(Fraction(1, k + 1) for k in degs),
+        BOUND_EXACT_LENGTH: len(vs),
+        BOUND_EXACT_GIRTH: girth,
+        BOUND_CEIL_N_PLUS_P: (d.n + degs.count(1) + 1) // 2 if set(degs) <= {1, 2} else None,
+    }.get(cert.bound_kind)
+    return want is not None and cert.bound == want and len(vs) <= want
+
+
+def mutants(cert, n):
+    """Each single-step mutation of cert on n vertices, by family."""
+    vs, bound, kind = cert.vertices, cert.bound, cert.bound_kind
+    k = len(vs)
+    seqs = {"drop": [], "repeat": [], "replace": [], "swap": [], "out-of-range": []}
+    for i in range(k):
+        seqs["drop"].append(vs[:i] + vs[i + 1 :])
+        seqs["repeat"].append(vs[: i + 1] + vs[i:])
+        seqs["replace"] += [vs[:i] + (w,) + vs[i + 1 :] for w in range(n) if w not in vs]
+        seqs["out-of-range"] += [vs[:i] + (w,) + vs[i + 1 :] for w in (-1, n)]
+        # Two vertices trade places; on a 2-cycle that is a rotation.
+        for j in range(i + 1, k if k > 2 else 0):
+            t = list(vs)
+            t[i], t[j] = t[j], t[i]
+            seqs["swap"].append(tuple(t))
+    out = {f: [CycleCertificate(t, bound, kind) for t in ts] for f, ts in seqs.items()}
+    step = Fraction(1, math.lcm(*range(1, n + 1)))
+    out["bound"] = [CycleCertificate(vs, bound + s, kind) for s in (step, -step)]
+    out["kind"] = [CycleCertificate(vs, bound, other) for other in sorted(BOUND_KINDS - {kind})]
+    out["kind"].append(CycleCertificate(vs, bound, "no-such-kind"))
+    return out
+
+
+class TestCycleValidationOnMasks:
+    """validate_cycle_masks, the one validator body, reads the digraph as
+    out-masks alone."""
+
+    @staticmethod
+    def sinkless(max_n):
+        for n in range(1, max_n + 1):
+            for d in all_digraphs(n):
+                if is_sinkless(d):
+                    cycles = {c.vertices for c in enumerate_cycles(d)}
+                    yield d, cycles, girth_exact(d)[0]
+
+    def test_every_mutation_of_a_two_phi_certificate_fails(self):
+        # Over the peeled certificate of every sink-less digraph with n <= 4,
+        # each mutant validates exactly when it is honest.  None is after a
+        # dropped, repeated, swapped or out-of-range vertex, or a bound off
+        # by 1/lcm(1..n).  A vertex replaced by one off the cycle can give
+        # another cycle of d, and another kind can name the same bound (on
+        # a union of cycles, 2 phi is the order, as is ceil((n + p) / 2)).
+        tally = {}
+        for d, cycles, girth in self.sinkless(4):
+            cert = short_cycle_via_peeling(d)
+            assert validate_cycle_masks(d.n, d.out_masks, cert)
+            for family, ms in mutants(cert, d.n).items():
+                for m in ms:
+                    ok = validate_cycle_masks(d.n, d.out_masks, m)
+                    assert ok == honest(d, m, cycles, girth), (d, m)
+                    seen, passed = tally.get(family, (0, 0))
+                    tally[family] = (seen + 1, passed + ok)
+        assert tally == {
+            "drop": (5088, 0),
+            "repeat": (5088, 0),
+            "replace": (9414, 1972),
+            "swap": (690, 0),
+            "out-of-range": (10176, 0),
+            "bound": (4858, 0),
+            "kind": (9716, 469),
+        }
+
+    def test_agrees_with_validate_cycle(self):
+        # Every cycle of every sink-less digraph with n <= 3, reversed too,
+        # under every kind and every bound some kind could name.
+        checked = 0
+        for d, cycles, girth in self.sinkless(3):
+            p = d.out_deg.count(1)
+            bounds = {2 * sum(Fraction(1, k + 1) for k in d.out_deg), (d.n + p + 1) // 2, girth}
+            for vs in cycles:
+                for seq in (vs, vs[::-1]):
+                    for b in bounds | {len(seq), len(seq) - 1}:
+                        for kind in sorted(BOUND_KINDS):
+                            cert = CycleCertificate(seq, Fraction(b), kind)
+                            ok = validate_cycle_masks(d.n, d.out_masks, cert)
+                            assert ok == validate_cycle(d, cert) == honest(d, cert, cycles, girth)
+                            checked += ok
+        assert checked > 0
+
+    def test_closed_walks_that_revisit_a_vertex_fail(self):
+        # Every vertex sequence of length 2-4 on every sink-less digraph
+        # with n <= 3, under the kind whose bound is the length itself.
+        revisits = 0
+        for d, cycles, girth in self.sinkless(3):
+            for k in (2, 3, 4):
+                for seq in itertools.product(range(d.n), repeat=k):
+                    cert = CycleCertificate(seq, Fraction(k), BOUND_EXACT_LENGTH)
+                    ok = validate_cycle_masks(d.n, d.out_masks, cert)
+                    assert ok == honest(d, cert, cycles, girth)
+                    closed = all(d.has_arc(seq[i - 1], seq[i]) for i in range(k))
+                    revisits += closed and len(set(seq)) < k
+        assert revisits == 122
+
+    def test_in_masks_only_for_the_girth(self, monkeypatch):
+        calls = []
+        derive = certificates.in_masks_of
+        monkeypatch.setattr(certificates, "in_masks_of", lambda out: calls.append(out) or derive(out))
+        assert validate_cycle_masks(4, C4.out_masks, short_cycle_via_peeling(C4))
+        assert calls == []
+        assert validate_cycle_masks(4, C4.out_masks, girth_exact(C4)[1])
+        assert calls == [C4.out_masks]
 
 
 class TestRainbowValidation:

@@ -1,5 +1,6 @@
 """Enumeration generators, the verification suite driver, and the ratio search."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -232,7 +233,8 @@ class TestPairScan:
 
 class TestCrossChecks:
     """Once per block holding a multiple of _CROSS_CHECK_EVERY, the sweep
-    checks the girth table and the pair scan against searches from scratch."""
+    checks the girth table, the pair scan and the block peel against
+    searches and runs from scratch."""
 
     @staticmethod
     def off_by_one(*args):
@@ -272,6 +274,26 @@ class TestCrossChecks:
         res = _run_shard(SuiteConfig(5, 5, "labeled", ("two-cycles",)), 5, 100_000, 100_016)
         assert res["checked"] == res["passed"]
         assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)]
+
+    def test_block_peel_is_run_again_from_scratch(self, monkeypatch):
+        # 100,001 is peeled again, with no memo, and validated on its Digraph.
+        calls = []
+        peel = harness.short_cycle_via_peeling
+        monkeypatch.setattr(
+            harness, "short_cycle_via_peeling", lambda d: calls.append(d) or peel(d)
+        )
+        cfg = SuiteConfig(5, 5, "labeled", ("two-phi",))
+        res = _run_shard(cfg, 5, 100_000, 100_016)
+        assert res["checked"] == res["passed"] == {"two-phi": 15}
+        assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)]
+        # A run from scratch that differs is a violation at that index.
+        monkeypatch.setattr(
+            harness, "short_cycle_via_peeling", lambda d: dataclasses.replace(peel(d), vertices=())
+        )
+        res = _run_shard(cfg, 5, 100_000, 100_016)
+        assert [(v["index"], v["message"]) for v in res["violations"]] == [
+            (100_001, "block peeling and a run from scratch disagree")
+        ]
 
 
 def fail_on_odd(x, rs, acc):

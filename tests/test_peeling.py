@@ -1,6 +1,7 @@
 """Potential functions and the peeling procedure, checked exactly."""
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclecert.certificates import BOUND_TWO_PHI, validate_cycle
-from cyclecert.digraph import Digraph, is_sinkless, is_union_of_cycles, remove_vertex
-from cyclecert import peeling
+from cyclecert.digraph import Digraph, in_masks_of, is_sinkless, is_union_of_cycles, remove_vertex
+from cyclecert import harness, peeling
 from cyclecert.errors import EmptyGraph, LemmaViolation, NotSinkless, SinkPresent
-from cyclecert.harness import enumerate_digraphs
+from cyclecert.harness import SuiteConfig, _run_shard, enumerate_digraphs, run_suite
 from cyclecert.oracles import girth_exact
 from cyclecert.peeling import (
+    BlockPeeler,
     eq1_terms,
     peel,
     peel_step,
@@ -303,3 +305,124 @@ class TestPeelMemo:
         for d in sinkless_up_to_4():
             assert short_cycle_via_peeling(d, memo) == short_cycle_via_peeling(d)
             assert len(memo) <= 7
+
+
+def record_two_phi_certificates(monkeypatch):
+    """(n, out-masks, certificate) of each instance whose certificate the
+    harness's two-phi check validates from here on, in sweep order."""
+    seen = []
+    validate = harness.validate_cycle_masks
+
+    def recording(n, out, cert):
+        seen.append((n, out, cert))
+        return validate(n, out, cert)
+
+    monkeypatch.setattr(harness, "validate_cycle_masks", recording)
+    return seen
+
+
+def count_peel_runs(monkeypatch):
+    """The removed flag of every peeling run from here on: True for a run
+    that continues from a state that has already lost a vertex."""
+    runs = []
+    run = peeling._run_peel
+
+    def counting(state, memo=None, removed=False):
+        runs.append(removed)
+        return run(state, memo, removed)
+
+    monkeypatch.setattr(peeling, "_run_peel", counting)
+    return runs
+
+
+class TestBlockPeeler:
+    """The two-phi check peels a block of vertex-0 choices through one
+    BlockPeeler: the choices that remove vertex 0 first share one peel of
+    D - 0, and each instance still gets its own certificate."""
+
+    HEADS = [m for m in range(1, 16) if not m & 1]  # vertex 0's sink-less out-masks at n = 4
+
+    @staticmethod
+    def tails():
+        """Every sink-less out-mask tail of vertices 1..3 at n = 4."""
+        opts = [[m for m in range(1, 16) if not m >> u & 1] for u in (1, 2, 3)]
+        return list(itertools.product(*opts))
+
+    def test_golden_cycles(self, monkeypatch):
+        seen = record_two_phi_certificates(monkeypatch)
+        report = run_suite(SuiteConfig(1, 4, "labeled", ("two-phi",)))
+        assert report.passed == {"two-phi": 2429}
+        assert [Digraph.from_out_masks(n, out) for n, out, _ in seen] == sinkless_up_to_4()
+        assert TestPeelMemo.digest(cert for _, _, cert in seen) == TestPeelMemo.GOLDEN
+
+    def test_pinned_n5_window_matches_runs_from_scratch(self, monkeypatch):
+        # Vertices 3 and 4 fixed at out-mask slots 6 and 1, every out-mask of
+        # vertices 0..2: 15^3 sink-less digraphs.
+        seen = record_two_phi_certificates(monkeypatch)
+        lo = (1 << 16) | (6 << 12)
+        _run_shard(SuiteConfig(5, 5, "labeled", ("two-phi",)), 5, lo, lo + (1 << 12))
+        assert len(seen) == 15**3
+        for n, out, cert in seen:
+            assert cert == short_cycle_via_peeling(Digraph.from_out_masks(n, out))
+
+    def test_d_minus_0_is_peeled_at_most_once_per_block(self, monkeypatch):
+        zero_first = []  # per tail, which heads remove vertex 0 first
+        for tail in self.tails():
+            ds = [Digraph.from_out_masks(4, (h, *tail)) for h in self.HEADS]
+            zero_first.append([peel_step(d) == 0 for d in ds])
+        runs = count_peel_runs(monkeypatch)
+        for tail, firsts in zip(self.tails(), zero_first):
+            peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)))
+            runs.clear()
+            certs = [peeler.certificate(h) for h in self.HEADS]
+            assert runs.count(True) == any(firsts)
+            assert runs.count(False) == firsts.count(False)
+            ds = [Digraph.from_out_masks(4, (h, *tail)) for h in self.HEADS]
+            assert certs == [peeling.short_cycle_via_peeling(d) for d in ds]
+        shared = sum(map(sum, zero_first))
+        blocks = sum(map(any, zero_first))
+        assert (shared, blocks) == (1390, 216)  # of 2,401 digraphs in 343 blocks
+        # The sweep, with its memo, makes the same runs.
+        runs.clear()
+        res = _run_shard(SuiteConfig(4, 4, "labeled", ("two-phi",)), 4, 0, 1 << 12)
+        assert res["passed"] == {"two-phi": 2401}
+        assert (runs.count(True), runs.count(False)) == (blocks, 2401 - shared)
+
+    def test_a_union_of_cycles_peels_on_its_own(self):
+        # It removes nothing, so it must not take D - 0's cycle; its vertex
+        # 0 has one in-neighbor, whose only out-arc enters 0.
+        unions = [d for d in sinkless_up_to_4() if is_union_of_cycles(d)]
+        assert len(unions) == 1 + 2 + 9
+        for d in unions:
+            tail = d.out_masks[1:]
+            peeler = BlockPeeler(d.n, tail, in_masks_of((0, *tail)))
+            assert not peeler.zero_first
+            assert peeler.certificate(d.out_masks[0]) == short_cycle_via_peeling(d)
+
+    def test_stuck_d_minus_0_fails_every_choice_it_serves(self, monkeypatch):
+        first_eligible = peeling._PeelState.first_eligible
+
+        def stuck_after_first_removal(self):
+            if self.alive != (1 << len(self.out)) - 1:
+                return None
+            return first_eligible(self)
+
+        monkeypatch.setattr(peeling._PeelState, "first_eligible", stuck_after_first_removal)
+        runs = count_peel_runs(monkeypatch)
+        tail = (0b1101, 0b1011, 0b0111)  # K4 on vertices 1..3 and 0
+        peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)))
+        assert list(peeler.zero_first) == [1, 2, 3]
+        messages = []
+        for h in (0b0010, 0b0110, 0b1110):
+            with pytest.raises(LemmaViolation) as exc:
+                peeler.certificate(h)
+            messages.append(str(exc.value))
+        assert runs == [True]
+        assert len(set(messages)) == 1 and "live vertices [1, 2, 3]" in messages[0]
+
+    def test_sinks_are_refused(self):
+        with pytest.raises(NotSinkless, match="vertex 2"):
+            BlockPeeler(3, (0b100, 0), (0, 0, 0b010))
+        peeler = BlockPeeler(3, (0b100, 0b001), in_masks_of((0, 0b100, 0b001)))
+        with pytest.raises(NotSinkless, match="vertex 0"):
+            peeler.certificate(0)

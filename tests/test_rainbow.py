@@ -1,5 +1,6 @@
 """The greedy subgraph, contraction, and the recursive rainbow-cycle construction."""
 
+import gc
 import math
 
 import pytest
@@ -37,6 +38,7 @@ class TestGreedySubgraph:
         h = build_greedy_subgraph(CHAIN, 0)
         assert h.vertices is h.vertices and h.colors is h.colors
         assert h.incident is h.incident
+        assert h.edges() is h.edges() and h.forbidden_turns() is h.forbidden_turns()
         twin = GreedySubgraph(h.seed_color, h.seed_edge, h.attachments)
         # Cached sets play no part in equality, hashing or the repr.
         assert h == twin and hash(h) == hash(twin) and repr(h) == repr(twin)
@@ -102,6 +104,20 @@ class TestRainbowPaths:
             (1, 3): 2,
             (2, 3): 1,
         }
+
+    def test_brute_force_leaves_no_reference_cycles(self):
+        # A recursive closure that names itself would make each call a
+        # cycle that only the cyclic collector frees.
+        h = build_greedy_subgraph(CHAIN, 0)
+        all_pairs_rainbow_distances(h)  # builds the subgraph's cached tables
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                assert all_pairs_rainbow_distances(h)[(1, 3)] == 2
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_path_respects_forbidden_turn(self):
         h = build_greedy_subgraph(CHAIN, 0)
