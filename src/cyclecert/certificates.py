@@ -153,10 +153,10 @@ def validate_rainbow_cycle(inst: RainbowInstance, cert: RainbowCycleCertificate)
     colors = [c for _, c in cert.steps]
     if len(set(colors)) != k:
         return False
+    fams = inst.families
+    m = len(fams)
     for e, c in cert.steps:
-        if not 0 <= c < inst.m:
-            return False
-        if normalize_edge(e) not in inst.families[c]:
+        if not 0 <= c < m or normalize_edge(e) not in fams[c]:
             return False
     if k == 1:
         (e, _), = cert.steps

@@ -10,7 +10,7 @@ repeated pairs, and are marked simple_origin=False.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .errors import GraphInputError
 
@@ -20,6 +20,17 @@ Edge = tuple[int, int]
 def normalize_edge(e: Iterable[int]) -> Edge:
     u, v = e
     return (u, v) if u <= v else (v, u)
+
+
+def _refuse(i: int, edges: tuple[Edge, ...], n: int, simple_origin: bool) -> NoReturn:
+    """Raise for family i, whose normalized edges, in order, break a rule:
+    the first edge out of range or (if simple) a loop, else a repeated edge."""
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphInputError(f"family {i} edge ({u}, {v}) outside 0..{n - 1}")
+        if simple_origin and u == v:
+            raise GraphInputError(f"family {i} holds a loop at {u}")
+    raise GraphInputError(f"family {i} repeats the edge {edges[0]}")
 
 
 class RainbowInstance:
@@ -39,22 +50,36 @@ class RainbowInstance:
         if n < 0:
             raise GraphInputError("vertex count must be nonnegative")
         fams: list[tuple[Edge, ...]] = []
+        p = 0
         for i, fam in enumerate(families):
-            edges = sorted(normalize_edge(e) for e in fam)
-            if not 1 <= len(edges) <= 2:
-                raise GraphInputError(f"family {i} must hold 1 or 2 edges, got {len(edges)}")
-            for u, v in edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise GraphInputError(f"family {i} edge ({u}, {v}) outside 0..{n - 1}")
-                if simple_origin and u == v:
-                    raise GraphInputError(f"family {i} holds a loop at {u}")
-            if simple_origin and len(edges) == 2 and edges[0] == edges[1]:
-                raise GraphInputError(f"family {i} repeats the edge {edges[0]}")
-            fams.append(tuple(edges))
+            fam = tuple(fam)
+            if len(fam) == 2:
+                (u, v), (x, y) = fam
+                e0 = (u, v) if u <= v else (v, u)
+                e1 = (x, y) if x <= y else (y, x)
+                if e1 < e0:
+                    e0, e1 = e1, e0
+                # e0 <= e1, so e0 holds the smallest endpoint.
+                if e0[0] < 0 or e0[1] >= n or e1[1] >= n or simple_origin and (
+                    e0[0] == e0[1] or e1[0] == e1[1] or e0 == e1
+                ):
+                    _refuse(i, (e0, e1), n, simple_origin)
+                fams.append((e0, e1))
+            elif len(fam) == 1:
+                ((u, v),) = fam
+                e0 = (u, v) if u <= v else (v, u)
+                if e0[0] < 0 or e0[1] >= n or simple_origin and u == v:
+                    _refuse(i, (e0,), n, simple_origin)
+                fams.append((e0,))
+                p += 1
+            else:
+                for e in fam:
+                    normalize_edge(e)  # a malformed edge raises before the count does
+                raise GraphInputError(f"family {i} must hold 1 or 2 edges, got {len(fam)}")
         self.n = n
         self.families = tuple(fams)
         self.simple_origin = simple_origin
-        self.p = sum(1 for fam in fams if len(fam) == 1)
+        self.p = p
 
     @property
     def m(self) -> int:

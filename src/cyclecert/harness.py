@@ -15,6 +15,7 @@ merge by sums, concatenation sorted by index, and tie-broken extremes.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import multiprocessing
 import random
@@ -51,6 +52,7 @@ from .formats import (
 from .oracles import (
     _girth_masks,
     _girth_table,
+    all_pairs_rainbow_distances,
     shortest_rainbow_cycle_exact,
     two_cycles_min_intersection,
 )
@@ -65,7 +67,7 @@ from .peeling import (
     psi,
     short_cycle_via_peeling,
 )
-from .rainbow import Collector, all_pairs_rainbow_distances, find_rainbow_cycle
+from .rainbow import Collector, find_rainbow_cycle
 
 LABELED_CAP = 5
 OUTMAP_CAP = 7
@@ -182,6 +184,9 @@ class Report:
     violations: list[dict[str, Any]] = field(default_factory=list)
     findings: list[dict[str, Any]] = field(default_factory=list)
     extremal: dict[str, Any] = field(default_factory=dict)
+    # Generated instances no check ran on: the digraphs with a sink, which
+    # labeled:none counts but cannot check.  Not part of the JSON.
+    unchecked: int = 0
 
     @property
     def has_violations(self) -> bool:
@@ -453,6 +458,19 @@ def _digraphs(cfg: SuiteConfig) -> Iterator[Digraph]:
             yield Digraph.from_out_masks(n, b.out(r), b.inn(r))
 
 
+@functools.lru_cache(maxsize=64)
+def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Every pair u < v of vertices 0..n-1, in lexicographic order."""
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+
+
+@functools.lru_cache(maxsize=64)
+def _feasible_p(n: int) -> tuple[int, ...]:
+    """The singleton counts a random instance at size n may draw: size-2
+    families need two distinct vertex pairs."""
+    return tuple(q for q in range(n + 1) if q == n or len(_vertex_pairs(n)) >= 2)
+
+
 def random_rainbow_instance(
     n: int, p: int, seed: int, disjoint: bool = True
 ) -> RainbowInstance:
@@ -464,7 +482,7 @@ def random_rainbow_instance(
     """
     if not 0 <= p <= n:
         raise Infeasible(f"p must lie in 0..{n}, got {p}")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = _vertex_pairs(n)
     if n >= 1 and not pairs:
         raise Infeasible("no loop-free edges exist on fewer than two vertices")
     if p < n and len(pairs) < 2:
@@ -499,9 +517,8 @@ def _rainbow_for_index(n: int, seed: int, i: int) -> RainbowInstance:
     if n < 2:
         raise Infeasible("random rainbow instances need n >= 2")
     rng = random.Random(_instance_seed(seed, n, i))
-    feasible = [q for q in range(n + 1) if q == n or math.comb(n, 2) >= 2]
-    p = rng.choice(feasible)
-    disjoint_ok = 2 * n - p <= math.comb(n, 2)
+    p = rng.choice(_feasible_p(n))
+    disjoint_ok = 2 * n - p <= len(_vertex_pairs(n))
     disjoint = disjoint_ok and rng.random() < 0.5
     return random_rainbow_instance(n, p, rng.randrange(1 << 32), disjoint=disjoint)
 
@@ -858,6 +875,15 @@ def _sweep_size(cfg: SuiteConfig, n: int) -> int:
     return math.prod(map(len, _POPULATIONS[cfg.generator].sweep(cfg, n)[0]))
 
 
+def _sweep_unchecked(cfg: SuiteConfig, n: int) -> int:
+    """The sweep's instances at n that _sweep_units counts but leaves
+    unchecked: without a filter, those with a sink (an empty out-mask)."""
+    choices, flt = _POPULATIONS[cfg.generator].sweep(cfg, n)
+    if flt != "none":
+        return 0
+    return math.prod(map(len, choices)) - math.prod(sum(1 for m in ch if m) for ch in choices)
+
+
 def _sweep_units(cfg: SuiteConfig, n: int, lo: int, hi: int) -> _Units:
     choices, flt = _POPULATIONS[cfg.generator].sweep(cfg, n)
     for b in _sweep(choices, lo, hi, flt):
@@ -897,6 +923,7 @@ class _Population(NamedTuple):
     # A digraph population's out-mask choice lists and filter at n.
     sweep: Callable[[SuiteConfig, int], tuple[list[tuple[int, ...]], str]] | None = None
     size: Callable[[SuiteConfig, int], int] = _sweep_size  # domain indices at n
+    unchecked: Callable[[SuiteConfig, int], int] = _sweep_unchecked  # of those, never checked
     units: Callable[[SuiteConfig, int, int, int], _Units] = _sweep_units
     validate: Callable[[SuiteConfig], None] = lambda cfg: None  # raises if out of range
 
@@ -919,7 +946,8 @@ _OUTMAPS = _Population(
 )
 _RAINBOW = _Population(
     "rainbow", "rainbow[:COUNT]", RAINBOW_CAP, {"count": int}, RAINBOW_CHECKS,
-    size=lambda cfg, n: cfg.count, units=_rainbow_runs, validate=_check_rainbow,
+    size=lambda cfg, n: cfg.count, unchecked=lambda cfg, n: 0, units=_rainbow_runs,
+    validate=_check_rainbow,
 )
 _POPULATIONS = {p.name: p for p in (_LABELED, _OUTMAPS, _RAINBOW)}
 
@@ -969,10 +997,12 @@ def run_suite(cfg: SuiteConfig) -> Report:
     cfg.validate()
     report = Report(config=cfg.to_json_dict())
     tasks: list[tuple[SuiteConfig, int, int, int]] = []
+    pop = _POPULATIONS[cfg.generator]
     for n in range(cfg.n_lo, cfg.n_hi + 1):
-        size = _POPULATIONS[cfg.generator].size(cfg, n)
+        size = pop.size(cfg, n)
         if size == 0:
             continue
+        report.unchecked += pop.unchecked(cfg, n)
         shards = min(cfg.workers * 4, size) if cfg.workers > 1 else 1
         step = -(-size // shards)
         for lo in range(0, size, step):

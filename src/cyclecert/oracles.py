@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Protocol, Sequence
 
 from .certificates import (
     BOUND_CEIL_N_PLUS_P,
@@ -23,12 +23,13 @@ from .digraph import Digraph, bits
 from .errors import (
     Acyclic,
     BoundViolation,
+    ClaimViolation,
     GraphInputError,
     NotSinkless,
     ResourceCap,
     TheoremViolation,
 )
-from .families import RainbowInstance
+from .families import Edge, RainbowInstance
 from .formats import format_digraph, format_rainbow
 
 CYCLE_CAP = 10_000_000
@@ -295,62 +296,66 @@ def shortest_rainbow_cycle_exact(
         for e in fam:
             if e[0] == e[1]:
                 return 1, RainbowCycleCertificate(steps=((e, c),))
+    # No loops remain: a pair held by two families is a 2-cycle.
     first_color: dict[tuple[int, int], int] = {}
-    for c, fam in enumerate(inst.families):
-        for e in fam:
-            if e[0] == e[1]:
-                continue
-            if e in first_color and first_color[e] != c:
-                return 2, RainbowCycleCertificate(steps=((e, first_color[e]), (e, c)))
-            first_color.setdefault(e, c)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(inst.n)]
     for c, fam in enumerate(inst.families):
-        for u, v in fam:
-            if u != v:
-                adj[u].append((v, c))
-                adj[v].append((u, c))
+        for e in fam:
+            c0 = first_color.setdefault(e, c)
+            if c0 != c:
+                return 2, RainbowCycleCertificate(steps=((e, c0), (e, c)))
+            u, v = e
+            adj[u].append((v, c))
+            adj[v].append((u, c))
     for u in range(inst.n):
         adj[u] = sorted(set(adj[u]))
-
-    def closing_color(w: int, s: int, used_colors: int) -> int | None:
-        for v, c in adj[w]:
-            if v == s and not (used_colors >> c) & 1:
-                return c
-        return None
-
-    path: list[int] = []
-    colors: list[int] = []
-
-    def dfs(s: int, w: int, used_v: int, used_c: int, remaining: int) -> bool:
-        if remaining == 0:
-            if path[1] > path[-1]:
-                return False
-            c = closing_color(w, s, used_c)
-            if c is None:
-                return False
-            colors.append(c)
-            return True
-        for v, c in adj[w]:
-            if v > s and not (used_v >> v) & 1 and not (used_c >> c) & 1:
-                path.append(v)
-                colors.append(c)
-                if dfs(s, v, used_v | (1 << v), used_c | (1 << c), remaining - 1):
-                    return True
-                path.pop()
-                colors.pop()
-        return False
-
     for length in range(3, inst.n + 1):
         for s in range(inst.n):
             path = [s]
-            colors = []
-            if dfs(s, s, 1 << s, 0, length - 1):
+            colors: list[int] = []
+            if _rainbow_cycle_dfs(adj, path, colors, s, s, 1 << s, 0, length - 1):
                 steps = []
                 for i in range(length):
                     u, v = path[i], path[(i + 1) % length]
                     steps.append(((min(u, v), max(u, v)), colors[i]))
                 return length, RainbowCycleCertificate(steps=tuple(steps))
     return math.inf, None
+
+
+def _rainbow_cycle_dfs(
+    adj: list[list[tuple[int, int]]],
+    path: list[int],
+    colors: list[int],
+    s: int,
+    w: int,
+    used_v: int,
+    used_c: int,
+    remaining: int,
+) -> bool:
+    """Extend path, which runs from s to w on the vertex mask used_v in the
+    colors of used_c (listed in colors), by remaining more vertices above
+    s and then close it at s in a color still free.  True once path and
+    colors hold such a cycle; each cycle is tried in one direction only,
+    path[1] < path[-1]."""
+    if remaining == 0:
+        if path[1] > path[-1]:
+            return False
+        for v, c in adj[w]:
+            if v == s and not (used_c >> c) & 1:
+                colors.append(c)
+                return True
+        return False
+    for v, c in adj[w]:
+        if v > s and not (used_v >> v) & 1 and not (used_c >> c) & 1:
+            path.append(v)
+            colors.append(c)
+            if _rainbow_cycle_dfs(
+                adj, path, colors, s, v, used_v | (1 << v), used_c | (1 << c), remaining - 1
+            ):
+                return True
+            path.pop()
+            colors.pop()
+    return False
 
 
 def assert_all_size2_bound(inst: RainbowInstance) -> RainbowCycleCertificate:
@@ -367,3 +372,80 @@ def assert_all_size2_bound(inst: RainbowInstance) -> RainbowCycleCertificate:
             + format_rainbow(inst)
         )
     return cert
+
+
+class _ColoredEdgeList(Protocol):
+    def edges(self) -> list[tuple[Edge, int]]:
+        """The colored edges, indexed by edge id."""
+        ...
+
+
+def all_pairs_rainbow_distances(h: _ColoredEdgeList) -> dict[tuple[int, int], int]:
+    """Shortest rainbow-path length for every unordered vertex pair of a
+    colored graph such as the rainbow construction's greedy subgraph.
+
+    Only h's colored edge list is read: the vertices are its endpoints,
+    and the incidence lists are built here.  A graph on more than
+    RAINBOW_VERTEX_CAP vertices is refused; a pair with no rainbow path
+    raises ClaimViolation.
+    """
+    edges = h.edges()
+    incident: dict[int, list[int]] = {}
+    for eid, ((a, b), _) in enumerate(edges):
+        incident.setdefault(a, []).append(eid)
+        if a != b:
+            incident.setdefault(b, []).append(eid)
+    if len(incident) > RAINBOW_VERTEX_CAP:
+        raise ResourceCap(f"rainbow search capped at {RAINBOW_VERTEX_CAP} vertices")
+    vs = sorted(incident)
+    out = {}
+    for i, a in enumerate(vs):
+        for b in vs[i + 1 :]:
+            path = _brute_shortest_rainbow_path(edges, incident, a, b)
+            if path is None:
+                raise ClaimViolation(f"no rainbow path from {a} to {b} in {h!r}")
+            out[(a, b)] = len(path)
+    return out
+
+
+def _brute_shortest_rainbow_path(
+    edges: list[tuple[Edge, int]], incident: dict[int, list[int]], u: int, v: int
+) -> list[tuple[Edge, int]] | None:
+    """Exact shortest simple rainbow path u -> v, by DFS over all paths."""
+    best = _rainbow_dfs(edges, incident, v, u, {u}, set(), [], None)
+    if best is None:
+        return None
+    return [edges[eid] for eid in best]
+
+
+def _rainbow_dfs(
+    edges: list[tuple[Edge, int]],
+    incident: dict[int, list[int]],
+    v: int,
+    w: int,
+    used_v: set[int],
+    used_c: set[int],
+    trail: list[int],
+    best: list[int] | None,
+) -> list[int] | None:
+    """Extend the trail of edge ids, which has reached w on the vertices
+    used_v in the colors used_c, by each edge at w to an unused vertex in
+    an unused color.  Returns the shortest trail to v known: best, the
+    shortest found before, or a shorter one found here."""
+    if w == v:
+        return list(trail) if best is None or len(trail) < len(best) else best
+    if best is not None and len(trail) + 1 >= len(best):
+        return best
+    for eid in incident[w]:
+        e, c = edges[eid]
+        nxt = e[1] if e[0] == w else e[0]
+        if nxt in used_v or c in used_c:
+            continue
+        used_v.add(nxt)
+        used_c.add(c)
+        trail.append(eid)
+        best = _rainbow_dfs(edges, incident, v, nxt, used_v, used_c, trail, best)
+        trail.pop()
+        used_v.discard(nxt)
+        used_c.discard(c)
+    return best

@@ -24,8 +24,7 @@ one; the final certificate is checked against the original instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .certificates import RainbowCycleCertificate, _walk_vertices, validate_rainbow_cycle
 from .errors import (
@@ -34,7 +33,7 @@ from .errors import (
     GraphInputError,
     SeedNotSingleton,
 )
-from .families import Edge, RainbowInstance, normalize_edge
+from .families import Edge, RainbowInstance
 from .formats import format_rainbow
 from .oracles import assert_all_size2_bound
 
@@ -52,38 +51,46 @@ class GreedySubgraph:
     a forbidden turn: a path entering x by one may not leave by the
     other, because both edges carry the same color.  Its vertex and
     color sets, edge list, forbidden turns and incidence lists are built
-    once, on first use; callers must not change them.
+    at construction; callers must not change them.
     """
 
     seed_color: int
     seed_edge: Edge
     attachments: tuple[tuple[int, int, int, int], ...]
+    vertices: frozenset[int] = field(init=False, compare=False, repr=False)
+    colors: frozenset[int] = field(init=False, compare=False, repr=False)
+    # Per vertex, the ids of its edges, ascending.
+    incident: dict[int, list[int]] = field(init=False, compare=False, repr=False)
+    _edges: list[tuple[Edge, int]] = field(init=False, compare=False, repr=False)
+    _turns: dict[int, tuple[int, int]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        seed = self.seed_edge
+        vertices = {seed[0], seed[1]}
+        colors = {self.seed_color}
+        edges = [(seed, self.seed_color)]
+        turns = {}
+        for i, (x, a, b, c) in enumerate(self.attachments):
+            vertices.add(x)
+            colors.add(c)
+            edges.append(((x, a) if x <= a else (a, x), c))
+            edges.append(((x, b) if x <= b else (b, x), c))
+            turns[x] = (1 + 2 * i, 2 + 2 * i)
+        incident: dict[int, list[int]] = {w: [] for w in vertices}
+        for eid, ((a, b), _) in enumerate(edges):
+            incident[a].append(eid)
+            if a != b:
+                incident[b].append(eid)
+        put = object.__setattr__  # the dataclass is frozen
+        put(self, "vertices", frozenset(vertices))
+        put(self, "colors", frozenset(colors))
+        put(self, "incident", incident)
+        put(self, "_edges", edges)
+        put(self, "_turns", turns)
 
     @property
     def t(self) -> int:
         return len(self.attachments)
-
-    @cached_property
-    def vertices(self) -> frozenset[int]:
-        vs = {self.seed_edge[0], self.seed_edge[1]}
-        vs.update(x for x, _, _, _ in self.attachments)
-        return frozenset(vs)
-
-    @cached_property
-    def colors(self) -> frozenset[int]:
-        cs = {self.seed_color}
-        cs.update(c for _, _, _, c in self.attachments)
-        return frozenset(cs)
-
-    @cached_property
-    def incident(self) -> dict[int, list[int]]:
-        """Per vertex, the ids of its edges, ascending."""
-        inc: dict[int, list[int]] = {w: [] for w in self.vertices}
-        for eid, ((a, b), _) in enumerate(self.edges()):
-            inc[a].append(eid)
-            if a != b:
-                inc[b].append(eid)
-        return inc
 
     def edges(self) -> list[tuple[Edge, int]]:
         """All edges with colors, indexed by edge id."""
@@ -92,21 +99,6 @@ class GreedySubgraph:
     def forbidden_turns(self) -> dict[int, tuple[int, int]]:
         """Per attachment vertex x, the pair of same-color edge ids at x."""
         return self._turns
-
-    @cached_property
-    def _edges(self) -> list[tuple[Edge, int]]:
-        out = [(self.seed_edge, self.seed_color)]
-        for x, a, b, c in self.attachments:
-            out.append((normalize_edge((x, a)), c))
-            out.append((normalize_edge((x, b)), c))
-        return out
-
-    @cached_property
-    def _turns(self) -> dict[int, tuple[int, int]]:
-        return {
-            x: (1 + 2 * i, 2 + 2 * i)
-            for i, (x, _, _, _) in enumerate(self.attachments)
-        }
 
 
 def build_greedy_subgraph(inst: RainbowInstance, seed_color: int) -> GreedySubgraph:
@@ -161,50 +153,6 @@ def build_greedy_subgraph(inst: RainbowInstance, seed_color: int) -> GreedySubgr
                 seed_edge=seed_edge,
                 attachments=tuple(attachments),
             )
-
-
-def _brute_shortest_rainbow_path(
-    h: GreedySubgraph, u: int, v: int
-) -> list[tuple[Edge, int]] | None:
-    """Exact shortest simple rainbow path u -> v in H, by DFS over all paths."""
-    edges = h.edges()
-    best = _rainbow_dfs(edges, h.incident, v, u, {u}, set(), [], None)
-    if best is None:
-        return None
-    return [edges[eid] for eid in best]
-
-
-def _rainbow_dfs(
-    edges: list[tuple[Edge, int]],
-    incident: dict[int, list[int]],
-    v: int,
-    w: int,
-    used_v: set[int],
-    used_c: set[int],
-    trail: list[int],
-    best: list[int] | None,
-) -> list[int] | None:
-    """Extend the trail of edge ids, which has reached w on the vertices
-    used_v in the colors used_c, by each edge at w to an unused vertex in
-    an unused color.  Returns the shortest trail to v known: best, the
-    shortest found before, or a shorter one found here."""
-    if w == v:
-        return list(trail) if best is None or len(trail) < len(best) else best
-    if best is not None and len(trail) + 1 >= len(best):
-        return best
-    for eid in incident[w]:
-        e, c = edges[eid]
-        nxt = e[1] if e[0] == w else e[0]
-        if nxt in used_v or c in used_c:
-            continue
-        used_v.add(nxt)
-        used_c.add(c)
-        trail.append(eid)
-        best = _rainbow_dfs(edges, incident, v, nxt, used_v, used_c, trail, best)
-        trail.pop()
-        used_v.discard(nxt)
-        used_c.discard(c)
-    return best
 
 
 def rainbow_path_in_subgraph(
@@ -282,19 +230,6 @@ def rainbow_path_in_subgraph(
     return path
 
 
-def all_pairs_rainbow_distances(h: GreedySubgraph) -> dict[tuple[int, int], int]:
-    """Shortest rainbow-path length for every unordered vertex pair of H."""
-    vs = sorted(h.vertices)
-    out = {}
-    for i, a in enumerate(vs):
-        for b in vs[i + 1 :]:
-            path = _brute_shortest_rainbow_path(h, a, b)
-            if path is None:
-                raise ClaimViolation(f"no rainbow path from {a} to {b} in {h!r}")
-            out[(a, b)] = len(path)
-    return out
-
-
 @dataclass(frozen=True)
 class ContractionMap:
     """Everything needed to undo one contraction of V(H) to h.
@@ -331,17 +266,30 @@ def contract(
         old_to_new[v] = i
     used = h.colors
     fam_map = []
-    new_fams: list[list[Edge]] = []
+    new_fams: list[tuple[Edge, ...]] = []
     aligned: list[tuple[Edge, ...]] = []
+    # Each family's quotient edges are put in order, and its parent edges
+    # with them; equal quotient edges keep the parent order.
     for c, fam in enumerate(inst.families):
         if c in used:
             continue
-        mapped = sorted(
-            (normalize_edge((old_to_new[e[0]], old_to_new[e[1]])), e) for e in fam
-        )
         fam_map.append(c)
-        new_fams.append([q for q, _ in mapped])
-        aligned.append(tuple(orig for _, orig in mapped))
+        u, v = fam[0]
+        u, v = old_to_new[u], old_to_new[v]
+        q0 = (u, v) if u <= v else (v, u)
+        if len(fam) == 1:
+            new_fams.append((q0,))
+            aligned.append(fam)
+            continue
+        u, v = fam[1]
+        u, v = old_to_new[u], old_to_new[v]
+        q1 = (u, v) if u <= v else (v, u)
+        if q1 < q0:
+            new_fams.append((q1, q0))
+            aligned.append((fam[1], fam[0]))
+        else:
+            new_fams.append((q0, q1))
+            aligned.append(fam)
     quotient = RainbowInstance(new_n, new_fams, simple_origin=False)
     cmap = ContractionMap(
         old_to_new=tuple(old_to_new),
@@ -357,11 +305,10 @@ def shared_edge_cycle(inst: RainbowInstance) -> RainbowCycleCertificate | None:
     first: dict[Edge, int] = {}
     for c, fam in enumerate(inst.families):
         for e in fam:
-            if e[0] == e[1]:
-                continue
-            if e in first and first[e] != c:
-                return RainbowCycleCertificate(steps=((e, first[e]), (e, c)))
-            first.setdefault(e, c)
+            if e[0] != e[1]:
+                c0 = first.setdefault(e, c)
+                if c0 != c:
+                    return RainbowCycleCertificate(steps=((e, c0), (e, c)))
     return None
 
 
@@ -434,9 +381,7 @@ def _find(inst: RainbowInstance, collect: Collector | None) -> RainbowCycleCerti
             if inst.p == 0:
                 cert = assert_all_size2_bound(inst)
             else:
-                seed = min(
-                    c for c, fam in enumerate(inst.families) if len(fam) == 1
-                )
+                seed = next(c for c, fam in enumerate(inst.families) if len(fam) == 1)
                 h = build_greedy_subgraph(inst, seed)
                 if collect is not None:
                     collect.append((inst, h))

@@ -141,6 +141,19 @@ class TestVerify:
         assert doc["checked"] == {"two-phi": 28, "two-psi-strict": 28}
         assert doc["violations"] == []
 
+    def test_labeled_none_reports_digraphs_with_a_sink(self):
+        args = ("verify", "--generator", "labeled:none", "--n", "1-4", "--checks", "two-phi")
+        r = run_cli(*args)
+        assert r.returncode == 0
+        doc = json.loads(r.stdout)
+        # sum over n <= 4 of 2^(n(n-1)) - (2^(n-1) - 1)^n, of 1 + 4 + 64 + 4096
+        assert doc["instances_generated"] == 4165 and doc["checked"] == {"two-phi": 2429}
+        assert r.stderr.splitlines()[-1] == (
+            "1736 of 4165 generated digraphs have a sink and were not checked"
+        )
+        sinkless = run_cli("verify", "--generator", "labeled", "--n", "1-4", "--checks", "two-phi")
+        assert "sink" not in sinkless.stderr
+
     def test_default_checks_cover_generator(self):
         r = run_cli("verify", "--generator", "outmaps:1:1", "--n", "3")
         assert r.returncode == 0

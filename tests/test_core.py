@@ -172,6 +172,75 @@ class TestRainbowInstance:
         assert inst.p == 1
 
 
+def reference_rainbow_families(n, families, simple_origin=True):
+    """The rules RainbowInstance enforces, written out plainly: the
+    normalized families and p, or GraphInputError with its message."""
+    if n < 0:
+        raise GraphInputError("vertex count must be nonnegative")
+    fams = []
+    for i, fam in enumerate(families):
+        edges = sorted(normalize_edge(e) for e in fam)
+        if not 1 <= len(edges) <= 2:
+            raise GraphInputError(f"family {i} must hold 1 or 2 edges, got {len(edges)}")
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphInputError(f"family {i} edge ({u}, {v}) outside 0..{n - 1}")
+            if simple_origin and u == v:
+                raise GraphInputError(f"family {i} holds a loop at {u}")
+        if simple_origin and len(edges) == 2 and edges[0] == edges[1]:
+            raise GraphInputError(f"family {i} repeats the edge {edges[0]}")
+        fams.append(tuple(edges))
+    return tuple(fams), sum(1 for fam in fams if len(fam) == 1)
+
+
+def rainbow_outcome(make, n, families, simple_origin):
+    try:
+        got = make(n, families, simple_origin)
+    except GraphInputError as exc:
+        return "refused", str(exc)
+    return got if isinstance(got, tuple) else (got.families, got.p)
+
+
+def build_instance(n, families, simple_origin):
+    return RainbowInstance(n, families, simple_origin=simple_origin)
+
+
+# Endpoints -1 and 3 lie outside 0..2, so at n = 3 every rule can break
+# in either slot of either edge.
+SMALL_EDGES = [(u, v) for u in range(-1, 4) for v in range(-1, 4)]
+
+
+class TestRainbowInstanceRefusals:
+    """The constructor refuses exactly what the plain rules refuse, with
+    the same message, and otherwise gives the same families and p."""
+
+    @pytest.mark.parametrize("simple_origin", [True, False])
+    @pytest.mark.parametrize("size", [0, 1, 2, 3])
+    def test_every_small_family(self, size, simple_origin):
+        refused = kept = 0
+        for fam in itertools.product(SMALL_EDGES, repeat=size):
+            for as_lists in (False, True):
+                given_fam = [list(e) for e in fam] if as_lists else list(fam)
+                for fams in ([given_fam], [[(0, 1)], given_fam]):
+                    want = rainbow_outcome(reference_rainbow_families, 3, fams, simple_origin)
+                    assert rainbow_outcome(build_instance, 3, fams, simple_origin) == want
+                    refused += want[0] == "refused"
+                    kept += want[0] != "refused"
+        assert refused and (kept or size in (0, 3))
+
+    @given(
+        n=st.integers(-1, 4),
+        families=st.lists(
+            st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), max_size=3),
+            max_size=5,
+        ),
+        simple_origin=st.booleans(),
+    )
+    def test_random_instances(self, n, families, simple_origin):
+        want = rainbow_outcome(reference_rainbow_families, n, families, simple_origin)
+        assert rainbow_outcome(build_instance, n, families, simple_origin) == want
+
+
 class TestCycleValidation:
     def test_accepts_real_cycle_with_honest_bound(self):
         cert = CycleCertificate(
@@ -384,6 +453,12 @@ class TestRainbowValidation:
 
     def test_rejects_edge_not_in_claimed_family(self):
         cert = RainbowCycleCertificate(steps=(((0, 2), 2), ((2, 3), 0), ((0, 3), 3)))
+        assert not validate_rainbow_cycle(self.INST, cert)
+
+    @pytest.mark.parametrize("color", [-1, 4])
+    def test_rejects_color_outside_the_families(self, color):
+        # Colors index the m = 4 families; -1 would read the last one.
+        cert = RainbowCycleCertificate(steps=(((0, 2), 2), ((2, 3), 1), ((0, 3), color)))
         assert not validate_rainbow_cycle(self.INST, cert)
 
     def test_rejects_broken_walk(self):

@@ -372,6 +372,36 @@ class TestShardTallies:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+class TestUncheckedSinks:
+    """labeled:none counts digraphs with a sink but cannot check them; the
+    report says how many, 2^(n(n-1)) - (2^(n-1) - 1)^n at each n."""
+
+    @staticmethod
+    def with_sink(n):
+        return 2 ** (n * (n - 1)) - (2 ** (n - 1) - 1) ** n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_labeled_none_counts_what_it_skips(self, n):
+        report = run_suite(SuiteConfig(n, n, "labeled", ("two-phi",), filter="none"))
+        assert report.instances_generated == 2 ** (n * (n - 1))
+        assert report.unchecked == self.with_sink(n)
+        assert report.checked.get("two-phi", 0) == report.instances_generated - report.unchecked
+        assert "unchecked" not in report.to_json_dict()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SuiteConfig(1, 4, "labeled", ("two-phi",)),
+            SuiteConfig(1, 4, "labeled", ("two-phi",), filter="strong"),
+            SuiteConfig(1, 4, "outmaps", ("two-phi",)),
+            SuiteConfig(4, 5, "rainbow", ("rainbow-bound",), count=5),
+        ],
+        ids=["sinkless", "strong", "outmaps", "rainbow"],
+    )
+    def test_other_populations_check_all_they_count(self, cfg):
+        assert run_suite(cfg).unchecked == 0
+
+
 class TestEnumerateDigraphs:
     def test_refuses_what_a_suite_refuses(self):
         with pytest.raises(CapExceeded):

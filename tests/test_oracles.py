@@ -20,6 +20,7 @@ from cyclecert.digraph import Digraph, in_masks_of
 from cyclecert.errors import (
     Acyclic,
     BoundViolation,
+    ClaimViolation,
     GraphInputError,
     NotSinkless,
     ResourceCap,
@@ -30,6 +31,7 @@ from cyclecert.oracles import (
     RAINBOW_VERTEX_CAP,
     _girth_masks,
     _girth_table,
+    all_pairs_rainbow_distances,
     assert_all_size2_bound,
     deg2_short_cycle,
     enumerate_cycles,
@@ -250,6 +252,41 @@ class TestDeg2ShortCycle:
                     p = sum(1 for deg in d.out_deg if deg == 1)
                     assert cert.length <= (n + p + 1) // 2
                     assert validate_cycle(d, cert)
+
+
+class EdgeList:
+    """A colored edge list and nothing else: no vertex set, no incidence."""
+
+    def __init__(self, edges):
+        self._edges = edges
+
+    def edges(self):
+        return self._edges
+
+
+class TestRainbowDistanceOracle:
+    # The greedy subgraph of seed (0, 1) with attachments 2 (via 0, 1) and
+    # 3 (via 0, 2), as its edge list: 1 -> 3 must avoid reusing color 1 or 2
+    # twice, so it takes 1-0-3.
+    CHAIN = [((0, 1), 0), ((0, 2), 1), ((1, 2), 1), ((0, 3), 2), ((2, 3), 2)]
+
+    def test_reads_only_the_edge_list(self):
+        assert all_pairs_rainbow_distances(EdgeList(self.CHAIN)) == {
+            (0, 1): 1, (0, 2): 1, (0, 3): 1, (1, 2): 1, (1, 3): 2, (2, 3): 1,
+        }
+
+    def test_same_color_twice_is_no_path(self):
+        # 0-1-2 repeats color 0, so 0 and 2 have no rainbow path.
+        with pytest.raises(ClaimViolation):
+            all_pairs_rainbow_distances(EdgeList([((0, 1), 0), ((1, 2), 0)]))
+
+    def test_vertex_cap(self):
+        n = RAINBOW_VERTEX_CAP + 1
+        path = EdgeList([((v, v + 1), v) for v in range(n - 1)])
+        with pytest.raises(ResourceCap):
+            all_pairs_rainbow_distances(path)
+        fits = EdgeList([((v, v + 1), v) for v in range(n - 2)])
+        assert all_pairs_rainbow_distances(fits)[(0, n - 2)] == n - 2
 
 
 class TestRainbowOracle:

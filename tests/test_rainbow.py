@@ -1,6 +1,8 @@
 """The greedy subgraph, contraction, and the recursive rainbow-cycle construction."""
 
 import gc
+import hashlib
+import json
 import math
 
 import pytest
@@ -8,11 +10,10 @@ import pytest
 from cyclecert.certificates import validate_rainbow_cycle
 from cyclecert.errors import ClaimViolation, GraphInputError, SeedNotSingleton
 from cyclecert.families import RainbowInstance
-from cyclecert.harness import random_rainbow_instance
-from cyclecert.oracles import shortest_rainbow_cycle_exact
+from cyclecert.harness import _rainbow_for_index, random_rainbow_instance
+from cyclecert.oracles import all_pairs_rainbow_distances, shortest_rainbow_cycle_exact
 from cyclecert.rainbow import (
     GreedySubgraph,
-    all_pairs_rainbow_distances,
     build_greedy_subgraph,
     contract,
     find_rainbow_cycle,
@@ -109,7 +110,6 @@ class TestRainbowPaths:
         # A recursive closure that names itself would make each call a
         # cycle that only the cyclic collector frees.
         h = build_greedy_subgraph(CHAIN, 0)
-        all_pairs_rainbow_distances(h)  # builds the subgraph's cached tables
         gc.collect()
         gc.disable()
         try:
@@ -269,3 +269,48 @@ class TestFindRainbowCycle:
             assert cert.length <= (inst.n + inst.p + 1) // 2
             exact, _ = shortest_rainbow_cycle_exact(inst)
             assert exact <= cert.length
+
+
+class TestGoldenRainbow:
+    # sha256 over the harness's rainbow instances for seeds 0-1, n = 2..12,
+    # 300 each: every instance's constructed certificate, each greedy
+    # subgraph it collects with that subgraph's tables, the contraction of
+    # each, the exact oracle's answer and the all-pairs rainbow distances.
+    # Taken before the rainbow path was tuned: any change to one instance,
+    # table, quotient, certificate or distance fails here.
+    GOLDEN = "3046791fe22eeab7c6d694a48a22f71b198513e93da5e2cf48377c6bb74b8c43"
+
+    @staticmethod
+    def records():
+        def steps(cert):
+            return None if cert is None else [[list(e), c] for e, c in cert.steps]
+
+        for seed in (0, 1):
+            for n in range(2, 13):
+                for i in range(300):
+                    inst = _rainbow_for_index(n, seed, i)
+                    grown = []
+                    cert = find_rainbow_cycle(inst, collect=grown)
+                    exact, exact_cert = shortest_rainbow_cycle_exact(inst)
+                    yield [repr(inst), inst.p, steps(cert), str(exact), steps(exact_cert)]
+                    for sub, h in grown:
+                        q, cmap = contract(sub, h)
+                        yield [
+                            repr(sub),
+                            repr(h),
+                            sorted(h.vertices),
+                            sorted(h.colors),
+                            h.edges(),
+                            sorted(h.forbidden_turns().items()),
+                            sorted(h.incident.items()),
+                            repr(q),
+                            q.p,
+                            repr(cmap),
+                            sorted(all_pairs_rainbow_distances(h).items()),
+                        ]
+
+    def test_golden_outputs(self):
+        digest = hashlib.sha256()
+        for rec in self.records():
+            digest.update(json.dumps(rec).encode() + b"\n")
+        assert digest.hexdigest() == self.GOLDEN
