@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .digraph import Digraph, in_masks_of
+from .digraph import Digraph, bits
 from .families import Edge, RainbowInstance, normalize_edge
 
 # Bound kinds a cycle certificate may carry.  The bound is a promise:
@@ -62,7 +62,8 @@ def _bound_holds(n: int, out: Sequence[int], cert: CycleCertificate) -> bool:
     digraph with these out-masks.
 
     phi is summed here on its own, sharing no code with the peeling that
-    produces two-phi certificates, and compared in integers.
+    produces two-phi certificates, and compared in integers; the girth is
+    checked by closed walks, sharing no code with the girth oracle.
     """
     kind, bound = cert.bound_kind, cert.bound
     if kind == BOUND_TWO_PHI:
@@ -77,10 +78,26 @@ def _bound_holds(n: int, out: Sequence[int], cert: CycleCertificate) -> bool:
         return bound == (n + degs.count(1) + 1) // 2
     if kind == BOUND_EXACT_LENGTH:
         return bound == cert.length
-    from .oracles import _girth_masks  # BOUND_EXACT_GIRTH: the true girth
+    # BOUND_EXACT_GIRTH: cert, a cycle of length k, attains the girth
+    # exactly when no closed walk has fewer than k arcs.  ends[v] holds
+    # the ends of the walks from v with as many arcs as steps taken.
+    k = cert.length
+    if bound != k:
+        return False
+    ends = [1 << v for v in range(n)]
+    for _ in range(k - 1):
+        ends = [_successors(out, e) for e in ends]
+        if any(e >> v & 1 for v, e in enumerate(ends)):
+            return False
+    return True
 
-    hit = _girth_masks(n, out, in_masks_of(out))
-    return hit is not None and bound == hit[0]
+
+def _successors(out: Sequence[int], vs: int) -> int:
+    """The out-neighbors of the vertex mask vs, as a mask."""
+    nxt = 0
+    for u in bits(vs):
+        nxt |= out[u]
+    return nxt
 
 
 def validate_cycle_masks(n: int, out: Sequence[int], cert: CycleCertificate) -> bool:

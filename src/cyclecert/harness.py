@@ -51,7 +51,6 @@ from .formats import (
 )
 from .oracles import (
     _girth_masks,
-    _girth_table,
     all_pairs_rainbow_distances,
     shortest_rainbow_cycle_exact,
     two_cycles_min_intersection,
@@ -349,7 +348,7 @@ class _Block:
 
     @property
     def girth(self) -> list[int | None]:
-        """Per choice, the girth, None where acyclic (see oracles._girth_table).
+        """Per choice, the girth, None where acyclic (see _girth_table).
 
         The recheck() instance has its girth searched again from scratch,
         and a disagreement raises.
@@ -365,6 +364,45 @@ class _Block:
                         f"{None if hit is None else hit[0]}, on:\n{self.text(r)}"
                     )
         return self._girth
+
+
+def _girth_table(
+    n: int, tail: Sequence[int], tail_inn: tuple[int, ...], heads: Sequence[int]
+) -> list[int | None]:
+    """For each h in heads, the girth of the digraph with out-masks
+    (h,) + tail, or None if it is acyclic; tail_inn is in_masks_of((0,) + tail).
+
+    A cycle either avoids vertex 0, and so is a cycle of D - 0, or leaves
+    0 by an arc 0 -> v and returns by a shortest v -> 0 path, which meets
+    0 only at its end and so uses arcs of vertices 1.. alone.  One girth
+    search of D - 0 and one backward search from 0 over tail_inn thus
+    serve every h: girth = min(g(D - 0), 1 + min over v in h of dist(v -> 0)).
+    """
+    hit = _girth_masks(n, (0, *(m & ~1 for m in tail)), (0, *tail_inn[1:]))
+    g0 = None if hit is None else hit[0]
+    # layers[k]: the vertices whose shortest path to 0 has k + 1 arcs, only
+    # as deep as a cycle through 0 (k + 2 arcs) still beats g0.
+    layers = []
+    depth = n if g0 is None else g0 - 2
+    seen, frontier = 1, tail_inn[0]
+    while frontier and len(layers) < depth:
+        layers.append(frontier)
+        seen |= frontier
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= tail_inn[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+    table = []
+    for h in heads:
+        g = g0
+        for k, layer in enumerate(layers):
+            if h & layer:
+                g = k + 2
+                break
+        table.append(g)
+    return table
 
 
 def _sweep(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Protocol, Sequence
+from typing import Iterator, Protocol
 
 from .certificates import (
     BOUND_CEIL_N_PLUS_P,
@@ -33,6 +33,8 @@ from .families import Edge, RainbowInstance
 from .formats import format_digraph, format_rainbow
 
 CYCLE_CAP = 10_000_000
+# Cycles two_cycles_min_intersection pairs at most: K_7 has 2,365, K_8 16,064.
+PAIR_CYCLE_CAP = 4_096
 RAINBOW_VERTEX_CAP = 16
 
 
@@ -75,45 +77,6 @@ def _girth_masks(n: int, out: tuple[int, ...], inn: tuple[int, ...]) -> tuple[in
     if best_g is None:
         return None
     return best_g, best_s
-
-
-def _girth_table(
-    n: int, tail: Sequence[int], tail_inn: tuple[int, ...], heads: Sequence[int]
-) -> list[int | None]:
-    """For each h in heads, the girth of the digraph with out-masks
-    (h,) + tail, or None if it is acyclic; tail_inn is in_masks_of((0,) + tail).
-
-    A cycle either avoids vertex 0, and so is a cycle of D - 0, or leaves
-    0 by an arc 0 -> v and returns by a shortest v -> 0 path, which meets
-    0 only at its end and so uses arcs of vertices 1.. alone.  One girth
-    search of D - 0 and one backward search from 0 over tail_inn thus
-    serve every h: girth = min(g(D - 0), 1 + min over v in h of dist(v -> 0)).
-    """
-    hit = _girth_masks(n, (0, *(m & ~1 for m in tail)), (0, *tail_inn[1:]))
-    g0 = None if hit is None else hit[0]
-    # layers[k]: the vertices whose shortest path to 0 has k + 1 arcs, only
-    # as deep as a cycle through 0 (k + 2 arcs) still beats g0.
-    layers = []
-    depth = n if g0 is None else g0 - 2
-    seen, frontier = 1, tail_inn[0]
-    while frontier and len(layers) < depth:
-        layers.append(frontier)
-        seen |= frontier
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= tail_inn[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~seen
-    table = []
-    for h in heads:
-        g = g0
-        for k, layer in enumerate(layers):
-            if h & layer:
-                g = k + 2
-                break
-        table.append(g)
-    return table
 
 
 def _shortest_cycle_through(out: tuple[int, ...], inn: tuple[int, ...], s: int) -> list[int]:
@@ -169,24 +132,25 @@ def _cycles_vertices(n: int, out: tuple[int, ...]) -> Iterator[list[int]]:
     and the search never descends below s, so each cycle appears exactly
     once.  Deterministic order: ascending anchor, then lexicographic path.
     """
-    path: list[int] = []
-
-    def dfs(s: int, w: int, used: int) -> Iterator[list[int]]:
-        m = out[w]
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if v == s and len(path) >= 2:
-                yield list(path)
-            elif v > s and not (used & low):
-                path.append(v)
-                yield from dfs(s, v, used | low)
-                path.pop()
-
     for s in range(n):
-        path = [s]
-        yield from dfs(s, s, 1 << s)
+        yield from _cycles_dfs(out, [s], s, 1 << s)
+
+
+def _cycles_dfs(out: tuple[int, ...], path: list[int], w: int, used: int) -> Iterator[list[int]]:
+    """The cycles that extend path, which runs from path[0] to w on the
+    vertex mask used, through vertices above path[0] and back to it."""
+    s = path[0]
+    m = out[w]
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
+        if v == s and len(path) >= 2:
+            yield list(path)
+        elif v > s and not (used & low):
+            path.append(v)
+            yield from _cycles_dfs(out, path, v, used | low)
+            path.pop()
 
 
 def enumerate_cycles(d: Digraph) -> Iterator[CycleCertificate]:
@@ -229,10 +193,12 @@ def two_cycles_min_intersection(d: Digraph) -> TwoCyclePair:
     Ties break toward the smaller combined length, then enumeration
     order.  On sink-less digraphs with all out-degrees in {1, 2}, an
     intersection above p + 1 (p = number of out-degree-1 vertices) is a
-    TheoremViolation.
+    TheoremViolation.  Past PAIR_CYCLE_CAP cycles it raises ResourceCap.
     """
     cycles: list[tuple[int, tuple[int, ...]]] = []
     for cert in enumerate_cycles(d):
+        if len(cycles) == PAIR_CYCLE_CAP:
+            raise ResourceCap(f"cycle pairs capped at {PAIR_CYCLE_CAP} cycles")
         mask = 0
         for v in cert.vertices:
             mask |= 1 << v
@@ -385,67 +351,45 @@ def all_pairs_rainbow_distances(h: _ColoredEdgeList) -> dict[tuple[int, int], in
     colored graph such as the rainbow construction's greedy subgraph.
 
     Only h's colored edge list is read: the vertices are its endpoints,
-    and the incidence lists are built here.  A graph on more than
-    RAINBOW_VERTEX_CAP vertices is refused; a pair with no rainbow path
-    raises ClaimViolation.
+    and the adjacency lists are built here.  One exhaustive search per
+    source vertex walks every simple rainbow path from it.  A graph on
+    more than RAINBOW_VERTEX_CAP vertices is refused; the first pair
+    (a, b), a < b in order, with no rainbow path raises ClaimViolation.
     """
-    edges = h.edges()
-    incident: dict[int, list[int]] = {}
-    for eid, ((a, b), _) in enumerate(edges):
-        incident.setdefault(a, []).append(eid)
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for (a, b), c in h.edges():
+        adj.setdefault(a, []).append((b, c))
         if a != b:
-            incident.setdefault(b, []).append(eid)
-    if len(incident) > RAINBOW_VERTEX_CAP:
+            adj.setdefault(b, []).append((a, c))
+    if len(adj) > RAINBOW_VERTEX_CAP:
         raise ResourceCap(f"rainbow search capped at {RAINBOW_VERTEX_CAP} vertices")
-    vs = sorted(incident)
+    vs = sorted(adj)
     out = {}
     for i, a in enumerate(vs):
+        dist: dict[int, int] = {}
+        _rainbow_dfs(adj, a, 1 << a, 0, 1, dist)
         for b in vs[i + 1 :]:
-            path = _brute_shortest_rainbow_path(edges, incident, a, b)
-            if path is None:
+            if b not in dist:
                 raise ClaimViolation(f"no rainbow path from {a} to {b} in {h!r}")
-            out[(a, b)] = len(path)
+            out[(a, b)] = dist[b]
     return out
 
 
-def _brute_shortest_rainbow_path(
-    edges: list[tuple[Edge, int]], incident: dict[int, list[int]], u: int, v: int
-) -> list[tuple[Edge, int]] | None:
-    """Exact shortest simple rainbow path u -> v, by DFS over all paths."""
-    best = _rainbow_dfs(edges, incident, v, u, {u}, set(), [], None)
-    if best is None:
-        return None
-    return [edges[eid] for eid in best]
-
-
 def _rainbow_dfs(
-    edges: list[tuple[Edge, int]],
-    incident: dict[int, list[int]],
-    v: int,
+    adj: dict[int, list[tuple[int, int]]],
     w: int,
-    used_v: set[int],
-    used_c: set[int],
-    trail: list[int],
-    best: list[int] | None,
-) -> list[int] | None:
-    """Extend the trail of edge ids, which has reached w on the vertices
-    used_v in the colors used_c, by each edge at w to an unused vertex in
-    an unused color.  Returns the shortest trail to v known: best, the
-    shortest found before, or a shorter one found here."""
-    if w == v:
-        return list(trail) if best is None or len(trail) < len(best) else best
-    if best is not None and len(trail) + 1 >= len(best):
-        return best
-    for eid in incident[w]:
-        e, c = edges[eid]
-        nxt = e[1] if e[0] == w else e[0]
-        if nxt in used_v or c in used_c:
+    used_v: int,
+    used_c: int,
+    length: int,
+    dist: dict[int, int],
+) -> None:
+    """Extend a rainbow path, which has reached w on the vertex mask used_v
+    in the color mask used_c, by each edge at w to an unused vertex in an
+    unused color, recording in dist each vertex's least path length seen;
+    length is the length the path has after one more edge."""
+    for v, c in adj[w]:
+        if (used_v >> v) & 1 or (used_c >> c) & 1:
             continue
-        used_v.add(nxt)
-        used_c.add(c)
-        trail.append(eid)
-        best = _rainbow_dfs(edges, incident, v, nxt, used_v, used_c, trail, best)
-        trail.pop()
-        used_v.discard(nxt)
-        used_c.discard(c)
-    return best
+        if v not in dist or length < dist[v]:
+            dist[v] = length
+        _rainbow_dfs(adj, v, used_v | (1 << v), used_c | (1 << c), length + 1, dist)

@@ -347,18 +347,13 @@ def _certificate(
     return CycleCertificate(cyc, Fraction(2 * phi0, scale), BOUND_TWO_PHI)
 
 
-def short_cycle_via_peeling(
-    d: Digraph, memo: PeelMemo | None = None
-) -> CycleCertificate:
+def short_cycle_via_peeling(d: Digraph) -> CycleCertificate:
     """A directed cycle of length <= 2 phi(D), certified, for sink-less D.
 
     The certificate's vertices are indices of the original digraph.
-    memo, a dict shared across calls, lets runs that reach a state an
-    earlier run passed through reuse its outcome; it holds at most
-    PEEL_MEMO_CAP entries and gives the same certificates as no memo.
     """
     state = _start(d)
-    cyc = _run_peel(state, memo)[1]
+    cyc = _run_peel(state)[1]
     return _certificate(d.n, d.out_masks, state.scale, _phi_scaled(state.scale, d.out_deg), cyc)
 
 
@@ -366,6 +361,9 @@ class BlockPeeler:
     """short_cycle_via_peeling over a block: the digraphs (h,) + tail on
     n vertices, which share the out-masks tail of vertices 1..n-1 and
     differ in vertex 0's out-mask h.  tail_inn is in_masks_of((0,) + tail).
+    memo, a dict shared across blocks, lets runs that reach a state an
+    earlier run passed through reuse its outcome; it holds at most
+    PEEL_MEMO_CAP entries and gives the same certificates as no memo.
 
     The policy tries vertex 0 first.  Whether 0 is protected (some tail
     out-mask is {0}) and the right side of (1) at 0 (tail_inn[0] read
@@ -377,7 +375,7 @@ class BlockPeeler:
     Every digraph that removes 0 first is then in the same state, D - 0,
     which is peeled once, through memo like any run, and serves them
     all.  Each digraph still gets its own certificate, bounded by 2 phi
-    of its own degrees: the one short_cycle_via_peeling(d, memo) gives.
+    of its own degrees: the one short_cycle_via_peeling(d) gives.
     """
 
     __slots__ = ("n", "tail", "tail_inn", "memo", "scale", "degs", "tail_phi", "zero_first", "_rest")

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: documents, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -128,6 +129,27 @@ class TestTwoCycles:
     def test_acyclic_is_usage_error(self, tmp_path):
         r = run_cli("two-cycles", write(tmp_path, "d.txt", DAG))
         assert r.returncode == 2
+
+    @staticmethod
+    def complete(n):
+        arcs = [f"{u} {v}\n" for u in range(n) for v in range(n) if u != v]
+        return f"digraph {n} {len(arcs)}\n" + "".join(arcs)
+
+    def test_k7_runs_unchanged(self, tmp_path):
+        # 2,365 cycles, under the pair oracle's cap; sha256 of its document
+        # from before the cap existed.
+        r = run_cli("two-cycles", write(tmp_path, "d.txt", self.complete(7)))
+        assert r.returncode == 0
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+            "07c281d28806a6d5b113b7cb44e2e1917a23509200c2d9ba1438b2c4e20ba362"
+        )
+
+    def test_k8_is_refused_at_the_cycle_cap(self, tmp_path):
+        # 16,064 cycles: comparing every pair took about 30 s; the cap
+        # refuses it while enumerating.
+        r = run_cli("two-cycles", write(tmp_path, "d.txt", self.complete(8)), timeout=10)
+        assert r.returncode == 3
+        assert r.stdout == ""
 
 
 class TestVerify:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclecert import certificates
+from cyclecert import certificates, digraph
 from cyclecert.certificates import (
     BOUND_CEIL_N_PLUS_P,
     BOUND_EXACT_GIRTH,
@@ -429,13 +429,15 @@ class TestCycleValidationOnMasks:
         assert revisits == 122
 
     def test_in_masks_only_for_the_girth(self, monkeypatch):
+        # No kind needs in-masks: the girth is checked by closed walks.
+        assert not hasattr(certificates, "in_masks_of")
         calls = []
-        derive = certificates.in_masks_of
-        monkeypatch.setattr(certificates, "in_masks_of", lambda out: calls.append(out) or derive(out))
+        derive = digraph.in_masks_of
+        monkeypatch.setattr(digraph, "in_masks_of", lambda out: calls.append(out) or derive(out))
         assert validate_cycle_masks(4, C4.out_masks, short_cycle_via_peeling(C4))
         assert calls == []
         assert validate_cycle_masks(4, C4.out_masks, girth_exact(C4)[1])
-        assert calls == [C4.out_masks]
+        assert calls == []
 
 
 class TestRainbowValidation:

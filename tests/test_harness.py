@@ -237,17 +237,18 @@ class TestCrossChecks:
     searches and runs from scratch."""
 
     @staticmethod
-    def off_by_one(*args):
-        return [None if g is None else g + 1 for g in oracles._girth_table(*args)]
+    def off_by_one(table):
+        """table, the original harness._girth_table, one too high."""
+        return lambda *args: [None if g is None else g + 1 for g in table(*args)]
 
     def test_disagreement_raises_with_the_instance(self, monkeypatch):
-        monkeypatch.setattr(harness, "_girth_table", self.off_by_one)
+        monkeypatch.setattr(harness, "_girth_table", self.off_by_one(harness._girth_table))
         # Index 0 of outmaps n = 3: 0 -> 1, 1 -> 0, 2 -> 0, girth 2.
         with pytest.raises(TheoremViolation, match=r"says 3, .* says 2, on:\ndigraph 3 3\n"):
             run_suite(SuiteConfig(3, 3, "outmaps", ("deg2-girth",)))
 
     def test_mid_sweep_index_is_searched_again(self, monkeypatch):
-        monkeypatch.setattr(harness, "_girth_table", self.off_by_one)
+        monkeypatch.setattr(harness, "_girth_table", self.off_by_one(harness._girth_table))
         cfg = SuiteConfig(6, 6, "outmaps", ("two-cycles",))
         # 100,000 is r = 10 of the block at 99,990 (15 vertex-0 choices).
         with pytest.raises(TheoremViolation, match="digraph 6"):
@@ -258,7 +259,7 @@ class TestCrossChecks:
     def test_sinkless_sweep_searches_the_next_kept_instance(self, monkeypatch):
         # Code 100,000 at n = 5 has vertex 0 empty, so the sinkless filter
         # drops it; 100,001, next in its block, is searched again instead.
-        monkeypatch.setattr(harness, "_girth_table", self.off_by_one)
+        monkeypatch.setattr(harness, "_girth_table", self.off_by_one(harness._girth_table))
         cfg = SuiteConfig(5, 5, "labeled", ("chc",))
         with pytest.raises(TheoremViolation, match="digraph 5"):
             _run_shard(cfg, 5, 100_000, 100_002)
@@ -712,8 +713,10 @@ class TestExtremalRatioSearch:
             extremal_ratio_search(SEARCH_CAP + 1, 0)
 
     def test_exhaustive_mode_raises_when_a_ratio_reaches_two(self, monkeypatch):
+        table = harness._girth_table
+
         def doubled(*args):
-            return [None if g is None else 2 * g for g in oracles._girth_table(*args)]
+            return [None if g is None else 2 * g for g in table(*args)]
 
         monkeypatch.setattr(harness, "_girth_table", doubled)
         with pytest.raises(TheoremViolation, match="strictly below 2 psi.*, on:\ndigraph 3 "):

@@ -13,7 +13,7 @@ PACKAGE = Path(cyclecert.__file__).parent
 # module -> package modules it must not import, at top level or inside a function
 FORBIDDEN = {
     "oracles": {"peeling", "rainbow", "harness", "cli"},
-    "certificates": {"peeling", "rainbow", "harness", "cli"},
+    "certificates": {"oracles", "peeling", "rainbow", "harness", "cli"},
     "peeling": {"oracles", "rainbow", "harness"},
 }
 
@@ -55,10 +55,6 @@ def test_scanner_sees_lazy_and_absolute_imports(tmp_path):
 
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
-# (module, package module it imports inside a function): certificates needs
-# the girth search of oracles, which imports certificates at its top.
-LAZY_ALLOWED = {("certificates", "oracles")}
-
 
 def imported_names(tree):
     """The names a module's imports bind, except __future__ features."""
@@ -91,8 +87,7 @@ def test_every_import_is_used(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_imports_are_at_module_top(path):
-    lazy = {(path.stem, m) for m in lazy_imports(ast.parse(path.read_text()))}
-    assert lazy <= LAZY_ALLOWED
+    assert lazy_imports(ast.parse(path.read_text())) == set()
 
 
 def test_scanners_see_unused_and_lazy_imports():

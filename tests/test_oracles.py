@@ -1,5 +1,6 @@
 """Brute-force oracles: exact girth, cycle enumeration, cycle pairs, rainbow search."""
 
+import gc
 import hashlib
 import json
 import math
@@ -7,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclecert.certificates import (
     BOUND_CEIL_N_PLUS_P,
@@ -26,11 +27,10 @@ from cyclecert.errors import (
     ResourceCap,
 )
 from cyclecert.families import RainbowInstance
-from cyclecert.harness import _outmap_choices, _sweep
+from cyclecert.harness import _girth_table, _outmap_choices, _sweep
 from cyclecert.oracles import (
     RAINBOW_VERTEX_CAP,
     _girth_masks,
-    _girth_table,
     all_pairs_rainbow_distances,
     assert_all_size2_bound,
     deg2_short_cycle,
@@ -207,6 +207,18 @@ class TestTwoCycles:
         with pytest.raises(Acyclic):
             two_cycles_min_intersection(Digraph(2, [(0, 1)]))
 
+    def test_cycle_cap_refuses(self, monkeypatch):
+        import cyclecert.oracles as oracles
+
+        # BI_TRIANGLE has 5 cycles: a cap of 5 takes them, 4 refuses.
+        monkeypatch.setattr(oracles, "PAIR_CYCLE_CAP", 5)
+        assert two_cycles_min_intersection(BI_TRIANGLE).intersection == (0,)
+        monkeypatch.setattr(oracles, "PAIR_CYCLE_CAP", 4)
+        with pytest.raises(ResourceCap):
+            two_cycles_min_intersection(BI_TRIANGLE)
+        with pytest.raises(ResourceCap):
+            deg2_short_cycle(BI_TRIANGLE)
+
     @given(digraph_strategy(4))
     def test_intersection_is_minimal(self, d):
         cycles = [frozenset(c.vertices) for c in enumerate_cycles(d)]
@@ -264,6 +276,58 @@ class EdgeList:
         return self._edges
 
 
+def per_pair_distances(h):
+    """The rainbow distance oracle as it was, with one exhaustive search
+    per vertex pair, kept here as the reference for the per-source one."""
+    edges = h.edges()
+    incident = {}
+    for eid, ((a, b), _) in enumerate(edges):
+        incident.setdefault(a, []).append(eid)
+        if a != b:
+            incident.setdefault(b, []).append(eid)
+    vs = sorted(incident)
+    out = {}
+    for i, a in enumerate(vs):
+        for b in vs[i + 1 :]:
+            best = shortest_trail(edges, incident, b, a, {a}, set(), [], None)
+            if best is None:
+                raise ClaimViolation(f"no rainbow path from {a} to {b} in {h!r}")
+            out[(a, b)] = len(best)
+    return out
+
+
+def shortest_trail(edges, incident, v, w, used_v, used_c, trail, best):
+    """The shortest trail of edge ids to v known after extending trail,
+    which has reached w on the vertices used_v in the colors used_c."""
+    if w == v:
+        return list(trail) if best is None or len(trail) < len(best) else best
+    if best is not None and len(trail) + 1 >= len(best):
+        return best
+    for eid in incident[w]:
+        e, c = edges[eid]
+        nxt = e[1] if e[0] == w else e[0]
+        if nxt in used_v or c in used_c:
+            continue
+        used_v.add(nxt)
+        used_c.add(c)
+        trail.append(eid)
+        best = shortest_trail(edges, incident, v, nxt, used_v, used_c, trail, best)
+        trail.pop()
+        used_v.discard(nxt)
+        used_c.discard(c)
+    return best
+
+
+# Colored edge lists on at most 8 vertices, loops included.
+COLORED_EDGES = st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, 7), st.integers(0, 7)).map(lambda e: (min(e), max(e))),
+        st.integers(0, 5),
+    ),
+    max_size=12,
+)
+
+
 class TestRainbowDistanceOracle:
     # The greedy subgraph of seed (0, 1) with attachments 2 (via 0, 1) and
     # 3 (via 0, 2), as its edge list: 1 -> 3 must avoid reusing color 1 or 2
@@ -280,6 +344,22 @@ class TestRainbowDistanceOracle:
         with pytest.raises(ClaimViolation):
             all_pairs_rainbow_distances(EdgeList([((0, 1), 0), ((1, 2), 0)]))
 
+    @given(COLORED_EDGES)
+    @example([((0, 1), 0), ((0, 2), 1), ((1, 2), 1), ((0, 3), 2), ((2, 3), 2)])
+    @example([((0, 1), 0), ((2, 3), 1)])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_pair_search(self, edges):
+        h = EdgeList(edges)
+        try:
+            want = per_pair_distances(h)
+        except ClaimViolation as exc:
+            # Both name the first unreachable pair (a, b) in order.
+            with pytest.raises(ClaimViolation) as got:
+                all_pairs_rainbow_distances(h)
+            assert str(got.value) == str(exc)
+        else:
+            assert all_pairs_rainbow_distances(h) == want
+
     def test_vertex_cap(self):
         n = RAINBOW_VERTEX_CAP + 1
         path = EdgeList([((v, v + 1), v) for v in range(n - 1)])
@@ -287,6 +367,31 @@ class TestRainbowDistanceOracle:
             all_pairs_rainbow_distances(path)
         fits = EdgeList([((v, v + 1), v) for v in range(n - 2)])
         assert all_pairs_rainbow_distances(fits)[(0, n - 2)] == n - 2
+
+
+class TestNoReferenceCycles:
+    """Each search recurses through a module-level function: a recursive
+    closure that names itself would make every call a cycle that only
+    the cyclic collector frees."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: list(enumerate_cycles(BI_TRIANGLE)),
+            lambda: two_cycles_min_intersection(BI_TRIANGLE),
+            lambda: all_pairs_rainbow_distances(EdgeList(TestRainbowDistanceOracle.CHAIN)),
+        ],
+        ids=["enumerate_cycles", "two_cycles_min_intersection", "all_pairs_rainbow_distances"],
+    )
+    def test_hundred_calls_leave_nothing_to_collect(self, call):
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRainbowOracle:

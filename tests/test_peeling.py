@@ -248,6 +248,13 @@ def sinkless_up_to_4():
     return [d for n in range(1, 5) for d in enumerate_digraphs(n, "sinkless")]
 
 
+def peel_through(memo, d):
+    """short_cycle_via_peeling of d as a sweep runs it: through a
+    BlockPeeler of d's block that shares memo."""
+    tail = d.out_masks[1:]
+    return BlockPeeler(d.n, tail, in_masks_of((0, *tail)), memo).certificate(d.out_masks[0])
+
+
 class TestPeelMemo:
     """A memo shared across runs must change no certificate."""
 
@@ -265,7 +272,7 @@ class TestPeelMemo:
         assert len(ds) == 2429
         assert self.digest(short_cycle_via_peeling(d) for d in ds) == self.GOLDEN
         memo = {}
-        assert self.digest(short_cycle_via_peeling(d, memo) for d in ds) == self.GOLDEN
+        assert self.digest(peel_through(memo, d) for d in ds) == self.GOLDEN
 
     @pytest.mark.parametrize("order", ["sweep", "reverse"])
     def test_shared_memo_changes_nothing(self, order):
@@ -274,13 +281,13 @@ class TestPeelMemo:
             ds.reverse()
         memo = {}
         for d in ds:
-            assert short_cycle_via_peeling(d, memo) == short_cycle_via_peeling(d)
+            assert peel_through(memo, d) == short_cycle_via_peeling(d)
         assert memo
 
     def test_no_initial_state_is_stored(self):
         memo = {}
         for d in sinkless_up_to_4():
-            short_cycle_via_peeling(d, memo)
+            peel_through(memo, d)
         # Every key has a removed vertex, so no whole digraph is ever a key.
         assert all(0 in key for key in memo)
 
@@ -296,14 +303,14 @@ class TestPeelMemo:
         memo = {}
         k4 = Digraph(4, [(u, v) for u in range(4) for v in range(4) if u != v])
         with pytest.raises(LemmaViolation):
-            short_cycle_via_peeling(k4, memo)  # stuck after one removal
+            peel_through(memo, k4)  # stuck after one removal
         assert memo == {}
 
     def test_memo_stays_within_its_cap(self, monkeypatch):
         monkeypatch.setattr(peeling, "PEEL_MEMO_CAP", 7)
         memo = {}
         for d in sinkless_up_to_4():
-            assert short_cycle_via_peeling(d, memo) == short_cycle_via_peeling(d)
+            assert peel_through(memo, d) == short_cycle_via_peeling(d)
             assert len(memo) <= 7
 
 
