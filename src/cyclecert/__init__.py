@@ -6,158 +6,7 @@ independent exponential oracles for ground truth, and an enumeration
 harness that checks every proved bound over whole instance populations.
 All arithmetic on the potentials is exact rational; every result is a
 certificate that re-validates independently of its producer.
+
+The package re-exports nothing: import each name from its module, as in
+``from cyclecert.peeling import peel``.
 """
-
-from .certificates import (
-    BOUND_CEIL_N_PLUS_P,
-    BOUND_EXACT_GIRTH,
-    BOUND_EXACT_LENGTH,
-    BOUND_KINDS,
-    BOUND_TWO_PHI,
-    CycleCertificate,
-    RainbowCycleCertificate,
-    validate_cycle,
-    validate_rainbow_cycle,
-)
-from .digraph import (
-    Digraph,
-    first_sink,
-    is_sinkless,
-    is_union_of_cycles,
-    remove_vertex,
-)
-from .errors import (
-    Acyclic,
-    BoundViolation,
-    CapExceeded,
-    ClaimViolation,
-    CounterexampleFound,
-    EmptyGraph,
-    FormatError,
-    GraphInputError,
-    Infeasible,
-    LemmaViolation,
-    LimitExceeded,
-    NotSinkless,
-    ResourceCap,
-    SeedNotSingleton,
-    SinkPresent,
-    TheoremViolation,
-)
-from .families import Edge, RainbowInstance, normalize_edge
-from .formats import (
-    format_digraph,
-    format_rainbow,
-    parse_digraph,
-    parse_rainbow,
-)
-from .harness import (
-    ALL_CHECKS,
-    Report,
-    SuiteConfig,
-    enumerate_digraphs,
-    enumerate_outmaps,
-    extremal_ratio_search,
-    random_rainbow_instance,
-    run_suite,
-)
-from .oracles import (
-    TwoCyclePair,
-    all_pairs_rainbow_distances,
-    deg2_short_cycle,
-    enumerate_cycles,
-    girth_exact,
-    shortest_rainbow_cycle_exact,
-    two_cycles_min_intersection,
-)
-from .peeling import (
-    PeelingTrace,
-    eq1_terms,
-    peel,
-    peel_step,
-    phi,
-    psi,
-    removable_vertices,
-    short_cycle_via_peeling,
-)
-from .rainbow import (
-    ContractionMap,
-    GreedySubgraph,
-    build_greedy_subgraph,
-    contract,
-    find_rainbow_cycle,
-    rainbow_path_in_subgraph,
-    shared_edge_cycle,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ALL_CHECKS",
-    "Acyclic",
-    "BOUND_CEIL_N_PLUS_P",
-    "BOUND_EXACT_GIRTH",
-    "BOUND_EXACT_LENGTH",
-    "BOUND_KINDS",
-    "BOUND_TWO_PHI",
-    "BoundViolation",
-    "CapExceeded",
-    "ClaimViolation",
-    "ContractionMap",
-    "CounterexampleFound",
-    "CycleCertificate",
-    "Digraph",
-    "Edge",
-    "EmptyGraph",
-    "FormatError",
-    "GraphInputError",
-    "GreedySubgraph",
-    "Infeasible",
-    "LemmaViolation",
-    "LimitExceeded",
-    "NotSinkless",
-    "PeelingTrace",
-    "RainbowCycleCertificate",
-    "RainbowInstance",
-    "Report",
-    "ResourceCap",
-    "SeedNotSingleton",
-    "SinkPresent",
-    "SuiteConfig",
-    "TheoremViolation",
-    "TwoCyclePair",
-    "all_pairs_rainbow_distances",
-    "build_greedy_subgraph",
-    "contract",
-    "deg2_short_cycle",
-    "enumerate_cycles",
-    "enumerate_digraphs",
-    "enumerate_outmaps",
-    "eq1_terms",
-    "extremal_ratio_search",
-    "find_rainbow_cycle",
-    "first_sink",
-    "format_digraph",
-    "format_rainbow",
-    "girth_exact",
-    "is_sinkless",
-    "is_union_of_cycles",
-    "normalize_edge",
-    "parse_digraph",
-    "parse_rainbow",
-    "peel",
-    "peel_step",
-    "phi",
-    "psi",
-    "rainbow_path_in_subgraph",
-    "random_rainbow_instance",
-    "removable_vertices",
-    "remove_vertex",
-    "run_suite",
-    "shared_edge_cycle",
-    "short_cycle_via_peeling",
-    "shortest_rainbow_cycle_exact",
-    "two_cycles_min_intersection",
-    "validate_cycle",
-    "validate_rainbow_cycle",
-]

@@ -92,12 +92,6 @@ class Digraph:
     def m(self) -> int:
         return sum(self.out_deg)
 
-    def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.out_masks[v]))
-
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.in_masks[v]))
-
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.out_masks[u] >> v & 1)
 
@@ -111,11 +105,6 @@ class Digraph:
 
     def __repr__(self) -> str:
         return f"Digraph({self.n}, {list(self.arcs)})"
-
-
-def is_sinkless(d: Digraph) -> bool:
-    """True iff every vertex has out-degree >= 1 (vacuously true when n = 0)."""
-    return all(deg >= 1 for deg in d.out_deg)
 
 
 def is_union_of_cycles(d: Digraph) -> bool:

@@ -21,12 +21,9 @@ class EmptyGraph(ValueError):
     """The operation needs at least one vertex."""
 
 
-class SinkPresent(ValueError):
-    """psi is undefined: some vertex has out-degree 0."""
-
-
 class NotSinkless(ValueError):
-    """The operation requires a sink-less digraph."""
+    """The operation requires a sink-less digraph (psi, for one, is undefined
+    when some vertex has out-degree 0)."""
 
 
 class SeedNotSingleton(ValueError):
@@ -42,15 +39,8 @@ class Infeasible(ValueError):
 
 
 class LimitExceeded(RuntimeError):
-    """Base for hard resource caps.  Caps refuse; they never truncate silently."""
-
-
-class ResourceCap(LimitExceeded):
-    """An oracle search exceeded its hard cap."""
-
-
-class CapExceeded(LimitExceeded):
-    """An enumeration request exceeds the harness's hard cap."""
+    """A search or request exceeds a hard resource cap.  Caps refuse; they
+    never truncate silently."""
 
 
 class CounterexampleFound(RuntimeError):

@@ -26,13 +26,20 @@ from .errors import FormatError
 from .families import RainbowInstance
 
 
-# Largest vertex count a digraph header may declare.  Digraph allocates
-# per-vertex tables, so larger headers are refused before parsing arcs.
-MAX_DIGRAPH_VERTICES = 1 << 20
+# Largest vertex count a digraph or rainbow header may declare.  Every
+# single-instance command finishes in about a second at this size, while
+# the searches and recursions behind them do not at a few times it; larger
+# headers are refused before any arc or family line is parsed.
+MAX_VERTICES = 512
 
 
 def _data_lines(text: str) -> list[str]:
     return [ln.strip() for ln in text.splitlines() if ln.strip()]
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise FormatError(f"header declares {n} vertices, more than {MAX_VERTICES}")
 
 
 def parse_digraph(text: str) -> Digraph:
@@ -46,8 +53,7 @@ def parse_digraph(text: str) -> Digraph:
         n, m = int(head[1]), int(head[2])
     except ValueError:
         raise FormatError(f"bad header {lines[0]!r}: n and m must be integers") from None
-    if n > MAX_DIGRAPH_VERTICES:
-        raise FormatError(f"header declares {n} vertices, more than {MAX_DIGRAPH_VERTICES}")
+    _check_vertex_count(n)
     if len(lines) - 1 != m:
         raise FormatError(f"header promises {m} arcs, found {len(lines) - 1} lines")
     arcs = []
@@ -82,6 +88,7 @@ def parse_rainbow(text: str) -> RainbowInstance:
         n, m = int(head[1]), int(head[2])
     except ValueError:
         raise FormatError(f"bad header {lines[0]!r}: n and m must be integers") from None
+    _check_vertex_count(n)
     if len(lines) - 1 != m:
         raise FormatError(f"header promises {m} families, found {len(lines) - 1} lines")
     families = []

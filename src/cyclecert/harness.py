@@ -34,10 +34,10 @@ from .certificates import (
 )
 from .digraph import Digraph, in_masks_of
 from .errors import (
-    CapExceeded,
     CounterexampleFound,
     GraphInputError,
     Infeasible,
+    LimitExceeded,
     TheoremViolation,
 )
 from .families import RainbowInstance
@@ -52,6 +52,7 @@ from .formats import (
 from .oracles import (
     _girth_masks,
     all_pairs_rainbow_distances,
+    deg2_short_cycle,
     shortest_rainbow_cycle_exact,
     two_cycles_min_intersection,
 )
@@ -147,9 +148,9 @@ class SuiteConfig:
         if self.workers < 1:
             raise GraphInputError("workers must be >= 1")
         if self.workers > WORKERS_CAP:
-            raise CapExceeded(f"workers is capped at {WORKERS_CAP}, asked for {self.workers}")
+            raise LimitExceeded(f"workers is capped at {WORKERS_CAP}, asked for {self.workers}")
         if self.n_hi > pop.cap:
-            raise CapExceeded(
+            raise LimitExceeded(
                 f"generator {self.generator!r} is capped at n <= {pop.cap}, asked for {self.n_hi}"
             )
         pop.validate(self)
@@ -783,12 +784,22 @@ def _check_chc(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
 
 
 def _check_deg2_girth(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
-    n, girth, p = b.n, b.girth, b.p
+    # The recheck() instance also gets the exhaustive oracle's certificate,
+    # which must validate on the instance's out-masks.
+    n, girth, p, again = b.n, b.girth, b.p, b.recheck()
     for r in rs:
         g = girth[r]
         bound = (n + p[r] + 1) // 2
         if g is None or g > bound:
             yield r, f"girth {g} exceeds ceil((n + p) / 2) = {bound}"
+        elif r == again:
+            try:
+                cert = deg2_short_cycle(b.digraph(r))
+            except CounterexampleFound as exc:
+                yield r, f"{type(exc).__name__}: {exc}"
+                continue
+            if not validate_cycle_masks(n, b.out(r), cert):
+                yield r, ("exhaustive short cycle failed validation", cycle_cert_json(cert))
 
 
 def _check_two_cycles(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
@@ -830,12 +841,9 @@ def _check_rainbow_bound(x: _RainbowRun, rs: Sequence[int], acc: _Accum) -> _Fai
                 f"length {exact}, yet one of length {cert.length} validated",
                 rainbow_cert_json(cert),
             )
-        elif inst.p == 0 and exact > (inst.n + 1) // 2:
-            # All families have size exactly 2, so the stronger published
-            # ceil(n/2) bound applies; an exceedance here is a headline event
-            # even though this library does not prove that bound itself.
-            why = f"rainbow girth {exact} exceeds ceil(n/2) = {(inst.n + 1) // 2}"
-            acc.record("finding", CHECK_RAINBOW_BOUND, x, r, why)
+        # Otherwise exact <= cert.length <= ceil((n + p) / 2); at p = 0, where
+        # all families have size exactly 2, that is the stronger published
+        # ceil(n/2) bound, so it needs no check of its own.
 
 
 def _check_rd_claim(x: _RainbowRun, rs: Sequence[int], acc: _Accum) -> _Failures:
@@ -1099,7 +1107,7 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
     if n < 2:
         raise GraphInputError("need n >= 2 for a sink-less digraph")
     if n > SEARCH_CAP:
-        raise CapExceeded(f"search-ratio is capped at n <= {SEARCH_CAP}, asked for {n}")
+        raise LimitExceeded(f"search-ratio is capped at n <= {SEARCH_CAP}, asked for {n}")
     if budget < 0:
         raise GraphInputError("budget must be >= 0")
     report = Report(

@@ -25,14 +25,17 @@ from .errors import (
     BoundViolation,
     ClaimViolation,
     GraphInputError,
+    LimitExceeded,
     NotSinkless,
-    ResourceCap,
     TheoremViolation,
 )
 from .families import Edge, RainbowInstance
 from .formats import format_digraph, format_rainbow
 
-CYCLE_CAP = 10_000_000
+# Path extensions the anchored cycle search makes at most.  Every cycle
+# costs at least one, so this caps the cycles too; counting extensions
+# also refuses a search that runs long while finding few cycles.
+CYCLE_CAP = 1_000_000
 # Cycles two_cycles_min_intersection pairs at most: K_7 has 2,365, K_8 16,064.
 PAIR_CYCLE_CAP = 4_096
 RAINBOW_VERTEX_CAP = 16
@@ -131,38 +134,43 @@ def _cycles_vertices(n: int, out: tuple[int, ...]) -> Iterator[list[int]]:
     Anchored enumeration: cycles are found from their smallest vertex s,
     and the search never descends below s, so each cycle appears exactly
     once.  Deterministic order: ascending anchor, then lexicographic path.
+    The path lives on an explicit stack, so its length is not bounded by
+    the interpreter's recursion limit.  Past CYCLE_CAP path extensions it
+    raises LimitExceeded.
     """
+    extensions = 0
     for s in range(n):
-        yield from _cycles_dfs(out, [s], s, 1 << s)
-
-
-def _cycles_dfs(out: tuple[int, ...], path: list[int], w: int, used: int) -> Iterator[list[int]]:
-    """The cycles that extend path, which runs from path[0] to w on the
-    vertex mask used, through vertices above path[0] and back to it."""
-    s = path[0]
-    m = out[w]
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        if v == s and len(path) >= 2:
-            yield list(path)
-        elif v > s and not (used & low):
-            path.append(v)
-            yield from _cycles_dfs(out, path, v, used | low)
-            path.pop()
+        path = [s]
+        used = 1 << s
+        # Per path vertex, its out-arcs not tried yet, as a mask.
+        untried = [out[s]]
+        while untried:
+            m = untried[-1]
+            if not m:
+                untried.pop()
+                used ^= 1 << path.pop()
+                continue
+            low = m & -m
+            untried[-1] = m ^ low
+            v = low.bit_length() - 1
+            if v == s and len(path) >= 2:
+                yield list(path)
+            elif v > s and not (used & low):
+                extensions += 1
+                if extensions > CYCLE_CAP:
+                    raise LimitExceeded(f"cycle search capped at {CYCLE_CAP} path extensions")
+                path.append(v)
+                used |= low
+                untried.append(out[v])
 
 
 def enumerate_cycles(d: Digraph) -> Iterator[CycleCertificate]:
     """Every simple directed cycle of d.
 
-    Emits at most CYCLE_CAP cycles; one more raises ResourceCap.
+    The search extends a path at most CYCLE_CAP times, and so emits at
+    most that many cycles; one more extension raises LimitExceeded.
     """
-    count = 0
     for vs in _cycles_vertices(d.n, d.out_masks):
-        count += 1
-        if count > CYCLE_CAP:
-            raise ResourceCap(f"more than {CYCLE_CAP} cycles")
         yield CycleCertificate(
             vertices=tuple(vs), bound=Fraction(len(vs)), bound_kind=BOUND_EXACT_LENGTH
         )
@@ -193,12 +201,12 @@ def two_cycles_min_intersection(d: Digraph) -> TwoCyclePair:
     Ties break toward the smaller combined length, then enumeration
     order.  On sink-less digraphs with all out-degrees in {1, 2}, an
     intersection above p + 1 (p = number of out-degree-1 vertices) is a
-    TheoremViolation.  Past PAIR_CYCLE_CAP cycles it raises ResourceCap.
+    TheoremViolation.  Past PAIR_CYCLE_CAP cycles it raises LimitExceeded.
     """
     cycles: list[tuple[int, tuple[int, ...]]] = []
     for cert in enumerate_cycles(d):
         if len(cycles) == PAIR_CYCLE_CAP:
-            raise ResourceCap(f"cycle pairs capped at {PAIR_CYCLE_CAP} cycles")
+            raise LimitExceeded(f"cycle pairs capped at {PAIR_CYCLE_CAP} cycles")
         mask = 0
         for v in cert.vertices:
             mask |= 1 << v
@@ -257,7 +265,7 @@ def shortest_rainbow_cycle_exact(
     by depth-limited search from each anchor vertex.
     """
     if inst.n > RAINBOW_VERTEX_CAP:
-        raise ResourceCap(f"rainbow search capped at {RAINBOW_VERTEX_CAP} vertices")
+        raise LimitExceeded(f"rainbow search capped at {RAINBOW_VERTEX_CAP} vertices")
     for c, fam in enumerate(inst.families):
         for e in fam:
             if e[0] == e[1]:
@@ -362,7 +370,7 @@ def all_pairs_rainbow_distances(h: _ColoredEdgeList) -> dict[tuple[int, int], in
         if a != b:
             adj.setdefault(b, []).append((a, c))
     if len(adj) > RAINBOW_VERTEX_CAP:
-        raise ResourceCap(f"rainbow search capped at {RAINBOW_VERTEX_CAP} vertices")
+        raise LimitExceeded(f"rainbow search capped at {RAINBOW_VERTEX_CAP} vertices")
     vs = sorted(adj)
     out = {}
     for i, a in enumerate(vs):

@@ -30,9 +30,9 @@ from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
 from .certificates import BOUND_TWO_PHI, CycleCertificate
-from .digraph import Digraph, bits
-from .errors import BoundViolation, EmptyGraph, LemmaViolation, NotSinkless, SinkPresent
-from .formats import format_digraph, rational_json
+from .digraph import Digraph, bits, first_sink
+from .errors import BoundViolation, EmptyGraph, LemmaViolation, NotSinkless
+from .formats import digraph_json, format_digraph, rational_json
 
 # Live out-masks of a peeling state -> the shortest terminal cycle reached from it.
 PeelMemo = dict[tuple[int, ...], tuple[int, ...]]
@@ -82,10 +82,10 @@ def _rhs_scaled(gains: Sequence[int], degs: Sequence[int], inn: int) -> int:
 
 
 def psi(d: Digraph) -> Fraction:
-    """Sum of 1/outdeg(v).  Undefined (SinkPresent) if any out-degree is 0."""
-    for v in range(d.n):
-        if d.out_deg[v] == 0:
-            raise SinkPresent(f"sink at vertex {v}")
+    """Sum of 1/outdeg(v).  Undefined (NotSinkless) if any out-degree is 0."""
+    v = first_sink(d)
+    if v is not None:
+        raise NotSinkless(f"sink at vertex {v}")
     m = _scale(d.n)
     return Fraction(_psi_scaled(m, d.out_deg), m)
 
@@ -112,17 +112,6 @@ def eq1_terms(d: Digraph) -> list[tuple[Fraction, Fraction]]:
     ]
 
 
-def removable_vertices(d: Digraph) -> list[int]:
-    """Vertices whose deletion does not increase phi, in ascending order."""
-    res = [v for v, (lhs, rhs) in enumerate(eq1_terms(d)) if lhs >= rhs]
-    if d.n > 0 and not res:
-        raise LemmaViolation(
-            "no vertex is phi-removable, contradicting the averaging argument, on:\n"
-            + format_digraph(d)
-        )
-    return res
-
-
 @dataclass(frozen=True)
 class PeelingTrace:
     """A full record of one peeling run, checkable step by step.
@@ -147,8 +136,7 @@ class PeelingTrace:
                 {"vertex": v, "phi": rational_json(ph)} for v, ph in self.steps
             ],
             "terminal": {
-                "n": self.terminal.n,
-                "arcs": [list(a) for a in self.terminal.arcs],
+                **digraph_json(self.terminal),
                 "vertices": list(self.terminal_vertices),
             },
         }
@@ -221,9 +209,9 @@ def _start(d: Digraph) -> _PeelState:
     """The state a peeling run of d begins in; d must be sink-less and nonempty."""
     if d.n == 0:
         raise EmptyGraph("peeling needs at least one vertex")
-    for v in range(d.n):
-        if d.out_deg[v] == 0:
-            raise NotSinkless(f"sink at vertex {v}")
+    v = first_sink(d)
+    if v is not None:
+        raise NotSinkless(f"sink at vertex {v}")
     return _PeelState(d.n, d.out_masks, d.in_masks, d.out_deg)
 
 
@@ -279,14 +267,6 @@ def _run_peel(
             memo.clear()
         memo[key] = cyc
     return steps, cyc
-
-
-def peel_step(d: Digraph) -> int | None:
-    """The first vertex a peeling run removes: the smallest one
-    whose removal keeps phi non-increasing and the digraph sink-less, or
-    None when d is already a union of cycles."""
-    steps = _run_peel(_start(d))[0]
-    return steps[0][0] if steps else None
 
 
 def peel(d: Digraph) -> PeelingTrace:

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import random
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -334,3 +338,78 @@ class TestUsage:
     def test_no_command_is_usage_error(self):
         r = run_cli()
         assert r.returncode == 2
+
+
+def directed_cycle(n):
+    """The cycle 0 -> 1 -> .. -> n-1 -> 0 in digraph text."""
+    return f"digraph {n} {n}\n" + "".join(f"{v} {(v + 1) % n}\n" for v in range(n))
+
+
+def out_degree_two(n, seed):
+    """A seeded random digraph on n vertices, every out-degree 2, in text."""
+    rng = random.Random(seed)
+    arcs = []
+    for u in range(n):
+        arcs += [f"{u} {v}\n" for v in sorted(rng.sample([v for v in range(n) if v != u], 2))]
+    return f"digraph {n} {len(arcs)}\n" + "".join(arcs)
+
+
+class TestSizeRefusals:
+    """Files no command could finish are refused with exit 2 or 3, never
+    with a traceback; a 512-vertex file still runs."""
+
+    @staticmethod
+    def assert_refused(r, code):
+        assert r.returncode == code
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+
+    def test_2000_vertex_cycle_is_refused(self, tmp_path):
+        r = run_cli("two-cycles", write(tmp_path, "d.txt", directed_cycle(2000)))
+        self.assert_refused(r, 2)
+
+    def test_1500_family_rainbow_is_refused(self, tmp_path):
+        n = 1500
+        fams = "".join(f"{min(v, (v + 1) % n)}-{max(v, (v + 1) % n)}\n" for v in range(n))
+        r = run_cli("rainbow", write(tmp_path, "r.txt", f"rainbow {n} {n}\n{fams}"))
+        self.assert_refused(r, 2)
+
+    def test_long_cycle_search_is_refused_at_its_step_cap(self, tmp_path):
+        # Its anchored search finds one cycle in 10^6 path extensions.
+        r = run_cli("two-cycles", write(tmp_path, "d.txt", out_degree_two(512, 3)), timeout=10)
+        self.assert_refused(r, 3)
+        assert "path extensions" in r.stderr
+
+    @pytest.mark.parametrize("command", ["girth", "peel", "two-cycles"])
+    def test_512_vertex_cycle_runs(self, tmp_path, command):
+        r = run_cli(command, write(tmp_path, "d.txt", directed_cycle(512)))
+        assert r.returncode == 0
+        assert json.loads(r.stdout)
+
+
+README = (Path(__file__).parent.parent / "README.md").read_text()
+
+
+class TestReadme:
+    """The README's library example and command lines run as written."""
+
+    def test_library_example(self, capsys):
+        (code,) = re.findall(r"```python\n(.*?)```", README, re.S)
+        exec(code, {})
+        assert capsys.readouterr().out == "(1, 2) <= 2\n"
+
+    def test_single_instance_commands(self, tmp_path):
+        (block,) = re.findall(r"```sh\n(# digraph format.*?)```", README, re.S)
+        ran = []
+        for line in block.splitlines():
+            if line.startswith("printf "):
+                subprocess.run(line, shell=True, cwd=tmp_path, check=True)
+            elif line.startswith("cyclecert "):
+                argv = shlex.split(line.partition("#")[0])[1:]
+                if argv[0] in ("girth", "peel", "two-cycles", "rainbow"):
+                    argv = [str(tmp_path / a) if (tmp_path / a).exists() else a for a in argv]
+                    r = run_cli(*argv)
+                    assert r.returncode == 0, line
+                    assert json.loads(r.stdout)
+                    ran.append(" ".join(argv[:-1]))
+        assert ran == ["girth", "peel", "two-cycles", "rainbow", "rainbow --oracle"]

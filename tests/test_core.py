@@ -24,7 +24,6 @@ from cyclecert.digraph import (
     Digraph,
     bits,
     first_sink,
-    is_sinkless,
     is_union_of_cycles,
     remove_vertex,
 )
@@ -65,8 +64,8 @@ class TestDigraph:
         assert d.n == 3
         assert d.m == 3
         assert d.arcs == ((0, 1), (1, 2), (2, 0))
-        assert d.out_neighbors(0) == (1,)
-        assert d.in_neighbors(0) == (2,)
+        assert list(bits(d.out_masks[0])) == [1]
+        assert list(bits(d.in_masks[0])) == [2]
         assert d.has_arc(0, 1) and not d.has_arc(1, 0)
         assert d.out_deg == (1, 1, 1) and d.in_deg == (1, 1, 1)
 
@@ -94,14 +93,12 @@ class TestDigraph:
     def test_empty_digraph(self):
         d = Digraph(0, [])
         assert d.n == 0 and d.m == 0 and d.arcs == ()
-        assert is_sinkless(d) and is_union_of_cycles(d)
+        assert first_sink(d) is None and is_union_of_cycles(d)
 
     def test_sink_predicates(self):
-        assert is_sinkless(TRIANGLE)
         assert first_sink(TRIANGLE) is None
-        path = Digraph(3, [(0, 1), (1, 2)])
-        assert not is_sinkless(path)
-        assert first_sink(path) == 2
+        assert first_sink(Digraph(3, [(0, 1), (1, 2)])) == 2
+        assert first_sink(Digraph(3, [(1, 2), (2, 1)])) == 0
 
     def test_union_of_cycles(self):
         assert is_union_of_cycles(TRIANGLE)
@@ -366,7 +363,7 @@ class TestCycleValidationOnMasks:
     def sinkless(max_n):
         for n in range(1, max_n + 1):
             for d in all_digraphs(n):
-                if is_sinkless(d):
+                if first_sink(d) is None:
                     cycles = {c.vertices for c in enumerate_cycles(d)}
                     yield d, cycles, girth_exact(d)[0]
 

@@ -15,7 +15,7 @@ from cyclecert.digraph import Digraph
 from cyclecert.errors import FormatError
 from cyclecert.families import RainbowInstance
 from cyclecert.formats import (
-    MAX_DIGRAPH_VERTICES,
+    MAX_VERTICES,
     cycle_cert_from_json,
     cycle_cert_json,
     digraph_json,
@@ -74,10 +74,13 @@ class TestDigraphText:
         with pytest.raises(FormatError):
             parse_digraph(text)
 
-    @pytest.mark.parametrize("n", [10**15, MAX_DIGRAPH_VERTICES + 1])
+    @pytest.mark.parametrize("n", [10**15, 2**20 + 1, MAX_VERTICES + 1])
     def test_oversized_header_refused_before_allocation(self, n):
         with pytest.raises(FormatError, match="vertices"):
             parse_digraph(f"digraph {n} 0\n")
+
+    def test_header_at_the_cap_is_accepted(self):
+        assert parse_digraph(f"digraph {MAX_VERTICES} 0\n").n == MAX_VERTICES
 
 
 class TestRainbowText:
@@ -107,6 +110,13 @@ class TestRainbowText:
     def test_malformed_rainbow_rejected(self, text):
         with pytest.raises(FormatError):
             parse_rainbow(text)
+
+    def test_oversized_header_refused_before_families(self):
+        # The family line is malformed, so only the header check can refuse it first.
+        with pytest.raises(FormatError, match=f"more than {MAX_VERTICES}"):
+            parse_rainbow(f"rainbow {MAX_VERTICES + 1} 1\nnot-a-family\n")
+        inst = parse_rainbow(f"rainbow {MAX_VERTICES} 1\n0-1\n")
+        assert inst.n == MAX_VERTICES
 
 
 class TestJson:

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclecert import harness, oracles
-from cyclecert.digraph import Digraph, in_masks_of, is_sinkless
-from cyclecert.errors import CapExceeded, GraphInputError, Infeasible, TheoremViolation
+from cyclecert.digraph import Digraph, first_sink, in_masks_of
+from cyclecert.errors import GraphInputError, Infeasible, LimitExceeded, TheoremViolation
 from cyclecert.families import RainbowInstance
 from cyclecert.peeling import _phi_scaled, _psi_scaled, _scale
 from cyclecert.harness import (
@@ -65,11 +65,11 @@ class TestSuiteConfig:
             SuiteConfig(4, 5, "rainbow", ("two-phi",)).validate()
 
     def test_caps(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(LimitExceeded):
             SuiteConfig(1, LABELED_CAP + 1, "labeled", ("two-phi",)).validate()
-        with pytest.raises(CapExceeded):
+        with pytest.raises(LimitExceeded):
             SuiteConfig(1, OUTMAP_CAP + 1, "outmaps", ("two-cycles",)).validate()
-        with pytest.raises(CapExceeded):
+        with pytest.raises(LimitExceeded):
             SuiteConfig(
                 2, RAINBOW_CAP + 1, "rainbow", ("rainbow-bound",)
             ).validate()
@@ -79,7 +79,7 @@ class TestSuiteConfig:
     def test_workers_capped(self):
         # Checked through validate() only: a run would start the pool.
         SuiteConfig(1, 3, "labeled", ("two-phi",), workers=WORKERS_CAP).validate()
-        with pytest.raises(CapExceeded):
+        with pytest.raises(LimitExceeded):
             SuiteConfig(1, 3, "labeled", ("two-phi",), workers=WORKERS_CAP + 1).validate()
 
     def test_bad_ranges_rejected(self):
@@ -296,6 +296,28 @@ class TestCrossChecks:
             (100_001, "block peeling and a run from scratch disagree")
         ]
 
+    def test_deg2_short_cycle_runs_and_is_validated(self, monkeypatch):
+        # 100,001 also gets the exhaustive ceil((n + p) / 2) certificate.
+        calls = []
+        oracle = harness.deg2_short_cycle
+        monkeypatch.setattr(harness, "deg2_short_cycle", lambda d: calls.append(d) or oracle(d))
+        cfg = SuiteConfig(5, 5, "labeled", ("deg2-girth",))
+        res = _run_shard(cfg, 5, 100_000, 100_016)
+        assert res["checked"] == res["passed"]
+        assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)]
+        # A certificate one vertex off is a violation there, with its JSON.
+        def one_off(d):
+            cert = oracle(d)
+            return dataclasses.replace(cert, vertices=(*cert.vertices[:-1], cert.vertices[-1] + 1))
+
+        monkeypatch.setattr(harness, "deg2_short_cycle", one_off)
+        res = _run_shard(cfg, 5, 100_000, 100_016)
+        assert [(v["index"], v["message"], v["certificate"]) for v in res["violations"]] == [(
+            100_001,
+            "exhaustive short cycle failed validation",
+            {"kind": "ceil-n-plus-p-over-2", "vertices": [1, 3], "bound": {"num": 4, "den": 1}},
+        )]
+
 
 def fail_on_odd(x, rs, acc):
     return ((r, "odd index") for r in rs if (x.base + r) % 2)
@@ -405,11 +427,11 @@ class TestUncheckedSinks:
 
 class TestEnumerateDigraphs:
     def test_refuses_what_a_suite_refuses(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(LimitExceeded):
             next(enumerate_digraphs(LABELED_CAP + 1))
         with pytest.raises(GraphInputError):
             next(enumerate_digraphs(3, "odd"))
-        with pytest.raises(CapExceeded):
+        with pytest.raises(LimitExceeded):
             next(enumerate_outmaps(OUTMAP_CAP + 1))
         with pytest.raises(GraphInputError):
             next(enumerate_outmaps(3, 2, 1))
@@ -438,7 +460,7 @@ class TestEnumerateDigraphs:
         sinkless = set(enumerate_digraphs(3, "sinkless"))
         strong = set(enumerate_digraphs(3, "strong"))
         assert strong <= sinkless
-        assert all(is_sinkless(d) for d in sinkless)
+        assert all(first_sink(d) is None for d in sinkless)
 
 
 class TestEnumerateOutmaps:
@@ -707,9 +729,9 @@ class TestExtremalRatioSearch:
     def test_n_capped_before_anything_is_built(self, monkeypatch):
         # Refused before the scale lcm(1..n) or the code space is built.
         monkeypatch.setattr(harness, "_scale", None)
-        with pytest.raises(CapExceeded):
+        with pytest.raises(LimitExceeded):
             extremal_ratio_search(SEARCH_CAP + 1, 1)
-        with pytest.raises(CapExceeded):
+        with pytest.raises(LimitExceeded):
             extremal_ratio_search(SEARCH_CAP + 1, 0)
 
     def test_exhaustive_mode_raises_when_a_ratio_reaches_two(self, monkeypatch):

@@ -23,8 +23,8 @@ from cyclecert.errors import (
     BoundViolation,
     ClaimViolation,
     GraphInputError,
+    LimitExceeded,
     NotSinkless,
-    ResourceCap,
 )
 from cyclecert.families import RainbowInstance
 from cyclecert.harness import _girth_table, _outmap_choices, _sweep
@@ -178,8 +178,27 @@ class TestEnumerateCycles:
         import cyclecert.oracles as oracles
 
         monkeypatch.setattr(oracles, "CYCLE_CAP", 3)
-        with pytest.raises(ResourceCap):
+        with pytest.raises(LimitExceeded):
             list(enumerate_cycles(BI_TRIANGLE))
+
+    def test_cap_counts_path_extensions_not_cycles(self, monkeypatch):
+        import cyclecert.oracles as oracles
+
+        # The transitive tournament on 8 vertices has no cycle but 2^7 - 1
+        # paths from vertex 0 alone: a search that finds nothing is refused.
+        dag = Digraph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
+        assert list(enumerate_cycles(dag)) == []
+        monkeypatch.setattr(oracles, "CYCLE_CAP", 100)
+        with pytest.raises(LimitExceeded, match="path extensions"):
+            list(enumerate_cycles(dag))
+
+    def test_long_cycle_needs_no_recursion(self):
+        # Arcs v -> v - 1: the search from 0 walks all 5,000 vertices, far
+        # past the interpreter's recursion limit, and no other anchor moves.
+        n = 5_000
+        d = Digraph(n, [(v, (v - 1) % n) for v in range(n)])
+        (cert,) = enumerate_cycles(d)
+        assert cert.vertices == (0, *range(n - 1, 0, -1))
 
 
 class TestTwoCycles:
@@ -214,9 +233,9 @@ class TestTwoCycles:
         monkeypatch.setattr(oracles, "PAIR_CYCLE_CAP", 5)
         assert two_cycles_min_intersection(BI_TRIANGLE).intersection == (0,)
         monkeypatch.setattr(oracles, "PAIR_CYCLE_CAP", 4)
-        with pytest.raises(ResourceCap):
+        with pytest.raises(LimitExceeded):
             two_cycles_min_intersection(BI_TRIANGLE)
-        with pytest.raises(ResourceCap):
+        with pytest.raises(LimitExceeded):
             deg2_short_cycle(BI_TRIANGLE)
 
     @given(digraph_strategy(4))
@@ -363,16 +382,15 @@ class TestRainbowDistanceOracle:
     def test_vertex_cap(self):
         n = RAINBOW_VERTEX_CAP + 1
         path = EdgeList([((v, v + 1), v) for v in range(n - 1)])
-        with pytest.raises(ResourceCap):
+        with pytest.raises(LimitExceeded):
             all_pairs_rainbow_distances(path)
         fits = EdgeList([((v, v + 1), v) for v in range(n - 2)])
         assert all_pairs_rainbow_distances(fits)[(0, n - 2)] == n - 2
 
 
 class TestNoReferenceCycles:
-    """Each search recurses through a module-level function: a recursive
-    closure that names itself would make every call a cycle that only
-    the cyclic collector frees."""
+    """No search is a closure: a recursive closure that names itself
+    would make every call a cycle that only the cyclic collector frees."""
 
     @pytest.mark.parametrize(
         "call",
@@ -429,7 +447,7 @@ class TestRainbowOracle:
     def test_vertex_cap(self):
         n = RAINBOW_VERTEX_CAP + 1
         inst = RainbowInstance(n, [[(0, 1)]])
-        with pytest.raises(ResourceCap):
+        with pytest.raises(LimitExceeded):
             shortest_rainbow_cycle_exact(inst)
 
     def test_all_size2_bound_on_five_vertices(self):

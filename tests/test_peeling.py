@@ -9,19 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclecert.certificates import BOUND_TWO_PHI, validate_cycle
-from cyclecert.digraph import Digraph, in_masks_of, is_sinkless, is_union_of_cycles, remove_vertex
+from cyclecert.digraph import Digraph, first_sink, in_masks_of, is_union_of_cycles, remove_vertex
 from cyclecert import harness, peeling
-from cyclecert.errors import EmptyGraph, LemmaViolation, NotSinkless, SinkPresent
+from cyclecert.errors import EmptyGraph, LemmaViolation, NotSinkless
 from cyclecert.harness import SuiteConfig, _run_shard, enumerate_digraphs, run_suite
 from cyclecert.oracles import girth_exact
 from cyclecert.peeling import (
     BlockPeeler,
     eq1_terms,
     peel,
-    peel_step,
     phi,
     psi,
-    removable_vertices,
     short_cycle_via_peeling,
 )
 
@@ -37,7 +35,13 @@ def induced(d, keep):
 
 
 def sinkless_strategy(max_n=5):
-    return digraph_strategy(max_n).filter(lambda d: d.n > 0 and is_sinkless(d))
+    return digraph_strategy(max_n).filter(lambda d: d.n > 0 and first_sink(d) is None)
+
+
+def first_removed(d):
+    """The first vertex peel(d) removes, or None if it removes none."""
+    steps = peel(d).steps
+    return steps[0][0] if steps else None
 
 
 class TestPotentials:
@@ -54,7 +58,7 @@ class TestPotentials:
         assert psi(APEX) == Fraction(7, 2)
 
     def test_psi_requires_sinkless(self):
-        with pytest.raises(SinkPresent):
+        with pytest.raises(NotSinkless, match="sink at vertex 1"):
             psi(Digraph(2, [(0, 1)]))
 
     def test_phi_tolerates_sinks(self):
@@ -100,44 +104,47 @@ class TestEq1:
         # exhaustively over every sink-less digraph with n <= 4
         for n in (1, 2, 3, 4):
             for d in all_digraphs(n):
-                if not (d.n and is_sinkless(d)):
+                if not (d.n and first_sink(d) is None):
                     continue
                 terms = eq1_terms(d)
                 for v, (lhs, rhs) in enumerate(terms):
                     assert (lhs >= rhs) == (phi(remove_vertex(d, v)) <= phi(d))
 
     def test_removable_vertices_triangle(self):
-        assert removable_vertices(TRIANGLE) == [0, 1, 2]
-        assert removable_vertices(BI_TRIANGLE) == [0, 1, 2]
+        for d in (TRIANGLE, BI_TRIANGLE):
+            assert [v for v, (lhs, rhs) in enumerate(eq1_terms(d)) if lhs >= rhs] == [0, 1, 2]
 
 
 class TestPeelStep:
+    """The first step of peel: the smallest vertex whose removal keeps phi
+    non-increasing and the digraph sink-less."""
+
     def test_union_of_cycles_returns_none(self):
-        assert peel_step(TRIANGLE) is None
+        assert first_removed(TRIANGLE) is None
         c5 = Digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        assert peel_step(c5) is None
+        assert first_removed(c5) is None
 
     def test_apex_removes_the_apex(self):
-        assert peel_step(APEX) == 3
+        assert first_removed(APEX) == 3
 
     def test_bidirected_triangle_removes_smallest(self):
-        assert peel_step(BI_TRIANGLE) == 0
+        assert first_removed(BI_TRIANGLE) == 0
 
     def test_requires_nonempty_sinkless(self):
         with pytest.raises(EmptyGraph):
-            peel_step(Digraph(0, []))
-        with pytest.raises(NotSinkless):
-            peel_step(Digraph(2, [(0, 1)]))
+            peel(Digraph(0, []))
+        with pytest.raises(NotSinkless, match="sink at vertex 1"):
+            peel(Digraph(2, [(0, 1)]))
 
     @given(sinkless_strategy())
     def test_step_never_raises_phi_or_creates_sink(self, d):
-        v = peel_step(d)
+        v = first_removed(d)
         if v is None:
             assert is_union_of_cycles(d)
             return
         rest = remove_vertex(d, v)
         assert phi(rest) <= phi(d)
-        assert is_sinkless(rest)
+        assert first_sink(rest) is None
 
 
 class TestPeel:
@@ -226,7 +233,7 @@ class TestShortCycle:
         # and the true girth obeys both potential bounds
         for n in (1, 2, 3, 4):
             for d in all_digraphs(n):
-                if not (d.n and is_sinkless(d)):
+                if not (d.n and first_sink(d) is None):
                     continue
                 cert = short_cycle_via_peeling(d)
                 assert cert.bound == 2 * phi(d)
@@ -376,7 +383,7 @@ class TestBlockPeeler:
         zero_first = []  # per tail, which heads remove vertex 0 first
         for tail in self.tails():
             ds = [Digraph.from_out_masks(4, (h, *tail)) for h in self.HEADS]
-            zero_first.append([peel_step(d) == 0 for d in ds])
+            zero_first.append([first_removed(d) == 0 for d in ds])
         runs = count_peel_runs(monkeypatch)
         for tail, firsts in zip(self.tails(), zero_first):
             peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)))
