@@ -147,9 +147,19 @@ class _PeelState:
 
     __slots__ = ("scale", "gains", "out", "inn", "deg", "alive")
 
-    def __init__(self, n: int, out: Sequence[int], inn: Sequence[int], deg: Sequence[int]):
-        self.scale = _scale(n)
-        self.gains = _gains(n, max(deg, default=0))
+    def __init__(
+        self,
+        n: int,
+        out: Sequence[int],
+        inn: Sequence[int],
+        deg: Sequence[int],
+        scale: int,
+        gains: Sequence[int],
+    ):
+        """scale is _scale(n) and gains a _gains(n, top) table with top at
+        least every degree in deg."""
+        self.scale = scale
+        self.gains = gains
         self.out = list(out)
         self.inn = list(inn)
         self.deg = list(deg)
@@ -212,7 +222,8 @@ def _start(d: Digraph) -> _PeelState:
     v = first_sink(d)
     if v is not None:
         raise NotSinkless(f"sink at vertex {v}")
-    return _PeelState(d.n, d.out_masks, d.in_masks, d.out_deg)
+    degs = d.out_deg
+    return _PeelState(d.n, d.out_masks, d.in_masks, degs, _scale(d.n), _gains(d.n, max(degs)))
 
 
 def _lemma_violation(state: _PeelState) -> LemmaViolation:
@@ -354,11 +365,29 @@ class BlockPeeler:
     out-mask {0}, so 0 is protected and such a digraph peels on its own.
     Every digraph that removes 0 first is then in the same state, D - 0,
     which is peeled once, through memo like any run, and serves them
-    all.  Each digraph still gets its own certificate, bounded by 2 phi
-    of its own degrees: the one short_cycle_via_peeling(d) gives.
+    all.
+
+    Every other digraph removes some v >= 1 first, and whether v is
+    eligible in its start state depends on h in two ways only: v in h
+    adds gains[deg0] to the right side of (1) at v, and when deg0 = 1
+    the one vertex of h is protected.  So per-block tables, built on
+    first use, give the first removal in a few mask operations, and the
+    memo key of the state after it is the out-masks with bit v cleared
+    and slot v emptied.  A hit ends the choice with no peeling state
+    built; a miss builds the state, removes v and runs on from there,
+    storing the keys a run from the start state would.  A start state
+    with no eligible vertex, such as a union of cycles, is run as it
+    stands.
+
+    Each digraph's certificate is bounded by 2 phi of its own degrees:
+    the one short_cycle_via_peeling(d) gives.  It depends only on deg0
+    and the cycle, so one is built per (deg0, cycle) and shared.
     """
 
-    __slots__ = ("n", "tail", "tail_inn", "memo", "scale", "degs", "tail_phi", "zero_first", "_rest")
+    __slots__ = (
+        "n", "tail", "tail_inn", "memo", "scale", "gains", "degs", "tail_phi", "zero_first",
+        "_rest", "_tables", "_certs",
+    )
 
     def __init__(
         self, n: int, tail: tuple[int, ...], tail_inn: Sequence[int], memo: PeelMemo | None = None
@@ -367,17 +396,22 @@ class BlockPeeler:
             raise NotSinkless(f"sink at vertex {tail.index(0) + 1}")
         self.n, self.tail, self.tail_inn, self.memo = n, tail, tail_inn, memo
         self.scale = scale = _scale(n)
+        self.gains = gains = _gains(n, n - 1)
         # Out-degrees of (0,) + tail; vertex 0's own is h.bit_count().
         self.degs = degs = (0, *[m.bit_count() for m in tail])
         self.tail_phi = _phi_scaled(scale, degs[1:])
         # The vertex-0 out-degrees whose digraphs remove vertex 0 first.
         self.zero_first = range(0)
         if 1 not in tail:  # else some tail vertex's only out-arc enters 0
-            rhs0 = _rhs_scaled(_gains(n, max(degs)), degs, tail_inn[0])
+            rhs0 = _rhs_scaled(gains, degs, tail_inn[0])
             top = max((d for d in range(1, n) if scale // (d + 1) >= rhs0), default=0)
             self.zero_first = range(1, top + 1)
         # The shortest terminal cycle of D - 0, or the LemmaViolation its run raised.
         self._rest: tuple[int, ...] | LemmaViolation | None = None
+        # The first-step tables (see _first_step_tables), built on first use.
+        self._tables: tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
+        # (deg0, cycle) -> its certificate, for every bound that held.
+        self._certs: dict[tuple[int, tuple[int, ...]], CycleCertificate] = {}
 
     def certificate(self, h: int) -> CycleCertificate:
         """short_cycle_via_peeling of the digraph (h,) + tail, with memo."""
@@ -396,13 +430,80 @@ class BlockPeeler:
                 raise self._rest
             cyc = self._rest
         else:
-            cyc = _run_peel(self._state(h, deg0), self.memo)[1]
-        phi0 = self.tail_phi + self.scale // (deg0 + 1)
-        return _certificate(self.n, (h, *self.tail), self.scale, phi0, cyc)
+            cyc = self._cycle(h, deg0)
+        cert = self._certs.get((deg0, cyc))
+        if cert is None:
+            phi0 = self.tail_phi + self.scale // (deg0 + 1)
+            cert = _certificate(self.n, (h, *self.tail), self.scale, phi0, cyc)
+            self._certs[deg0, cyc] = cert
+        return cert
+
+    def _cycle(self, h: int, deg0: int) -> tuple[int, ...]:
+        """The shortest terminal cycle of the run of (h,) + tail, for deg0
+        not in zero_first."""
+        first = self._first_step(h, deg0)
+        if first is None:
+            return _run_peel(self._state(h, deg0), self.memo)[1]
+        v, key = first
+        memo = self.memo
+        if memo is not None:
+            cyc = memo.get(key)
+            if cyc is not None:
+                return cyc
+        state = self._state(h, deg0)
+        state.remove(v)
+        return _run_peel(state, memo, removed=True)[1]
+
+    def _first_step(self, h: int, deg0: int) -> tuple[int, tuple[int, ...]] | None:
+        """The vertex v the run of (h,) + tail removes first, for deg0 not
+        in zero_first, and the live out-masks once v is gone, the memo key
+        of that state; None if the start state has no eligible vertex.
+        That happens when it is a union of cycles, where every vertex is
+        some vertex's only out-neighbor, and nowhere else unless the
+        averaging argument fails."""
+        outside, inside, after = self._tables or self._first_step_tables()
+        cand = (outside & ~h) | (inside[deg0] & h)
+        if not cand:
+            return None
+        v = (cand & -cand).bit_length() - 1
+        return v, (h & ~(1 << v), *after[v])
+
+    def _first_step_tables(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Built once per block, from the start state's terms: the vertices
+        v >= 1 eligible when v is not in h; for each deg0, those eligible
+        when v is in h; and for each v, the tail's out-masks once v is
+        gone.  Neither vertex set holds a vertex the tail protects, the
+        sole out-neighbor of a tail vertex of out-degree 1, and the set for
+        deg0 = 1 is empty, since then h's one vertex is protected."""
+        n, tail, degs, gains, m = self.n, self.tail, self.degs, self.gains, self.scale
+        protected = 0
+        for u, mask in enumerate(tail, 1):
+            if degs[u] == 1:
+                protected |= mask
+        outside = 0
+        inside = [0] * n
+        after: list[tuple[int, ...]] = [()]
+        for v in range(1, n):
+            bit = 1 << v
+            rest = [mask & ~bit for mask in tail]
+            rest[v - 1] = 0
+            after.append(tuple(rest))
+            if protected & bit:
+                continue
+            slack = m // (degs[v] + 1) - _rhs_scaled(gains, degs, self.tail_inn[v])
+            if slack >= 0:
+                outside |= bit
+            for d in range(2, n):
+                if slack >= gains[d]:
+                    inside[d] |= bit
+        self._tables = (outside, tuple(inside), tuple(after))
+        return self._tables
 
     def _state(self, h: int, deg0: int) -> _PeelState:
         """The state a run of the digraph (h,) + tail begins in."""
         inn = list(self.tail_inn)
         for v in bits(h):
             inn[v] |= 1
-        return _PeelState(self.n, (h, *self.tail), inn, (deg0, *self.degs[1:]))
+        return _PeelState(
+            self.n, (h, *self.tail), inn, (deg0, *self.degs[1:]), self.scale, self.gains
+        )

@@ -389,18 +389,102 @@ class TestBlockPeeler:
             peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)))
             runs.clear()
             certs = [peeler.certificate(h) for h in self.HEADS]
-            assert runs.count(True) == any(firsts)
-            assert runs.count(False) == firsts.count(False)
             ds = [Digraph.from_out_masks(4, (h, *tail)) for h in self.HEADS]
+            unions = sum(map(is_union_of_cycles, ds))
+            # With no memo, every other choice but a union of cycles is run
+            # on from its first removal, and each union from its start.
+            assert runs.count(True) == any(firsts) + firsts.count(False) - unions
+            assert runs.count(False) == unions
             assert certs == [peeling.short_cycle_via_peeling(d) for d in ds]
         shared = sum(map(sum, zero_first))
         blocks = sum(map(any, zero_first))
         assert (shared, blocks) == (1390, 216)  # of 2,401 digraphs in 343 blocks
-        # The sweep, with its memo, makes the same runs.
+        # With the sweep's memo, only the 71 choices whose state after the
+        # first removal is not yet in the memo are run on; the other
+        # 2401 - 1390 - 9 - 71 = 931 are memo hits.
         runs.clear()
         res = _run_shard(SuiteConfig(4, 4, "labeled", ("two-phi",)), 4, 0, 1 << 12)
         assert res["passed"] == {"two-phi": 2401}
-        assert (runs.count(True), runs.count(False)) == (blocks, 2401 - shared)
+        assert (runs.count(True), runs.count(False)) == (blocks + 71, 9)
+
+    def test_first_step_tables_match_first_eligible(self):
+        # Every choice that does not remove vertex 0 first, at n = 4: the
+        # tables' first removal is the one a run from scratch makes, and
+        # the memo key is the out-masks of the state after it.
+        checked = 0
+        for tail in self.tails():
+            peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)))
+            for h in self.HEADS:
+                deg0 = h.bit_count()
+                if deg0 in peeler.zero_first:
+                    continue
+                d = Digraph.from_out_masks(4, (h, *tail))
+                state = peeling._start(d)
+                first = peeler._first_step(h, deg0)
+                if is_union_of_cycles(d):
+                    assert first is None
+                    continue
+                v, _ = state.first_eligible()
+                state.remove(v)
+                assert first == (v, tuple(state.out))
+                checked += 1
+        assert checked == 2401 - 1390 - 9
+
+    def test_a_stuck_start_state_fails_as_a_run_from_scratch(self, monkeypatch):
+        # A right side of (1) above every left side leaves no vertex
+        # eligible, in the tables and in first_eligible alike: the choice
+        # is run from its start state, which raises as today.
+        monkeypatch.setattr(peeling, "_rhs_scaled", lambda gains, degs, inn: 1 << 20)
+        tail = (0b1101, 0b1011, 0b0111)  # K4 on vertices 1..3 and 0
+        peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)))
+        assert not peeler.zero_first
+        for h in (0b0010, 0b0110, 0b1110):
+            d = Digraph.from_out_masks(4, (h, *tail))
+            with pytest.raises(LemmaViolation) as want:
+                short_cycle_via_peeling(d)
+            with pytest.raises(LemmaViolation) as got:
+                peeler.certificate(h)
+            assert str(got.value) == str(want.value)
+            assert "live vertices [0, 1, 2, 3]" in str(got.value)
+
+    def test_a_memo_hit_builds_no_peel_state(self, monkeypatch):
+        # Each choice's first removal and the memo key after it, from a run
+        # from scratch, taken before the count starts.
+        firsts = {}
+        for d in sinkless_up_to_4():
+            if d.n == 4 and not is_union_of_cycles(d):
+                state = peeling._start(d)
+                state.remove(state.first_eligible()[0])
+                firsts[d.out_masks] = tuple(state.out)
+        calls = {"misses": 0, "hits": 0, "d_minus_0": 0, "unions": 0}
+        built = 0
+        init = peeling._PeelState.__init__
+
+        def counting_init(self, *args):
+            nonlocal built
+            built += 1
+            init(self, *args)
+
+        certificate = BlockPeeler.certificate
+
+        def counting_certificate(self, h):
+            out = (h, *self.tail)
+            if h.bit_count() in self.zero_first:
+                calls["d_minus_0"] += self._rest is None
+            elif out not in firsts:
+                calls["unions"] += 1
+            else:
+                calls["hits" if firsts[out] in self.memo else "misses"] += 1
+            return certificate(self, h)
+
+        monkeypatch.setattr(peeling._PeelState, "__init__", counting_init)
+        monkeypatch.setattr(BlockPeeler, "certificate", counting_certificate)
+        res = _run_shard(SuiteConfig(4, 4, "labeled", ("two-phi",)), 4, 0, 1 << 12)
+        assert res["passed"] == {"two-phi": 2401}
+        assert calls == {"misses": 71, "hits": 931, "d_minus_0": 216, "unions": 9}
+        # A state per miss, per peel of D - 0 and per union of cycles: a
+        # hit builds none.
+        assert built == calls["misses"] + calls["d_minus_0"] + calls["unions"]
 
     def test_a_union_of_cycles_peels_on_its_own(self):
         # It removes nothing, so it must not take D - 0's cycle; its vertex
