@@ -39,7 +39,7 @@ class Digraph:
     Equality and hashing are structural: same n, same arc set.
     """
 
-    __slots__ = ("n", "out_masks", "in_masks", "out_deg", "in_deg", "_arcs")
+    __slots__ = ("n", "out_masks", "in_masks", "out_deg", "_arcs")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -64,7 +64,6 @@ class Digraph:
         self.out_masks = tuple(out)
         self.in_masks = in_masks_of(self.out_masks) if inn is None else inn
         self.out_deg = tuple(m.bit_count() for m in out)
-        self.in_deg = tuple(m.bit_count() for m in self.in_masks)
         self._arcs = None
 
     @classmethod
@@ -109,7 +108,7 @@ class Digraph:
 
 def is_union_of_cycles(d: Digraph) -> bool:
     """True iff every vertex has out-degree and in-degree exactly 1."""
-    return all(deg == 1 for deg in d.out_deg) and all(deg == 1 for deg in d.in_deg)
+    return all(deg == 1 for deg in d.out_deg) and all(m.bit_count() == 1 for m in d.in_masks)
 
 
 def remove_vertex(d: Digraph, v: int) -> Digraph:

@@ -235,42 +235,43 @@ def _lemma_violation(state: _PeelState) -> LemmaViolation:
 
 
 def _run_peel(
-    state: _PeelState, memo: PeelMemo | None = None, removed: bool = False
+    state: _PeelState, memo: PeelMemo | None = None
 ) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
     """Peel state on to the terminal union of cycles.
 
     Returns the steps, as (vertex, scaled phi drop on removing it), and
     the shortest terminal cycle.  Each round removes the smallest
-    eligible vertex; its drop is lhs(v) - rhs(v) of (1).  A stuck run
-    would refute the averaging argument and raises LemmaViolation.
-    removed says that state has already lost a vertex, so the run is
-    the rest of one begun earlier.
+    eligible vertex; its drop is lhs(v) - rhs(v) of (1).  A run stops
+    when no vertex is eligible: at a union of cycles, where every live
+    vertex is some live vertex's only out-neighbor, that is its terminal
+    cycle; anywhere else it would refute the averaging argument and
+    raises LemmaViolation.
 
     memo maps the live out-masks of a state reached after at least one
-    removal to the shortest terminal cycle of the run from there.  The
-    rest of a run depends on those out-masks alone: degrees, in-masks,
-    the live set (every live vertex keeps an out-arc), the protected set
-    and, through their number, the scale all follow from them.  On a hit
-    the run stops, so the state and steps cover only the part walked.  A
-    run stores the states it walked only once it has finished, so a
-    stuck run stores nothing, and it never looks up or stores the state
-    a digraph begins in, of which a sweep has one per digraph.
+    removal to the shortest terminal cycle of the run from there, so it
+    is passed only for a state that has already lost a vertex.  The rest
+    of a run depends on those out-masks alone: degrees, in-masks, the
+    live set (every live vertex keeps an out-arc), the protected set and,
+    through their number, the scale all follow from them.  On a hit the
+    run stops, so the state and steps cover only the part walked.  A run
+    stores the states it walked only once it has finished, so a stuck run
+    stores nothing.
     """
     steps: list[tuple[int, int]] = []
     walked: list[tuple[int, ...]] = []
     while True:
-        if memo is not None and (removed or steps):
+        if memo is not None:
             key = tuple(state.out)
             cyc = memo.get(key)
             if cyc is not None:
                 break
             walked.append(key)
-        if state.is_union_of_cycles():
-            cyc = _terminal_shortest_cycle(state)
-            break
         found = state.first_eligible()
         if found is None:
-            raise _lemma_violation(state)
+            if not state.is_union_of_cycles():
+                raise _lemma_violation(state)
+            cyc = _terminal_shortest_cycle(state)
+            break
         state.remove(found[0])
         steps.append(found)
     for key in walked:
@@ -356,28 +357,28 @@ class BlockPeeler:
     earlier run passed through reuse its outcome; it holds at most
     PEEL_MEMO_CAP entries and gives the same certificates as no memo.
 
+    Each digraph's first removal v comes from per-block terms, and with
+    it the memo key of the state after it.  A hit ends the choice with no
+    peeling state built; a miss builds the state, removes v and runs on
+    from there, storing the keys a run from the start state would.  A
+    start state with no eligible vertex, such as a union of cycles, is
+    run as it stands.
+
     The policy tries vertex 0 first.  Whether 0 is protected (some tail
     out-mask is {0}) and the right side of (1) at 0 (tail_inn[0] read
     with the tail's degrees) are the same for every h, and the left side
     1/(deg0 + 1) falls as deg0 rises, so 0 is removed first exactly when
-    deg0 is at most one threshold per block.  A digraph that is already a
+    deg0 is at most one threshold per block.  The state after it, D - 0,
+    is the same for all those digraphs: one memo key, built once.  (A
     union of cycles removes nothing, but there 0's one in-neighbor has
-    out-mask {0}, so 0 is protected and such a digraph peels on its own.
-    Every digraph that removes 0 first is then in the same state, D - 0,
-    which is peeled once, through memo like any run, and serves them
-    all.
+    out-mask {0}, so 0 is protected.)
 
     Every other digraph removes some v >= 1 first, and whether v is
     eligible in its start state depends on h in two ways only: v in h
     adds gains[deg0] to the right side of (1) at v, and when deg0 = 1
     the one vertex of h is protected.  So per-block tables, built on
-    first use, give the first removal in a few mask operations, and the
-    memo key of the state after it is the out-masks with bit v cleared
-    and slot v emptied.  A hit ends the choice with no peeling state
-    built; a miss builds the state, removes v and runs on from there,
-    storing the keys a run from the start state would.  A start state
-    with no eligible vertex, such as a union of cycles, is run as it
-    stands.
+    first use, give v in a few mask operations, and the memo key is the
+    out-masks with bit v cleared and slot v emptied.
 
     Each digraph's certificate is bounded by 2 phi of its own degrees:
     the one short_cycle_via_peeling(d) gives.  It depends only on deg0
@@ -386,11 +387,11 @@ class BlockPeeler:
 
     __slots__ = (
         "n", "tail", "tail_inn", "memo", "scale", "gains", "degs", "tail_phi", "zero_first",
-        "_rest", "_tables", "_certs",
+        "_zero_key", "_tables", "_certs",
     )
 
     def __init__(
-        self, n: int, tail: tuple[int, ...], tail_inn: Sequence[int], memo: PeelMemo | None = None
+        self, n: int, tail: tuple[int, ...], tail_inn: Sequence[int], memo: PeelMemo
     ) -> None:
         if 0 in tail:
             raise NotSinkless(f"sink at vertex {tail.index(0) + 1}")
@@ -400,14 +401,16 @@ class BlockPeeler:
         # Out-degrees of (0,) + tail; vertex 0's own is h.bit_count().
         self.degs = degs = (0, *[m.bit_count() for m in tail])
         self.tail_phi = _phi_scaled(scale, degs[1:])
-        # The vertex-0 out-degrees whose digraphs remove vertex 0 first.
+        # The vertex-0 out-degrees whose digraphs remove vertex 0 first,
+        # and the memo key of D - 0, the state they reach.
         self.zero_first = range(0)
+        self._zero_key: tuple[int, ...] = ()
         if 1 not in tail:  # else some tail vertex's only out-arc enters 0
             rhs0 = _rhs_scaled(gains, degs, tail_inn[0])
             top = max((d for d in range(1, n) if scale // (d + 1) >= rhs0), default=0)
             self.zero_first = range(1, top + 1)
-        # The shortest terminal cycle of D - 0, or the LemmaViolation its run raised.
-        self._rest: tuple[int, ...] | LemmaViolation | None = None
+            if top:
+                self._zero_key = (0, *[m & ~1 for m in tail])
         # The first-step tables (see _first_step_tables), built on first use.
         self._tables: tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
         # (deg0, cycle) -> its certificate, for every bound that held.
@@ -418,19 +421,16 @@ class BlockPeeler:
         if h == 0:
             raise NotSinkless("sink at vertex 0")
         deg0 = h.bit_count()
-        if deg0 in self.zero_first:
-            if self._rest is None:
-                state = self._state(h, deg0)
-                state.remove(0)
-                try:
-                    self._rest = _run_peel(state, self.memo, removed=True)[1]
-                except LemmaViolation as exc:
-                    self._rest = exc
-            if isinstance(self._rest, LemmaViolation):
-                raise self._rest
-            cyc = self._rest
+        first = self._first_step(h, deg0)
+        if first is None:
+            cyc = _run_peel(self._state(h, deg0))[1]
         else:
-            cyc = self._cycle(h, deg0)
+            v, key = first
+            cyc = self.memo.get(key)
+            if cyc is None:
+                state = self._state(h, deg0)
+                state.remove(v)
+                cyc = _run_peel(state, self.memo)[1]
         cert = self._certs.get((deg0, cyc))
         if cert is None:
             phi0 = self.tail_phi + self.scale // (deg0 + 1)
@@ -438,29 +438,15 @@ class BlockPeeler:
             self._certs[deg0, cyc] = cert
         return cert
 
-    def _cycle(self, h: int, deg0: int) -> tuple[int, ...]:
-        """The shortest terminal cycle of the run of (h,) + tail, for deg0
-        not in zero_first."""
-        first = self._first_step(h, deg0)
-        if first is None:
-            return _run_peel(self._state(h, deg0), self.memo)[1]
-        v, key = first
-        memo = self.memo
-        if memo is not None:
-            cyc = memo.get(key)
-            if cyc is not None:
-                return cyc
-        state = self._state(h, deg0)
-        state.remove(v)
-        return _run_peel(state, memo, removed=True)[1]
-
     def _first_step(self, h: int, deg0: int) -> tuple[int, tuple[int, ...]] | None:
-        """The vertex v the run of (h,) + tail removes first, for deg0 not
-        in zero_first, and the live out-masks once v is gone, the memo key
-        of that state; None if the start state has no eligible vertex.
-        That happens when it is a union of cycles, where every vertex is
-        some vertex's only out-neighbor, and nowhere else unless the
-        averaging argument fails."""
+        """The vertex v the run of (h,) + tail removes first and the live
+        out-masks once v is gone, the memo key of that state; None if the
+        start state has no eligible vertex.  That happens when it is a
+        union of cycles, where every vertex is some vertex's only
+        out-neighbor, and nowhere else unless the averaging argument
+        fails."""
+        if deg0 in self.zero_first:
+            return 0, self._zero_key
         outside, inside, after = self._tables or self._first_step_tables()
         cand = (outside & ~h) | (inside[deg0] & h)
         if not cand:

@@ -67,7 +67,7 @@ class TestDigraph:
         assert list(bits(d.out_masks[0])) == [1]
         assert list(bits(d.in_masks[0])) == [2]
         assert d.has_arc(0, 1) and not d.has_arc(1, 0)
-        assert d.out_deg == (1, 1, 1) and d.in_deg == (1, 1, 1)
+        assert d.out_deg == (1, 1, 1) and d.in_masks == (0b100, 0b001, 0b010)
 
     def test_structural_equality_and_hash(self):
         a = Digraph(3, [(0, 1), (1, 2), (2, 0)])

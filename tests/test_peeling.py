@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -336,14 +337,14 @@ def record_two_phi_certificates(monkeypatch):
 
 
 def count_peel_runs(monkeypatch):
-    """The removed flag of every peeling run from here on: True for a run
-    that continues from a state that has already lost a vertex."""
+    """(whether it was given a memo, the live out-masks it starts from) of
+    every peeling run from here on."""
     runs = []
     run = peeling._run_peel
 
-    def counting(state, memo=None, removed=False):
-        runs.append(removed)
-        return run(state, memo, removed)
+    def counting(state, memo=None):
+        runs.append((memo is not None, tuple(state.out)))
+        return run(state, memo)
 
     monkeypatch.setattr(peeling, "_run_peel", counting)
     return runs
@@ -351,8 +352,8 @@ def count_peel_runs(monkeypatch):
 
 class TestBlockPeeler:
     """The two-phi check peels a block of vertex-0 choices through one
-    BlockPeeler: the choices that remove vertex 0 first share one peel of
-    D - 0, and each instance still gets its own certificate."""
+    BlockPeeler: the choices that remove vertex 0 first share one memo
+    key, D - 0, and each instance still gets its own certificate."""
 
     HEADS = [m for m in range(1, 16) if not m & 1]  # vertex 0's sink-less out-masks at n = 4
 
@@ -386,49 +387,51 @@ class TestBlockPeeler:
             zero_first.append([first_removed(d) == 0 for d in ds])
         runs = count_peel_runs(monkeypatch)
         for tail, firsts in zip(self.tails(), zero_first):
-            peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)))
+            peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)), {})
             runs.clear()
             certs = [peeler.certificate(h) for h in self.HEADS]
             ds = [Digraph.from_out_masks(4, (h, *tail)) for h in self.HEADS]
-            unions = sum(map(is_union_of_cycles, ds))
-            # With no memo, every other choice but a union of cycles is run
-            # on from its first removal, and each union from its start.
-            assert runs.count(True) == any(firsts) + firsts.count(False) - unions
-            assert runs.count(False) == unions
+            # With a memo of its own, the block peels D - 0 once if any
+            # choice removes 0 first, and each union of cycles from its
+            # start with no memo.
+            d_minus_0 = (0, *[m & ~1 for m in tail])
+            assert [start for _, start in runs].count(d_minus_0) == any(firsts)
+            assert [memo for memo, _ in runs].count(False) == sum(map(is_union_of_cycles, ds))
             assert certs == [peeling.short_cycle_via_peeling(d) for d in ds]
         shared = sum(map(sum, zero_first))
         blocks = sum(map(any, zero_first))
         assert (shared, blocks) == (1390, 216)  # of 2,401 digraphs in 343 blocks
-        # With the sweep's memo, only the 71 choices whose state after the
-        # first removal is not yet in the memo are run on; the other
-        # 2401 - 1390 - 9 - 71 = 931 are memo hits.
+        # With the sweep's memo, only the 98 choices whose state after the
+        # first removal is not yet in the memo are run on, 27 of them from
+        # D - 0: the other 189 blocks find D - 0 in the memo already.
         runs.clear()
         res = _run_shard(SuiteConfig(4, 4, "labeled", ("two-phi",)), 4, 0, 1 << 12)
         assert res["passed"] == {"two-phi": 2401}
-        assert (runs.count(True), runs.count(False)) == (blocks + 71, 9)
+        continued = [start for memo, start in runs if memo]
+        assert len(continued) == 98
+        assert sum(not start[0] for start in continued) == 27
+        assert len(runs) - len(continued) == 9
 
     def test_first_step_tables_match_first_eligible(self):
-        # Every choice that does not remove vertex 0 first, at n = 4: the
-        # tables' first removal is the one a run from scratch makes, and
-        # the memo key is the out-masks of the state after it.
+        # Every choice at n = 4: the first removal _first_step gives, vertex
+        # 0 by the block's threshold or v >= 1 by its tables, is the one a
+        # run from scratch makes, and the memo key is the out-masks of the
+        # state after it.  Unions of cycles give none.
         checked = 0
         for tail in self.tails():
-            peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)))
+            peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)), {})
             for h in self.HEADS:
-                deg0 = h.bit_count()
-                if deg0 in peeler.zero_first:
-                    continue
                 d = Digraph.from_out_masks(4, (h, *tail))
-                state = peeling._start(d)
-                first = peeler._first_step(h, deg0)
+                first = peeler._first_step(h, h.bit_count())
                 if is_union_of_cycles(d):
                     assert first is None
                     continue
+                state = peeling._start(d)
                 v, _ = state.first_eligible()
                 state.remove(v)
                 assert first == (v, tuple(state.out))
                 checked += 1
-        assert checked == 2401 - 1390 - 9
+        assert checked == 2401 - 9
 
     def test_a_stuck_start_state_fails_as_a_run_from_scratch(self, monkeypatch):
         # A right side of (1) above every left side leaves no vertex
@@ -436,7 +439,7 @@ class TestBlockPeeler:
         # is run from its start state, which raises as today.
         monkeypatch.setattr(peeling, "_rhs_scaled", lambda gains, degs, inn: 1 << 20)
         tail = (0b1101, 0b1011, 0b0111)  # K4 on vertices 1..3 and 0
-        peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)))
+        peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)), {})
         assert not peeler.zero_first
         for h in (0b0010, 0b0110, 0b1110):
             d = Digraph.from_out_masks(4, (h, *tail))
@@ -456,7 +459,7 @@ class TestBlockPeeler:
                 state = peeling._start(d)
                 state.remove(state.first_eligible()[0])
                 firsts[d.out_masks] = tuple(state.out)
-        calls = {"misses": 0, "hits": 0, "d_minus_0": 0, "unions": 0}
+        calls = {"misses": 0, "hits": 0, "unions": 0}
         built = 0
         init = peeling._PeelState.__init__
 
@@ -469,9 +472,7 @@ class TestBlockPeeler:
 
         def counting_certificate(self, h):
             out = (h, *self.tail)
-            if h.bit_count() in self.zero_first:
-                calls["d_minus_0"] += self._rest is None
-            elif out not in firsts:
+            if out not in firsts:
                 calls["unions"] += 1
             else:
                 calls["hits" if firsts[out] in self.memo else "misses"] += 1
@@ -481,10 +482,9 @@ class TestBlockPeeler:
         monkeypatch.setattr(BlockPeeler, "certificate", counting_certificate)
         res = _run_shard(SuiteConfig(4, 4, "labeled", ("two-phi",)), 4, 0, 1 << 12)
         assert res["passed"] == {"two-phi": 2401}
-        assert calls == {"misses": 71, "hits": 931, "d_minus_0": 216, "unions": 9}
-        # A state per miss, per peel of D - 0 and per union of cycles: a
-        # hit builds none.
-        assert built == calls["misses"] + calls["d_minus_0"] + calls["unions"]
+        assert calls == {"misses": 98, "hits": 2294, "unions": 9}
+        # A state per miss and per union of cycles: a hit builds none.
+        assert built == calls["misses"] + calls["unions"]
 
     def test_a_union_of_cycles_peels_on_its_own(self):
         # It removes nothing, so it must not take D - 0's cycle; its vertex
@@ -493,7 +493,7 @@ class TestBlockPeeler:
         assert len(unions) == 1 + 2 + 9
         for d in unions:
             tail = d.out_masks[1:]
-            peeler = BlockPeeler(d.n, tail, in_masks_of((0, *tail)))
+            peeler = BlockPeeler(d.n, tail, in_masks_of((0, *tail)), {})
             assert not peeler.zero_first
             assert peeler.certificate(d.out_masks[0]) == short_cycle_via_peeling(d)
 
@@ -508,19 +508,70 @@ class TestBlockPeeler:
         monkeypatch.setattr(peeling._PeelState, "first_eligible", stuck_after_first_removal)
         runs = count_peel_runs(monkeypatch)
         tail = (0b1101, 0b1011, 0b0111)  # K4 on vertices 1..3 and 0
-        peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)))
+        peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)), {})
         assert list(peeler.zero_first) == [1, 2, 3]
         messages = []
         for h in (0b0010, 0b0110, 0b1110):
             with pytest.raises(LemmaViolation) as exc:
                 peeler.certificate(h)
             messages.append(str(exc.value))
-        assert runs == [True]
+        # A stuck run stores nothing, so each choice peels D - 0 again.
+        assert runs == [(True, (0, 0b1100, 0b1010, 0b0110))] * 3
         assert len(set(messages)) == 1 and "live vertices [1, 2, 3]" in messages[0]
+
+    @staticmethod
+    def random_tails(rng, n, count):
+        """count dense sink-less tails on n vertices, each arc in with
+        probability 3/4, and count with out-degrees in {1, 2}: each vertex
+        u keeps its arc to sigma(u) for a derangement sigma of 0..n-1 and
+        gains a second with a probability drawn per tail.  The latter have
+        protected vertices, and a union of cycles where h = {sigma(0)} and
+        no tail vertex gained an arc."""
+        tails = []
+        for _ in range(count):
+            tail = []
+            for u in range(1, n):
+                m = 0
+                while not m:
+                    m = (rng.getrandbits(n) | rng.getrandbits(n)) & ~(1 << u)
+                tail.append(m)
+            tails.append(tuple(tail))
+        for _ in range(count):
+            sigma = list(range(n))
+            while any(u == s for u, s in enumerate(sigma)):
+                rng.shuffle(sigma)
+            p = rng.random()
+            tail = []
+            for u in range(1, n):
+                m = 1 << sigma[u]
+                if rng.random() < p:
+                    m |= 1 << rng.choice([w for w in range(n) if w not in (u, sigma[u])])
+                tail.append(m)
+            tails.append(tuple(tail))
+        return tails
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_blocks_above_n5_match_runs_from_scratch(self, n):
+        # No sweep peels a block at n >= 6 yet, so seeded tails stand in:
+        # every sink-less head of each goes through one peeler per tail,
+        # with one memo across the tails.
+        memo = {}
+        seen = {"zero first": 0, "other": 0, "union": 0}
+        for tail in self.random_tails(random.Random(n), n, 16):
+            peeler = BlockPeeler(n, tail, in_masks_of((0, *tail)), memo)
+            for h in range(2, 1 << n, 2):
+                d = Digraph.from_out_masks(n, (h, *tail))
+                assert peeler.certificate(h) == short_cycle_via_peeling(d)
+                if is_union_of_cycles(d):
+                    seen["union"] += 1
+                else:
+                    seen["zero first" if h.bit_count() in peeler.zero_first else "other"] += 1
+        assert sum(seen.values()) == 32 * (2 ** (n - 1) - 1)
+        assert all(seen.values()), seen
 
     def test_sinks_are_refused(self):
         with pytest.raises(NotSinkless, match="vertex 2"):
-            BlockPeeler(3, (0b100, 0), (0, 0, 0b010))
-        peeler = BlockPeeler(3, (0b100, 0b001), in_masks_of((0, 0b100, 0b001)))
+            BlockPeeler(3, (0b100, 0), (0, 0, 0b010), {})
+        peeler = BlockPeeler(3, (0b100, 0b001), in_masks_of((0, 0b100, 0b001)), {})
         with pytest.raises(NotSinkless, match="vertex 0"):
             peeler.certificate(0)
