@@ -230,7 +230,8 @@ class _Head:
     def __init__(self, choices: list[tuple[int, ...]]) -> None:
         self.n = n = len(choices)
         self.first = first = choices[0]
-        self.cols = [tuple((m >> v) & 1 for v in range(n)) for m in first]
+        # Unpacked: see _or_column.
+        self.cols = [(*((m >> v) & 1 for v in range(n)),) for m in first]
         self.deg0 = deg0 = [m.bit_count() for m in first]
         self.scale = scale = _scale(n)
         self.phi0 = [_phi_scaled(scale, (d,)) for d in deg0]
@@ -238,31 +239,84 @@ class _Head:
         self.has_empty = 0 in first
 
 
+def _or_column(inn: tuple[int, ...], col: tuple[int, ...]) -> tuple[int, ...]:
+    """The in-masks inn once a vertex adds its out-arcs; col is its in-mask
+    column, its own bit at each out-neighbor."""
+    # Unpacked rather than tuple(map(...)) or tuple(<generator>), which
+    # build a 10-slot tuple and shrink it, filling the interpreter's tuple
+    # free lists (about 0.4 MB more peak memory over a sweep).
+    return (*map(or_, inn, col),)
+
+
+@dataclass(slots=True)
+class _Run:
+    """The blocks of a sweep that share the out-masks tail of vertices 2..,
+    each with its own out-mask ones[d] of vertex 1.
+
+    inn is what vertices 2.. give every instance's in-masks, and cols[d]
+    the in-mask column of ones[d].  The g(D - 0) table over the choices d
+    is built on first read.
+    """
+
+    ones: Sequence[int]
+    cols: Sequence[tuple[int, ...]]
+    tail: tuple[int, ...]
+    inn: tuple[int, ...]
+    _girth0: list[int | None] | None = None
+
+    @property
+    def girth0(self) -> list[int | None]:
+        """Per choice d of vertex 1, the girth of D - 0, None where acyclic.
+
+        D - 0 relabelled v -> v - 1 is a digraph on n - 1 vertices whose
+        vertex 0 is vertex 1, with out-mask ones[d] >> 1, and whose tail is
+        vertices 2..; so _girth_table serves every d, after one girth
+        search of D - {0, 1}.
+        """
+        if self._girth0 is None:
+            tail_inn = (*(m >> 1 for m in self.inn[1:]),)  # unpacked: see _or_column
+            out = (0, *(m >> 1 & ~1 for m in self.tail))  # D - {0, 1}, relabelled
+            hit = _girth_masks(len(tail_inn), out, (0, *tail_inn[1:]))
+            self._girth0 = _girth_table(
+                tail_inn, [m >> 1 for m in self.ones], None if hit is None else hit[0]
+            )
+        return self._girth0
+
+
 class _Block:
     """The kept instances base + r of a sweep that share the out-masks tail
-    of vertices 1..: vertex 0's out-mask is head.first[r], r in kept.
+    of vertices 1..: vertex 0's out-mask is head.first[r], r in kept, and
+    vertex 1's is run.ones[d1].
 
-    The tail's degrees are taken once.  The per-choice tables p, deg2,
-    phi, psi and girth are built on first read, each over every choice;
-    out, inn and the Digraph only for the r a check asks about, each time
-    it asks.
+    degs are the out-degrees of (0,) + tail.  The tail's in-masks and the
+    per-choice tables p, deg2, phi, psi and girth are built on first read,
+    each over every choice; out, inn and the Digraph only for the r a check
+    asks about, each time it asks.
     """
 
     __slots__ = (
-        "head", "n", "base", "tail", "kept", "degs",
+        "head", "n", "run", "d1", "base", "tail", "degs", "kept",
         "_tail_inn", "_p", "_deg2", "_phi", "_psi", "_girth",
     )
 
     def __init__(
-        self, head: _Head, base: int, tail: tuple[int, ...], kept: Sequence[int]
+        self,
+        head: _Head,
+        run: _Run,
+        d1: int,
+        base: int,
+        tail: tuple[int, ...],
+        degs: tuple[int, ...],
+        kept: Sequence[int],
     ) -> None:
         self.head = head
         self.n = head.n
+        self.run = run
+        self.d1 = d1
         self.base = base
         self.tail = tail
+        self.degs = degs
         self.kept = kept
-        # Out-degrees of (0,) + tail; vertex 0's own is head.deg0[r].
-        self.degs = (0, *[m.bit_count() for m in tail])
         self._tail_inn: tuple[int, ...] | None = None
         self._p: list[int] | None = None
         self._deg2: list[bool] | None = None
@@ -274,9 +328,7 @@ class _Block:
         return (self.head.first[r],) + self.tail
 
     def inn(self, r: int) -> tuple[int, ...]:
-        # Unpacked rather than tuple(map(...)), which would build a 10-slot
-        # tuple and shrink it, filling the interpreter's tuple free lists
-        # (about 0.4 MB more peak memory over a sweep).
+        # Unpacked, as in _or_column.
         return (*map(or_, self.tail_inn, self.head.cols[r]),)
 
     def digraph(self, r: int) -> Digraph:
@@ -309,7 +361,8 @@ class _Block:
         """In-masks of (0,) + tail: what vertices 1.. give every instance;
         derived on first read, so a block never checked derives none."""
         if self._tail_inn is None:
-            self._tail_inn = in_masks_of((0,) + self.tail)
+            run = self.run
+            self._tail_inn = _or_column(run.inn, run.cols[self.d1])
         return self._tail_inn
 
     @property
@@ -355,7 +408,8 @@ class _Block:
         and a disagreement raises.
         """
         if self._girth is None:
-            self._girth = table = _girth_table(self.n, self.tail, self.tail_inn, self.head.first)
+            g0 = self.run.girth0[self.d1]
+            self._girth = table = _girth_table(self.tail_inn, self.head.first, g0)
             r = self.recheck()
             if r is not None:
                 hit = _girth_masks(self.n, self.out(r), self.inn(r))
@@ -368,23 +422,22 @@ class _Block:
 
 
 def _girth_table(
-    n: int, tail: Sequence[int], tail_inn: tuple[int, ...], heads: Sequence[int]
+    tail_inn: tuple[int, ...], heads: Sequence[int], g0: int | None
 ) -> list[int | None]:
-    """For each h in heads, the girth of the digraph with out-masks
-    (h,) + tail, or None if it is acyclic; tail_inn is in_masks_of((0,) + tail).
+    """For each h in heads, the girth of the digraph D with out-masks
+    (h,) + tail, or None if it is acyclic; tail_inn is in_masks_of((0,) +
+    tail) and g0 is g(D - 0), the same for every h.
 
     A cycle either avoids vertex 0, and so is a cycle of D - 0, or leaves
     0 by an arc 0 -> v and returns by a shortest v -> 0 path, which meets
-    0 only at its end and so uses arcs of vertices 1.. alone.  One girth
-    search of D - 0 and one backward search from 0 over tail_inn thus
-    serve every h: girth = min(g(D - 0), 1 + min over v in h of dist(v -> 0)).
+    0 only at its end and so uses arcs of vertices 1.. alone.  One backward
+    search from 0 over tail_inn thus serves every h:
+    girth = min(g0, 1 + min over v in h of dist(v -> 0)).
     """
-    hit = _girth_masks(n, (0, *(m & ~1 for m in tail)), (0, *tail_inn[1:]))
-    g0 = None if hit is None else hit[0]
     # layers[k]: the vertices whose shortest path to 0 has k + 1 arcs, only
     # as deep as a cycle through 0 (k + 2 arcs) still beats g0.
     layers = []
-    depth = n if g0 is None else g0 - 2
+    depth = len(tail_inn) if g0 is None else g0 - 2
     seen, frontier = 1, tail_inn[0]
     while frontier and len(layers) < depth:
         layers.append(frontier)
@@ -395,14 +448,11 @@ def _girth_table(
             nxt |= tail_inn[low.bit_length() - 1]
             frontier ^= low
         frontier = nxt & ~seen
-    table = []
-    for h in heads:
-        g = g0
-        for k, layer in enumerate(layers):
-            if h & layer:
-                g = k + 2
-                break
-        table.append(g)
+    # Deepest layer first, so the shallowest one h meets has the last word.
+    table = [g0] * len(heads)
+    for k in range(len(layers) - 1, -1, -1):
+        layer, g = layers[k], k + 2
+        table = [g if h & layer else t for h, t in zip(heads, table)]
     return table
 
 
@@ -420,34 +470,76 @@ def _sweep(
     connected ones.
 
     A block is r0 = len(choices[0]) consecutive indices with vertices 1..
-    fixed; vertices 1.. are decoded, and their in-masks derived, at most
-    once per block.  Under a filter, a block whose vertices 1.. include a sink
-    is skipped whole, and a vertex-0 choice with no out-arc is not kept.
+    fixed.  The digits of vertices 1.. step as an odometer, vertex 1
+    fastest.  Level u holds the out-masks and out-degrees of vertices u..
+    and, for u >= 2, the in-masks they give; a digit that changes rebuilds
+    its level and those below it, so most blocks rebuild level 1 alone.
+    Consecutive blocks that share vertices 2.. share one _Run.  Under a
+    filter, a block whose vertices 1.. include a sink is skipped whole,
+    with every later block that shares that sink's digit, and a vertex-0
+    choice with no out-arc is not kept.
     """
     if lo >= hi:
         return
     head = _Head(choices)
-    first, later = head.first, choices[1:]
+    n, first = head.n, head.first
     r0 = len(first)
     sinkless = filter != "none"
-    for block in range(lo // r0, -(-hi // r0)):
-        x = block
-        rest = []
-        for c in later:
-            x, r = divmod(x, len(c))
-            rest.append(c[r])
-        tail = tuple(rest)
-        if sinkless and 0 in tail:
-            continue
-        base = block * r0
-        kept: Sequence[int] = range(max(lo - base, 0), min(hi - base, r0))
-        if sinkless and head.has_empty:
-            kept = [r for r in kept if first[r]]
-        b = _Block(head, base, tail, kept)
-        if filter == "strong":
-            b.kept = [r for r in kept if _is_strongly_connected(b.out(r), b.inn(r))]
-        if b.kept:
-            yield b
+    degs = [[m.bit_count() for m in c] for c in choices]
+    cols = [[(*((m >> v & 1) << u for v in range(n)),) for m in c] for u, c in enumerate(choices)]
+    # span[u]: the blocks one step of vertex u's digit moves by.
+    span = [1, 1]
+    for c in choices[1:]:
+        span.append(span[-1] * len(c))
+    block, stop = lo // r0, -(-hi // r0)
+    digits = [0] * (n + 1)
+    x = block
+    for u in range(1, n):
+        x, digits[u] = divmod(x, len(choices[u]))
+    # Levels n.. are empty; level n + 1 is there for n = 1's run.
+    tails: list[tuple[int, ...]] = [()] * (n + 2)
+    tdegs: list[tuple[int, ...]] = [()] * (n + 2)
+    inns = [(0,) * n] * (n + 2)
+    ones, cols1 = (choices[1], cols[1]) if n > 1 else ((0,), [(0,)])
+    # At n <= 2 vertices 2.. are none and one run serves every block;
+    # otherwise each build of level 2 starts a run.  At n = 1 there is no
+    # vertex 1 (ones is a stand-in with no out-arc) and D - 0 has no cycle.
+    run = _Run(ones, cols1, (), inns[2], None if n > 1 else [None])
+    top = n - 1  # the highest level to rebuild
+    while block < stop:
+        u = top
+        while u:
+            d = digits[u]
+            m = choices[u][d]
+            if sinkless and not m:
+                break  # a sink: skip every block under this digit
+            tails[u] = (m,) + tails[u + 1]
+            tdegs[u] = (degs[u][d],) + tdegs[u + 1]
+            if u > 1:
+                inns[u] = _or_column(inns[u + 1], cols[u][d])
+                if u == 2:
+                    run = _Run(ones, cols1, tails[2], inns[2])
+            u -= 1
+        if not u:
+            base = block * r0
+            kept: Sequence[int] = range(max(lo - base, 0), min(hi - base, r0))
+            if sinkless and head.has_empty:
+                kept = [r for r in kept if first[r]]
+            b = _Block(head, run, digits[1], base, tails[1], (0,) + tdegs[1], kept)
+            if filter == "strong":
+                b.kept = [r for r in kept if _is_strongly_connected(b.out(r), b.inn(r))]
+            if b.kept:
+                yield b
+            u = 1
+        # Step digit u, carrying upward; the digits below it restart at 0.
+        block = (block // span[u] + 1) * span[u]
+        for k in range(1, u):
+            digits[k] = 0
+        while u < n - 1 and digits[u] + 1 == len(choices[u]):
+            digits[u] = 0
+            u += 1
+        digits[u] += 1
+        top = u
 
 
 def _is_strongly_connected(out: tuple[int, ...], inn: tuple[int, ...]) -> bool:
@@ -666,18 +758,29 @@ class _Accum:
         }
 
 
-def _cycle_pair_within(n: int, out: tuple[int, ...], limit: int) -> bool:
-    """True iff some two cycles (one counted twice allowed) share <= limit vertices.
+def _tail_cycles(out: tuple[int, ...]) -> tuple[list[int], int]:
+    """The cycles of D - 0 as vertex masks, with the fewest vertices two of
+    them share (one counted twice allowed), len(out) + 1 if there is none.
 
-    Enumerates cycles anchored at their minimum vertex and compares each
-    new cycle's vertex mask against all earlier ones, exiting on the
-    first qualifying pair.  Intended for small bounded-degree graphs.
+    D has out-masks out; out[0] is never read, so every digraph of a block
+    gives the same answer.
     """
     found: list[int] = []
-    for s in range(n):
-        if _pair_dfs(out, limit, found, 1 << s, s, 1 << s):
-            return True
-    return False
+    for s in range(1, len(out)):
+        _pair_dfs(out, -1, found, 1 << s, s, 1 << s)  # limit -1: never stops early
+    pairs = ((a & b).bit_count() for i, a in enumerate(found) for b in found[i:])
+    return found, min(pairs, default=len(out) + 1)
+
+
+def _cycle_pair_within(out: tuple[int, ...], limit: int, rest: list[int], least: int) -> bool:
+    """True iff some two cycles (one counted twice allowed) share <= limit vertices.
+
+    rest and least are _tail_cycles(out): a pair within D - 0 is settled
+    by least, so only the cycles through vertex 0 are enumerated, each
+    compared against itself, rest and the earlier ones, exiting on the
+    first qualifying pair.  Intended for small bounded-degree graphs.
+    """
+    return least <= limit or _pair_dfs(out, limit, list(rest), 1, 0, 1)
 
 
 def _pair_dfs(
@@ -727,7 +830,7 @@ def _check_eq1(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
 
 def _check_two_phi(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
     # One peeler serves the block: the choices that remove vertex 0 first
-    # share one peel of D - 0 (see peeling.BlockPeeler).
+    # share one memo key, D - 0's (see peeling.BlockPeeler).
     n, scale, phi, girth, first = b.n, b.head.scale, b.phi, b.girth, b.head.first
     peeler = BlockPeeler(n, b.tail, b.tail_inn, acc.peel_memo)
     again = b.recheck()
@@ -803,12 +906,19 @@ def _check_deg2_girth(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
 
 
 def _check_two_cycles(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
-    n, girth, p, again = b.n, b.girth, b.p, b.recheck()
+    girth, p, again = b.girth, b.p, b.recheck()
+    # D - 0's cycles, shared by the block's scans; enumerated on first need.
+    rest: tuple[list[int], int] | None = None
     for r in rs:
         limit = p[r] + 1
         g = girth[r]
         # A cycle no longer than the limit pairs with itself.
-        ok = (g is not None and g <= limit) or _cycle_pair_within(n, b.out(r), limit)
+        ok = g is not None and g <= limit
+        if not ok:
+            out = b.out(r)
+            if rest is None:
+                rest = _tail_cycles(out)
+            ok = _cycle_pair_within(out, limit, *rest)
         if ok and r != again:
             continue
         try:

@@ -3,8 +3,10 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,7 @@ from cyclecert.harness import (
     _outmap_choices,
     _run_shard,
     _sweep,
+    _tail_cycles,
     enumerate_digraphs,
     enumerate_outmaps,
     extremal_ratio_search,
@@ -139,6 +142,12 @@ class TestSweep:
         if size > 2 * r0:
             # Start and end inside a block of vertex-0 choices, across blocks.
             ranges += [(1, r0 - 1), (r0 // 2, size - r0 // 2 - 1), (r0 + 1, 3 * r0 - 2)]
+        # One index either side of a carry into each digit: the first two
+        # multiples of w = len(choices[0]) * ... * len(choices[u - 1]).
+        for w in itertools.accumulate(map(len, choices[:-1]), operator.mul):
+            for lo, hi in ((w - 1, w + 1), (w + 1, 2 * w - 1), (w - 1, 2 * w + 1)):
+                if lo < hi <= size:
+                    ranges.append((lo, hi))
         for lo, hi in ranges:
             blocks = _sweep(choices, lo, hi, flt)
             got = [(b.base + r, b.out(r), b.inn(r)) for b in blocks for r in b.kept]
@@ -216,7 +225,58 @@ class TestBestRatio:
             assert want == (best and (Fraction(best[0], best[1]), best[3]))
 
 
+def least_overlap(out):
+    """The fewest vertices two cycles share (one counted twice allowed),
+    over enumerate_cycles; None if the digraph is acyclic."""
+    cycles = oracles.enumerate_cycles(Digraph.from_out_masks(len(out), out))
+    masks = [sum(1 << v for v in c.vertices) for c in cycles]
+    return min(((a & b).bit_count() for i, a in enumerate(masks) for b in masks[i:]), default=None)
+
+
+def assert_block_scan(tail, heads):
+    """The scan of each digraph (h,) + tail, h in heads, with D - 0's
+    cycles found once, says at every limit 0..n what least_overlap says."""
+    rest = _tail_cycles((0,) + tail)
+    for h in heads:
+        out = (h,) + tail
+        want = least_overlap(out)
+        for limit in range(len(out) + 1):
+            got = _cycle_pair_within(out, limit, *rest)
+            assert got == (want is not None and want <= limit), (out, limit)
+
+
+def deg2_masks(n, v):
+    """Every out-mask of vertex v on n vertices with at most 2 out-arcs."""
+    return [m for m in range(1 << n) if not m >> v & 1 and m.bit_count() <= 2]
+
+
 class TestPairScan:
+    """_cycle_pair_within, fed _tail_cycles once per block, against the
+    least intersection over every cycle pair.  Every deg-2 sweep scan says
+    True (the theorem), so only limits below p + 1 show a False."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_small_outmap(self, n):
+        choices = _outmap_choices(n, 1, 2)
+        for b in _sweep(choices, 0, math.prod(map(len, choices))):
+            assert_block_scan(b.tail, [b.head.first[r] for r in b.kept])
+
+    def test_sampled_n5_blocks(self):
+        # Every 101st of the 10^4 blocks, each with its 10 vertex-0 choices.
+        choices = _outmap_choices(5, 1, 2)
+        for lo in range(0, 100_000, 1010):
+            for b in _sweep(choices, lo, lo + 10):
+                assert_block_scan(b.tail, [b.head.first[r] for r in b.kept])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_tails_under_every_head(self, data):
+        n = data.draw(st.integers(6, 8), label="n")
+        tail = tuple(
+            data.draw(st.sampled_from(deg2_masks(n, v)), label=f"out {v}") for v in range(1, n)
+        )
+        assert_block_scan(tail, deg2_masks(n, 0))
+
     def test_leaves_no_reference_cycles(self):
         # A recursive closure that names itself would make each call a
         # cycle that only the cyclic collector frees.
@@ -225,7 +285,7 @@ class TestPairScan:
         gc.disable()
         try:
             for _ in range(100):
-                assert not _cycle_pair_within(3, triangle, 1)
+                assert not _cycle_pair_within(triangle, 1, *_tail_cycles(triangle))
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -549,41 +609,37 @@ class TestRunSuite:
         assert len(tight["witnesses"]) == 4
 
     @staticmethod
-    def count_in_masks(monkeypatch):
-        """The out-masks of every in_masks_of call from here on."""
-        from cyclecert import digraph
-
+    def count_derivations(monkeypatch):
+        """The column of every in-mask derivation a sweep makes from here on."""
         calls = []
-        derive = digraph.in_masks_of
-
-        def counting(out):
-            calls.append(out)
-            return derive(out)
-
-        monkeypatch.setattr(digraph, "in_masks_of", counting)
-        monkeypatch.setattr(harness, "in_masks_of", counting)
+        derive = harness._or_column
+        counting = lambda inn, col: calls.append(col) or derive(inn, col)
+        monkeypatch.setattr(harness, "_or_column", counting)
         return calls
 
     def test_in_masks_derived_once_per_digraph(self, monkeypatch):
         # eq1-identity reads the in-masks and two-phi peels a Digraph built
-        # on them.  The sweep derives the in-masks of vertices 1..2 once per
-        # block of vertex-0 choices and carries them to each digraph, so the
-        # 27 sink-less n = 3 digraphs cost one derivation per block whose
-        # vertices 1..2 have no sink: 3 * 3 = 9.
-        calls = self.count_in_masks(monkeypatch)
+        # on them.  The sweep derives what each vertex 2 choice gives once,
+        # as its odometer digit changes (3 sink-free choices), and each
+        # block's tail in-masks from that once (3 * 3 = 9 blocks whose
+        # vertices 1..2 have no sink), then carries them to each digraph.
+        calls = self.count_derivations(monkeypatch)
         cfg = SuiteConfig(3, 3, "labeled", ("eq1-identity", "two-phi"))
         report = run_suite(cfg)
         assert report.checked == {"eq1-identity": 27, "two-phi": 27}
-        assert len(calls) == 9
+        assert len(calls) == 3 + 9
 
     def test_blocks_never_checked_derive_no_in_masks(self, monkeypatch):
         # Under labeled:none every one of the 8^3 = 512 blocks at n = 4 is
         # counted, but only the 7^3 = 343 whose vertices 1..3 have no sink
-        # are checked, and only those derive in-masks.
-        calls = self.count_in_masks(monkeypatch)
+        # are checked, and only those derive their tail in-masks.  The
+        # odometer's levels derive what vertices 3.. and 2.. give once per
+        # digit change, 8 + 8^2, sinks included: enumerate_digraphs reads
+        # every block's in-masks.
+        calls = self.count_derivations(monkeypatch)
         report = run_suite(SuiteConfig(4, 4, "labeled", DIGRAPH_CHECKS, filter="none"))
         assert report.instances_generated == 1 << 12
-        assert len(calls) == 343
+        assert len(calls) == 8 + 64 + 343
 
     def test_rd_claim_fails_once_per_instance(self, monkeypatch):
         # Every greedy subgraph fails here; an instance records its first.
@@ -745,8 +801,9 @@ class TestExtremalRatioSearch:
             extremal_ratio_search(3, 1000)
 
     def test_exhaustive_mode_reads_block_tables(self, monkeypatch):
-        # One girth search per block of the 7^3 = 343 whose vertices 1..3
-        # have no sink, not one per digraph plus one for the witness.
+        # One girth search, of D - {0, 1}, per run of blocks sharing
+        # vertices 2..3: the 7^2 = 49 runs with no sink there.  Not one per
+        # block (343), per digraph (2401), or for the witness.
         calls = []
         search = oracles._girth_masks
 
@@ -758,7 +815,7 @@ class TestExtremalRatioSearch:
         monkeypatch.setattr(harness, "_girth_masks", counting)
         report = extremal_ratio_search(4, 10**6)
         assert report.instances_generated == 2401
-        assert len(calls) == 343
+        assert len(calls) == 49
 
 
 def report_digest(report):

@@ -48,8 +48,14 @@ def bfs_girth(out):
     return None if hit is None else hit[0]
 
 
+def minus_zero(out):
+    """The out-masks of D - 0, vertex 0 kept with no arc."""
+    return (0, *(m & ~1 for m in out[1:]))
+
+
 class TestGirthTable:
-    """_girth_table against a girth search of each whole digraph."""
+    """_girth_table, and the g(D - 0) table each run of blocks builds with
+    it, against a girth search of each whole digraph."""
 
     @pytest.mark.parametrize(
         "n, dmin, dmax",
@@ -61,7 +67,9 @@ class TestGirthTable:
         size = math.prod(map(len, choices))
         seen = 0
         for b in _sweep(choices, 0, size):
-            table = _girth_table(n, b.tail, b.tail_inn, choices[0])
+            g0 = b.run.girth0[b.d1]
+            assert g0 == bfs_girth(minus_zero(b.out(0))), b.tail
+            table = _girth_table(b.tail_inn, choices[0], g0)
             for r in b.kept:
                 assert table[r] == bfs_girth(b.out(r)), b.out(r)
                 seen += 1
@@ -76,8 +84,29 @@ class TestGirthTable:
             data.draw(st.integers(0, full), label=f"out {v}") & ~(1 << v) for v in range(1, n)
         )
         heads = data.draw(st.lists(st.integers(0, full // 2).map(lambda m: m << 1), max_size=6))
-        table = _girth_table(n, tail, in_masks_of((0,) + tail), heads)
+        g0 = bfs_girth(minus_zero((0,) + tail))
+        table = _girth_table(in_masks_of((0,) + tail), heads, g0)
         assert table == [bfs_girth((h,) + tail) for h in heads]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_runs(self, data):
+        # A run: vertex 1 ranges over several out-masks, vertices 2.. fixed.
+        n = data.draw(st.integers(6, 8), label="n")
+        full = (1 << n) - 1
+        ones = data.draw(
+            st.lists(st.integers(0, full).map(lambda m: m & ~2), min_size=1, max_size=6),
+            label="ones",
+        )
+        rest = [
+            (data.draw(st.integers(0, full), label=f"out {v}") & ~(1 << v),) for v in range(2, n)
+        ]
+        choices = [(0, 0b110), tuple(ones), *rest]
+        blocks = list(_sweep(choices, 0, math.prod(map(len, choices))))
+        assert len({id(b.run) for b in blocks}) == 1
+        for b in blocks:
+            assert b.run.girth0[b.d1] == bfs_girth(minus_zero(b.out(0)))
+            assert b.girth == [bfs_girth(b.out(r)) for r in (0, 1)]
 
 
 class TestGirth:
