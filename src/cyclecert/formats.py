@@ -33,31 +33,30 @@ from .families import RainbowInstance
 MAX_VERTICES = 512
 
 
-def _data_lines(text: str) -> list[str]:
-    return [ln.strip() for ln in text.splitlines() if ln.strip()]
-
-
-def _check_vertex_count(n: int) -> None:
-    if n > MAX_VERTICES:
-        raise FormatError(f"header declares {n} vertices, more than {MAX_VERTICES}")
-
-
-def parse_digraph(text: str) -> Digraph:
-    lines = _data_lines(text)
+def _header(text: str, keyword: str, items: str) -> tuple[int, list[str]]:
+    """The vertex count n and the m item lines of text, whose non-blank
+    lines are the header '<keyword> <n> <m>' and then m items."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty input")
     head = lines[0].split()
-    if len(head) != 3 or head[0] != "digraph":
-        raise FormatError(f"bad header {lines[0]!r}, expected 'digraph <n> <m>'")
+    if len(head) != 3 or head[0] != keyword:
+        raise FormatError(f"bad header {lines[0]!r}, expected '{keyword} <n> <m>'")
     try:
         n, m = int(head[1]), int(head[2])
     except ValueError:
         raise FormatError(f"bad header {lines[0]!r}: n and m must be integers") from None
-    _check_vertex_count(n)
+    if n > MAX_VERTICES:
+        raise FormatError(f"header declares {n} vertices, more than {MAX_VERTICES}")
     if len(lines) - 1 != m:
-        raise FormatError(f"header promises {m} arcs, found {len(lines) - 1} lines")
+        raise FormatError(f"header promises {m} {items}, found {len(lines) - 1} lines")
+    return n, lines[1:]
+
+
+def parse_digraph(text: str) -> Digraph:
+    n, lines = _header(text, "digraph", "arcs")
     arcs = []
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split()
         if len(parts) != 2:
             raise FormatError(f"bad arc line {ln!r}, expected '<u> <v>'")
@@ -78,21 +77,9 @@ def format_digraph(d: Digraph) -> str:
 
 
 def parse_rainbow(text: str) -> RainbowInstance:
-    lines = _data_lines(text)
-    if not lines:
-        raise FormatError("empty input")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "rainbow":
-        raise FormatError(f"bad header {lines[0]!r}, expected 'rainbow <n> <m>'")
-    try:
-        n, m = int(head[1]), int(head[2])
-    except ValueError:
-        raise FormatError(f"bad header {lines[0]!r}: n and m must be integers") from None
-    _check_vertex_count(n)
-    if len(lines) - 1 != m:
-        raise FormatError(f"header promises {m} families, found {len(lines) - 1} lines")
+    n, lines = _header(text, "rainbow", "families")
     families = []
-    for ln in lines[1:]:
+    for ln in lines:
         edges = []
         for part in ln.split(","):
             part = part.strip()

@@ -78,30 +78,10 @@ WORKERS_CAP = 64
 # code space 2^(n(n-1)) it builds grow without bound in n.
 SEARCH_CAP = 512
 
-CHECK_TWO_PHI = "two-phi"
-CHECK_TWO_PSI_STRICT = "two-psi-strict"
-CHECK_CHC = "chc"
-CHECK_TWO_CYCLES = "two-cycles"
-CHECK_DEG2_GIRTH = "deg2-girth"
-CHECK_EQ1 = "eq1-identity"
-CHECK_RAINBOW_BOUND = "rainbow-bound"
-CHECK_RD_CLAIM = "rd-claim"
-
-DIGRAPH_CHECKS = (
-    CHECK_TWO_PHI,
-    CHECK_TWO_PSI_STRICT,
-    CHECK_CHC,
-    CHECK_TWO_CYCLES,
-    CHECK_DEG2_GIRTH,
-    CHECK_EQ1,
-)
-RAINBOW_CHECKS = (CHECK_RAINBOW_BOUND, CHECK_RD_CLAIM)
-ALL_CHECKS = DIGRAPH_CHECKS + RAINBOW_CHECKS
-
 _FILTERS = ("none", "sinkless", "strong")
 
 # How often, in indices, the girth table, the fast pair scan and the block
-# peel are checked against a search or run from scratch (see _Block.recheck).
+# peel are checked against a search or run from scratch (see _Block.again).
 _CROSS_CHECK_EVERY = 100_000
 
 
@@ -292,10 +272,13 @@ class _Block:
     per-choice tables p, deg2, phi, psi and girth are built on first read,
     each over every choice; out, inn and the Digraph only for the r a check
     asks about, each time it asks.
+
+    again is the kept choice whose instance the cross-checks search again
+    from scratch, or None; _sweep sets it once the block is filtered.
     """
 
     __slots__ = (
-        "head", "n", "run", "d1", "base", "tail", "degs", "kept",
+        "head", "n", "run", "d1", "base", "tail", "degs", "kept", "again",
         "_tail_inn", "_p", "_deg2", "_phi", "_psi", "_girth",
     )
 
@@ -346,16 +329,6 @@ class _Block:
         first = self.head.first
         return [r for r in self.kept if first[r]]
 
-    def recheck(self) -> int | None:
-        """The kept choice whose instance the cross-checks search again from
-        scratch: in a block holding a multiple of _CROSS_CHECK_EVERY, the
-        first kept at or after it (the multiple itself is often filtered
-        out: at labeled n <= 5 its vertex 0 has no out-arc); else None."""
-        r = -self.base % _CROSS_CHECK_EVERY
-        if r >= len(self.head.first):
-            return None
-        return next((k for k in self.kept if k >= r), None)
-
     @property
     def tail_inn(self) -> tuple[int, ...]:
         """In-masks of (0,) + tail: what vertices 1.. give every instance;
@@ -404,13 +377,13 @@ class _Block:
     def girth(self) -> list[int | None]:
         """Per choice, the girth, None where acyclic (see _girth_table).
 
-        The recheck() instance has its girth searched again from scratch,
-        and a disagreement raises.
+        Instance again has its girth searched again from scratch, and a
+        disagreement raises.
         """
         if self._girth is None:
             g0 = self.run.girth0[self.d1]
             self._girth = table = _girth_table(self.tail_inn, self.head.first, g0)
-            r = self.recheck()
+            r = self.again
             if r is not None:
                 hit = _girth_masks(self.n, self.out(r), self.inn(r))
                 if (None if hit is None else hit[0]) != table[r]:
@@ -529,6 +502,11 @@ def _sweep(
             if filter == "strong":
                 b.kept = [r for r in kept if _is_strongly_connected(b.out(r), b.inn(r))]
             if b.kept:
+                # In a block holding a multiple of _CROSS_CHECK_EVERY, the
+                # first kept choice at or after it (the filters often drop
+                # the multiple itself: at labeled n <= 5 its vertex 0 is empty).
+                r = -base % _CROSS_CHECK_EVERY
+                b.again = next((k for k in b.kept if k >= r), None) if r < r0 else None
                 yield b
             u = 1
         # Step digit u, carrying upward; the digits below it restart at 0.
@@ -670,25 +648,14 @@ def _beats(a: Sequence[Any], b: Sequence[Any]) -> bool:
 
 @dataclass(slots=True)
 class _RainbowRun:
-    """Seeded rainbow instances base + r at size n, r < len(insts); each
-    construction runs once, on first use."""
+    """Seeded rainbow instances base + r at size n, r < len(insts), each
+    with its construction built[r]: the certificate, or None and why, and
+    every greedy subgraph grown."""
 
     n: int
     base: int
     insts: list[RainbowInstance]
-    _built: dict[int, tuple[RainbowCycleCertificate | None, str, Collector]] = field(
-        default_factory=dict
-    )
-
-    def built(self, r: int) -> tuple[RainbowCycleCertificate | None, str, Collector]:
-        """(the certificate, or None and why; every greedy subgraph grown)."""
-        if r not in self._built:
-            grown: Collector = []
-            try:
-                self._built[r] = (find_rainbow_cycle(self.insts[r], collect=grown), "", grown)
-            except CounterexampleFound as exc:
-                self._built[r] = (None, f"{type(exc).__name__}: {exc}", grown)
-        return self._built[r]
+    built: list[tuple[RainbowCycleCertificate | None, str, Collector]]
 
     def text(self, r: int) -> str:
         return format_rainbow(self.insts[r])
@@ -833,7 +800,6 @@ def _check_two_phi(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
     # share one memo key, D - 0's (see peeling.BlockPeeler).
     n, scale, phi, girth, first = b.n, b.head.scale, b.phi, b.girth, b.head.first
     peeler = BlockPeeler(n, b.tail, b.tail_inn, acc.peel_memo)
-    again = b.recheck()
     for r in rs:
         g, phi_m = girth[r], phi[r]
         if g is None or g * scale > 2 * phi_m:
@@ -846,7 +812,7 @@ def _check_two_phi(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
             continue
         if not validate_cycle_masks(n, b.out(r), cert):
             yield r, ("peeling produced an invalid certificate", cycle_cert_json(cert))
-        elif r == again and not _peels_alike(b.digraph(r), cert):
+        elif r == b.again and not _peels_alike(b.digraph(r), cert):
             yield r, ("block peeling and a run from scratch disagree", cycle_cert_json(cert))
         elif g * scale == 2 * phi_m:
             acc.offer_tight(b, r)
@@ -887,9 +853,9 @@ def _check_chc(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
 
 
 def _check_deg2_girth(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
-    # The recheck() instance also gets the exhaustive oracle's certificate,
+    # Instance again also gets the exhaustive oracle's certificate,
     # which must validate on the instance's out-masks.
-    n, girth, p, again = b.n, b.girth, b.p, b.recheck()
+    n, girth, p, again = b.n, b.girth, b.p, b.again
     for r in rs:
         g = girth[r]
         bound = (n + p[r] + 1) // 2
@@ -906,7 +872,7 @@ def _check_deg2_girth(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
 
 
 def _check_two_cycles(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
-    girth, p, again = b.girth, b.p, b.recheck()
+    girth, p, again = b.girth, b.p, b.again
     # D - 0's cycles, shared by the block's scans; enumerated on first need.
     rest: tuple[list[int], int] | None = None
     for r in rs:
@@ -935,7 +901,7 @@ def _check_two_cycles(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
 def _check_rainbow_bound(x: _RainbowRun, rs: Sequence[int], acc: _Accum) -> _Failures:
     for r in rs:
         inst = x.insts[r]
-        cert, why, _ = x.built(r)
+        cert, why, _ = x.built[r]
         if cert is None:
             yield r, (why, None)
             continue
@@ -959,7 +925,7 @@ def _check_rainbow_bound(x: _RainbowRun, rs: Sequence[int], acc: _Accum) -> _Fai
 def _check_rd_claim(x: _RainbowRun, rs: Sequence[int], acc: _Accum) -> _Failures:
     # An instance's first failing greedy subgraph is its failure.
     for r in rs:
-        for _, h in x.built(r)[2]:
+        for _, h in x.built[r][2]:
             try:
                 dists = all_pairs_rainbow_distances(h)
             except CounterexampleFound as exc:
@@ -986,17 +952,29 @@ class _Check(NamedTuple):
     deg2_only: bool = False  # applies only when every out-degree is at most 2
 
 
-# Run in this order, so what one check derives serves the later ones.
-_CHECKS = (
-    _Check(CHECK_EQ1, _check_eq1, "violation"),
-    _Check(CHECK_TWO_PHI, _check_two_phi, "violation"),
-    _Check(CHECK_TWO_PSI_STRICT, _check_two_psi_strict, "violation"),
-    _Check(CHECK_CHC, _check_chc, "finding"),
-    _Check(CHECK_DEG2_GIRTH, _check_deg2_girth, "violation", deg2_only=True),
-    _Check(CHECK_TWO_CYCLES, _check_two_cycles, "violation", deg2_only=True),
-    _Check(CHECK_RAINBOW_BOUND, _check_rainbow_bound, "violation"),
-    _Check(CHECK_RD_CLAIM, _check_rd_claim, "violation"),
+# Run in this order, so what one check derives serves the later ones.  A
+# check's name is spelled here alone; the name lists below derive from it.
+_DIGRAPH_ROWS = (
+    _Check("eq1-identity", _check_eq1, "violation"),
+    _Check("two-phi", _check_two_phi, "violation"),
+    _Check("two-psi-strict", _check_two_psi_strict, "violation"),
+    _Check("chc", _check_chc, "finding"),
+    _Check("deg2-girth", _check_deg2_girth, "violation", deg2_only=True),
+    _Check("two-cycles", _check_two_cycles, "violation", deg2_only=True),
 )
+_RAINBOW_ROWS = (
+    _Check("rainbow-bound", _check_rainbow_bound, "violation"),
+    _Check("rd-claim", _check_rd_claim, "violation"),
+)
+_CHECKS = _DIGRAPH_ROWS + _RAINBOW_ROWS
+DIGRAPH_CHECKS = tuple(c.name for c in _DIGRAPH_ROWS)
+RAINBOW_CHECKS = tuple(c.name for c in _RAINBOW_ROWS)
+ALL_CHECKS = DIGRAPH_CHECKS + RAINBOW_CHECKS
+
+
+def _name_of(run: Callable[..., _Failures]) -> str:
+    """The name of the check table row whose function is run."""
+    return next(c.name for c in _CHECKS if c.run is run)
 
 
 def _run_checks(x: _Unit, rs: Sequence[int], checks: Sequence[_Check], acc: _Accum) -> None:
@@ -1048,10 +1026,18 @@ def _sweep_units(cfg: SuiteConfig, n: int, lo: int, hi: int) -> _Units:
 
 
 def _rainbow_runs(cfg: SuiteConfig, n: int, lo: int, hi: int) -> _Units:
+    # Both rainbow checks read every construction, so each is built here, once.
     for base in range(lo, hi, _RAINBOW_RUN):
         top = min(base + _RAINBOW_RUN, hi)
         insts = [_rainbow_for_index(n, cfg.seed, i) for i in range(base, top)]
-        yield _RainbowRun(n, base, insts), len(insts), range(len(insts))
+        built = []
+        for inst in insts:
+            grown: Collector = []
+            try:
+                built.append((find_rainbow_cycle(inst, collect=grown), "", grown))
+            except CounterexampleFound as exc:
+                built.append((None, f"{type(exc).__name__}: {exc}", grown))
+        yield _RainbowRun(n, base, insts, built), len(insts), range(len(insts))
 
 
 def _check_degrees(cfg: SuiteConfig) -> None:
@@ -1188,7 +1174,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
             "index": bi,
             "instance": btext,
         }
-    if CHECK_TWO_PHI in cfg.checks:
+    if _name_of(_check_two_phi) in cfg.checks:
         tight_witnesses.sort()
         extremal["tightness"] = {
             "count": tight_count,
@@ -1225,29 +1211,9 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
     )
     if budget == 0:
         return report
-    scale = _scale(n)
-    evaluated = 0
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-
-    def evaluate(out: tuple[int, ...]) -> Fraction:
-        nonlocal evaluated, best
-        evaluated += 1
-        psi_m = _psi_scaled(scale, [m.bit_count() for m in out])
-        hit = _girth_masks(n, out, in_masks_of(out))
-        assert hit is not None  # sink-less digraphs always contain a cycle
-        ratio = Fraction(hit[0] * scale, psi_m)
-        if ratio >= 2:
-            raise TheoremViolation(
-                f"girth / psi ratio {ratio} reaches 2 on:\n"
-                + format_digraph(Digraph.from_out_masks(n, out))
-            )
-        if best is None or ratio > best[0]:
-            best = (ratio, out)
-        return ratio
-
     if ((1 << (n - 1)) - 1) ** n <= budget:
         report.config["mode"] = "exhaustive"
-        cfg = SuiteConfig(n, n, _LABELED.name, (CHECK_TWO_PSI_STRICT,))
+        cfg = SuiteConfig(n, n, _LABELED.name, (_name_of(_check_two_psi_strict),))
         res = _run_shard(cfg, n, 0, 1 << (n * (n - 1)))
         if res["violations"]:
             v = res["violations"][0]
@@ -1258,40 +1224,48 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
     else:
         report.config["mode"] = "hill-climb"
         rng = random.Random(seed)
-
-        def random_sinkless() -> tuple[int, ...]:
-            out = []
-            for u in range(n):
-                while True:
-                    m = rng.randrange(1, 1 << n) & ~(1 << u)
-                    if m:
-                        out.append(m)
-                        break
-            return tuple(out)
-
-        current = random_sinkless()
-        current_ratio = evaluate(current)
-        stale = 0
+        scale = _scale(n)
+        evaluated = 0
+        best: tuple[Fraction, tuple[int, ...]] | None = None
+        # Each round evaluates one candidate: a fresh random sink-less start
+        # in the first round and after 200 flips in a row fell below current,
+        # else current with one arc flipped (draws that flip a loop or leave
+        # a sink are skipped).
+        stale = 200
         while evaluated < budget:
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            if u == v:
-                continue
-            cand = list(current)
-            cand[u] ^= 1 << v
-            if cand[u] == 0:
-                continue
-            cand_t = tuple(cand)
-            r = evaluate(cand_t)
-            if r >= current_ratio:
-                current, current_ratio = cand_t, r
-                stale = 0
+            if stale >= 200:
+                cand = []
+                for u in range(n):
+                    m = 0
+                    while not m:
+                        m = rng.randrange(1, 1 << n) & ~(1 << u)
+                    cand.append(m)
+            else:
+                u = rng.randrange(n)
+                v = rng.randrange(n)
+                if u == v:
+                    continue
+                cand = list(current)
+                cand[u] ^= 1 << v
+                if cand[u] == 0:
+                    continue
+            out = tuple(cand)
+            evaluated += 1
+            psi_m = _psi_scaled(scale, [m.bit_count() for m in out])
+            hit = _girth_masks(n, out, in_masks_of(out))
+            assert hit is not None  # sink-less digraphs always contain a cycle
+            r = Fraction(hit[0] * scale, psi_m)
+            if r >= 2:
+                raise TheoremViolation(
+                    f"girth / psi ratio {r} reaches 2 on:\n"
+                    + format_digraph(Digraph.from_out_masks(n, out))
+                )
+            if best is None or r > best[0]:
+                best = (r, out)
+            if stale >= 200 or r >= current_ratio:
+                current, current_ratio, stale = out, r, 0
             else:
                 stale += 1
-            if stale >= 200 and evaluated < budget:
-                current = random_sinkless()
-                current_ratio = evaluate(current)
-                stale = 0
         assert best is not None
         ratio, out = best
         d = Digraph.from_out_masks(n, out)

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from cyclecert import harness, oracles
 from cyclecert.digraph import Digraph, first_sink, in_masks_of
 from cyclecert.errors import GraphInputError, Infeasible, LimitExceeded, TheoremViolation
 from cyclecert.families import RainbowInstance
+from cyclecert.formats import format_rainbow
 from cyclecert.peeling import _phi_scaled, _psi_scaled, _scale
 from cyclecert.harness import (
     ALL_CHECKS,
@@ -379,6 +381,39 @@ class TestCrossChecks:
         )]
 
 
+AGAIN_CASES = [("labeled", n, flt) for n in (3, 4, 5) for flt in ("none", "sinkless", "strong")]
+AGAIN_CASES += [("outmaps", n, "none") for n in (4, 5)]
+
+
+class TestAgain:
+    """Each block's cross-checked choice, against the first kept choice at
+    or after the first multiple of _CROSS_CHECK_EVERY in the block, read
+    from the block's kept choices after every filter has run."""
+
+    EVERY = 7  # several multiples per block at n >= 4, so many blocks hold one
+
+    @pytest.mark.parametrize("kind, n, flt", AGAIN_CASES)
+    def test_matches_reference(self, monkeypatch, kind, n, flt):
+        monkeypatch.setattr(harness, "_CROSS_CHECK_EVERY", self.EVERY)
+        choices = _outmap_choices(n, 0, n - 1) if kind == "labeled" else _outmap_choices(n, 1, 2)
+        size, r0 = math.prod(map(len, choices)), len(choices[0])
+        rng = random.Random(n)
+        windows = [(0, min(size, 5000))]
+        for _ in range(30):
+            lo = rng.randrange(size)
+            windows.append((lo, min(size, lo + rng.randrange(1, 400))))
+        held = 0
+        for lo, hi in windows:
+            for b in _sweep(choices, lo, hi, flt):
+                multiples = [i for i in range(b.base, b.base + r0) if i % self.EVERY == 0]
+                want = None
+                if multiples:
+                    want = next((r for r in b.kept if b.base + r >= multiples[0]), None)
+                assert b.again == want, (b.base, list(b.kept))
+                held += want is not None
+        assert held > 20
+
+
 def fail_on_odd(x, rs, acc):
     return ((r, "odd index") for r in rs if (x.base + r) % 2)
 
@@ -658,6 +693,26 @@ class TestRunSuite:
         assert [v["index"] for v in res["violations"]] == failing
         assert res["checked"]["rd-claim"] - res["passed"].get("rd-claim", 0) == len(failing)
         assert len(calls) == len(failing)
+
+    @pytest.mark.parametrize(
+        "checks", [("rainbow-bound",), ("rd-claim",), ("rainbow-bound", "rd-claim")]
+    )
+    def test_each_rainbow_instance_is_constructed_once(self, monkeypatch, checks):
+        # 40 instances per n: two full runs of 16 and a short one.
+        built = []
+        construct = harness.find_rainbow_cycle
+        monkeypatch.setattr(
+            harness,
+            "find_rainbow_cycle",
+            lambda inst, **kw: built.append(format_rainbow(inst)) or construct(inst, **kw),
+        )
+        report = run_suite(SuiteConfig(4, 6, "rainbow", checks, count=40, seed=3))
+        assert report.checked == {c: 120 for c in checks}
+        assert built == [
+            format_rainbow(harness._rainbow_for_index(n, 3, i))
+            for n in range(4, 7)
+            for i in range(40)
+        ]
 
     def test_shard_result_holds_only_tallies(self):
         # The shard's peel memo stays out of the result run_suite merges.
