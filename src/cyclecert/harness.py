@@ -228,79 +228,44 @@ def _or_column(inn: tuple[int, ...], col: tuple[int, ...]) -> tuple[int, ...]:
     return (*map(or_, inn, col),)
 
 
-@dataclass(slots=True)
-class _Run:
-    """The blocks of a sweep that share the out-masks tail of vertices 2..,
-    each with its own out-mask ones[d] of vertex 1.
-
-    inn is what vertices 2.. give every instance's in-masks, and cols[d]
-    the in-mask column of ones[d].  The g(D - 0) table over the choices d
-    is built on first read.
-    """
-
-    ones: Sequence[int]
-    cols: Sequence[tuple[int, ...]]
-    tail: tuple[int, ...]
-    inn: tuple[int, ...]
-    _girth0: list[int | None] | None = None
-
-    @property
-    def girth0(self) -> list[int | None]:
-        """Per choice d of vertex 1, the girth of D - 0, None where acyclic.
-
-        D - 0 relabelled v -> v - 1 is a digraph on n - 1 vertices whose
-        vertex 0 is vertex 1, with out-mask ones[d] >> 1, and whose tail is
-        vertices 2..; so _girth_table serves every d, after one girth
-        search of D - {0, 1}.
-        """
-        if self._girth0 is None:
-            tail_inn = (*(m >> 1 for m in self.inn[1:]),)  # unpacked: see _or_column
-            out = (0, *(m >> 1 & ~1 for m in self.tail))  # D - {0, 1}, relabelled
-            hit = _girth_masks(len(tail_inn), out, (0, *tail_inn[1:]))
-            self._girth0 = _girth_table(
-                tail_inn, [m >> 1 for m in self.ones], None if hit is None else hit[0]
-            )
-        return self._girth0
-
-
 class _Block:
-    """The kept instances base + r of a sweep that share the out-masks tail
-    of vertices 1..: vertex 0's out-mask is head.first[r], r in kept, and
-    vertex 1's is run.ones[d1].
+    """The kept instances base + r that share the out-masks tail of
+    vertices 1..: vertex 0's out-mask is head.first[r], r in kept.
 
-    degs are the out-degrees of (0,) + tail.  The tail's in-masks and the
-    per-choice tables p, deg2, phi, psi and girth are built on first read,
-    each over every choice; out, inn and the Digraph only for the r a check
-    asks about, each time it asks.
+    degs are the out-degrees of (0,) + tail, tail_inn the in-masks of
+    (0,) + tail (what vertices 1.. give every instance), and g0 is
+    g(D - 0), None where acyclic.  The per-choice tables p, deg2, phi, psi
+    and girth are built on first read, each over every choice; out, inn
+    and the Digraph only for the r a check asks about, each time it asks.
 
     again is the kept choice whose instance the cross-checks search again
-    from scratch, or None; _sweep sets it once the block is filtered.
+    from scratch, or None.
     """
 
     __slots__ = (
-        "head", "n", "run", "d1", "base", "tail", "degs", "kept", "again",
-        "_tail_inn", "_p", "_deg2", "_phi", "_psi", "_girth",
+        "head", "n", "base", "tail", "degs", "tail_inn", "g0", "kept", "again",
+        "_p", "_deg2", "_phi", "_psi", "_girth",
     )
 
     def __init__(
         self,
         head: _Head,
-        run: _Run,
-        d1: int,
         base: int,
         tail: tuple[int, ...],
         degs: tuple[int, ...],
+        tail_inn: tuple[int, ...],
+        g0: int | None,
         kept: Sequence[int],
     ) -> None:
         self.head = head
         self.n = head.n
-        self.run = run
-        self.d1 = d1
         self.base = base
         self.tail = tail
         self.degs = degs
+        self.tail_inn = tail_inn
+        self.g0 = g0
         self.kept = kept
-        self._tail_inn: tuple[int, ...] | None = None
+        self.again: int | None = None
         self._p: list[int] | None = None
         self._deg2: list[bool] | None = None
         self._phi: list[int] | None = None
@@ -328,15 +293,6 @@ class _Block:
             return self.kept
         first = self.head.first
         return [r for r in self.kept if first[r]]
-
-    @property
-    def tail_inn(self) -> tuple[int, ...]:
-        """In-masks of (0,) + tail: what vertices 1.. give every instance;
-        derived on first read, so a block never checked derives none."""
-        if self._tail_inn is None:
-            run = self.run
-            self._tail_inn = _or_column(run.inn, run.cols[self.d1])
-        return self._tail_inn
 
     @property
     def p(self) -> list[int]:
@@ -381,8 +337,7 @@ class _Block:
         disagreement raises.
         """
         if self._girth is None:
-            g0 = self.run.girth0[self.d1]
-            self._girth = table = _girth_table(self.tail_inn, self.head.first, g0)
+            self._girth = table = _girth_table(self.tail_inn, self.head.first, self.g0)
             r = self.again
             if r is not None:
                 hit = _girth_masks(self.n, self.out(r), self.inn(r))
@@ -429,6 +384,24 @@ def _girth_table(
     return table
 
 
+def _girths_minus_zero(
+    ones: Sequence[int], tail: tuple[int, ...], inn: tuple[int, ...]
+) -> list[int | None]:
+    """For each out-mask h of vertex 1 in ones, g(D - 0), None where
+    acyclic, for the digraphs D whose vertices 2.. have out-masks tail and
+    give the in-masks inn.
+
+    D - 0 relabelled v -> v - 1 is a digraph on n - 1 vertices whose
+    vertex 0 is vertex 1, with out-mask h >> 1, and whose tail is vertices
+    2..; so _girth_table serves every h, after one girth search of
+    D - {0, 1}.
+    """
+    tail_inn = (*(m >> 1 for m in inn[1:]),)  # unpacked: see _or_column
+    out = (0, *(m >> 1 & ~1 for m in tail))  # D - {0, 1}, relabelled
+    hit = _girth_masks(len(tail_inn), out, (0, *tail_inn[1:]))
+    return _girth_table(tail_inn, [h >> 1 for h in ones], None if hit is None else hit[0])
+
+
 def _sweep(
     choices: list[tuple[int, ...]], lo: int, hi: int, filter: str = "none"
 ) -> Iterator[_Block]:
@@ -444,13 +417,13 @@ def _sweep(
 
     A block is r0 = len(choices[0]) consecutive indices with vertices 1..
     fixed.  The digits of vertices 1.. step as an odometer, vertex 1
-    fastest.  Level u holds the out-masks and out-degrees of vertices u..
-    and, for u >= 2, the in-masks they give; a digit that changes rebuilds
-    its level and those below it, so most blocks rebuild level 1 alone.
-    Consecutive blocks that share vertices 2.. share one _Run.  Under a
-    filter, a block whose vertices 1.. include a sink is skipped whole,
-    with every later block that shares that sink's digit, and a vertex-0
-    choice with no out-arc is not kept.
+    fastest.  Level u >= 1 holds the out-masks, out-degrees and in-masks
+    of vertices u..; a digit that changes rebuilds its level and those
+    below it, so most blocks rebuild level 1 alone.  Each rebuild of level
+    2 builds the g(D - 0) table over vertex 1's choices.  Under a filter,
+    a block whose vertices 1.. include a sink is skipped whole, with every
+    later block that shares that sink's digit, and a vertex-0 choice with
+    no out-arc is not kept.
     """
     if lo >= hi:
         return
@@ -459,7 +432,10 @@ def _sweep(
     r0 = len(first)
     sinkless = filter != "none"
     degs = [[m.bit_count() for m in c] for c in choices]
-    cols = [[(*((m >> v & 1) << u for v in range(n)),) for m in c] for u, c in enumerate(choices)]
+    cols = [head.cols] + [
+        [(*((m >> v & 1) << u for v in range(n)),) for m in c]
+        for u, c in enumerate(choices[1:], 1)
+    ]
     # span[u]: the blocks one step of vertex u's digit moves by.
     span = [1, 1]
     for c in choices[1:]:
@@ -469,15 +445,14 @@ def _sweep(
     x = block
     for u in range(1, n):
         x, digits[u] = divmod(x, len(choices[u]))
-    # Levels n.. are empty; level n + 1 is there for n = 1's run.
-    tails: list[tuple[int, ...]] = [()] * (n + 2)
-    tdegs: list[tuple[int, ...]] = [()] * (n + 2)
-    inns = [(0,) * n] * (n + 2)
-    ones, cols1 = (choices[1], cols[1]) if n > 1 else ((0,), [(0,)])
-    # At n <= 2 vertices 2.. are none and one run serves every block;
-    # otherwise each build of level 2 starts a run.  At n = 1 there is no
-    # vertex 1 (ones is a stand-in with no out-arc) and D - 0 has no cycle.
-    run = _Run(ones, cols1, (), inns[2], None if n > 1 else [None])
+    # Level n is empty.
+    tails: list[tuple[int, ...]] = [()] * (n + 1)
+    tdegs: list[tuple[int, ...]] = [()] * (n + 1)
+    inns = [(0,) * n] * (n + 1)
+    # At n = 2 level 2 is empty and one table serves every block; at n = 1
+    # there is no vertex 1 and D - 0 has no cycle.  At n >= 3 the first
+    # pass rebuilds level 2, and with it the table.
+    girth0 = _girths_minus_zero(choices[1], (), inns[2]) if n == 2 else [None]
     top = n - 1  # the highest level to rebuild
     while block < stop:
         u = top
@@ -488,17 +463,16 @@ def _sweep(
                 break  # a sink: skip every block under this digit
             tails[u] = (m,) + tails[u + 1]
             tdegs[u] = (degs[u][d],) + tdegs[u + 1]
-            if u > 1:
-                inns[u] = _or_column(inns[u + 1], cols[u][d])
-                if u == 2:
-                    run = _Run(ones, cols1, tails[2], inns[2])
+            inns[u] = _or_column(inns[u + 1], cols[u][d])
+            if u == 2:
+                girth0 = _girths_minus_zero(choices[1], tails[2], inns[2])
             u -= 1
         if not u:
             base = block * r0
             kept: Sequence[int] = range(max(lo - base, 0), min(hi - base, r0))
             if sinkless and head.has_empty:
                 kept = [r for r in kept if first[r]]
-            b = _Block(head, run, digits[1], base, tails[1], (0,) + tdegs[1], kept)
+            b = _Block(head, base, tails[1], (0,) + tdegs[1], inns[1], girth0[digits[1]], kept)
             if filter == "strong":
                 b.kept = [r for r in kept if _is_strongly_connected(b.out(r), b.inn(r))]
             if b.kept:
@@ -537,34 +511,6 @@ def _is_strongly_connected(out: tuple[int, ...], inn: tuple[int, ...]) -> bool:
         if seen != (1 << n) - 1:
             return False
     return True
-
-
-def enumerate_digraphs(n: int, filter: str = "none") -> Iterator[Digraph]:
-    """All labeled digraphs on n vertices, in arc-bitmask order.
-
-    filter is "none", "sinkless", or "strong" (strongly connected).
-    Capped at n <= LABELED_CAP.
-    """
-    return _digraphs(SuiteConfig(n, n, _LABELED.name, DIGRAPH_CHECKS, filter=filter))
-
-
-def enumerate_outmaps(n: int, dmin: int = 1, dmax: int = 2) -> Iterator[Digraph]:
-    """All digraphs whose out-degrees all lie in [dmin, dmax].
-
-    There are (sum over d in range of C(n-1, d)) ** n of them; vertex
-    0's choice varies fastest.  Capped at n <= OUTMAP_CAP.
-    """
-    return _digraphs(SuiteConfig(n, n, _OUTMAPS.name, DIGRAPH_CHECKS, dmin=dmin, dmax=dmax))
-
-
-def _digraphs(cfg: SuiteConfig) -> Iterator[Digraph]:
-    """Every digraph of a digraph population at n = cfg.n_lo, in index
-    order; the config is validated, but its checks are not run."""
-    cfg.validate()
-    pop, n = _POPULATIONS[cfg.generator], cfg.n_lo
-    for b, _, _ in pop.units(cfg, n, 0, pop.size(cfg, n)):
-        for r in b.kept:
-            yield Digraph.from_out_masks(n, b.out(r), b.inn(r))
 
 
 @functools.lru_cache(maxsize=64)

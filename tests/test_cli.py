@@ -380,6 +380,19 @@ class TestSizeRefusals:
         self.assert_refused(r, 3)
         assert "path extensions" in r.stderr
 
+    def test_17_vertex_all_size2_rainbow_is_refused(self, tmp_path):
+        # Family v is {v-(v+1), v-(v+2)} mod 17: all size 2, no edge shared,
+        # so the construction's base case asks the exact search, which is
+        # capped at 16 vertices.
+        n = 17
+        fams = "".join(
+            ",".join(f"{min(v, (v + k) % n)}-{max(v, (v + k) % n)}" for k in (1, 2)) + "\n"
+            for v in range(n)
+        )
+        r = run_cli("rainbow", write(tmp_path, "r.txt", f"rainbow {n} {n}\n{fams}"))
+        self.assert_refused(r, 3)
+        assert "capped at 16 vertices" in r.stderr
+
     @pytest.mark.parametrize("command", ["girth", "peel", "two-cycles"])
     def test_512_vertex_cycle_runs(self, tmp_path, command):
         r = run_cli(command, write(tmp_path, "d.txt", directed_cycle(512)))

@@ -35,8 +35,6 @@ from cyclecert.harness import (
     _run_shard,
     _sweep,
     _tail_cycles,
-    enumerate_digraphs,
-    enumerate_outmaps,
     extremal_ratio_search,
     random_rainbow_instance,
     run_suite,
@@ -168,6 +166,21 @@ def choice_lists(n):
     ).map(lambda cs: [tuple(c) for c in cs])
 
 
+def assert_facts_from_scratch(b, r):
+    """Every fact block b gives about choice r, against a derivation from
+    its out-masks alone."""
+    out = b.out(r)
+    degs = [m.bit_count() for m in out]
+    scale = _scale(b.n)
+    assert b.inn(r) == in_masks_of(out)
+    assert b.p[r] == degs.count(1)
+    assert b.deg2[r] == (max(degs) <= 2)
+    assert b.phi[r] == _phi_scaled(scale, degs)
+    assert b.psi[r] == (None if 0 in degs else _psi_scaled(scale, degs))
+    hit = oracles._girth_masks(b.n, out, in_masks_of(out))
+    assert b.girth[r] == (None if hit is None else hit[0])
+
+
 class TestBlocks:
     """Every fact a block gives, against a derivation from scratch."""
 
@@ -180,22 +193,40 @@ class TestBlocks:
         size = math.prod(map(len, choices))
         lo = data.draw(st.integers(0, size), label="lo")
         hi = data.draw(st.integers(lo, size), label="hi")
-        scale = _scale(n)
         got = []
         for b in _sweep(choices, lo, hi, flt):
             assert b.kept and all(0 <= b.base + r - lo < hi - lo for r in b.kept)
             for r in b.kept:
-                out = b.out(r)
-                degs = [m.bit_count() for m in out]
-                got.append((b.base + r, out))
-                assert b.inn(r) == in_masks_of(out)
-                assert b.p[r] == degs.count(1)
-                assert b.deg2[r] == (max(degs) <= 2)
-                assert b.phi[r] == _phi_scaled(scale, degs)
-                assert b.psi[r] == (None if 0 in degs else _psi_scaled(scale, degs))
-                hit = oracles._girth_masks(n, out, in_masks_of(out))
-                assert b.girth[r] == (None if hit is None else hit[0])
+                got.append((b.base + r, b.out(r)))
+                assert_facts_from_scratch(b, r)
         assert got == list(reference_sweep(choices, lo, hi, flt))
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("dmin, dmax", [(0, None), (1, 2)], ids=["labeled", "outdeg-1-2"])
+    def test_block_built_without_the_odometer(self, n, dmin, dmax):
+        # A block needs only its tail's facts: in-masks from in_masks_of and
+        # g(D - 0) from a girth search, here on seeded tails past the sweeps.
+        choices = _outmap_choices(n, dmin, n - 1 if dmax is None else dmax)
+        head = harness._Head(choices)
+        checks = [c for c in harness._CHECKS if c.name in DIGRAPH_CHECKS]
+        acc = harness._Accum()
+        rng = random.Random(n)
+        for _ in range(8):
+            tail = tuple(rng.choice(c) for c in choices[1:])
+            minus_zero = (0, *(m & ~1 for m in tail))
+            hit = oracles._girth_masks(n, minus_zero, in_masks_of(minus_zero))
+            b = harness._Block(
+                head, 0, tail, (0, *(m.bit_count() for m in tail)),
+                in_masks_of((0,) + tail), None if hit is None else hit[0], range(len(head.first)),
+            )
+            assert b.again is None
+            for r in b.kept:
+                assert_facts_from_scratch(b, r)
+            harness._run_checks(b, b.sink_free(), checks, acc)
+        assert acc.checked["two-phi"] > 0
+        if dmax == 2:
+            assert acc.checked["two-cycles"] == acc.checked["two-phi"]
+        assert acc.violations == [] and acc.findings == []
 
 
 class TestBestRatio:
@@ -520,58 +551,78 @@ class TestUncheckedSinks:
         assert run_suite(cfg).unchecked == 0
 
 
+def generated(cfg):
+    return run_suite(cfg).instances_generated
+
+
+def swept(n, flt="none", dmin=0, dmax=None):
+    """Every digraph of a sweep at n, in index order."""
+    choices = _outmap_choices(n, dmin, n - 1 if dmax is None else dmax)
+    blocks = _sweep(choices, 0, math.prod(map(len, choices)), flt)
+    return [b.digraph(r) for b in blocks for r in b.kept]
+
+
 class TestEnumerateDigraphs:
+    """The labeled population: its refusals, sizes and order."""
+
     def test_refuses_what_a_suite_refuses(self):
         with pytest.raises(LimitExceeded):
-            next(enumerate_digraphs(LABELED_CAP + 1))
+            SuiteConfig(LABELED_CAP + 1, LABELED_CAP + 1, "labeled", ("chc",)).validate()
         with pytest.raises(GraphInputError):
-            next(enumerate_digraphs(3, "odd"))
+            SuiteConfig(3, 3, "labeled", ("chc",), filter="odd").validate()
         with pytest.raises(LimitExceeded):
-            next(enumerate_outmaps(OUTMAP_CAP + 1))
+            SuiteConfig(OUTMAP_CAP + 1, OUTMAP_CAP + 1, "outmaps", ("chc",)).validate()
         with pytest.raises(GraphInputError):
-            next(enumerate_outmaps(3, 2, 1))
+            SuiteConfig(3, 3, "outmaps", ("chc",), dmin=2, dmax=1).validate()
+
+    @staticmethod
+    def labeled(n, flt):
+        return generated(SuiteConfig(n, n, "labeled", ("eq1-identity",), filter=flt))
 
     def test_counts_all(self):
-        assert [sum(1 for _ in enumerate_digraphs(n, "none")) for n in (1, 2, 3, 4)] \
-            == [1, 4, 64, 4096]
+        assert [self.labeled(n, "none") for n in (1, 2, 3, 4)] == [1, 4, 64, 4096]
 
     def test_counts_sinkless(self):
         # product over vertices of (2^(n-1) - 1) nonempty out-sets
-        assert [sum(1 for _ in enumerate_digraphs(n, "sinkless")) for n in (1, 2, 3, 4)] \
-            == [0, 1, 27, 2401]
+        assert [self.labeled(n, "sinkless") for n in (1, 2, 3, 4)] == [0, 1, 27, 2401]
 
     def test_counts_strong(self):
-        assert [sum(1 for _ in enumerate_digraphs(n, "strong")) for n in (1, 2, 3)] \
-            == [0, 1, 18]
+        assert [self.labeled(n, "strong") for n in (1, 2, 3)] == [0, 1, 18]
 
     def test_yields_digraphs_in_code_order(self):
-        items = list(enumerate_digraphs(2, "none"))
+        items = swept(2)
         assert len(items) == 4
         assert items[0] == Digraph(2, [])
         assert items[3] == Digraph(2, [(0, 1), (1, 0)])
         assert all(isinstance(d, Digraph) for d in items)
 
     def test_filters_nest(self):
-        sinkless = set(enumerate_digraphs(3, "sinkless"))
-        strong = set(enumerate_digraphs(3, "strong"))
+        sinkless = set(swept(3, "sinkless"))
+        strong = set(swept(3, "strong"))
         assert strong <= sinkless
         assert all(first_sink(d) is None for d in sinkless)
 
 
 class TestEnumerateOutmaps:
+    """The out-degree population: its sizes and degrees."""
+
+    @staticmethod
+    def outmaps(n, dmin, dmax):
+        return generated(SuiteConfig(n, n, "outmaps", ("eq1-identity",), dmin=dmin, dmax=dmax))
+
     def test_degree_one_count(self):
-        assert sum(1 for _ in enumerate_outmaps(3, 1, 1)) == 8
+        assert self.outmaps(3, 1, 1) == 8
 
     def test_degree_one_or_two_counts(self):
-        assert sum(1 for _ in enumerate_outmaps(3, 1, 2)) == 27
-        assert sum(1 for _ in enumerate_outmaps(4, 1, 2)) == 1296
+        assert self.outmaps(3, 1, 2) == 27
+        assert self.outmaps(4, 1, 2) == 1296
 
     def test_single_vertex_has_no_maps(self):
-        assert list(enumerate_outmaps(1, 1, 2)) == []
+        assert self.outmaps(1, 1, 2) == 0
 
     def test_degrees_respected_and_distinct(self):
         seen = set()
-        for d in enumerate_outmaps(4, 1, 2):
+        for d in swept(4, dmin=1, dmax=2):
             assert all(1 <= deg <= 2 for deg in d.out_deg)
             seen.add(d.out_masks)
         assert len(seen) == 1296
@@ -664,17 +715,15 @@ class TestRunSuite:
         assert report.checked == {"eq1-identity": 27, "two-phi": 27}
         assert len(calls) == 3 + 9
 
-    def test_blocks_never_checked_derive_no_in_masks(self, monkeypatch):
+    def test_unfiltered_levels_derive_in_masks_once_per_digit_change(self, monkeypatch):
         # Under labeled:none every one of the 8^3 = 512 blocks at n = 4 is
-        # counted, but only the 7^3 = 343 whose vertices 1..3 have no sink
-        # are checked, and only those derive their tail in-masks.  The
-        # odometer's levels derive what vertices 3.. and 2.. give once per
-        # digit change, 8 + 8^2, sinks included: enumerate_digraphs reads
-        # every block's in-masks.
+        # counted, sinks included, though only the 7^3 = 343 whose vertices
+        # 1..3 have no sink are checked.  The odometer's levels derive what
+        # vertices 3.., 2.. and 1.. give once per digit change: 8 + 8^2 + 8^3.
         calls = self.count_derivations(monkeypatch)
         report = run_suite(SuiteConfig(4, 4, "labeled", DIGRAPH_CHECKS, filter="none"))
         assert report.instances_generated == 1 << 12
-        assert len(calls) == 8 + 64 + 343
+        assert len(calls) == 8 + 8**2 + 8**3
 
     def test_rd_claim_fails_once_per_instance(self, monkeypatch):
         # Every greedy subgraph fails here; an instance records its first.

@@ -27,6 +27,7 @@ from cyclecert.errors import (
     NotSinkless,
 )
 from cyclecert.families import RainbowInstance
+from cyclecert import harness
 from cyclecert.harness import _girth_table, _outmap_choices, _sweep
 from cyclecert.oracles import (
     RAINBOW_VERTEX_CAP,
@@ -54,8 +55,9 @@ def minus_zero(out):
 
 
 class TestGirthTable:
-    """_girth_table, and the g(D - 0) table each run of blocks builds with
-    it, against a girth search of each whole digraph."""
+    """_girth_table, and the g(D - 0) table the sweep builds with it for
+    the blocks that share vertices 2.., against a girth search of each
+    whole digraph."""
 
     @pytest.mark.parametrize(
         "n, dmin, dmax",
@@ -67,9 +69,8 @@ class TestGirthTable:
         size = math.prod(map(len, choices))
         seen = 0
         for b in _sweep(choices, 0, size):
-            g0 = b.run.girth0[b.d1]
-            assert g0 == bfs_girth(minus_zero(b.out(0))), b.tail
-            table = _girth_table(b.tail_inn, choices[0], g0)
+            assert b.g0 == bfs_girth(minus_zero(b.out(0))), b.tail
+            table = _girth_table(b.tail_inn, choices[0], b.g0)
             for r in b.kept:
                 assert table[r] == bfs_girth(b.out(r)), b.out(r)
                 seen += 1
@@ -102,10 +103,16 @@ class TestGirthTable:
             (data.draw(st.integers(0, full), label=f"out {v}") & ~(1 << v),) for v in range(2, n)
         ]
         choices = [(0, 0b110), tuple(ones), *rest]
-        blocks = list(_sweep(choices, 0, math.prod(map(len, choices))))
-        assert len({id(b.run) for b in blocks}) == 1
+        # The sweep builds every block's g(D - 0) with one girth search.
+        searches = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(harness, "_girth_masks", lambda *a: searches.append(a) or _girth_masks(*a))
+            blocks = list(_sweep(choices, 0, math.prod(map(len, choices))))
+        assert len(searches) == 1
+        assert len(blocks) == len(ones)
         for b in blocks:
-            assert b.run.girth0[b.d1] == bfs_girth(minus_zero(b.out(0)))
+            assert b.tail[1:] == blocks[0].tail[1:]
+            assert b.g0 == bfs_girth(minus_zero(b.out(0)))
             assert b.girth == [bfs_girth(b.out(r)) for r in (0, 1)]
 
 
