@@ -115,9 +115,11 @@ class SuiteConfig:
             raise GraphInputError(f"unknown filter {self.filter!r}")
         if not self.checks:
             raise GraphInputError("no checks selected")
-        for c in self.checks:
+        for i, c in enumerate(self.checks):
             if c not in ALL_CHECKS:
                 raise GraphInputError(f"unknown check {c!r}")
+            if c in self.checks[:i]:
+                raise GraphInputError(f"check {c!r} is named twice")
         for c in self.checks:
             if c not in pop.checks:
                 raise GraphInputError(
@@ -234,9 +236,11 @@ class _Block:
 
     degs are the out-degrees of (0,) + tail, tail_inn the in-masks of
     (0,) + tail (what vertices 1.. give every instance), and g0 is
-    g(D - 0), None where acyclic.  The per-choice tables p, deg2, phi, psi
-    and girth are built on first read, each over every choice; out, inn
-    and the Digraph only for the r a check asks about, each time it asks.
+    g(D - 0), the girth of the digraph on vertices 1.., None where
+    acyclic; the girth table extends it to each choice (_girth_table).
+    The per-choice tables p, deg2, phi, psi and girth are built on first
+    read, each over every choice; out, inn and the Digraph only for the r
+    a check asks about, each time it asks.
 
     again is the kept choice whose instance the cross-checks search again
     from scratch, or None.
@@ -350,56 +354,41 @@ class _Block:
 
 
 def _girth_table(
-    tail_inn: tuple[int, ...], heads: Sequence[int], g0: int | None
+    inn: tuple[int, ...], heads: Sequence[int], g_rest: int | None, s: int = 0
 ) -> list[int | None]:
-    """For each h in heads, the girth of the digraph D with out-masks
-    (h,) + tail, or None if it is acyclic; tail_inn is in_masks_of((0,) +
-    tail) and g0 is g(D - 0), the same for every h.
+    """For each out-mask h of vertex s in heads, the girth of the digraph
+    D on vertices s.., or None if it is acyclic.  inn holds the in-masks
+    the arcs of vertices s+1.. give, and g_rest is the girth of the
+    digraph on vertices s+1.., the same for every h; arcs into vertices
+    below s are dropped.  For a block, s is 0 and inn its tail_inn.
 
-    A cycle either avoids vertex 0, and so is a cycle of D - 0, or leaves
-    0 by an arc 0 -> v and returns by a shortest v -> 0 path, which meets
-    0 only at its end and so uses arcs of vertices 1.. alone.  One backward
-    search from 0 over tail_inn thus serves every h:
-    girth = min(g0, 1 + min over v in h of dist(v -> 0)).
+    A cycle either avoids vertex s, and so is a cycle of the digraph on
+    vertices s+1.., or leaves s by an arc s -> v and returns by a shortest
+    v -> s path, which meets s only at its end and so uses arcs of
+    vertices s+1.. alone.  One backward search from s over inn thus serves
+    every h:
+    girth = min(g_rest, 1 + min over v in h of dist(v -> s)).
     """
-    # layers[k]: the vertices whose shortest path to 0 has k + 1 arcs, only
-    # as deep as a cycle through 0 (k + 2 arcs) still beats g0.
+    # layers[k]: the vertices whose shortest path to s has k + 1 arcs, only
+    # as deep as a cycle through s (k + 2 arcs) still beats g_rest.
     layers = []
-    depth = len(tail_inn) if g0 is None else g0 - 2
-    seen, frontier = 1, tail_inn[0]
+    depth = len(inn) if g_rest is None else g_rest - 2
+    seen, frontier = 1 << s, inn[s]
     while frontier and len(layers) < depth:
         layers.append(frontier)
         seen |= frontier
         nxt = 0
         while frontier:
             low = frontier & -frontier
-            nxt |= tail_inn[low.bit_length() - 1]
+            nxt |= inn[low.bit_length() - 1]
             frontier ^= low
         frontier = nxt & ~seen
     # Deepest layer first, so the shallowest one h meets has the last word.
-    table = [g0] * len(heads)
+    table = [g_rest] * len(heads)
     for k in range(len(layers) - 1, -1, -1):
         layer, g = layers[k], k + 2
         table = [g if h & layer else t for h, t in zip(heads, table)]
     return table
-
-
-def _girths_minus_zero(
-    ones: Sequence[int], tail: tuple[int, ...], inn: tuple[int, ...]
-) -> list[int | None]:
-    """For each out-mask h of vertex 1 in ones, g(D - 0), None where
-    acyclic, for the digraphs D whose vertices 2.. have out-masks tail and
-    give the in-masks inn.
-
-    D - 0 relabelled v -> v - 1 is a digraph on n - 1 vertices whose
-    vertex 0 is vertex 1, with out-mask h >> 1, and whose tail is vertices
-    2..; so _girth_table serves every h, after one girth search of
-    D - {0, 1}.
-    """
-    tail_inn = (*(m >> 1 for m in inn[1:]),)  # unpacked: see _or_column
-    out = (0, *(m >> 1 & ~1 for m in tail))  # D - {0, 1}, relabelled
-    hit = _girth_masks(len(tail_inn), out, (0, *tail_inn[1:]))
-    return _girth_table(tail_inn, [h >> 1 for h in ones], None if hit is None else hit[0])
 
 
 def _sweep(
@@ -420,10 +409,12 @@ def _sweep(
     fastest.  Level u >= 1 holds the out-masks, out-degrees and in-masks
     of vertices u..; a digit that changes rebuilds its level and those
     below it, so most blocks rebuild level 1 alone.  Each rebuild of level
-    2 builds the g(D - 0) table over vertex 1's choices.  Under a filter,
-    a block whose vertices 1.. include a sink is skipped whole, with every
-    later block that shares that sink's digit, and a vertex-0 choice with
-    no out-arc is not kept.
+    u >= 2 also tables, over vertex u - 1's choices, the girth of the
+    digraph on vertices u - 1.. (_girth_table): from level u's in-masks
+    and the entry of level u's own table.  Level 1's entry is a block's
+    g(D - 0).  Under a filter, a block whose vertices 1.. include a sink
+    is skipped whole, with every later block that shares that sink's
+    digit, and a vertex-0 choice with no out-arc is not kept.
     """
     if lo >= hi:
         return
@@ -449,10 +440,11 @@ def _sweep(
     tails: list[tuple[int, ...]] = [()] * (n + 1)
     tdegs: list[tuple[int, ...]] = [()] * (n + 1)
     inns = [(0,) * n] * (n + 1)
-    # At n = 2 level 2 is empty and one table serves every block; at n = 1
-    # there is no vertex 1 and D - 0 has no cycle.  At n >= 3 the first
-    # pass rebuilds level 2, and with it the table.
-    girth0 = _girths_minus_zero(choices[1], (), inns[2]) if n == 2 else [None]
+    # girths[u][d]: the girth of the digraph on vertices u.. when vertex u
+    # takes choices[u][d], None where acyclic.  One vertex has no cycle,
+    # nor has the empty level n, so the tables start all None; each rebuild
+    # of level u >= 2 builds level u - 1's table.
+    girths: list[list[int | None]] = [[None] * len(c) for c in choices] + [[None]]
     top = n - 1  # the highest level to rebuild
     while block < stop:
         u = top
@@ -464,15 +456,15 @@ def _sweep(
             tails[u] = (m,) + tails[u + 1]
             tdegs[u] = (degs[u][d],) + tdegs[u + 1]
             inns[u] = _or_column(inns[u + 1], cols[u][d])
-            if u == 2:
-                girth0 = _girths_minus_zero(choices[1], tails[2], inns[2])
+            if u > 1:
+                girths[u - 1] = _girth_table(inns[u], choices[u - 1], girths[u][d], u - 1)
             u -= 1
         if not u:
             base = block * r0
             kept: Sequence[int] = range(max(lo - base, 0), min(hi - base, r0))
             if sinkless and head.has_empty:
                 kept = [r for r in kept if first[r]]
-            b = _Block(head, base, tails[1], (0,) + tdegs[1], inns[1], girth0[digits[1]], kept)
+            b = _Block(head, base, tails[1], (0,) + tdegs[1], inns[1], girths[1][digits[1]], kept)
             if filter == "strong":
                 b.kept = [r for r in kept if _is_strongly_connected(b.out(r), b.inn(r))]
             if b.kept:

@@ -233,6 +233,11 @@ class TestVerify:
     def test_bad_check_name_is_usage_error(self):
         r = run_cli("verify", "--generator", "labeled", "--n", "2", "--checks", "nope")
         assert r.returncode == 2
+        # A name given twice would run once yet be listed twice in the config.
+        r = run_cli("verify", "--generator", "labeled", "--n", "2", "--checks", "two-phi,two-phi")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
 
     DIGRAPH = ["chc", "deg2-girth", "eq1-identity", "two-cycles", "two-phi", "two-psi-strict"]
 

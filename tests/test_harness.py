@@ -60,6 +60,8 @@ class TestSuiteConfig:
             SuiteConfig(1, 3, "labeled", ("bogus",)).validate()
         with pytest.raises(GraphInputError):
             SuiteConfig(1, 3, "labeled", ("two-phi",), filter="odd").validate()
+        with pytest.raises(GraphInputError):
+            SuiteConfig(1, 3, "labeled", ("two-phi", "chc", "two-phi")).validate()
 
     def test_check_generator_mismatch_rejected(self):
         with pytest.raises(GraphInputError):
@@ -905,9 +907,10 @@ class TestExtremalRatioSearch:
             extremal_ratio_search(3, 1000)
 
     def test_exhaustive_mode_reads_block_tables(self, monkeypatch):
-        # One girth search, of D - {0, 1}, per run of blocks sharing
-        # vertices 2..3: the 7^2 = 49 runs with no sink there.  Not one per
-        # block (343), per digraph (2401), or for the witness.
+        # No girth search at all, not per digraph (2401) nor for the
+        # witness: girths come from tables, one per block (343) and one per
+        # rebuild of each odometer level with no sink above it, 7^2 = 49
+        # for vertex 1's choices and 7 for vertex 2's.
         calls = []
         search = oracles._girth_masks
 
@@ -915,11 +918,15 @@ class TestExtremalRatioSearch:
             calls.append(args)
             return search(*args)
 
+        tables = []
+        table = harness._girth_table
         monkeypatch.setattr(oracles, "_girth_masks", counting)
         monkeypatch.setattr(harness, "_girth_masks", counting)
+        monkeypatch.setattr(harness, "_girth_table", lambda *a: tables.append(a) or table(*a))
         report = extremal_ratio_search(4, 10**6)
         assert report.instances_generated == 2401
-        assert len(calls) == 49
+        assert len(calls) == 0
+        assert len(tables) == 343 + 49 + 7
 
 
 def report_digest(report):

@@ -54,10 +54,17 @@ def minus_zero(out):
     return (0, *(m & ~1 for m in out[1:]))
 
 
+def from_vertex(s, out):
+    """The out-masks of the digraph on vertices s.. of D: the vertices
+    below s are kept with no arc, and the arcs into them are dropped."""
+    keep = -1 << s
+    return (*(m & keep if v >= s else 0 for v, m in enumerate(out)),)
+
+
 class TestGirthTable:
-    """_girth_table, and the g(D - 0) table the sweep builds with it for
-    the blocks that share vertices 2.., against a girth search of each
-    whole digraph."""
+    """_girth_table, and the tables the sweep builds with it at every
+    odometer level (the girth of the digraph on vertices u - 1.., over
+    vertex u - 1's choices), against a girth search of each digraph."""
 
     @pytest.mark.parametrize(
         "n, dmin, dmax",
@@ -79,15 +86,21 @@ class TestGirthTable:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_random_tails(self, data):
+        # The table over vertex s's out-masks heads, from the in-masks of
+        # vertices s+1.. (arcs into vertices below s included, as the
+        # sweep's levels hold them) and the girth of the digraph on s+1...
         n = data.draw(st.integers(6, 8), label="n")
+        s = data.draw(st.integers(0, 2), label="s")
         full = (1 << n) - 1
-        tail = tuple(
-            data.draw(st.integers(0, full), label=f"out {v}") & ~(1 << v) for v in range(1, n)
+        rest = (0,) * (s + 1) + tuple(
+            data.draw(st.integers(0, full), label=f"out {v}") & ~(1 << v) for v in range(s + 1, n)
         )
-        heads = data.draw(st.lists(st.integers(0, full // 2).map(lambda m: m << 1), max_size=6))
-        g0 = bfs_girth(minus_zero((0,) + tail))
-        table = _girth_table(in_masks_of((0,) + tail), heads, g0)
-        assert table == [bfs_girth((h,) + tail) for h in heads]
+        heads = data.draw(st.lists(st.integers(0, full).map(lambda m: m & ~(1 << s)), max_size=6))
+        g_rest = bfs_girth(from_vertex(s + 1, rest))
+        table = _girth_table(in_masks_of(rest), heads, g_rest, s)
+        assert table == [
+            bfs_girth(from_vertex(s, rest[:s] + (h,) + rest[s + 1 :])) for h in heads
+        ]
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -103,12 +116,15 @@ class TestGirthTable:
             (data.draw(st.integers(0, full), label=f"out {v}") & ~(1 << v),) for v in range(2, n)
         ]
         choices = [(0, 0b110), tuple(ones), *rest]
-        # The sweep builds every block's g(D - 0) with one girth search.
-        searches = []
+        # The sweep builds every block's g(D - 0) with no girth search: one
+        # table for each of levels 2..n-1, each built once.
+        searches, tables = [], []
         with pytest.MonkeyPatch.context() as m:
             m.setattr(harness, "_girth_masks", lambda *a: searches.append(a) or _girth_masks(*a))
+            m.setattr(harness, "_girth_table", lambda *a: tables.append(a) or _girth_table(*a))
             blocks = list(_sweep(choices, 0, math.prod(map(len, choices))))
-        assert len(searches) == 1
+        assert searches == []
+        assert [a[3] for a in tables] == list(range(n - 2, 0, -1))
         assert len(blocks) == len(ones)
         for b in blocks:
             assert b.tail[1:] == blocks[0].tail[1:]
