@@ -232,23 +232,24 @@ def _or_column(inn: tuple[int, ...], col: tuple[int, ...]) -> tuple[int, ...]:
 
 class _Block:
     """The kept instances base + r that share the out-masks tail of
-    vertices 1..: vertex 0's out-mask is head.first[r], r in kept.
+    vertices 1..: vertex 0's out-mask is head.first[r], r in kept.  Every
+    kept instance is sink-free: the tail has no empty out-mask, and the
+    empty vertex-0 choice is never kept.
 
     degs are the out-degrees of (0,) + tail, tail_inn the in-masks of
-    (0,) + tail (what vertices 1.. give every instance), and g0 is
-    g(D - 0), the girth of the digraph on vertices 1.., None where
-    acyclic; the girth table extends it to each choice (_girth_table).
-    The per-choice tables p, deg2, phi, psi and girth are built on first
-    read, each over every choice; out, inn and the Digraph only for the r
-    a check asks about, each time it asks.
+    (0,) + tail (what vertices 1.. give every instance), and girth holds
+    each choice's girth, None where acyclic (_girth_table).  The
+    per-choice tables p, deg2, phi and psi are built on first read, each
+    over every choice; out, inn and the Digraph only for the r a check
+    asks about, each time it asks.
 
     again is the kept choice whose instance the cross-checks search again
     from scratch, or None.
     """
 
     __slots__ = (
-        "head", "n", "base", "tail", "degs", "tail_inn", "g0", "kept", "again",
-        "_p", "_deg2", "_phi", "_psi", "_girth",
+        "head", "n", "base", "tail", "degs", "tail_inn", "girth", "kept", "again",
+        "_p", "_deg2", "_phi", "_psi",
     )
 
     def __init__(
@@ -258,7 +259,7 @@ class _Block:
         tail: tuple[int, ...],
         degs: tuple[int, ...],
         tail_inn: tuple[int, ...],
-        g0: int | None,
+        girth: list[int | None],
         kept: Sequence[int],
     ) -> None:
         self.head = head
@@ -267,14 +268,13 @@ class _Block:
         self.tail = tail
         self.degs = degs
         self.tail_inn = tail_inn
-        self.g0 = g0
+        self.girth = girth
         self.kept = kept
         self.again: int | None = None
         self._p: list[int] | None = None
         self._deg2: list[bool] | None = None
         self._phi: list[int] | None = None
         self._psi: list[int | None] | None = None
-        self._girth: list[int | None] | None = None
 
     def out(self, r: int) -> tuple[int, ...]:
         return (self.head.first[r],) + self.tail
@@ -288,15 +288,6 @@ class _Block:
 
     def text(self, r: int) -> str:
         return format_digraph(self.digraph(r))
-
-    def sink_free(self) -> Sequence[int]:
-        """The kept choices whose instance has no sink."""
-        if 0 in self.tail:
-            return ()
-        if not self.head.has_empty:
-            return self.kept
-        first = self.head.first
-        return [r for r in self.kept if first[r]]
 
     @property
     def p(self) -> list[int]:
@@ -324,43 +315,22 @@ class _Block:
 
     @property
     def psi(self) -> list[int | None]:
-        """Per choice, psi times the scale; None where the instance has a sink."""
+        """Per choice, psi times the scale; None for the empty choice."""
         if self._psi is None:
-            if 0 in self.tail:
-                self._psi = [None] * len(self.head.first)
-            else:
-                tail_psi = _psi_scaled(self.head.scale, self.degs[1:])
-                self._psi = [None if t is None else tail_psi + t for t in self.head.psi0]
+            tail_psi = _psi_scaled(self.head.scale, self.degs[1:])
+            self._psi = [None if t is None else tail_psi + t for t in self.head.psi0]
         return self._psi
-
-    @property
-    def girth(self) -> list[int | None]:
-        """Per choice, the girth, None where acyclic (see _girth_table).
-
-        Instance again has its girth searched again from scratch, and a
-        disagreement raises.
-        """
-        if self._girth is None:
-            self._girth = table = _girth_table(self.tail_inn, self.head.first, self.g0)
-            r = self.again
-            if r is not None:
-                hit = _girth_masks(self.n, self.out(r), self.inn(r))
-                if (None if hit is None else hit[0]) != table[r]:
-                    raise TheoremViolation(
-                        f"girth table says {table[r]}, breadth-first search says "
-                        f"{None if hit is None else hit[0]}, on:\n{self.text(r)}"
-                    )
-        return self._girth
 
 
 def _girth_table(
-    inn: tuple[int, ...], heads: Sequence[int], g_rest: int | None, s: int = 0
+    inn: tuple[int, ...], heads: Sequence[int], g_rest: int | None, s: int
 ) -> list[int | None]:
     """For each out-mask h of vertex s in heads, the girth of the digraph
     D on vertices s.., or None if it is acyclic.  inn holds the in-masks
     the arcs of vertices s+1.. give, and g_rest is the girth of the
     digraph on vertices s+1.., the same for every h; arcs into vertices
-    below s are dropped.  For a block, s is 0 and inn its tail_inn.
+    below s are dropped.  A block's table is the one at s = 0, over
+    vertex 0's choices from its tail_inn.
 
     A cycle either avoids vertex s, and so is a cycle of the digraph on
     vertices s+1.., or leaves s by an arc s -> v and returns by a shortest
@@ -392,36 +362,35 @@ def _girth_table(
 
 
 def _sweep(
-    choices: list[tuple[int, ...]], lo: int, hi: int, filter: str = "none"
+    choices: list[tuple[int, ...]], lo: int, hi: int, strong: bool = False
 ) -> Iterator[_Block]:
-    """The blocks of vertex-0 choices that hold the mixed-radix indices in
-    [lo, hi) passing filter, each with at least one kept choice.
+    """The blocks of sink-free digraphs, strongly connected ones alone if
+    strong, whose mixed-radix indices lie in [lo, hi), each block with at
+    least one kept choice.
 
     Digit u of an index, in radix len(choices[u]) with vertex 0 varying
     fastest, picks vertex u's out-mask from choices[u].  When every
     out-mask is allowed (_outmap_choices(n, 0, n - 1)), the index is the
-    arc-bitmask code: arc (u, v) is bit u*(n-1) + v - (v > u).  filter
-    "sinkless" drops digraphs with a sink; "strong" keeps only strongly
-    connected ones.
+    arc-bitmask code: arc (u, v) is bit u*(n-1) + v - (v > u).
 
     A block is r0 = len(choices[0]) consecutive indices with vertices 1..
     fixed.  The digits of vertices 1.. step as an odometer, vertex 1
     fastest.  Level u >= 1 holds the out-masks, out-degrees and in-masks
     of vertices u..; a digit that changes rebuilds its level and those
     below it, so most blocks rebuild level 1 alone.  Each rebuild of level
-    u >= 2 also tables, over vertex u - 1's choices, the girth of the
-    digraph on vertices u - 1.. (_girth_table): from level u's in-masks
-    and the entry of level u's own table.  Level 1's entry is a block's
-    g(D - 0).  Under a filter, a block whose vertices 1.. include a sink
-    is skipped whole, with every later block that shares that sink's
-    digit, and a vertex-0 choice with no out-arc is not kept.
+    u also tables, over vertex u - 1's choices, the girth of the digraph
+    on vertices u - 1.. (_girth_table): from level u's in-masks and the
+    entry of level u's own table.  Level 0's table is the block's girth.
+    A block whose vertices 1.. include a sink is skipped whole, with every
+    later block that shares that sink's digit, and a vertex-0 choice with
+    no out-arc is not kept.  Instance again has its girth searched again
+    from scratch, and a disagreement raises.
     """
     if lo >= hi:
         return
     head = _Head(choices)
     n, first = head.n, head.first
     r0 = len(first)
-    sinkless = filter != "none"
     degs = [[m.bit_count() for m in c] for c in choices]
     cols = [head.cols] + [
         [(*((m >> v & 1) << u for v in range(n)),) for m in c]
@@ -441,38 +410,45 @@ def _sweep(
     tdegs: list[tuple[int, ...]] = [()] * (n + 1)
     inns = [(0,) * n] * (n + 1)
     # girths[u][d]: the girth of the digraph on vertices u.. when vertex u
-    # takes choices[u][d], None where acyclic.  One vertex has no cycle,
-    # nor has the empty level n, so the tables start all None; each rebuild
-    # of level u >= 2 builds level u - 1's table.
-    girths: list[list[int | None]] = [[None] * len(c) for c in choices] + [[None]]
+    # takes choices[u][d], None where acyclic.  One vertex has no cycle, so
+    # the tables start all None; each rebuild of level u builds level
+    # u - 1's table.
+    girths: list[list[int | None]] = [[None] * len(c) for c in choices]
     top = n - 1  # the highest level to rebuild
     while block < stop:
         u = top
         while u:
             d = digits[u]
             m = choices[u][d]
-            if sinkless and not m:
+            if not m:
                 break  # a sink: skip every block under this digit
             tails[u] = (m,) + tails[u + 1]
             tdegs[u] = (degs[u][d],) + tdegs[u + 1]
             inns[u] = _or_column(inns[u + 1], cols[u][d])
-            if u > 1:
-                girths[u - 1] = _girth_table(inns[u], choices[u - 1], girths[u][d], u - 1)
+            girths[u - 1] = _girth_table(inns[u], choices[u - 1], girths[u][d], u - 1)
             u -= 1
         if not u:
             base = block * r0
             kept: Sequence[int] = range(max(lo - base, 0), min(hi - base, r0))
-            if sinkless and head.has_empty:
+            if head.has_empty:
                 kept = [r for r in kept if first[r]]
-            b = _Block(head, base, tails[1], (0,) + tdegs[1], inns[1], girths[1][digits[1]], kept)
-            if filter == "strong":
+            b = _Block(head, base, tails[1], (0,) + tdegs[1], inns[1], girths[0], kept)
+            if strong:
                 b.kept = [r for r in kept if _is_strongly_connected(b.out(r), b.inn(r))]
             if b.kept:
                 # In a block holding a multiple of _CROSS_CHECK_EVERY, the
-                # first kept choice at or after it (the filters often drop
-                # the multiple itself: at labeled n <= 5 its vertex 0 is empty).
+                # first kept choice at or after it (at labeled n <= 5 the
+                # multiple itself has vertex 0 empty).
                 r = -base % _CROSS_CHECK_EVERY
-                b.again = next((k for k in b.kept if k >= r), None) if r < r0 else None
+                b.again = r = next((k for k in b.kept if k >= r), None) if r < r0 else None
+                if r is not None:
+                    hit = _girth_masks(n, b.out(r), b.inn(r))
+                    g = None if hit is None else hit[0]
+                    if g != b.girth[r]:
+                        raise TheoremViolation(
+                            f"girth table says {b.girth[r]}, breadth-first search says {g}, "
+                            f"on:\n{b.text(r)}"
+                        )
                 yield b
             u = 1
         # Step digit u, carrying upward; the digits below it restart at 0.
@@ -938,9 +914,9 @@ def _run_checks(x: _Unit, rs: Sequence[int], checks: Sequence[_Check], acc: _Acc
 # Populations
 
 
-# A population's units over domain indices [lo, hi) at n: each unit, the
-# instances it generated, and its choices the checks run on.
-_Units = Iterator[tuple[_Unit, int, Sequence[int]]]
+# A population's units over domain indices [lo, hi) at n: each unit and
+# its choices the checks run on.
+_Units = Iterator[tuple[_Unit, Sequence[int]]]
 
 
 def _sweep_size(cfg: SuiteConfig, n: int) -> int:
@@ -948,19 +924,18 @@ def _sweep_size(cfg: SuiteConfig, n: int) -> int:
 
 
 def _sweep_unchecked(cfg: SuiteConfig, n: int) -> int:
-    """The sweep's instances at n that _sweep_units counts but leaves
-    unchecked: without a filter, those with a sink (an empty out-mask)."""
-    choices, flt = _POPULATIONS[cfg.generator].sweep(cfg, n)
-    if flt != "none":
+    """The sweep's instances at n that _run_shard counts but no unit
+    holds: under labeled:none, those with a sink (an empty out-mask)."""
+    if cfg.filter != "none":
         return 0
+    choices = _POPULATIONS[cfg.generator].sweep(cfg, n)[0]
     return math.prod(map(len, choices)) - math.prod(sum(1 for m in ch if m) for ch in choices)
 
 
 def _sweep_units(cfg: SuiteConfig, n: int, lo: int, hi: int) -> _Units:
-    choices, flt = _POPULATIONS[cfg.generator].sweep(cfg, n)
-    for b in _sweep(choices, lo, hi, flt):
-        # psi is undefined with a sink: such instances are counted, never checked.
-        yield b, len(b.kept), b.sink_free()
+    choices, strong = _POPULATIONS[cfg.generator].sweep(cfg, n)
+    for b in _sweep(choices, lo, hi, strong):
+        yield b, b.kept
 
 
 def _rainbow_runs(cfg: SuiteConfig, n: int, lo: int, hi: int) -> _Units:
@@ -975,7 +950,7 @@ def _rainbow_runs(cfg: SuiteConfig, n: int, lo: int, hi: int) -> _Units:
                 built.append((find_rainbow_cycle(inst, collect=grown), "", grown))
             except CounterexampleFound as exc:
                 built.append((None, f"{type(exc).__name__}: {exc}", grown))
-        yield _RainbowRun(n, base, insts, built), len(insts), range(len(insts))
+        yield _RainbowRun(n, base, insts, built), range(len(insts))
 
 
 def _check_degrees(cfg: SuiteConfig) -> None:
@@ -1000,8 +975,9 @@ class _Population(NamedTuple):
     # CLI's VALUEs give them in this order.
     keys: dict[str, type]
     checks: tuple[str, ...]  # the checks that apply; the CLI's default
-    # A digraph population's out-mask choice lists and filter at n.
-    sweep: Callable[[SuiteConfig, int], tuple[list[tuple[int, ...]], str]] | None = None
+    # A digraph population's out-mask choice lists at n, and whether it
+    # keeps only strongly connected digraphs.
+    sweep: Callable[[SuiteConfig, int], tuple[list[tuple[int, ...]], bool]] | None = None
     size: Callable[[SuiteConfig, int], int] = _sweep_size  # domain indices at n
     unchecked: Callable[[SuiteConfig, int], int] = _sweep_unchecked  # of those, never checked
     units: Callable[[SuiteConfig, int, int, int], _Units] = _sweep_units
@@ -1017,11 +993,11 @@ class _Population(NamedTuple):
 
 _LABELED = _Population(
     "labeled", "labeled[:none|sinkless|strong]", LABELED_CAP, {"filter": str}, DIGRAPH_CHECKS,
-    sweep=lambda cfg, n: (_outmap_choices(n, 0, n - 1), cfg.filter),
+    sweep=lambda cfg, n: (_outmap_choices(n, 0, n - 1), cfg.filter == "strong"),
 )
 _OUTMAPS = _Population(
     "outmaps", "outmaps[:DMIN:DMAX]", OUTMAP_CAP, {"dmin": int, "dmax": int}, DIGRAPH_CHECKS,
-    sweep=lambda cfg, n: (_outmap_choices(n, cfg.dmin, cfg.dmax), "none"),
+    sweep=lambda cfg, n: (_outmap_choices(n, cfg.dmin, cfg.dmax), False),
     validate=_check_degrees,
 )
 _RAINBOW = _Population(
@@ -1040,10 +1016,12 @@ def _run_shard(cfg: SuiteConfig, n: int, lo: int, hi: int) -> dict[str, Any]:
     """Process raw domain indices [lo, hi) at size n."""
     acc = _Accum()
     checks = [c for c in _CHECKS if c.name in cfg.checks]
-    for x, generated, rs in _POPULATIONS[cfg.generator].units(cfg, n, lo, hi):
-        acc.generated += generated
-        if rs:
-            _run_checks(x, rs, checks, acc)
+    for x, rs in _POPULATIONS[cfg.generator].units(cfg, n, lo, hi):
+        acc.generated += len(rs)
+        _run_checks(x, rs, checks, acc)
+    if cfg.filter == "none":
+        # Every index is generated; the ones with a sink are in no unit.
+        acc.generated = hi - lo
     return acc.result()
 
 
@@ -1055,13 +1033,13 @@ def _shard_results(
     cfg: SuiteConfig, tasks: list[tuple[SuiteConfig, int, int, int]]
 ) -> Iterator[dict[str, Any]]:
     """Each task's shard result, in task order, from a pool of cfg.workers
-    processes when there are several; a progress line goes to stderr as
-    each one arrives."""
+    processes, or one per task if fewer, when there are several; a
+    progress line goes to stderr as each one arrives."""
     with contextlib.ExitStack() as stack:
         results: Iterator[dict[str, Any]] = map(_run_task, tasks)
         if cfg.workers > 1 and len(tasks) > 1:
             ctx = multiprocessing.get_context("fork")
-            pool = stack.enter_context(ctx.Pool(processes=cfg.workers))
+            pool = stack.enter_context(ctx.Pool(processes=min(cfg.workers, len(tasks))))
             results = pool.imap(_run_task, tasks)
         for i, (task, res) in enumerate(zip(tasks, results)):
             print(

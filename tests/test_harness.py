@@ -99,17 +99,18 @@ class TestSuiteConfig:
         assert len(ALL_CHECKS) == len(set(ALL_CHECKS))
 
 
-def reference_sweep(choices, lo, hi, flt):
-    """(index, out-masks) by plain divmod decoding of every index in [lo, hi)."""
+def reference_sweep(choices, lo, hi, strong=False):
+    """(index, out-masks) by plain divmod decoding of every index in [lo, hi)
+    whose digraph has no sink, and is strongly connected if strong."""
     n = len(choices)
     for idx in range(lo, hi):
         x, out = idx, []
         for c in choices:
             x, r = divmod(x, len(c))
             out.append(c[r])
-        if flt != "none" and 0 in out:
+        if 0 in out:
             continue
-        if flt == "strong" and not all(
+        if strong and not all(
             reaches(out, s) == (1 << n) - 1 for s in range(n)
         ):
             continue
@@ -133,10 +134,13 @@ SWEEP_CASES += [("outmaps", n, "none") for n in range(2, 6)]
 
 
 class TestSweep:
-    """The odometer's in-masks and indices against a plain reference decode."""
+    """The odometer's in-masks and indices against a plain reference decode.
+    Every filter visits only sink-free digraphs; labeled:none still counts
+    each index of a shard as generated."""
 
     @pytest.mark.parametrize("kind, n, flt", SWEEP_CASES)
     def test_matches_reference(self, kind, n, flt):
+        cfg = SuiteConfig(n, n, kind, ("chc",), filter=flt)
         choices = _outmap_choices(n, 0, n - 1) if kind == "labeled" else _outmap_choices(n, 1, 2)
         size = math.prod(map(len, choices))
         r0 = len(choices[0])
@@ -151,10 +155,15 @@ class TestSweep:
                 if lo < hi <= size:
                     ranges.append((lo, hi))
         for lo, hi in ranges:
-            blocks = _sweep(choices, lo, hi, flt)
-            got = [(b.base + r, b.out(r), b.inn(r)) for b in blocks for r in b.kept]
-            assert [(i, out) for i, out, _ in got] == list(reference_sweep(choices, lo, hi, flt))
+            units = harness._sweep_units(cfg, n, lo, hi)
+            got = [(b.base + r, b.out(r), b.inn(r)) for b, rs in units for r in rs]
+            want = list(reference_sweep(choices, lo, hi, flt == "strong"))
+            assert [(i, out) for i, out, _ in got] == want
             assert all(inn == in_masks_of(out) for _, out, inn in got)
+            if flt == "none":
+                res = _run_shard(cfg, n, lo, hi)
+                assert res["generated"] == hi - lo
+                assert res["checked"].get("chc", 0) == len(want)
 
 
 def choice_lists(n):
@@ -191,40 +200,44 @@ class TestBlocks:
     def test_facts_match_from_scratch(self, data):
         n = data.draw(st.integers(1, 6), label="n")
         choices = data.draw(choice_lists(n), label="choices")
-        flt = data.draw(st.sampled_from(("none", "sinkless", "strong")), label="filter")
+        flt = data.draw(st.sampled_from(("sinkless", "strong")), label="filter")
         size = math.prod(map(len, choices))
         lo = data.draw(st.integers(0, size), label="lo")
         hi = data.draw(st.integers(lo, size), label="hi")
         got = []
-        for b in _sweep(choices, lo, hi, flt):
+        for b in _sweep(choices, lo, hi, flt == "strong"):
             assert b.kept and all(0 <= b.base + r - lo < hi - lo for r in b.kept)
             for r in b.kept:
                 got.append((b.base + r, b.out(r)))
                 assert_facts_from_scratch(b, r)
-        assert got == list(reference_sweep(choices, lo, hi, flt))
+        assert got == list(reference_sweep(choices, lo, hi, flt == "strong"))
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     @pytest.mark.parametrize("dmin, dmax", [(0, None), (1, 2)], ids=["labeled", "outdeg-1-2"])
     def test_block_built_without_the_odometer(self, n, dmin, dmax):
         # A block needs only its tail's facts: in-masks from in_masks_of and
-        # g(D - 0) from a girth search, here on seeded tails past the sweeps.
+        # a girth table from g(D - 0), found by a girth search, here on
+        # seeded sink-free tails past the sweeps, under every non-empty head.
         choices = _outmap_choices(n, dmin, n - 1 if dmax is None else dmax)
         head = harness._Head(choices)
         checks = [c for c in harness._CHECKS if c.name in DIGRAPH_CHECKS]
         acc = harness._Accum()
         rng = random.Random(n)
         for _ in range(8):
-            tail = tuple(rng.choice(c) for c in choices[1:])
+            tail = tuple(rng.choice([m for m in c if m]) for c in choices[1:])
             minus_zero = (0, *(m & ~1 for m in tail))
             hit = oracles._girth_masks(n, minus_zero, in_masks_of(minus_zero))
+            g0 = None if hit is None else hit[0]
+            tail_inn = in_masks_of((0,) + tail)
             b = harness._Block(
-                head, 0, tail, (0, *(m.bit_count() for m in tail)),
-                in_masks_of((0,) + tail), None if hit is None else hit[0], range(len(head.first)),
+                head, 0, tail, (0, *(m.bit_count() for m in tail)), tail_inn,
+                harness._girth_table(tail_inn, head.first, g0, 0),
+                [r for r, h in enumerate(head.first) if h],
             )
             assert b.again is None
             for r in b.kept:
                 assert_facts_from_scratch(b, r)
-            harness._run_checks(b, b.sink_free(), checks, acc)
+            harness._run_checks(b, b.kept, checks, acc)
         assert acc.checked["two-phi"] > 0
         if dmax == 2:
             assert acc.checked["two-cycles"] == acc.checked["two-phi"]
@@ -250,7 +263,7 @@ class TestBestRatio:
         scale = _scale(n)
         for lo in range(5, size - width, size // 40):
             want = None
-            for i, out in reference_sweep(choices, lo, lo + width, "sinkless"):
+            for i, out in reference_sweep(choices, lo, lo + width):
                 psi_m = _psi_scaled(scale, [m.bit_count() for m in out])
                 hit = oracles._girth_masks(n, out, in_masks_of(out))
                 ratio = Fraction(hit[0] * scale, psi_m)
@@ -359,59 +372,68 @@ class TestCrossChecks:
         with pytest.raises(TheoremViolation, match="digraph 5"):
             _run_shard(cfg, 5, 100_000, 100_002)
 
+    # labeled:none visits the same sink-free instances, so it cross-checks
+    # the same one.
+    FILTERS = ("sinkless", "none")
+
     def test_pair_scan_oracle_runs_on_sinkless_sweeps(self, monkeypatch):
         # 100,001, the instance searched again in the block of 100,000,
         # has out-degrees at most 2, so the pair scan's oracle runs on it.
-        calls = []
         oracle = harness.two_cycles_min_intersection
-        monkeypatch.setattr(
-            harness, "two_cycles_min_intersection", lambda d: calls.append(d) or oracle(d)
-        )
-        res = _run_shard(SuiteConfig(5, 5, "labeled", ("two-cycles",)), 5, 100_000, 100_016)
-        assert res["checked"] == res["passed"]
-        assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)]
+        for flt in self.FILTERS:
+            calls = []
+            monkeypatch.setattr(
+                harness, "two_cycles_min_intersection", lambda d: calls.append(d) or oracle(d)
+            )
+            cfg = SuiteConfig(5, 5, "labeled", ("two-cycles",), filter=flt)
+            res = _run_shard(cfg, 5, 100_000, 100_016)
+            assert res["checked"] == res["passed"]
+            assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)], flt
 
     def test_block_peel_is_run_again_from_scratch(self, monkeypatch):
         # 100,001 is peeled again, with no memo, and validated on its Digraph.
-        calls = []
         peel = harness.short_cycle_via_peeling
-        monkeypatch.setattr(
-            harness, "short_cycle_via_peeling", lambda d: calls.append(d) or peel(d)
-        )
-        cfg = SuiteConfig(5, 5, "labeled", ("two-phi",))
-        res = _run_shard(cfg, 5, 100_000, 100_016)
-        assert res["checked"] == res["passed"] == {"two-phi": 15}
-        assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)]
-        # A run from scratch that differs is a violation at that index.
-        monkeypatch.setattr(
-            harness, "short_cycle_via_peeling", lambda d: dataclasses.replace(peel(d), vertices=())
-        )
-        res = _run_shard(cfg, 5, 100_000, 100_016)
-        assert [(v["index"], v["message"]) for v in res["violations"]] == [
-            (100_001, "block peeling and a run from scratch disagree")
-        ]
+        for flt in self.FILTERS:
+            calls = []
+            monkeypatch.setattr(
+                harness, "short_cycle_via_peeling", lambda d: calls.append(d) or peel(d)
+            )
+            cfg = SuiteConfig(5, 5, "labeled", ("two-phi",), filter=flt)
+            res = _run_shard(cfg, 5, 100_000, 100_016)
+            assert res["checked"] == res["passed"] == {"two-phi": 15}
+            assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)], flt
+            # A run from scratch that differs is a violation at that index.
+            monkeypatch.setattr(
+                harness, "short_cycle_via_peeling", lambda d: dataclasses.replace(peel(d), vertices=())
+            )
+            res = _run_shard(cfg, 5, 100_000, 100_016)
+            assert [(v["index"], v["message"]) for v in res["violations"]] == [
+                (100_001, "block peeling and a run from scratch disagree")
+            ]
 
     def test_deg2_short_cycle_runs_and_is_validated(self, monkeypatch):
         # 100,001 also gets the exhaustive ceil((n + p) / 2) certificate.
-        calls = []
         oracle = harness.deg2_short_cycle
-        monkeypatch.setattr(harness, "deg2_short_cycle", lambda d: calls.append(d) or oracle(d))
-        cfg = SuiteConfig(5, 5, "labeled", ("deg2-girth",))
-        res = _run_shard(cfg, 5, 100_000, 100_016)
-        assert res["checked"] == res["passed"]
-        assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)]
-        # A certificate one vertex off is a violation there, with its JSON.
+
         def one_off(d):
             cert = oracle(d)
             return dataclasses.replace(cert, vertices=(*cert.vertices[:-1], cert.vertices[-1] + 1))
 
-        monkeypatch.setattr(harness, "deg2_short_cycle", one_off)
-        res = _run_shard(cfg, 5, 100_000, 100_016)
-        assert [(v["index"], v["message"], v["certificate"]) for v in res["violations"]] == [(
-            100_001,
-            "exhaustive short cycle failed validation",
-            {"kind": "ceil-n-plus-p-over-2", "vertices": [1, 3], "bound": {"num": 4, "den": 1}},
-        )]
+        for flt in self.FILTERS:
+            calls = []
+            monkeypatch.setattr(harness, "deg2_short_cycle", lambda d: calls.append(d) or oracle(d))
+            cfg = SuiteConfig(5, 5, "labeled", ("deg2-girth",), filter=flt)
+            res = _run_shard(cfg, 5, 100_000, 100_016)
+            assert res["checked"] == res["passed"]
+            assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)], flt
+            # A certificate one vertex off is a violation there, with its JSON.
+            monkeypatch.setattr(harness, "deg2_short_cycle", one_off)
+            res = _run_shard(cfg, 5, 100_000, 100_016)
+            assert [(v["index"], v["message"], v["certificate"]) for v in res["violations"]] == [(
+                100_001,
+                "exhaustive short cycle failed validation",
+                {"kind": "ceil-n-plus-p-over-2", "vertices": [1, 3], "bound": {"num": 4, "den": 1}},
+            )]
 
 
 AGAIN_CASES = [("labeled", n, flt) for n in (3, 4, 5) for flt in ("none", "sinkless", "strong")]
@@ -436,8 +458,9 @@ class TestAgain:
             lo = rng.randrange(size)
             windows.append((lo, min(size, lo + rng.randrange(1, 400))))
         held = 0
+        cfg = SuiteConfig(n, n, kind, ("chc",), filter=flt)
         for lo, hi in windows:
-            for b in _sweep(choices, lo, hi, flt):
+            for b, _ in harness._sweep_units(cfg, n, lo, hi):
                 multiples = [i for i in range(b.base, b.base + r0) if i % self.EVERY == 0]
                 want = None
                 if multiples:
@@ -557,10 +580,10 @@ def generated(cfg):
     return run_suite(cfg).instances_generated
 
 
-def swept(n, flt="none", dmin=0, dmax=None):
+def swept(n, strong=False, dmin=0, dmax=None):
     """Every digraph of a sweep at n, in index order."""
     choices = _outmap_choices(n, dmin, n - 1 if dmax is None else dmax)
-    blocks = _sweep(choices, 0, math.prod(map(len, choices)), flt)
+    blocks = _sweep(choices, 0, math.prod(map(len, choices)), strong)
     return [b.digraph(r) for b in blocks for r in b.kept]
 
 
@@ -592,15 +615,19 @@ class TestEnumerateDigraphs:
         assert [self.labeled(n, "strong") for n in (1, 2, 3)] == [0, 1, 18]
 
     def test_yields_digraphs_in_code_order(self):
-        items = swept(2)
-        assert len(items) == 4
-        assert items[0] == Digraph(2, [])
-        assert items[3] == Digraph(2, [(0, 1), (1, 0)])
-        assert all(isinstance(d, Digraph) for d in items)
+        # The 27 sink-less digraphs at n = 3; arc (u, v) is code bit
+        # u*(n-1) + v - (v > u).
+        items = swept(3)
+        assert len(items) == 27
+        assert all(isinstance(d, Digraph) and first_sink(d) is None for d in items)
+        codes = [sum(1 << (2 * u + v - (v > u)) for u, v in d.arcs) for d in items]
+        assert codes == sorted(set(codes))
+        assert items[0] == Digraph(3, [(0, 1), (1, 0), (2, 0)])
+        assert items[-1] == Digraph(3, [(u, v) for u in range(3) for v in range(3) if u != v])
 
     def test_filters_nest(self):
-        sinkless = set(swept(3, "sinkless"))
-        strong = set(swept(3, "strong"))
+        sinkless = set(swept(3))
+        strong = set(swept(3, True))
         assert strong <= sinkless
         assert all(first_sink(d) is None for d in sinkless)
 
@@ -718,14 +745,14 @@ class TestRunSuite:
         assert len(calls) == 3 + 9
 
     def test_unfiltered_levels_derive_in_masks_once_per_digit_change(self, monkeypatch):
-        # Under labeled:none every one of the 8^3 = 512 blocks at n = 4 is
-        # counted, sinks included, though only the 7^3 = 343 whose vertices
-        # 1..3 have no sink are checked.  The odometer's levels derive what
-        # vertices 3.., 2.. and 1.. give once per digit change: 8 + 8^2 + 8^3.
+        # Under labeled:none all 2^12 digraphs at n = 4 are counted, sinks
+        # included, but the odometer visits only the 7^3 = 343 blocks whose
+        # vertices 1..3 have no sink.  Its levels derive what vertices 3..,
+        # 2.. and 1.. give once per change of a sink-free digit: 7 + 7^2 + 7^3.
         calls = self.count_derivations(monkeypatch)
         report = run_suite(SuiteConfig(4, 4, "labeled", DIGRAPH_CHECKS, filter="none"))
         assert report.instances_generated == 1 << 12
-        assert len(calls) == 8 + 8**2 + 8**3
+        assert len(calls) == 7 + 7**2 + 7**3
 
     def test_rd_claim_fails_once_per_instance(self, monkeypatch):
         # Every greedy subgraph fails here; an instance records its first.
@@ -795,6 +822,30 @@ class TestRunSuite:
             )
         )
         assert base == again == forked
+        # labeled:none: each shard counts its indices, sinks included.
+        none = SuiteConfig(1, 4, "labeled", DIGRAPH_CHECKS, filter="none")
+        reports = [run_suite(dataclasses.replace(none, workers=w)) for w in (1, 2, 3)]
+        assert len({doc_of(r) for r in reports}) == 1
+        assert {(r.instances_generated, r.unchecked) for r in reports} == {(4165, 1736)}
+
+    def test_pool_has_no_more_processes_than_shards(self, monkeypatch):
+        # n = 1 and n = 2 make 1 + 4 shards, so 16 workers start 5 processes.
+        sizes = []
+        get_context = harness.multiprocessing.get_context
+
+        class Recording:
+            def __init__(self, method):
+                self.ctx = get_context(method)
+
+            def Pool(self, processes):
+                sizes.append(processes)
+                return self.ctx.Pool(processes=processes)
+
+        monkeypatch.setattr(harness.multiprocessing, "get_context", Recording)
+        report = run_suite(SuiteConfig(1, 2, "labeled", ("chc",), workers=16))
+        assert sizes == [5]
+        assert report.config["workers"] == 16
+        assert doc_of(report) == doc_of(run_suite(SuiteConfig(1, 2, "labeled", ("chc",))))
 
     def test_outmap_sweep(self):
         cfg = SuiteConfig(

@@ -49,11 +49,6 @@ def bfs_girth(out):
     return None if hit is None else hit[0]
 
 
-def minus_zero(out):
-    """The out-masks of D - 0, vertex 0 kept with no arc."""
-    return (0, *(m & ~1 for m in out[1:]))
-
-
 def from_vertex(s, out):
     """The out-masks of the digraph on vertices s.. of D: the vertices
     below s are kept with no arc, and the arcs into them are dropped."""
@@ -71,17 +66,16 @@ class TestGirthTable:
         [(n, 0, n - 1) for n in range(1, 5)] + [(n, 1, d) for d in (2, 3) for n in range(2, 6)],
     )
     def test_every_instance_of_a_population(self, n, dmin, dmax):
-        # dmin 0: every labeled digraph, acyclic ones (None) included.
+        # dmin 0: every labeled digraph, acyclic ones (None) included.  A
+        # block's table covers every vertex-0 choice, the empty one too; the
+        # sweep keeps the sink-less instances.
         choices = _outmap_choices(n, dmin, dmax)
         size = math.prod(map(len, choices))
         seen = 0
         for b in _sweep(choices, 0, size):
-            assert b.g0 == bfs_girth(minus_zero(b.out(0))), b.tail
-            table = _girth_table(b.tail_inn, choices[0], b.g0)
-            for r in b.kept:
-                assert table[r] == bfs_girth(b.out(r)), b.out(r)
-                seen += 1
-        assert seen == size
+            assert b.girth == [bfs_girth(b.out(r)) for r in range(len(choices[0]))], b.tail
+            seen += len(b.kept)
+        assert seen == math.prod(sum(1 for m in c if m) for c in choices)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -105,30 +99,31 @@ class TestGirthTable:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_random_runs(self, data):
-        # A run: vertex 1 ranges over several out-masks, vertices 2.. fixed.
+        # A run: vertex 1 ranges over several out-masks, vertices 2.. fixed,
+        # every mask non-empty (one sink would empty the sweep).
         n = data.draw(st.integers(6, 8), label="n")
         full = (1 << n) - 1
-        ones = data.draw(
-            st.lists(st.integers(0, full).map(lambda m: m & ~2), min_size=1, max_size=6),
-            label="ones",
-        )
-        rest = [
-            (data.draw(st.integers(0, full), label=f"out {v}") & ~(1 << v),) for v in range(2, n)
-        ]
+
+        def masks(v):
+            return st.integers(0, full).map(lambda m: m & ~(1 << v)).filter(bool)
+
+        ones = data.draw(st.lists(masks(1), min_size=1, max_size=6), label="ones")
+        rest = [(data.draw(masks(v), label=f"out {v}"),) for v in range(2, n)]
         choices = [(0, 0b110), tuple(ones), *rest]
-        # The sweep builds every block's g(D - 0) with no girth search: one
-        # table for each of levels 2..n-1, each built once.
+        # The sweep builds every girth with tables alone: one for each of
+        # levels n-2..0, then a level-0 table, the block's, for each later
+        # block.  Its one girth search is the first block's cross-check, of
+        # kept choice 1, as the sweep yields it.
         searches, tables = [], []
         with pytest.MonkeyPatch.context() as m:
             m.setattr(harness, "_girth_masks", lambda *a: searches.append(a) or _girth_masks(*a))
             m.setattr(harness, "_girth_table", lambda *a: tables.append(a) or _girth_table(*a))
             blocks = list(_sweep(choices, 0, math.prod(map(len, choices))))
-        assert searches == []
-        assert [a[3] for a in tables] == list(range(n - 2, 0, -1))
+        assert [a[3] for a in tables] == list(range(n - 2, -1, -1)) + [0] * (len(ones) - 1)
         assert len(blocks) == len(ones)
+        assert blocks[0].again == 1 and searches == [(n, blocks[0].out(1), blocks[0].inn(1))]
         for b in blocks:
             assert b.tail[1:] == blocks[0].tail[1:]
-            assert b.g0 == bfs_girth(minus_zero(b.out(0)))
             assert b.girth == [bfs_girth(b.out(r)) for r in (0, 1)]
 
 
