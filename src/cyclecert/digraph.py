@@ -91,9 +91,6 @@ class Digraph:
     def m(self) -> int:
         return sum(self.out_deg)
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return bool(self.out_masks[u] >> v & 1)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented

@@ -204,21 +204,18 @@ def _outmap_choices(n: int, dmin: int, dmax: int) -> list[tuple[int, ...]]:
 
 class _Head:
     """Vertex 0's out-mask choices in a sweep, and what each one adds to an
-    instance: its in-mask column (bit 0 at each out-neighbor), its
-    out-degree, and its scaled phi and psi terms (psi None for no arc)."""
+    instance: its in-mask column (bit 0 at each out-neighbor) and its
+    out-degree."""
 
-    __slots__ = ("n", "first", "cols", "deg0", "phi0", "psi0", "scale", "has_empty")
+    __slots__ = ("n", "first", "cols", "deg0", "scale")
 
     def __init__(self, choices: list[tuple[int, ...]]) -> None:
         self.n = n = len(choices)
         self.first = first = choices[0]
         # Unpacked: see _or_column.
         self.cols = [(*((m >> v) & 1 for v in range(n)),) for m in first]
-        self.deg0 = deg0 = [m.bit_count() for m in first]
-        self.scale = scale = _scale(n)
-        self.phi0 = [_phi_scaled(scale, (d,)) for d in deg0]
-        self.psi0 = [_psi_scaled(scale, (d,)) if d else None for d in deg0]
-        self.has_empty = 0 in first
+        self.deg0 = [m.bit_count() for m in first]
+        self.scale = _scale(n)
 
 
 def _or_column(inn: tuple[int, ...], col: tuple[int, ...]) -> tuple[int, ...]:
@@ -238,10 +235,10 @@ class _Block:
 
     degs are the out-degrees of (0,) + tail, tail_inn the in-masks of
     (0,) + tail (what vertices 1.. give every instance), and girth holds
-    each choice's girth, None where acyclic (_girth_table).  The
-    per-choice tables p, deg2, phi and psi are built on first read, each
-    over every choice; out, inn and the Digraph only for the r a check
-    asks about, each time it asks.
+    each choice's girth, None where acyclic (_girth_table).  Every other
+    per-choice fact a check needs is a tail term plus one from vertex 0's
+    out-degree head.deg0[r]; out, inn and the Digraph are built only for
+    the r a check asks about, each time it asks.
 
     again is the kept choice whose instance the cross-checks search again
     from scratch, or None.
@@ -249,7 +246,6 @@ class _Block:
 
     __slots__ = (
         "head", "n", "base", "tail", "degs", "tail_inn", "girth", "kept", "again",
-        "_p", "_deg2", "_phi", "_psi",
     )
 
     def __init__(
@@ -271,10 +267,6 @@ class _Block:
         self.girth = girth
         self.kept = kept
         self.again: int | None = None
-        self._p: list[int] | None = None
-        self._deg2: list[bool] | None = None
-        self._phi: list[int] | None = None
-        self._psi: list[int | None] | None = None
 
     def out(self, r: int) -> tuple[int, ...]:
         return (self.head.first[r],) + self.tail
@@ -288,38 +280,6 @@ class _Block:
 
     def text(self, r: int) -> str:
         return format_digraph(self.digraph(r))
-
-    @property
-    def p(self) -> list[int]:
-        """Per choice, the number of vertices of out-degree 1."""
-        if self._p is None:
-            tail_p = self.degs.count(1)
-            self._p = [tail_p + (d == 1) for d in self.head.deg0]
-        return self._p
-
-    @property
-    def deg2(self) -> list[bool]:
-        """Per choice, whether every out-degree is at most 2."""
-        if self._deg2 is None:
-            tail_ok = max(self.degs) <= 2
-            self._deg2 = [tail_ok and d <= 2 for d in self.head.deg0]
-        return self._deg2
-
-    @property
-    def phi(self) -> list[int]:
-        """Per choice, phi times the scale."""
-        if self._phi is None:
-            tail_phi = _phi_scaled(self.head.scale, self.degs[1:])
-            self._phi = [tail_phi + t for t in self.head.phi0]
-        return self._phi
-
-    @property
-    def psi(self) -> list[int | None]:
-        """Per choice, psi times the scale; None for the empty choice."""
-        if self._psi is None:
-            tail_psi = _psi_scaled(self.head.scale, self.degs[1:])
-            self._psi = [None if t is None else tail_psi + t for t in self.head.psi0]
-        return self._psi
 
 
 def _girth_table(
@@ -390,6 +350,7 @@ def _sweep(
         return
     head = _Head(choices)
     n, first = head.n, head.first
+    has_empty = 0 in first
     r0 = len(first)
     degs = [[m.bit_count() for m in c] for c in choices]
     cols = [head.cols] + [
@@ -430,7 +391,7 @@ def _sweep(
         if not u:
             base = block * r0
             kept: Sequence[int] = range(max(lo - base, 0), min(hi - base, r0))
-            if head.has_empty:
+            if has_empty:
                 kept = [r for r in kept if first[r]]
             b = _Block(head, base, tails[1], (0,) + tdegs[1], inns[1], girths[0], kept)
             if strong:
@@ -697,25 +658,29 @@ def _check_eq1(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
     # Summed over v, the right side of (1) adds gains[deg(u)] once per arc
     # u -> v.  The arcs out of vertices 1.. are the block's, read from its
     # in-masks once; vertex 0's deg0 arcs add deg0 * gains[deg0].
-    scale, phi, deg0 = b.head.scale, b.phi, b.head.deg0
+    scale, deg0 = b.head.scale, b.head.deg0
     gains = _gains(b.n, b.n - 1)
     tail_rhs = sum(_rhs_scaled(gains, b.degs, mm) for mm in b.tail_inn)
+    tail_phi = _phi_scaled(scale, b.degs[1:])
     for r in rs:
-        rhs_total = tail_rhs + deg0[r] * gains[deg0[r]]
-        if rhs_total != phi[r]:
+        d = deg0[r]
+        rhs_total = tail_rhs + d * gains[d]
+        phi_m = tail_phi + scale // (d + 1)
+        if rhs_total != phi_m:
             yield r, (
                 f"removability right sides sum to {rhs_total}/{scale}, "
-                f"phi is {phi[r]}/{scale}"
+                f"phi is {phi_m}/{scale}"
             )
 
 
 def _check_two_phi(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
     # One peeler serves the block: the choices that remove vertex 0 first
     # share one memo key, D - 0's (see peeling.BlockPeeler).
-    n, scale, phi, girth, first = b.n, b.head.scale, b.phi, b.girth, b.head.first
+    n, scale, girth, first, deg0 = b.n, b.head.scale, b.girth, b.head.first, b.head.deg0
     peeler = BlockPeeler(n, b.tail, b.tail_inn, acc.peel_memo)
+    tail_phi = peeler.tail_phi
     for r in rs:
-        g, phi_m = girth[r], phi[r]
+        g, phi_m = girth[r], tail_phi + scale // (deg0[r] + 1)
         if g is None or g * scale > 2 * phi_m:
             yield r, f"girth {g} exceeds 2 phi = {2 * phi_m}/{scale}"
             continue
@@ -742,11 +707,13 @@ def _peels_alike(d: Digraph, cert: CycleCertificate) -> bool:
 
 
 def _check_two_psi_strict(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
-    scale, psi, girth = b.head.scale, b.psi, b.girth
+    scale, girth, deg0 = b.head.scale, b.girth, b.head.deg0
+    # Every kept choice has an out-arc, so deg0[r] >= 1.
+    tail_psi = _psi_scaled(scale, b.degs[1:])
     # The block's largest girth/psi, the first on ties, is offered once.
     best: tuple[int, int, int] | None = None
     for r in rs:
-        g, psi_m = girth[r], psi[r]
+        g, psi_m = girth[r], tail_psi + scale // deg0[r]
         if g is not None and (best is None or g * scale * best[1] > best[0] * psi_m):
             best = (g * scale, psi_m, r)
         if g is None or g * scale >= 2 * psi_m:
@@ -769,10 +736,11 @@ def _check_chc(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
 def _check_deg2_girth(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
     # Instance again also gets the exhaustive oracle's certificate,
     # which must validate on the instance's out-masks.
-    n, girth, p, again = b.n, b.girth, b.p, b.again
+    n, girth, deg0, again = b.n, b.girth, b.head.deg0, b.again
+    tail_p = b.degs.count(1)
     for r in rs:
         g = girth[r]
-        bound = (n + p[r] + 1) // 2
+        bound = (n + tail_p + (deg0[r] == 1) + 1) // 2
         if g is None or g > bound:
             yield r, f"girth {g} exceeds ceil((n + p) / 2) = {bound}"
         elif r == again:
@@ -786,11 +754,12 @@ def _check_deg2_girth(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
 
 
 def _check_two_cycles(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
-    girth, p, again = b.girth, b.p, b.again
+    girth, deg0, again = b.girth, b.head.deg0, b.again
+    tail_p = b.degs.count(1)
     # D - 0's cycles, shared by the block's scans; enumerated on first need.
     rest: tuple[list[int], int] | None = None
     for r in rs:
-        limit = p[r] + 1
+        limit = tail_p + (deg0[r] == 1) + 1
         g = girth[r]
         # A cycle no longer than the limit pairs with itself.
         ok = g is not None and g <= limit
@@ -898,8 +867,9 @@ def _run_checks(x: _Unit, rs: Sequence[int], checks: Sequence[_Check], acc: _Acc
         sel = rs
         if deg2_only:
             if deg2_rs is None:
-                deg2 = x.deg2  # only digraph checks are deg2_only
-                deg2_rs = rs if all(deg2) else [r for r in rs if deg2[r]]
+                # Only digraph checks are deg2_only, so x is a _Block.
+                deg0 = x.head.deg0
+                deg2_rs = [r for r in rs if deg0[r] <= 2] if max(x.degs) <= 2 else []
             sel = deg2_rs
         if not sel:
             continue
@@ -1111,8 +1081,8 @@ def extremal_ratio_search(n: int, budget: int, seed: int = 0) -> Report:
     fits the budget, otherwise seeded random restarts with single-arc-flip
     hill climbing; either way at most budget digraphs are evaluated.  The
     exhaustive mode is a shard of the labeled sink-less population with
-    the two-psi-strict check, which reads each block's girth and psi
-    tables.  Every evaluated ratio is asserted to stay below 2; the best
+    the two-psi-strict check, which reads each block's girth table and
+    its tail's psi.  Every evaluated ratio is asserted to stay below 2; the best
     one found is reported with its witness.  This explores; it proves
     nothing about instances it never visits.  Capped at n <= SEARCH_CAP.
     """

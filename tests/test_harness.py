@@ -18,7 +18,7 @@ from cyclecert.digraph import Digraph, first_sink, in_masks_of
 from cyclecert.errors import GraphInputError, Infeasible, LimitExceeded, TheoremViolation
 from cyclecert.families import RainbowInstance
 from cyclecert.formats import format_rainbow
-from cyclecert.peeling import _phi_scaled, _psi_scaled, _scale
+from cyclecert.peeling import _psi_scaled, _scale
 from cyclecert.harness import (
     ALL_CHECKS,
     DIGRAPH_CHECKS,
@@ -181,13 +181,13 @@ def assert_facts_from_scratch(b, r):
     """Every fact block b gives about choice r, against a derivation from
     its out-masks alone."""
     out = b.out(r)
-    degs = [m.bit_count() for m in out]
-    scale = _scale(b.n)
     assert b.inn(r) == in_masks_of(out)
-    assert b.p[r] == degs.count(1)
-    assert b.deg2[r] == (max(degs) <= 2)
-    assert b.phi[r] == _phi_scaled(scale, degs)
-    assert b.psi[r] == (None if 0 in degs else _psi_scaled(scale, degs))
+    # The checks read every out-degree from these, and two-psi-strict
+    # divides by vertex 0's.
+    assert (b.head.deg0[r], *b.degs[1:]) == tuple(m.bit_count() for m in out)
+    assert b.degs[0] == 0
+    assert b.head.scale == _scale(b.n)
+    assert b.head.deg0[r] >= 1
     hit = oracles._girth_masks(b.n, out, in_masks_of(out))
     assert b.girth[r] == (None if hit is None else hit[0])
 
