@@ -100,23 +100,99 @@ def _successors(out: Sequence[int], vs: int) -> int:
     return nxt
 
 
-def validate_cycle_masks(n: int, out: Sequence[int], cert: CycleCertificate) -> bool:
-    """True iff cert is a genuine directed cycle of the digraph on n
-    vertices with out-masks out, within its bound, and that bound is the
-    one its kind gives there."""
-    if cert.bound_kind not in BOUND_KINDS:
-        return False
-    vs = cert.vertices
+def _shape_holds(n: int, cert: CycleCertificate) -> bool:
+    """Whether cert holds up without reading an arc: its kind is known, it
+    names k >= 2 distinct vertices of 0..n-1, and k is within its bound."""
+    vs, bound = cert.vertices, cert.bound
     k = len(vs)
-    if k < 2 or len(set(vs)) != k or min(vs) < 0 or max(vs) >= n:
-        return False
+    return (
+        cert.bound_kind in BOUND_KINDS
+        and k >= 2
+        and len(set(vs)) == k
+        and min(vs) >= 0
+        and max(vs) < n
+        and k * bound.denominator <= bound.numerator
+    )
+
+
+def _arcs_hold(out: Sequence[int], vs: Sequence[int]) -> bool:
+    """Whether out has the arc from each vertex of vs to the next, and
+    from the last back to the first."""
     prev = vs[-1]
     for v in vs:
         if not out[prev] >> v & 1:
             return False
         prev = v
-    bound = cert.bound
-    return k * bound.denominator <= bound.numerator and _bound_holds(n, out, cert)
+    return True
+
+
+def validate_cycle_masks(n: int, out: Sequence[int], cert: CycleCertificate) -> bool:
+    """True iff cert is a genuine directed cycle of the digraph on n
+    vertices with out-masks out, within its bound, and that bound is the
+    one its kind gives there."""
+    return _shape_holds(n, cert) and _arcs_hold(out, cert.vertices) and _bound_holds(n, out, cert)
+
+
+class BlockCycleValidator:
+    """validate_cycle_masks over a block: the digraphs (h,) + tail on n
+    vertices, which share the out-masks tail of vertices 1..n-1 and
+    differ in vertex 0's out-mask h.  valid(h, cert) gives the verdict
+    validate_cycle_masks(n, (h, *tail), cert) gives.
+
+    A two-phi certificate's kind, vertices and bound do not depend on h.
+    Of its arcs, only the one out of vertex 0, when 0 is on the cycle,
+    reads h; the tail fixes every other.  And phi sums 1/(deg + 1) over
+    the vertices, where vertex 0's term depends on h only through its
+    out-degree popcount(h).  So the shape, the arcs out of tail vertices
+    and the bound are checked once per certificate object, and the bound
+    is matched against 2 phi, summed here from the tail's popcounts, to
+    name the one vertex-0 out-degree d at which it holds: 2 phi falls as
+    d rises.  Per head, what is left is that h has the arc out of 0 and
+    popcount(h) == d.  Every bound is thus still recomputed from the
+    input, sharing no code with its producer.  Other kinds go to
+    validate_cycle_masks whole.
+    """
+
+    __slots__ = ("n", "tail", "_den", "_tail_phi", "_terms")
+
+    def __init__(self, n: int, tail: tuple[int, ...]) -> None:
+        self.n, self.tail = n, tail
+        terms = [m.bit_count() + 1 for m in tail]
+        # phi of the tail is _tail_phi / _den, in integers.
+        self._den = den = math.lcm(*terms)
+        self._tail_phi = sum([den // t for t in terms])
+        # id(cert) -> (cert, the arc out of 0 as a mask, d): the cert is
+        # held so its id is not reused while this block validator lives.
+        # The mask is None for a kind other than two-phi, and d is -1 for
+        # a two-phi certificate no head makes valid.
+        self._terms: dict[int, tuple[CycleCertificate, int | None, int]] = {}
+
+    def valid(self, h: int, cert: CycleCertificate) -> bool:
+        terms = self._terms.get(id(cert))
+        if terms is None:
+            terms = self._terms[id(cert)] = self._cert_terms(cert)
+        _, need, d = terms
+        if need is None:
+            return validate_cycle_masks(self.n, (h, *self.tail), cert)
+        return h & need == need and h.bit_count() == d
+
+    def _cert_terms(self, cert: CycleCertificate) -> tuple[CycleCertificate, int | None, int]:
+        if cert.bound_kind != BOUND_TWO_PHI:
+            return cert, None, -1
+        vs = cert.vertices
+        # -1 has every bit set: the arc out of 0 is left to the head.
+        if not (_shape_holds(self.n, cert) and _arcs_hold((-1, *self.tail), vs)):
+            return cert, 0, -1
+        need = 1 << vs[(vs.index(0) + 1) % len(vs)] if 0 in vs else 0
+        # bound = num / bden is 2 phi at vertex-0 out-degree d exactly when
+        # bound / 2 - tail phi = 1 / (d + 1), that is when
+        # (d + 1) (num den - 2 tail_phi bden) = 2 bden den.
+        num, bden, den = cert.bound.numerator, cert.bound.denominator, self._den
+        rest = num * den - 2 * self._tail_phi * bden
+        if rest <= 0:
+            return cert, need, -1
+        q, r = divmod(2 * bden * den, rest)
+        return cert, need, q - 1 if not r else -1
 
 
 def validate_cycle(d: Digraph, cert: CycleCertificate) -> bool:

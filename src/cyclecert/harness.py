@@ -26,6 +26,7 @@ from operator import or_
 from typing import Any, Callable, Iterator, NamedTuple, Sequence, Union
 
 from .certificates import (
+    BlockCycleValidator,
     CycleCertificate,
     RainbowCycleCertificate,
     validate_cycle,
@@ -50,6 +51,7 @@ from .formats import (
     rational_json,
 )
 from .oracles import (
+    TwoCyclePair,
     _girth_masks,
     all_pairs_rainbow_distances,
     deg2_short_cycle,
@@ -205,9 +207,9 @@ def _outmap_choices(n: int, dmin: int, dmax: int) -> list[tuple[int, ...]]:
 class _Head:
     """Vertex 0's out-mask choices in a sweep, and what each one adds to an
     instance: its in-mask column (bit 0 at each out-neighbor) and its
-    out-degree."""
+    out-degree.  deg2 says whether every out-degree is at most 2."""
 
-    __slots__ = ("n", "first", "cols", "deg0", "scale")
+    __slots__ = ("n", "first", "cols", "deg0", "deg2", "scale")
 
     def __init__(self, choices: list[tuple[int, ...]]) -> None:
         self.n = n = len(choices)
@@ -215,6 +217,7 @@ class _Head:
         # Unpacked: see _or_column.
         self.cols = [(*((m >> v) & 1 for v in range(n)),) for m in first]
         self.deg0 = [m.bit_count() for m in first]
+        self.deg2 = max(self.deg0) <= 2
         self.scale = _scale(n)
 
 
@@ -245,7 +248,7 @@ class _Block:
     """
 
     __slots__ = (
-        "head", "n", "base", "tail", "degs", "tail_inn", "girth", "kept", "again",
+        "head", "n", "base", "tail", "degs", "tail_inn", "girth", "kept", "again", "_pair",
     )
 
     def __init__(
@@ -267,6 +270,7 @@ class _Block:
         self.girth = girth
         self.kept = kept
         self.again: int | None = None
+        self._pair: TwoCyclePair | TheoremViolation | None = None
 
     def out(self, r: int) -> tuple[int, ...]:
         return (self.head.first[r],) + self.tail
@@ -280,6 +284,18 @@ class _Block:
 
     def text(self, r: int) -> str:
         return format_digraph(self.digraph(r))
+
+    def again_pair(self) -> TwoCyclePair:
+        """two_cycles_min_intersection of instance again, searched once for
+        every check that asks; a TheoremViolation it raised is raised again."""
+        if self._pair is None:
+            try:
+                self._pair = two_cycles_min_intersection(self.digraph(self.again))
+            except TheoremViolation as exc:
+                self._pair = exc
+        if isinstance(self._pair, TheoremViolation):
+            raise self._pair
+        return self._pair
 
 
 def _girth_table(
@@ -675,9 +691,12 @@ def _check_eq1(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
 
 def _check_two_phi(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
     # One peeler serves the block: the choices that remove vertex 0 first
-    # share one memo key, D - 0's (see peeling.BlockPeeler).
+    # share one memo key, D - 0's (see peeling.BlockPeeler).  The peeler
+    # shares each certificate across the choices it serves, and one
+    # validator checks each certificate once and each choice's head alone.
     n, scale, girth, first, deg0 = b.n, b.head.scale, b.girth, b.head.first, b.head.deg0
     peeler = BlockPeeler(n, b.tail, b.tail_inn, acc.peel_memo)
+    valid = BlockCycleValidator(n, b.tail).valid
     tail_phi = peeler.tail_phi
     for r in rs:
         g, phi_m = girth[r], tail_phi + scale // (deg0[r] + 1)
@@ -689,7 +708,7 @@ def _check_two_phi(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
         except CounterexampleFound as exc:
             yield r, f"{type(exc).__name__}: {exc}"
             continue
-        if not validate_cycle_masks(n, b.out(r), cert):
+        if not valid(first[r], cert):
             yield r, ("peeling produced an invalid certificate", cycle_cert_json(cert))
         elif r == b.again and not _peels_alike(b.digraph(r), cert):
             yield r, ("block peeling and a run from scratch disagree", cycle_cert_json(cert))
@@ -734,8 +753,9 @@ def _check_chc(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
 
 
 def _check_deg2_girth(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
-    # Instance again also gets the exhaustive oracle's certificate,
-    # which must validate on the instance's out-masks.
+    # Instance again also gets the exhaustive oracle's certificate, from
+    # the cycle pair two-cycles reads too, and it must validate on the
+    # instance's out-masks.
     n, girth, deg0, again = b.n, b.girth, b.head.deg0, b.again
     tail_p = b.degs.count(1)
     for r in rs:
@@ -745,7 +765,7 @@ def _check_deg2_girth(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
             yield r, f"girth {g} exceeds ceil((n + p) / 2) = {bound}"
         elif r == again:
             try:
-                cert = deg2_short_cycle(b.digraph(r))
+                cert = deg2_short_cycle(b.digraph(r), b.again_pair())
             except CounterexampleFound as exc:
                 yield r, f"{type(exc).__name__}: {exc}"
                 continue
@@ -771,7 +791,7 @@ def _check_two_cycles(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
         if ok and r != again:
             continue
         try:
-            pair = two_cycles_min_intersection(b.digraph(r))
+            pair = b.again_pair() if r == again else two_cycles_min_intersection(b.digraph(r))
             oracle_ok = len(pair.intersection) <= limit
         except TheoremViolation:
             oracle_ok = False
@@ -868,8 +888,13 @@ def _run_checks(x: _Unit, rs: Sequence[int], checks: Sequence[_Check], acc: _Acc
         if deg2_only:
             if deg2_rs is None:
                 # Only digraph checks are deg2_only, so x is a _Block.
-                deg0 = x.head.deg0
-                deg2_rs = [r for r in rs if deg0[r] <= 2] if max(x.degs) <= 2 else []
+                if max(x.degs) > 2:
+                    deg2_rs = []
+                elif x.head.deg2:  # every choice qualifies
+                    deg2_rs = rs
+                else:
+                    deg0 = x.head.deg0
+                    deg2_rs = [r for r in rs if deg0[r] <= 2]
             sel = deg2_rs
         if not sel:
             continue

@@ -236,13 +236,18 @@ def two_cycles_min_intersection(d: Digraph) -> TwoCyclePair:
     return TwoCyclePair(c1=mk(vi), c2=mk(vj), intersection=inter, p=p)
 
 
-def deg2_short_cycle(d: Digraph) -> CycleCertificate:
-    """A cycle of length <= ceil((n + p) / 2) on digraphs with out-degrees in {1, 2}."""
+def deg2_short_cycle(d: Digraph, pair: TwoCyclePair | None = None) -> CycleCertificate:
+    """A cycle of length <= ceil((n + p) / 2) on digraphs with out-degrees in {1, 2}.
+
+    It is the shorter cycle of two_cycles_min_intersection(d), which a
+    caller that has already searched it passes as pair.
+    """
     if d.n == 0 or any(deg == 0 for deg in d.out_deg):
         raise NotSinkless("requires every out-degree >= 1")
     if any(deg > 2 for deg in d.out_deg):
         raise GraphInputError("requires every out-degree <= 2")
-    pair = two_cycles_min_intersection(d)
+    if pair is None:
+        pair = two_cycles_min_intersection(d)
     short = pair.c1 if pair.c1.length <= pair.c2.length else pair.c2
     bound = Fraction((d.n + pair.p + 1) // 2)
     if short.length > bound:

@@ -14,6 +14,7 @@ from cyclecert.certificates import (
     BOUND_EXACT_LENGTH,
     BOUND_KINDS,
     BOUND_TWO_PHI,
+    BlockCycleValidator,
     CycleCertificate,
     RainbowCycleCertificate,
     validate_cycle,
@@ -30,7 +31,7 @@ from cyclecert.digraph import (
 from cyclecert.errors import GraphInputError
 from cyclecert.families import RainbowInstance, normalize_edge
 from cyclecert.oracles import enumerate_cycles, girth_exact
-from cyclecert.peeling import short_cycle_via_peeling
+from cyclecert.peeling import BlockPeeler, short_cycle_via_peeling
 
 TRIANGLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 C4 = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -435,6 +436,48 @@ class TestCycleValidationOnMasks:
         assert calls == []
         assert validate_cycle_masks(4, C4.out_masks, girth_exact(C4)[1])
         assert calls == []
+
+
+class TestBlockCycleValidator:
+    """BlockCycleValidator(n, tail).valid(h, cert) gives the verdict of
+    validate_cycle_masks(n, (h, *tail), cert)."""
+
+    def test_agrees_with_validate_cycle_masks(self):
+        # Every sink-free labeled block with n <= 4, each head but the empty
+        # one, against each block's peeled certificates and their mutants.
+        # The validator caches a certificate's checks by identity, so each
+        # is offered on every head of its block.
+        pairs = 0
+        for n in range(1, 5):
+            choices = [[m for m in range(1, 1 << n) if not m >> u & 1] for u in range(n)]
+            for tail in itertools.product(*choices[1:]):
+                peeler = BlockPeeler(n, tail, digraph.in_masks_of((0, *tail)), {})
+                validator = BlockCycleValidator(n, tail)
+                certs = {id(c): c for c in map(peeler.certificate, choices[0])}
+                offered = [
+                    m
+                    for cert in certs.values()
+                    for m in [cert, *itertools.chain(*mutants(cert, n).values())]
+                ]
+                for h in choices[0]:
+                    for m in offered:
+                        ok = validate_cycle_masks(n, (h, *tail), m)
+                        assert validator.valid(h, m) == ok, (n, tail, h, m)
+                        pairs += 1
+        assert pairs == 191730
+
+    def test_certificates_do_not_carry_across_heads(self):
+        # Vertices 1 and 2 each have the one out-arc to 0.  (0, 1) with
+        # bound 2 phi = 2 (1/2 + 1/2 + 1/2) = 3 is valid on head {1} alone:
+        # head {1, 2} has the arc 0 -> 1 but 2 phi = 8/3, and head {2} has
+        # out-degree 1 but no arc 0 -> 1.
+        tail = (0b001, 0b001)
+        cert = CycleCertificate((0, 1), Fraction(3), BOUND_TWO_PHI)
+        for heads in ([0b010, 0b110, 0b100], [0b110, 0b100, 0b010]):
+            validator = BlockCycleValidator(3, tail)
+            for h in heads:
+                ok = validator.valid(h, cert)
+                assert ok == validate_cycle_masks(3, (h, *tail), cert) == (h == 0b010)
 
 
 class TestRainbowValidation:

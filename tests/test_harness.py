@@ -415,13 +415,15 @@ class TestCrossChecks:
         # 100,001 also gets the exhaustive ceil((n + p) / 2) certificate.
         oracle = harness.deg2_short_cycle
 
-        def one_off(d):
-            cert = oracle(d)
+        def one_off(d, pair):
+            cert = oracle(d, pair)
             return dataclasses.replace(cert, vertices=(*cert.vertices[:-1], cert.vertices[-1] + 1))
 
         for flt in self.FILTERS:
             calls = []
-            monkeypatch.setattr(harness, "deg2_short_cycle", lambda d: calls.append(d) or oracle(d))
+            monkeypatch.setattr(
+                harness, "deg2_short_cycle", lambda d, pair: calls.append(d) or oracle(d, pair)
+            )
             cfg = SuiteConfig(5, 5, "labeled", ("deg2-girth",), filter=flt)
             res = _run_shard(cfg, 5, 100_000, 100_016)
             assert res["checked"] == res["passed"]
@@ -434,6 +436,24 @@ class TestCrossChecks:
                 "exhaustive short cycle failed validation",
                 {"kind": "ceil-n-plus-p-over-2", "vertices": [1, 3], "bound": {"num": 4, "den": 1}},
             )]
+
+    def test_pair_oracle_runs_once_per_instance(self, monkeypatch):
+        # With both deg2-girth and two-cycles selected, each instance searched
+        # again is searched once for a cycle pair, read by both checks.
+        calls = []
+        oracle = oracles.two_cycles_min_intersection
+        count = lambda d: calls.append(d.out_masks) or oracle(d)
+        monkeypatch.setattr(oracles, "two_cycles_min_intersection", count)
+        monkeypatch.setattr(harness, "two_cycles_min_intersection", count)
+        short = harness.deg2_short_cycle
+        shorts = []
+        monkeypatch.setattr(
+            harness, "deg2_short_cycle", lambda d, pair: shorts.append(d.out_masks) or short(d, pair)
+        )
+        report = run_suite(SuiteConfig(1, 5, "outmaps", ("two-cycles", "deg2-girth")))
+        assert report.checked == report.passed and not report.violations
+        assert len(calls) == len(set(calls)) == 4
+        assert shorts == calls
 
 
 AGAIN_CASES = [("labeled", n, flt) for n in (3, 4, 5) for flt in ("none", "sinkless", "strong")]

@@ -326,13 +326,15 @@ def record_two_phi_certificates(monkeypatch):
     """(n, out-masks, certificate) of each instance whose certificate the
     harness's two-phi check validates from here on, in sweep order."""
     seen = []
-    validate = harness.validate_cycle_masks
 
-    def recording(n, out, cert):
-        seen.append((n, out, cert))
-        return validate(n, out, cert)
+    class Recording(harness.BlockCycleValidator):
+        __slots__ = ()
 
-    monkeypatch.setattr(harness, "validate_cycle_masks", recording)
+        def valid(self, h, cert):
+            seen.append((self.n, (h, *self.tail), cert))
+            return super().valid(h, cert)
+
+    monkeypatch.setattr(harness, "BlockCycleValidator", Recording)
     return seen
 
 
