@@ -103,25 +103,6 @@ class Digraph:
         return f"Digraph({self.n}, {list(self.arcs)})"
 
 
-def is_union_of_cycles(d: Digraph) -> bool:
-    """True iff every vertex has out-degree and in-degree exactly 1."""
-    return all(deg == 1 for deg in d.out_deg) and all(m.bit_count() == 1 for m in d.in_masks)
-
-
-def remove_vertex(d: Digraph, v: int) -> Digraph:
-    """The digraph with vertex v deleted and vertices above v shifted down by one."""
-    if not 0 <= v < d.n:
-        raise GraphInputError(f"vertex {v} not in 0..{d.n - 1}")
-    low = (1 << v) - 1
-    out = []
-    for u in range(d.n):
-        if u == v:
-            continue
-        m = d.out_masks[u] & ~(1 << v)
-        out.append((m & low) | ((m >> 1) & ~low))
-    return Digraph.from_out_masks(d.n - 1, out)
-
-
 def first_sink(d: Digraph) -> int | None:
     """The smallest vertex with out-degree 0, or None if the digraph is sink-less."""
     for v in range(d.n):

@@ -1,15 +1,16 @@
 """Exhaustive and randomized verification harness.
 
-Populations are all labeled digraphs, all bounded-out-degree maps (both
-from one mixed-radix generator over per-vertex out-mask choices), or
-seeded random rainbow instances.  run_suite streams them through the
-named checks of one table and returns a deterministic Report.  Each check
-runs over a unit of instances at once: a block of digraphs that differ
-only in vertex 0's out-mask, or a short run of rainbow instances.  Checks of
-proved statements record violations, which callers treat as fatal;
-checks of open conjectures record findings only.  Reports are
-independent of the worker count: shards partition the index space and
-merge by sums, concatenation sorted by index, and tie-broken extremes.
+Populations are all sink-free labeled digraphs, all bounded-out-degree
+maps (both from one mixed-radix generator over per-vertex out-mask
+choices), or seeded random rainbow instances.  run_suite streams them
+through the named checks of one table and returns a deterministic
+Report.  Each check runs over a unit of instances at once: a block of
+digraphs that differ only in vertex 0's out-mask, or a short run of
+rainbow instances.  Checks of proved statements record violations, which
+callers treat as fatal; checks of open conjectures record findings only.
+Reports are independent of the worker count: shards partition the index
+space and merge by sums, concatenation sorted by index, and tie-broken
+extremes.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ WORKERS_CAP = 64
 # code space 2^(n(n-1)) it builds grow without bound in n.
 SEARCH_CAP = 512
 
-_FILTERS = ("none", "sinkless", "strong")
+_FILTERS = ("sinkless", "strong")
 
 # How often, in indices, the girth table, the fast pair scan and the block
 # peel are checked against a search or run from scratch (see _Block.again).
@@ -92,10 +93,11 @@ class SuiteConfig:
     """What to enumerate and what to check.
 
     n_lo..n_hi is inclusive.  generator names an entry of _POPULATIONS:
-    "labeled" (all labeled digraphs, optionally filtered), "outmaps"
-    (every assignment of out-neighborhoods with dmin <= out-degree <=
-    dmax), or "rainbow" (count seeded random instances per n).  Every
-    check must apply to the chosen population.
+    "labeled" (every sink-free labeled digraph, or under filter "strong"
+    the strongly connected ones alone), "outmaps" (every assignment of
+    out-neighborhoods with dmin <= out-degree <= dmax), or "rainbow"
+    (count seeded random instances per n).  Every check must apply to the
+    chosen population.
     """
 
     n_lo: int
@@ -168,9 +170,6 @@ class Report:
     violations: list[dict[str, Any]] = field(default_factory=list)
     findings: list[dict[str, Any]] = field(default_factory=list)
     extremal: dict[str, Any] = field(default_factory=dict)
-    # Generated instances no check ran on: the digraphs with a sink, which
-    # labeled:none counts but cannot check.  Not part of the JSON.
-    unchecked: int = 0
 
     @property
     def has_violations(self) -> bool:
@@ -918,15 +917,6 @@ def _sweep_size(cfg: SuiteConfig, n: int) -> int:
     return math.prod(map(len, _POPULATIONS[cfg.generator].sweep(cfg, n)[0]))
 
 
-def _sweep_unchecked(cfg: SuiteConfig, n: int) -> int:
-    """The sweep's instances at n that _run_shard counts but no unit
-    holds: under labeled:none, those with a sink (an empty out-mask)."""
-    if cfg.filter != "none":
-        return 0
-    choices = _POPULATIONS[cfg.generator].sweep(cfg, n)[0]
-    return math.prod(map(len, choices)) - math.prod(sum(1 for m in ch if m) for ch in choices)
-
-
 def _sweep_units(cfg: SuiteConfig, n: int, lo: int, hi: int) -> _Units:
     choices, strong = _POPULATIONS[cfg.generator].sweep(cfg, n)
     for b in _sweep(choices, lo, hi, strong):
@@ -974,7 +964,6 @@ class _Population(NamedTuple):
     # keeps only strongly connected digraphs.
     sweep: Callable[[SuiteConfig, int], tuple[list[tuple[int, ...]], bool]] | None = None
     size: Callable[[SuiteConfig, int], int] = _sweep_size  # domain indices at n
-    unchecked: Callable[[SuiteConfig, int], int] = _sweep_unchecked  # of those, never checked
     units: Callable[[SuiteConfig, int, int, int], _Units] = _sweep_units
     validate: Callable[[SuiteConfig], None] = lambda cfg: None  # raises if out of range
 
@@ -987,7 +976,7 @@ class _Population(NamedTuple):
 
 
 _LABELED = _Population(
-    "labeled", "labeled[:none|sinkless|strong]", LABELED_CAP, {"filter": str}, DIGRAPH_CHECKS,
+    "labeled", "labeled[:sinkless|strong]", LABELED_CAP, {"filter": str}, DIGRAPH_CHECKS,
     sweep=lambda cfg, n: (_outmap_choices(n, 0, n - 1), cfg.filter == "strong"),
 )
 _OUTMAPS = _Population(
@@ -997,7 +986,7 @@ _OUTMAPS = _Population(
 )
 _RAINBOW = _Population(
     "rainbow", "rainbow[:COUNT]", RAINBOW_CAP, {"count": int}, RAINBOW_CHECKS,
-    size=lambda cfg, n: cfg.count, unchecked=lambda cfg, n: 0, units=_rainbow_runs,
+    size=lambda cfg, n: cfg.count, units=_rainbow_runs,
     validate=_check_rainbow,
 )
 _POPULATIONS = {p.name: p for p in (_LABELED, _OUTMAPS, _RAINBOW)}
@@ -1014,9 +1003,6 @@ def _run_shard(cfg: SuiteConfig, n: int, lo: int, hi: int) -> dict[str, Any]:
     for x, rs in _POPULATIONS[cfg.generator].units(cfg, n, lo, hi):
         acc.generated += len(rs)
         _run_checks(x, rs, checks, acc)
-    if cfg.filter == "none":
-        # Every index is generated; the ones with a sink are in no unit.
-        acc.generated = hi - lo
     return acc.result()
 
 
@@ -1055,7 +1041,6 @@ def run_suite(cfg: SuiteConfig) -> Report:
         size = pop.size(cfg, n)
         if size == 0:
             continue
-        report.unchecked += pop.unchecked(cfg, n)
         shards = min(cfg.workers * 4, size) if cfg.workers > 1 else 1
         step = -(-size // shards)
         for lo in range(0, size, step):

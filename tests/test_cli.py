@@ -167,19 +167,6 @@ class TestVerify:
         assert doc["checked"] == {"two-phi": 28, "two-psi-strict": 28}
         assert doc["violations"] == []
 
-    def test_labeled_none_reports_digraphs_with_a_sink(self):
-        args = ("verify", "--generator", "labeled:none", "--n", "1-4", "--checks", "two-phi")
-        r = run_cli(*args)
-        assert r.returncode == 0
-        doc = json.loads(r.stdout)
-        # sum over n <= 4 of 2^(n(n-1)) - (2^(n-1) - 1)^n, of 1 + 4 + 64 + 4096
-        assert doc["instances_generated"] == 4165 and doc["checked"] == {"two-phi": 2429}
-        assert r.stderr.splitlines()[-1] == (
-            "1736 of 4165 generated digraphs have a sink and were not checked"
-        )
-        sinkless = run_cli("verify", "--generator", "labeled", "--n", "1-4", "--checks", "two-phi")
-        assert "sink" not in sinkless.stderr
-
     def test_default_checks_cover_generator(self):
         r = run_cli("verify", "--generator", "outmaps:1:1", "--n", "3")
         assert r.returncode == 0
@@ -230,6 +217,15 @@ class TestVerify:
         assert r.returncode == 3
         assert r.stdout == ""
 
+    def test_unknown_filter_is_refused_before_any_shard(self):
+        # Digraphs with a sink are no population: labeled:none is an
+        # unknown filter, refused before a worker starts or a shard runs.
+        r = run_cli("verify", "--generator", "labeled:none", "--n", "1-4", "--jobs", "2")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert "progress:" not in r.stderr
+
     def test_bad_check_name_is_usage_error(self):
         r = run_cli("verify", "--generator", "labeled", "--n", "2", "--checks", "nope")
         assert r.returncode == 2
@@ -258,6 +254,7 @@ class TestVerify:
             ("labeled:strong", {"generator": "labeled", "checks": DIGRAPH, "filter": "strong"}),
             ("outmaps:1:3", {"generator": "outmaps", "checks": DIGRAPH, "dmin": 1, "dmax": 3}),
             ("rainbow:7", {"generator": "rainbow", "checks": ["rainbow-bound", "rd-claim"], "count": 7}),
+            ("labeled:none", None),
         ],
     )
     def test_generator_spellings(self, spelling, config):

@@ -21,13 +21,7 @@ from cyclecert.certificates import (
     validate_cycle_masks,
     validate_rainbow_cycle,
 )
-from cyclecert.digraph import (
-    Digraph,
-    bits,
-    first_sink,
-    is_union_of_cycles,
-    remove_vertex,
-)
+from cyclecert.digraph import Digraph, bits, first_sink
 from cyclecert.errors import GraphInputError
 from cyclecert.families import RainbowInstance, normalize_edge
 from cyclecert.oracles import enumerate_cycles, girth_exact
@@ -43,6 +37,25 @@ def all_digraphs(n):
     slots = [(u, v) for u in range(n) for v in range(n) if u != v]
     for code in range(1 << len(slots)):
         yield Digraph(n, [slots[i] for i in range(len(slots)) if code >> i & 1])
+
+
+def is_union_of_cycles(d):
+    """True iff every vertex has out-degree and in-degree exactly 1."""
+    return all(deg == 1 for deg in d.out_deg) and all(m.bit_count() == 1 for m in d.in_masks)
+
+
+def remove_vertex(d, v):
+    """The digraph with vertex v deleted and vertices above v shifted down by one."""
+    if not 0 <= v < d.n:
+        raise GraphInputError(f"vertex {v} not in 0..{d.n - 1}")
+    low = (1 << v) - 1
+    out = []
+    for u in range(d.n):
+        if u == v:
+            continue
+        m = d.out_masks[u] & ~(1 << v)
+        out.append((m & low) | ((m >> 1) & ~low))
+    return Digraph.from_out_masks(d.n - 1, out)
 
 
 def digraph_strategy(max_n=5):

@@ -129,18 +129,24 @@ def reaches(out, s):
     return seen
 
 
-SWEEP_CASES = [("labeled", n, flt) for n in range(1, 5) for flt in ("none", "sinkless", "strong")]
-SWEEP_CASES += [("outmaps", n, "none") for n in range(2, 6)]
+def case_config(kind, n, flt):
+    """A chc-only config at n; flt is the labeled filter, None for outmaps,
+    which has none."""
+    return SuiteConfig(n, n, kind, ("chc",), **({"filter": flt} if flt else {}))
+
+
+SWEEP_CASES = [("labeled", n, flt) for n in range(1, 5) for flt in ("sinkless", "strong")]
+SWEEP_CASES += [("outmaps", n, None) for n in range(2, 6)]
 
 
 class TestSweep:
     """The odometer's in-masks and indices against a plain reference decode.
-    Every filter visits only sink-free digraphs; labeled:none still counts
-    each index of a shard as generated."""
+    Every population visits only sink-free digraphs, and a shard counts as
+    generated exactly the instances it checks."""
 
     @pytest.mark.parametrize("kind, n, flt", SWEEP_CASES)
     def test_matches_reference(self, kind, n, flt):
-        cfg = SuiteConfig(n, n, kind, ("chc",), filter=flt)
+        cfg = case_config(kind, n, flt)
         choices = _outmap_choices(n, 0, n - 1) if kind == "labeled" else _outmap_choices(n, 1, 2)
         size = math.prod(map(len, choices))
         r0 = len(choices[0])
@@ -160,10 +166,8 @@ class TestSweep:
             want = list(reference_sweep(choices, lo, hi, flt == "strong"))
             assert [(i, out) for i, out, _ in got] == want
             assert all(inn == in_masks_of(out) for _, out, inn in got)
-            if flt == "none":
-                res = _run_shard(cfg, n, lo, hi)
-                assert res["generated"] == hi - lo
-                assert res["checked"].get("chc", 0) == len(want)
+            res = _run_shard(cfg, n, lo, hi)
+            assert res["generated"] == res["checked"].get("chc", 0) == len(want)
 
 
 def choice_lists(n):
@@ -372,44 +376,38 @@ class TestCrossChecks:
         with pytest.raises(TheoremViolation, match="digraph 5"):
             _run_shard(cfg, 5, 100_000, 100_002)
 
-    # labeled:none visits the same sink-free instances, so it cross-checks
-    # the same one.
-    FILTERS = ("sinkless", "none")
-
     def test_pair_scan_oracle_runs_on_sinkless_sweeps(self, monkeypatch):
         # 100,001, the instance searched again in the block of 100,000,
         # has out-degrees at most 2, so the pair scan's oracle runs on it.
         oracle = harness.two_cycles_min_intersection
-        for flt in self.FILTERS:
-            calls = []
-            monkeypatch.setattr(
-                harness, "two_cycles_min_intersection", lambda d: calls.append(d) or oracle(d)
-            )
-            cfg = SuiteConfig(5, 5, "labeled", ("two-cycles",), filter=flt)
-            res = _run_shard(cfg, 5, 100_000, 100_016)
-            assert res["checked"] == res["passed"]
-            assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)], flt
+        calls = []
+        monkeypatch.setattr(
+            harness, "two_cycles_min_intersection", lambda d: calls.append(d) or oracle(d)
+        )
+        cfg = SuiteConfig(5, 5, "labeled", ("two-cycles",))
+        res = _run_shard(cfg, 5, 100_000, 100_016)
+        assert res["checked"] == res["passed"]
+        assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)]
 
     def test_block_peel_is_run_again_from_scratch(self, monkeypatch):
         # 100,001 is peeled again, with no memo, and validated on its Digraph.
         peel = harness.short_cycle_via_peeling
-        for flt in self.FILTERS:
-            calls = []
-            monkeypatch.setattr(
-                harness, "short_cycle_via_peeling", lambda d: calls.append(d) or peel(d)
-            )
-            cfg = SuiteConfig(5, 5, "labeled", ("two-phi",), filter=flt)
-            res = _run_shard(cfg, 5, 100_000, 100_016)
-            assert res["checked"] == res["passed"] == {"two-phi": 15}
-            assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)], flt
-            # A run from scratch that differs is a violation at that index.
-            monkeypatch.setattr(
-                harness, "short_cycle_via_peeling", lambda d: dataclasses.replace(peel(d), vertices=())
-            )
-            res = _run_shard(cfg, 5, 100_000, 100_016)
-            assert [(v["index"], v["message"]) for v in res["violations"]] == [
-                (100_001, "block peeling and a run from scratch disagree")
-            ]
+        calls = []
+        monkeypatch.setattr(
+            harness, "short_cycle_via_peeling", lambda d: calls.append(d) or peel(d)
+        )
+        cfg = SuiteConfig(5, 5, "labeled", ("two-phi",))
+        res = _run_shard(cfg, 5, 100_000, 100_016)
+        assert res["checked"] == res["passed"] == {"two-phi": 15}
+        assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)]
+        # A run from scratch that differs is a violation at that index.
+        monkeypatch.setattr(
+            harness, "short_cycle_via_peeling", lambda d: dataclasses.replace(peel(d), vertices=())
+        )
+        res = _run_shard(cfg, 5, 100_000, 100_016)
+        assert [(v["index"], v["message"]) for v in res["violations"]] == [
+            (100_001, "block peeling and a run from scratch disagree")
+        ]
 
     def test_deg2_short_cycle_runs_and_is_validated(self, monkeypatch):
         # 100,001 also gets the exhaustive ceil((n + p) / 2) certificate.
@@ -419,23 +417,22 @@ class TestCrossChecks:
             cert = oracle(d, pair)
             return dataclasses.replace(cert, vertices=(*cert.vertices[:-1], cert.vertices[-1] + 1))
 
-        for flt in self.FILTERS:
-            calls = []
-            monkeypatch.setattr(
-                harness, "deg2_short_cycle", lambda d, pair: calls.append(d) or oracle(d, pair)
-            )
-            cfg = SuiteConfig(5, 5, "labeled", ("deg2-girth",), filter=flt)
-            res = _run_shard(cfg, 5, 100_000, 100_016)
-            assert res["checked"] == res["passed"]
-            assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)], flt
-            # A certificate one vertex off is a violation there, with its JSON.
-            monkeypatch.setattr(harness, "deg2_short_cycle", one_off)
-            res = _run_shard(cfg, 5, 100_000, 100_016)
-            assert [(v["index"], v["message"], v["certificate"]) for v in res["violations"]] == [(
-                100_001,
-                "exhaustive short cycle failed validation",
-                {"kind": "ceil-n-plus-p-over-2", "vertices": [1, 3], "bound": {"num": 4, "den": 1}},
-            )]
+        calls = []
+        monkeypatch.setattr(
+            harness, "deg2_short_cycle", lambda d, pair: calls.append(d) or oracle(d, pair)
+        )
+        cfg = SuiteConfig(5, 5, "labeled", ("deg2-girth",))
+        res = _run_shard(cfg, 5, 100_000, 100_016)
+        assert res["checked"] == res["passed"]
+        assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)]
+        # A certificate one vertex off is a violation there, with its JSON.
+        monkeypatch.setattr(harness, "deg2_short_cycle", one_off)
+        res = _run_shard(cfg, 5, 100_000, 100_016)
+        assert [(v["index"], v["message"], v["certificate"]) for v in res["violations"]] == [(
+            100_001,
+            "exhaustive short cycle failed validation",
+            {"kind": "ceil-n-plus-p-over-2", "vertices": [1, 3], "bound": {"num": 4, "den": 1}},
+        )]
 
     def test_pair_oracle_runs_once_per_instance(self, monkeypatch):
         # With both deg2-girth and two-cycles selected, each instance searched
@@ -456,8 +453,8 @@ class TestCrossChecks:
         assert shorts == calls
 
 
-AGAIN_CASES = [("labeled", n, flt) for n in (3, 4, 5) for flt in ("none", "sinkless", "strong")]
-AGAIN_CASES += [("outmaps", n, "none") for n in (4, 5)]
+AGAIN_CASES = [("labeled", n, flt) for n in (3, 4, 5) for flt in ("sinkless", "strong")]
+AGAIN_CASES += [("outmaps", n, None) for n in (4, 5)]
 
 
 class TestAgain:
@@ -478,7 +475,7 @@ class TestAgain:
             lo = rng.randrange(size)
             windows.append((lo, min(size, lo + rng.randrange(1, 400))))
         held = 0
-        cfg = SuiteConfig(n, n, kind, ("chc",), filter=flt)
+        cfg = case_config(kind, n, flt)
         for lo, hi in windows:
             for b, _ in harness._sweep_units(cfg, n, lo, hi):
                 multiples = [i for i in range(b.base, b.base + r0) if i % self.EVERY == 0]
@@ -535,12 +532,12 @@ class TestShardTallies:
             ),
             (
                 "two-cycles",
-                SuiteConfig(1, 4, "labeled", ("two-cycles", "chc"), filter="none"),
+                SuiteConfig(1, 4, "labeled", ("two-cycles", "chc")),
                 4, 100, 4000,
                 {"chc": 2324, "two-cycles": 1296},
                 {"chc": 2324, "two-cycles": 648},
                 648,
-                "4d8de94b10e4016a1154a2430eb2cfa0025f1f1c7936f078be85f87b74782d8b",
+                "13442501b631d38dab90769c4415ce2159deafa2dec6827cbfe01a8fccacb27d",
             ),
             (
                 "rd-claim",
@@ -552,7 +549,7 @@ class TestShardTallies:
                 "81b00a8db522dae56407fc72bcbedce9e72576b308872bfa975fc11b025eab86",
             ),
         ],
-        ids=["labeled-n3", "nothing-passed", "deg2-only", "labeled-none", "rainbow"],
+        ids=["labeled-n3", "nothing-passed", "deg2-only", "labeled-n4", "rainbow"],
     )
     def test_pinned(self, monkeypatch, check, cfg, n, lo, hi, checked, passed, failures, digest):
         table = tuple(c._replace(run=fail_on_odd) if c.name == check else c for c in harness._CHECKS)
@@ -564,36 +561,6 @@ class TestShardTallies:
         assert len(fails) == failures and all(i % 2 for i in fails)
         text = json.dumps(res, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-class TestUncheckedSinks:
-    """labeled:none counts digraphs with a sink but cannot check them; the
-    report says how many, 2^(n(n-1)) - (2^(n-1) - 1)^n at each n."""
-
-    @staticmethod
-    def with_sink(n):
-        return 2 ** (n * (n - 1)) - (2 ** (n - 1) - 1) ** n
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_labeled_none_counts_what_it_skips(self, n):
-        report = run_suite(SuiteConfig(n, n, "labeled", ("two-phi",), filter="none"))
-        assert report.instances_generated == 2 ** (n * (n - 1))
-        assert report.unchecked == self.with_sink(n)
-        assert report.checked.get("two-phi", 0) == report.instances_generated - report.unchecked
-        assert "unchecked" not in report.to_json_dict()
-
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            SuiteConfig(1, 4, "labeled", ("two-phi",)),
-            SuiteConfig(1, 4, "labeled", ("two-phi",), filter="strong"),
-            SuiteConfig(1, 4, "outmaps", ("two-phi",)),
-            SuiteConfig(4, 5, "rainbow", ("rainbow-bound",), count=5),
-        ],
-        ids=["sinkless", "strong", "outmaps", "rainbow"],
-    )
-    def test_other_populations_check_all_they_count(self, cfg):
-        assert run_suite(cfg).unchecked == 0
 
 
 def generated(cfg):
@@ -615,6 +582,8 @@ class TestEnumerateDigraphs:
             SuiteConfig(LABELED_CAP + 1, LABELED_CAP + 1, "labeled", ("chc",)).validate()
         with pytest.raises(GraphInputError):
             SuiteConfig(3, 3, "labeled", ("chc",), filter="odd").validate()
+        with pytest.raises(GraphInputError):
+            SuiteConfig(3, 3, "labeled", ("chc",), filter="none").validate()
         with pytest.raises(LimitExceeded):
             SuiteConfig(OUTMAP_CAP + 1, OUTMAP_CAP + 1, "outmaps", ("chc",)).validate()
         with pytest.raises(GraphInputError):
@@ -623,9 +592,6 @@ class TestEnumerateDigraphs:
     @staticmethod
     def labeled(n, flt):
         return generated(SuiteConfig(n, n, "labeled", ("eq1-identity",), filter=flt))
-
-    def test_counts_all(self):
-        assert [self.labeled(n, "none") for n in (1, 2, 3, 4)] == [1, 4, 64, 4096]
 
     def test_counts_sinkless(self):
         # product over vertices of (2^(n-1) - 1) nonempty out-sets
@@ -765,13 +731,13 @@ class TestRunSuite:
         assert len(calls) == 3 + 9
 
     def test_unfiltered_levels_derive_in_masks_once_per_digit_change(self, monkeypatch):
-        # Under labeled:none all 2^12 digraphs at n = 4 are counted, sinks
-        # included, but the odometer visits only the 7^3 = 343 blocks whose
-        # vertices 1..3 have no sink.  Its levels derive what vertices 3..,
-        # 2.. and 1.. give once per change of a sink-free digit: 7 + 7^2 + 7^3.
+        # The odometer visits only the 7^3 = 343 blocks at n = 4 whose
+        # vertices 1..3 have no sink, 7^4 = 2401 sink-free digraphs.  Its
+        # levels derive what vertices 3.., 2.. and 1.. give once per change
+        # of a sink-free digit: 7 + 7^2 + 7^3.
         calls = self.count_derivations(monkeypatch)
-        report = run_suite(SuiteConfig(4, 4, "labeled", DIGRAPH_CHECKS, filter="none"))
-        assert report.instances_generated == 1 << 12
+        report = run_suite(SuiteConfig(4, 4, "labeled", DIGRAPH_CHECKS))
+        assert report.instances_generated == 7**4
         assert len(calls) == 7 + 7**2 + 7**3
 
     def test_rd_claim_fails_once_per_instance(self, monkeypatch):
@@ -842,11 +808,11 @@ class TestRunSuite:
             )
         )
         assert base == again == forked
-        # labeled:none: each shard counts its indices, sinks included.
-        none = SuiteConfig(1, 4, "labeled", DIGRAPH_CHECKS, filter="none")
-        reports = [run_suite(dataclasses.replace(none, workers=w)) for w in (1, 2, 3)]
+        # Each shard counts the sink-free digraphs it checks.
+        sinkless = SuiteConfig(1, 4, "labeled", DIGRAPH_CHECKS)
+        reports = [run_suite(dataclasses.replace(sinkless, workers=w)) for w in (1, 2, 3)]
         assert len({doc_of(r) for r in reports}) == 1
-        assert {(r.instances_generated, r.unchecked) for r in reports} == {(4165, 1736)}
+        assert {r.instances_generated for r in reports} == {2429}
 
     def test_pool_has_no_more_processes_than_shards(self, monkeypatch):
         # n = 1 and n = 2 make 1 + 4 shards, so 16 workers start 5 processes.
@@ -1008,18 +974,19 @@ def report_digest(report):
 class TestGoldenReports:
     """Byte-for-byte pins of whole reports, so engine rewrites cannot drift.
 
-    The digests were taken before the sweep engine was unified.  They
-    cover both labeled filters that skip or keep sinks, three out-degree
-    ranges (a single radix, a range wider than 2 that skips the
-    deg2-only checks, and one that excludes out-degree 1), the chc
-    finding channel, and both ratio-search modes.
+    The digests were taken before the sweep engine was unified, except
+    the sinkless one, taken just before labeled:none was removed.  They
+    cover both labeled filters (every sink-free digraph, and the strongly
+    connected ones alone), three out-degree ranges (a single radix, a
+    range wider than 2 that skips the deg2-only checks, and one that
+    excludes out-degree 1), the chc finding channel, and both
+    ratio-search modes.
     """
 
     @pytest.mark.parametrize(
         "flt, generated, checked, digest",
         [
-            # Instances with a sink are counted, then skip every check.
-            ("none", 4165, 2429, "2ad08d6672803167995c3dc8e2f3978f5bca84dc32e2f9e5b25d9bfad25c1475"),
+            ("sinkless", 2429, 2429, "d2066863b64656c38110bbaef3723c62ba3244c72edd22428a1cc0ece11b0f2d"),
             ("strong", 1625, 1625, "85b27277eb3bd7723e0ac1c15161eebd35455147bc60cdc58c75e6b9cfb62e96"),
         ],
     )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclecert.certificates import BOUND_TWO_PHI, validate_cycle
-from cyclecert.digraph import Digraph, first_sink, in_masks_of, is_union_of_cycles, remove_vertex
+from cyclecert.digraph import Digraph, first_sink, in_masks_of
 from cyclecert import harness, peeling
 from cyclecert.errors import EmptyGraph, LemmaViolation, NotSinkless
 from cyclecert.harness import SuiteConfig, _run_shard, run_suite
@@ -24,7 +24,14 @@ from cyclecert.peeling import (
     short_cycle_via_peeling,
 )
 
-from test_core import BI_TRIANGLE, TRIANGLE, all_digraphs, digraph_strategy
+from test_core import (
+    BI_TRIANGLE,
+    TRIANGLE,
+    all_digraphs,
+    digraph_strategy,
+    is_union_of_cycles,
+    remove_vertex,
+)
 
 APEX = Digraph(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1)])
 
