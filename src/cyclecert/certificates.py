@@ -104,15 +104,17 @@ def _shape_holds(n: int, cert: CycleCertificate) -> bool:
     """Whether cert holds up without reading an arc: its kind is known, it
     names k >= 2 distinct vertices of 0..n-1, and k is within its bound."""
     vs, bound = cert.vertices, cert.bound
-    k = len(vs)
     return (
         cert.bound_kind in BOUND_KINDS
-        and k >= 2
-        and len(set(vs)) == k
-        and min(vs) >= 0
-        and max(vs) < n
-        and k * bound.denominator <= bound.numerator
+        and _distinct_in_range(n, vs)
+        and len(vs) * bound.denominator <= bound.numerator
     )
+
+
+def _distinct_in_range(n: int, vs: Sequence[int]) -> bool:
+    """Whether vs names k >= 2 distinct vertices of 0..n-1."""
+    k = len(vs)
+    return k >= 2 and len(set(vs)) == k and min(vs) >= 0 and max(vs) < n
 
 
 def _arcs_hold(out: Sequence[int], vs: Sequence[int]) -> bool:
@@ -134,65 +136,54 @@ def validate_cycle_masks(n: int, out: Sequence[int], cert: CycleCertificate) -> 
 
 
 class BlockCycleValidator:
-    """validate_cycle_masks over a block: the digraphs (h,) + tail on n
+    """Two-phi certificates over a block: the digraphs (h,) + tail on n
     vertices, which share the out-masks tail of vertices 1..n-1 and
-    differ in vertex 0's out-mask h.  valid(h, cert) gives the verdict
-    validate_cycle_masks(n, (h, *tail), cert) gives.
+    differ in vertex 0's out-mask h.  valid(h, cyc) gives the verdict
+    validate_cycle_masks(n, (h, *tail), cert) gives, for cert the cycle
+    cyc with bound 2 phi of that digraph and kind two-phi.
 
-    A two-phi certificate's kind, vertices and bound do not depend on h.
-    Of its arcs, only the one out of vertex 0, when 0 is on the cycle,
+    Of cyc's arcs, only the one out of vertex 0, when 0 is on the cycle,
     reads h; the tail fixes every other.  And phi sums 1/(deg + 1) over
     the vertices, where vertex 0's term depends on h only through its
-    out-degree popcount(h).  So the shape, the arcs out of tail vertices
-    and the bound are checked once per certificate object, and the bound
-    is matched against 2 phi, summed here from the tail's popcounts, to
-    name the one vertex-0 out-degree d at which it holds: 2 phi falls as
-    d rises.  Per head, what is left is that h has the arc out of 0 and
-    popcount(h) == d.  Every bound is thus still recomputed from the
-    input, sharing no code with its producer.  Other kinds go to
-    validate_cycle_masks whole.
+    out-degree popcount(h).  So each distinct cycle's shape and arcs out
+    of tail vertices are checked once, giving the arc it needs out of 0.
+    For each length k, the block tables the largest vertex-0 out-degree
+    d with k <= 2 phi, from phi summed here over the tail's popcounts:
+    2 phi falls as d rises.  Per head, what is left is a mask test and a
+    popcount.  Every bound is thus still recomputed from the input,
+    sharing no code with its producer.
     """
 
-    __slots__ = ("n", "tail", "_den", "_tail_phi", "_terms")
+    __slots__ = ("n", "tail", "_top", "_need")
 
     def __init__(self, n: int, tail: tuple[int, ...]) -> None:
         self.n, self.tail = n, tail
         terms = [m.bit_count() + 1 for m in tail]
-        # phi of the tail is _tail_phi / _den, in integers.
-        self._den = den = math.lcm(*terms)
-        self._tail_phi = sum([den // t for t in terms])
-        # id(cert) -> (cert, the arc out of 0 as a mask, d): the cert is
-        # held so its id is not reused while this block validator lives.
-        # The mask is None for a kind other than two-phi, and d is -1 for
-        # a two-phi certificate no head makes valid.
-        self._terms: dict[int, tuple[CycleCertificate, int | None, int]] = {}
+        # phi of the tail is tail_phi / den, in integers.
+        den = math.lcm(*terms)
+        tail_phi = sum([den // t for t in terms])
+        # k <= 2 phi = 2 (tail_phi / den + 1 / (d + 1)) exactly when
+        # (d + 1) (k den - 2 tail_phi) <= 2 den; when k den <= 2 tail_phi
+        # it holds for every d, up to the largest out-degree n.
+        self._top = [
+            2 * den // rest - 1 if rest > 0 else n
+            for rest in [k * den - 2 * tail_phi for k in range(n + 1)]
+        ]
+        # cycle -> the arc it needs out of 0 as a mask, 0 if it does not
+        # pass through 0, or -1 if no head makes it a cycle.
+        self._need: dict[tuple[int, ...], int] = {}
 
-    def valid(self, h: int, cert: CycleCertificate) -> bool:
-        terms = self._terms.get(id(cert))
-        if terms is None:
-            terms = self._terms[id(cert)] = self._cert_terms(cert)
-        _, need, d = terms
+    def valid(self, h: int, cyc: tuple[int, ...]) -> bool:
+        need = self._need.get(cyc)
         if need is None:
-            return validate_cycle_masks(self.n, (h, *self.tail), cert)
-        return h & need == need and h.bit_count() == d
+            need = self._need[cyc] = self._cycle_need(cyc)
+        return h & need == need and h.bit_count() <= self._top[len(cyc)]
 
-    def _cert_terms(self, cert: CycleCertificate) -> tuple[CycleCertificate, int | None, int]:
-        if cert.bound_kind != BOUND_TWO_PHI:
-            return cert, None, -1
-        vs = cert.vertices
+    def _cycle_need(self, vs: tuple[int, ...]) -> int:
         # -1 has every bit set: the arc out of 0 is left to the head.
-        if not (_shape_holds(self.n, cert) and _arcs_hold((-1, *self.tail), vs)):
-            return cert, 0, -1
-        need = 1 << vs[(vs.index(0) + 1) % len(vs)] if 0 in vs else 0
-        # bound = num / bden is 2 phi at vertex-0 out-degree d exactly when
-        # bound / 2 - tail phi = 1 / (d + 1), that is when
-        # (d + 1) (num den - 2 tail_phi bden) = 2 bden den.
-        num, bden, den = cert.bound.numerator, cert.bound.denominator, self._den
-        rest = num * den - 2 * self._tail_phi * bden
-        if rest <= 0:
-            return cert, need, -1
-        q, r = divmod(2 * bden * den, rest)
-        return cert, need, q - 1 if not r else -1
+        if not (_distinct_in_range(self.n, vs) and _arcs_hold((-1, *self.tail), vs)):
+            return -1
+        return 1 << vs[(vs.index(0) + 1) % len(vs)] if 0 in vs else 0
 
 
 def validate_cycle(d: Digraph, cert: CycleCertificate) -> bool:

@@ -116,7 +116,7 @@ class SuiteConfig:
         if pop is None:
             raise GraphInputError(f"unknown generator {self.generator!r}")
         if self.filter not in _FILTERS:
-            raise GraphInputError(f"unknown filter {self.filter!r}")
+            raise GraphInputError(f"unknown filter {self.filter!r}; use {_LABELED.spelling}")
         if not self.checks:
             raise GraphInputError("no checks selected")
         for i, c in enumerate(self.checks):
@@ -690,9 +690,10 @@ def _check_eq1(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
 
 def _check_two_phi(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
     # One peeler serves the block: the choices that remove vertex 0 first
-    # share one memo key, D - 0's (see peeling.BlockPeeler).  The peeler
-    # shares each certificate across the choices it serves, and one
-    # validator checks each certificate once and each choice's head alone.
+    # share one memo key, D - 0's (see peeling.BlockPeeler).  It gives each
+    # choice's cycle; one validator checks each distinct cycle once and each
+    # choice's head alone, and a certificate is built only for a cycle that
+    # leaves the block, in a violation or a cross-check.
     n, scale, girth, first, deg0 = b.n, b.head.scale, b.girth, b.head.first, b.head.deg0
     peeler = BlockPeeler(n, b.tail, b.tail_inn, acc.peel_memo)
     valid = BlockCycleValidator(n, b.tail).valid
@@ -702,14 +703,16 @@ def _check_two_phi(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
         if g is None or g * scale > 2 * phi_m:
             yield r, f"girth {g} exceeds 2 phi = {2 * phi_m}/{scale}"
             continue
+        h = first[r]
         try:
-            cert = peeler.certificate(first[r])
+            cyc = peeler.cycle(h)
         except CounterexampleFound as exc:
             yield r, f"{type(exc).__name__}: {exc}"
             continue
-        if not valid(first[r], cert):
+        if not valid(h, cyc):
+            cert = peeler.certificate(h)
             yield r, ("peeling produced an invalid certificate", cycle_cert_json(cert))
-        elif r == b.again and not _peels_alike(b.digraph(r), cert):
+        elif r == b.again and not _peels_alike(b.digraph(r), cert := peeler.certificate(h)):
             yield r, ("block peeling and a run from scratch disagree", cycle_cert_json(cert))
         elif g * scale == 2 * phi_m:
             acc.offer_tight(b, r)

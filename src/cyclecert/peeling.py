@@ -380,14 +380,15 @@ class BlockPeeler:
     first use, give v in a few mask operations, and the memo key is the
     out-masks with bit v cleared and slot v emptied.
 
-    Each digraph's certificate is bounded by 2 phi of its own degrees:
-    the one short_cycle_via_peeling(d) gives.  It depends only on deg0
-    and the cycle, so one is built per (deg0, cycle) and shared.
+    cycle(h) gives the cycle short_cycle_via_peeling(d) certifies, and
+    raises as it does when that cycle is longer than 2 phi of d's own
+    degrees.  certificate(h) builds the certificate itself; a sweep asks
+    for one only where it leaves the block.
     """
 
     __slots__ = (
         "n", "tail", "tail_inn", "memo", "scale", "gains", "degs", "tail_phi", "zero_first",
-        "_zero_key", "_tables", "_certs",
+        "_zero_key", "_tables",
     )
 
     def __init__(
@@ -413,11 +414,14 @@ class BlockPeeler:
                 self._zero_key = (0, *[m & ~1 for m in tail])
         # The first-step tables (see _first_step_tables), built on first use.
         self._tables: tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
-        # (deg0, cycle) -> its certificate, for every bound that held.
-        self._certs: dict[tuple[int, tuple[int, ...]], CycleCertificate] = {}
 
     def certificate(self, h: int) -> CycleCertificate:
         """short_cycle_via_peeling of the digraph (h,) + tail, with memo."""
+        phi0 = self.tail_phi + self.scale // (h.bit_count() + 1)
+        return _certificate(self.n, (h, *self.tail), self.scale, phi0, self.cycle(h))
+
+    def cycle(self, h: int) -> tuple[int, ...]:
+        """The vertices of certificate(h), with the same checks."""
         if h == 0:
             raise NotSinkless("sink at vertex 0")
         deg0 = h.bit_count()
@@ -431,12 +435,10 @@ class BlockPeeler:
                 state = self._state(h, deg0)
                 state.remove(v)
                 cyc = _run_peel(state, self.memo)[1]
-        cert = self._certs.get((deg0, cyc))
-        if cert is None:
-            phi0 = self.tail_phi + self.scale // (deg0 + 1)
-            cert = _certificate(self.n, (h, *self.tail), self.scale, phi0, cyc)
-            self._certs[deg0, cyc] = cert
-        return cert
+        phi0 = self.tail_phi + self.scale // (deg0 + 1)
+        if len(cyc) * self.scale > 2 * phi0:
+            _certificate(self.n, (h, *self.tail), self.scale, phi0, cyc)  # raises BoundViolation
+        return cyc
 
     def _first_step(self, h: int, deg0: int) -> tuple[int, tuple[int, ...]] | None:
         """The vertex v the run of (h,) + tail removes first and the live

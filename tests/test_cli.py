@@ -223,6 +223,7 @@ class TestVerify:
         r = run_cli("verify", "--generator", "labeled:none", "--n", "1-4", "--jobs", "2")
         assert r.returncode == 2
         assert r.stdout == ""
+        assert "unknown filter 'none'; use labeled[:sinkless|strong]" in r.stderr
         assert "Traceback" not in r.stderr
         assert "progress:" not in r.stderr
 

@@ -452,44 +452,55 @@ class TestCycleValidationOnMasks:
 
 
 class TestBlockCycleValidator:
-    """BlockCycleValidator(n, tail).valid(h, cert) gives the verdict of
-    validate_cycle_masks(n, (h, *tail), cert)."""
+    """BlockCycleValidator(n, tail).valid(h, cyc) gives the verdict of
+    validate_cycle_masks(n, (h, *tail), cert), for cert the cycle cyc
+    bounded by 2 phi of that digraph."""
+
+    @staticmethod
+    def two_phi_certificate(out, cyc):
+        """cyc as a two-phi certificate on the out-masks out, its 2 phi summed
+        here from Fractions."""
+        two_phi = 2 * sum(Fraction(1, m.bit_count() + 1) for m in out)
+        return CycleCertificate(cyc, two_phi, BOUND_TWO_PHI)
 
     def test_agrees_with_validate_cycle_masks(self):
         # Every sink-free labeled block with n <= 4, each head but the empty
-        # one, against each block's peeled certificates and their mutants.
-        # The validator caches a certificate's checks by identity, so each
-        # is offered on every head of its block.
-        pairs = 0
+        # one, against each block's peeled cycles, their vertex-sequence
+        # mutants, and each cycle walked twice, a closed walk that revisits
+        # every vertex.  The validator caches a cycle's checks, so each is
+        # offered on every head of its block.
+        families = ("drop", "repeat", "replace", "swap", "out-of-range")
+        pairs = passed = 0
         for n in range(1, 5):
             choices = [[m for m in range(1, 1 << n) if not m >> u & 1] for u in range(n)]
             for tail in itertools.product(*choices[1:]):
                 peeler = BlockPeeler(n, tail, digraph.in_masks_of((0, *tail)), {})
                 validator = BlockCycleValidator(n, tail)
-                certs = {id(c): c for c in map(peeler.certificate, choices[0])}
-                offered = [
-                    m
-                    for cert in certs.values()
-                    for m in [cert, *itertools.chain(*mutants(cert, n).values())]
-                ]
+                offered = []
+                for cyc in dict.fromkeys(map(peeler.cycle, choices[0])):
+                    ms = mutants(CycleCertificate(cyc, Fraction(0), BOUND_TWO_PHI), n)
+                    offered += [cyc, cyc * 2, *(m.vertices for f in families for m in ms[f])]
                 for h in choices[0]:
-                    for m in offered:
-                        ok = validate_cycle_masks(n, (h, *tail), m)
-                        assert validator.valid(h, m) == ok, (n, tail, h, m)
+                    out = (h, *tail)
+                    for cyc in offered:
+                        ok = validate_cycle_masks(n, out, self.two_phi_certificate(out, cyc))
+                        assert validator.valid(h, cyc) == ok, (n, tail, h, cyc)
                         pairs += 1
-        assert pairs == 191730
+                        passed += ok
+        assert (pairs, passed) == (64664, 7059)
 
     def test_certificates_do_not_carry_across_heads(self):
-        # Vertices 1 and 2 each have the one out-arc to 0.  (0, 1) with
-        # bound 2 phi = 2 (1/2 + 1/2 + 1/2) = 3 is valid on head {1} alone:
-        # head {1, 2} has the arc 0 -> 1 but 2 phi = 8/3, and head {2} has
-        # out-degree 1 but no arc 0 -> 1.
-        tail = (0b001, 0b001)
-        cert = CycleCertificate((0, 1), Fraction(3), BOUND_TWO_PHI)
+        # Vertex 1's one out-arc enters 2, vertex 2's enters 0.  The cycle
+        # (0, 1, 2) is within 2 phi = 2 (1/2 + 1/2 + 1/2) = 3 on head {1}
+        # alone: head {1, 2} has the arc 0 -> 1 but 2 phi = 8/3, and head
+        # {2} has out-degree 1 but no arc 0 -> 1.  Offered in both orders,
+        # the head that passes comes first and last.
+        tail = (0b100, 0b001)
         for heads in ([0b010, 0b110, 0b100], [0b110, 0b100, 0b010]):
             validator = BlockCycleValidator(3, tail)
             for h in heads:
-                ok = validator.valid(h, cert)
+                cert = self.two_phi_certificate((h, *tail), (0, 1, 2))
+                ok = validator.valid(h, (0, 1, 2))
                 assert ok == validate_cycle_masks(3, (h, *tail), cert) == (h == 0b010)
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclecert import harness, oracles
+from cyclecert import harness, oracles, peeling
 from cyclecert.digraph import Digraph, first_sink, in_masks_of
 from cyclecert.errors import GraphInputError, Infeasible, LimitExceeded, TheoremViolation
 from cyclecert.families import RainbowInstance
@@ -409,6 +409,23 @@ class TestCrossChecks:
             (100_001, "block peeling and a run from scratch disagree")
         ]
 
+    def test_only_the_cross_checked_instance_builds_a_certificate(self, monkeypatch):
+        # A choice that passes leaves its cycle in the block, so of the block
+        # of 100,000 only 100,001 has certificates built: one by the block
+        # peeler and one by the run from scratch it is compared with.  The
+        # next block holds no multiple of 100,000 and builds none.
+        build = peeling._certificate
+        calls = []
+        monkeypatch.setattr(
+            peeling, "_certificate", lambda n, out, *rest: calls.append(out) or build(n, out, *rest)
+        )
+        cfg = SuiteConfig(5, 5, "labeled", ("two-phi",))
+        assert _run_shard(cfg, 5, 100_000, 100_016)["passed"] == {"two-phi": 15}
+        assert [tuple(out) for out in calls] == [(2, 20, 10, 16, 1)] * 2
+        calls.clear()
+        assert _run_shard(cfg, 5, 100_016, 100_032)["passed"] == {"two-phi": 15}
+        assert calls == []
+
     def test_deg2_short_cycle_runs_and_is_validated(self, monkeypatch):
         # 100,001 also gets the exhaustive ceil((n + p) / 2) certificate.
         oracle = harness.deg2_short_cycle
@@ -451,6 +468,63 @@ class TestCrossChecks:
         assert report.checked == report.passed and not report.violations
         assert len(calls) == len(set(calls)) == 4
         assert shorts == calls
+
+
+class TestTwoPhiFailures:
+    """A two-phi producer that goes wrong is reported at its index, with
+    the message and certificate JSON pinned here, on all 2,401 sink-free
+    labeled digraphs at n = 4."""
+
+    @staticmethod
+    def shard(monkeypatch, wrong):
+        """The n = 4 shard's violations with every terminal cycle replaced
+        by wrong(cycle)."""
+        term = peeling._terminal_shortest_cycle
+        monkeypatch.setattr(peeling, "_terminal_shortest_cycle", lambda state: wrong(term(state)))
+        res = _run_shard(SuiteConfig(4, 4, "labeled", ("two-phi",)), 4, 0, 1 << 12)
+        assert res["checked"] == {"two-phi": 2401}
+        return res["violations"]
+
+    @staticmethod
+    def digest(violations):
+        return hashlib.sha256(json.dumps(violations).encode()).hexdigest()
+
+    def test_a_cycle_lacking_an_arc_is_an_invalid_certificate(self, monkeypatch):
+        # Reversed, a cycle of length >= 3 lacks an arc unless the instance
+        # has every arc both ways.
+        violations = self.shard(monkeypatch, lambda cyc: cyc[::-1])
+        assert len(violations) == 222
+        assert violations[0] == {
+            "check": "two-phi",
+            "n": 4,
+            "index": 593,
+            "message": "peeling produced an invalid certificate",
+            "instance": "digraph 4 4\n0 1\n1 2\n2 0\n3 0\n",
+            "certificate": {"kind": "two-phi", "vertices": [2, 1, 0], "bound": {"num": 4, "den": 1}},
+        }
+        assert self.digest(violations) == (
+            "d120a77c0d053e9882428ffd8d96e90c88de2ebc09ad6c3c0d3bbc03138ea7aa"
+        )
+
+    def test_a_cycle_beyond_two_phi_is_a_bound_violation(self, monkeypatch):
+        # Walked twice, a cycle revisits its vertices, and beyond 2 phi the
+        # producer's own check raises first.
+        violations = self.shard(monkeypatch, lambda cyc: cyc * 2)
+        assert len(violations) == 2401
+        assert violations[2] == {
+            "check": "two-phi",
+            "n": 4,
+            "index": 587,
+            "message": "BoundViolation: peeled cycle length 4 exceeds 2 phi = 11/3 on:\n"
+            "digraph 4 5\n0 1\n0 2\n1 0\n2 0\n3 0\n",
+            "instance": "digraph 4 5\n0 1\n0 2\n1 0\n2 0\n3 0\n",
+            "certificate": None,
+        }
+        bound = [v for v in violations if v["message"].startswith("BoundViolation: peeled cycle length")]
+        assert len(bound) == 2350
+        assert self.digest(violations) == (
+            "8a99506d6fdd86a3e04dd6d8fe6b82df8b269d9425a970ea2e275361dfc79021"
+        )
 
 
 AGAIN_CASES = [("labeled", n, flt) for n in (3, 4, 5) for flt in ("sinkless", "strong")]

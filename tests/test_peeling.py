@@ -279,15 +279,15 @@ class TestPeelMemo:
     GOLDEN = "bac57c27cd83c6a5ec57e71d7fc90ecd4d7ea355d66de9e83293ec2ad9ee71bc"
 
     @staticmethod
-    def digest(certs):
-        return hashlib.sha256(json.dumps([list(c.vertices) for c in certs]).encode()).hexdigest()
+    def digest(cycles):
+        return hashlib.sha256(json.dumps([list(c) for c in cycles]).encode()).hexdigest()
 
     def test_golden_cycles(self):
         ds = sinkless_up_to_4()
         assert len(ds) == 2429
-        assert self.digest(short_cycle_via_peeling(d) for d in ds) == self.GOLDEN
+        assert self.digest(short_cycle_via_peeling(d).vertices for d in ds) == self.GOLDEN
         memo = {}
-        assert self.digest(peel_through(memo, d) for d in ds) == self.GOLDEN
+        assert self.digest(peel_through(memo, d).vertices for d in ds) == self.GOLDEN
 
     @pytest.mark.parametrize("order", ["sweep", "reverse"])
     def test_shared_memo_changes_nothing(self, order):
@@ -330,16 +330,16 @@ class TestPeelMemo:
 
 
 def record_two_phi_certificates(monkeypatch):
-    """(n, out-masks, certificate) of each instance whose certificate the
+    """(n, out-masks, cycle) of each instance whose peeled cycle the
     harness's two-phi check validates from here on, in sweep order."""
     seen = []
 
     class Recording(harness.BlockCycleValidator):
         __slots__ = ()
 
-        def valid(self, h, cert):
-            seen.append((self.n, (h, *self.tail), cert))
-            return super().valid(h, cert)
+        def valid(self, h, cyc):
+            seen.append((self.n, (h, *self.tail), cyc))
+            return super().valid(h, cyc)
 
     monkeypatch.setattr(harness, "BlockCycleValidator", Recording)
     return seen
@@ -377,7 +377,7 @@ class TestBlockPeeler:
         report = run_suite(SuiteConfig(1, 4, "labeled", ("two-phi",)))
         assert report.passed == {"two-phi": 2429}
         assert [Digraph.from_out_masks(n, out) for n, out, _ in seen] == sinkless_up_to_4()
-        assert TestPeelMemo.digest(cert for _, _, cert in seen) == TestPeelMemo.GOLDEN
+        assert TestPeelMemo.digest(cyc for _, _, cyc in seen) == TestPeelMemo.GOLDEN
 
     def test_pinned_n5_window_matches_runs_from_scratch(self, monkeypatch):
         # Vertices 3 and 4 fixed at out-mask slots 6 and 1, every out-mask of
@@ -386,8 +386,8 @@ class TestBlockPeeler:
         lo = (1 << 16) | (6 << 12)
         _run_shard(SuiteConfig(5, 5, "labeled", ("two-phi",)), 5, lo, lo + (1 << 12))
         assert len(seen) == 15**3
-        for n, out, cert in seen:
-            assert cert == short_cycle_via_peeling(Digraph.from_out_masks(n, out))
+        for n, out, cyc in seen:
+            assert cyc == short_cycle_via_peeling(Digraph.from_out_masks(n, out)).vertices
 
     def test_d_minus_0_is_peeled_at_most_once_per_block(self, monkeypatch):
         zero_first = []  # per tail, which heads remove vertex 0 first
@@ -477,18 +477,18 @@ class TestBlockPeeler:
             built += 1
             init(self, *args)
 
-        certificate = BlockPeeler.certificate
+        cycle = BlockPeeler.cycle
 
-        def counting_certificate(self, h):
+        def counting_cycle(self, h):
             out = (h, *self.tail)
             if out not in firsts:
                 calls["unions"] += 1
             else:
                 calls["hits" if firsts[out] in self.memo else "misses"] += 1
-            return certificate(self, h)
+            return cycle(self, h)
 
         monkeypatch.setattr(peeling._PeelState, "__init__", counting_init)
-        monkeypatch.setattr(BlockPeeler, "certificate", counting_certificate)
+        monkeypatch.setattr(BlockPeeler, "cycle", counting_cycle)
         res = _run_shard(SuiteConfig(4, 4, "labeled", ("two-phi",)), 4, 0, 1 << 12)
         assert res["passed"] == {"two-phi": 2401}
         assert calls == {"misses": 98, "hits": 2294, "unions": 9}
