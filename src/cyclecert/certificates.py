@@ -9,6 +9,7 @@ recompute from the input by its kind.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,6 +136,21 @@ def validate_cycle_masks(n: int, out: Sequence[int], cert: CycleCertificate) -> 
     return _shape_holds(n, cert) and _arcs_hold(out, cert.vertices) and _bound_holds(n, out, cert)
 
 
+@functools.lru_cache(maxsize=4096)
+def _two_phi_tops(n: int, tail_degs: tuple[int, ...]) -> tuple[int, ...]:
+    """For each cycle length k = 0..n, the largest vertex-0 out-degree d with
+    k <= 2 phi, vertices 1.. having out-degrees tail_degs; n if every d is."""
+    terms = [deg + 1 for deg in tail_degs]
+    # phi of the tail is tail_phi / den, in integers.
+    den = math.lcm(*terms)
+    tail_phi = sum([den // t for t in terms])
+    # k <= 2 phi = 2 (tail_phi / den + 1 / (d + 1)) exactly when
+    # (d + 1) (k den - 2 tail_phi) <= 2 den; when k den <= 2 tail_phi
+    # it holds for every d, up to the largest out-degree n.
+    rests = [k * den - 2 * tail_phi for k in range(n + 1)]
+    return tuple([2 * den // rest - 1 if rest > 0 else n for rest in rests])
+
+
 class BlockCycleValidator:
     """Two-phi certificates over a block: the digraphs (h,) + tail on n
     vertices, which share the out-masks tail of vertices 1..n-1 and
@@ -147,9 +163,9 @@ class BlockCycleValidator:
     the vertices, where vertex 0's term depends on h only through its
     out-degree popcount(h).  So each distinct cycle's shape and arcs out
     of tail vertices are checked once, giving the arc it needs out of 0.
-    For each length k, the block tables the largest vertex-0 out-degree
-    d with k <= 2 phi, from phi summed here over the tail's popcounts:
-    2 phi falls as d rises.  Per head, what is left is a mask test and a
+    For each length k, _two_phi_tops gives the largest vertex-0 out-degree
+    d with k <= 2 phi, from phi summed there over the tail's popcounts and
+    memoized by them.  Per head, what is left is a mask test and a
     popcount.  Every bound is thus still recomputed from the input,
     sharing no code with its producer.
     """
@@ -158,17 +174,7 @@ class BlockCycleValidator:
 
     def __init__(self, n: int, tail: tuple[int, ...]) -> None:
         self.n, self.tail = n, tail
-        terms = [m.bit_count() + 1 for m in tail]
-        # phi of the tail is tail_phi / den, in integers.
-        den = math.lcm(*terms)
-        tail_phi = sum([den // t for t in terms])
-        # k <= 2 phi = 2 (tail_phi / den + 1 / (d + 1)) exactly when
-        # (d + 1) (k den - 2 tail_phi) <= 2 den; when k den <= 2 tail_phi
-        # it holds for every d, up to the largest out-degree n.
-        self._top = [
-            2 * den // rest - 1 if rest > 0 else n
-            for rest in [k * den - 2 * tail_phi for k in range(n + 1)]
-        ]
+        self._top = _two_phi_tops(n, tuple([m.bit_count() for m in tail]))
         # cycle -> the arc it needs out of 0 as a mask, 0 if it does not
         # pass through 0, or -1 if no head makes it a cycle.
         self._need: dict[tuple[int, ...], int] = {}

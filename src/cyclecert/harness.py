@@ -62,13 +62,13 @@ from .oracles import (
 from .peeling import (
     BlockPeeler,
     PeelMemo,
+    TailTerms,
     _gains,
-    _phi_scaled,
     _psi_scaled,
-    _rhs_scaled,
     _scale,
     psi,
     short_cycle_via_peeling,
+    tail_terms,
 )
 from .rainbow import Collector, find_rainbow_cycle
 
@@ -239,8 +239,9 @@ class _Block:
     (0,) + tail (what vertices 1.. give every instance), and girth holds
     each choice's girth, None where acyclic (_girth_table).  Every other
     per-choice fact a check needs is a tail term plus one from vertex 0's
-    out-degree head.deg0[r]; out, inn and the Digraph are built only for
-    the r a check asks about, each time it asks.
+    out-degree head.deg0[r], and terms() builds the tail's once.  out, inn
+    and the Digraph are built only for the r a check asks about, each time
+    it asks.
 
     again is the kept choice whose instance the cross-checks search again
     from scratch, or None.
@@ -248,6 +249,7 @@ class _Block:
 
     __slots__ = (
         "head", "n", "base", "tail", "degs", "tail_inn", "girth", "kept", "again", "_pair",
+        "_terms",
     )
 
     def __init__(
@@ -270,6 +272,13 @@ class _Block:
         self.kept = kept
         self.again: int | None = None
         self._pair: TwoCyclePair | TheoremViolation | None = None
+        self._terms: TailTerms | None = None
+
+    def terms(self) -> TailTerms:
+        """peeling.tail_terms of the block, built once, on the first ask."""
+        if self._terms is None:
+            self._terms = tail_terms(self.n, self.degs, self.tail_inn)
+        return self._terms
 
     def out(self, r: int) -> tuple[int, ...]:
         return (self.head.first[r],) + self.tail
@@ -671,12 +680,12 @@ _Failures = Iterator[tuple[int, _Failure]]
 
 def _check_eq1(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
     # Summed over v, the right side of (1) adds gains[deg(u)] once per arc
-    # u -> v.  The arcs out of vertices 1.. are the block's, read from its
-    # in-masks once; vertex 0's deg0 arcs add deg0 * gains[deg0].
+    # u -> v.  The arcs out of vertices 1.. are the block's, in its tail
+    # terms; vertex 0's deg0 arcs add deg0 * gains[deg0].
     scale, deg0 = b.head.scale, b.head.deg0
     gains = _gains(b.n, b.n - 1)
-    tail_rhs = sum(_rhs_scaled(gains, b.degs, mm) for mm in b.tail_inn)
-    tail_phi = _phi_scaled(scale, b.degs[1:])
+    _, tail_phi, rhs = b.terms()
+    tail_rhs = sum(rhs)
     for r in rs:
         d = deg0[r]
         rhs_total = tail_rhs + d * gains[d]
@@ -695,7 +704,7 @@ def _check_two_phi(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
     # choice's head alone, and a certificate is built only for a cycle that
     # leaves the block, in a violation or a cross-check.
     n, scale, girth, first, deg0 = b.n, b.head.scale, b.girth, b.head.first, b.head.deg0
-    peeler = BlockPeeler(n, b.tail, b.tail_inn, acc.peel_memo)
+    peeler = BlockPeeler(n, b.tail, b.tail_inn, b.terms(), acc.peel_memo)
     valid = BlockCycleValidator(n, b.tail).valid
     tail_phi = peeler.tail_phi
     for r in rs:

@@ -27,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .certificates import BOUND_TWO_PHI, CycleCertificate
 from .digraph import Digraph, bits, first_sink
@@ -79,6 +79,22 @@ def _rhs_scaled(gains: Sequence[int], degs: Sequence[int], inn: int) -> int:
         rhs += gains[degs[low.bit_length() - 1]]
         inn ^= low
     return rhs
+
+
+class TailTerms(NamedTuple):
+    """The terms a block's digraphs (h,) + tail share, scaled by _scale(n)."""
+
+    degs: tuple[int, ...]  # out-degrees of (0,) + tail
+    phi: int  # phi of vertices 1..
+    rhs: tuple[int, ...]  # the right side of (1) at each vertex, from tail_inn
+
+
+def tail_terms(n: int, degs: tuple[int, ...], tail_inn: Sequence[int]) -> TailTerms:
+    """The TailTerms of a block: degs holds its tail's out-degrees after an
+    unread 0, and tail_inn is in_masks_of((0,) + tail)."""
+    gains = _gains(n, n - 1)
+    rhs = tuple([_rhs_scaled(gains, degs, m) for m in tail_inn])
+    return TailTerms(degs, _phi_scaled(_scale(n), degs[1:]), rhs)
 
 
 def psi(d: Digraph) -> Fraction:
@@ -143,7 +159,8 @@ class PeelingTrace:
 
 
 class _PeelState:
-    """Mutable peeling workspace over original indices, bitmask-backed."""
+    """Mutable peeling workspace over original indices, bitmask-backed.
+    Each step's methods walk set bits inline, as bits() was most of a step."""
 
     __slots__ = ("scale", "gains", "out", "inn", "deg", "alive")
 
@@ -167,12 +184,13 @@ class _PeelState:
 
     def is_union_of_cycles(self) -> bool:
         """Every live out-degree is 1 and the out-masks cover the live set,
-        so every live in-degree is 1 too."""
+        so every live in-degree is 1 too.  No out-mask names a removed
+        vertex, so a live sink would leave the cover short."""
         cover = 0
-        for v in bits(self.alive):
-            if self.deg[v] != 1:
+        for d, mask in zip(self.deg, self.out):
+            if d > 1:
                 return False
-            cover |= self.out[v]
+            cover |= mask
         return cover == self.alive
 
     def first_eligible(self) -> tuple[int, int] | None:
@@ -184,28 +202,38 @@ class _PeelState:
         out-neighbor of any live vertex.
         """
         m, gains = self.scale, self.gains
-        deg = self.deg
+        deg, inn = self.deg, self.inn
         protected = 0
-        for u in bits(self.alive):
-            if deg[u] == 1:
-                protected |= self.out[u]
-        for v in bits(self.alive & ~protected):
-            drop = m // (deg[v] + 1) - _rhs_scaled(gains, deg, self.inn[v])
+        for d, mask in zip(deg, self.out):  # a removed vertex has degree 0
+            if d == 1:
+                protected |= mask
+        rest = self.alive & ~protected
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            drop = m // (deg[v] + 1) - _rhs_scaled(gains, deg, inn[v])
             if drop >= 0:
                 return v, drop
+            rest ^= low
         return None
 
     def remove(self, v: int) -> None:
         bit = 1 << v
         self.alive ^= bit
-        for u in bits(self.inn[v]):
-            self.out[u] &= ~bit
-            self.deg[u] -= 1
-        for w in bits(self.out[v]):
-            self.inn[w] &= ~bit
-        self.out[v] = 0
-        self.inn[v] = 0
-        self.deg[v] = 0
+        out, inn, deg = self.out, self.inn, self.deg
+        rest = inn[v]
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            out[u] &= ~bit
+            deg[u] -= 1
+            rest ^= low
+        rest = out[v]
+        while rest:
+            low = rest & -rest
+            inn[low.bit_length() - 1] &= ~bit
+            rest ^= low
+        out[v] = inn[v] = deg[v] = 0
 
     def alive_digraph(self) -> tuple[Digraph, tuple[int, ...]]:
         """The live subgraph reindexed densely, plus original labels."""
@@ -352,33 +380,33 @@ def short_cycle_via_peeling(d: Digraph) -> CycleCertificate:
 class BlockPeeler:
     """short_cycle_via_peeling over a block: the digraphs (h,) + tail on
     n vertices, which share the out-masks tail of vertices 1..n-1 and
-    differ in vertex 0's out-mask h.  tail_inn is in_masks_of((0,) + tail).
-    memo, a dict shared across blocks, lets runs that reach a state an
-    earlier run passed through reuse its outcome; it holds at most
-    PEEL_MEMO_CAP entries and gives the same certificates as no memo.
+    differ in vertex 0's out-mask h.  tail_inn is in_masks_of((0,) + tail),
+    terms its tail_terms, which a sweep shares with other checks.  memo,
+    a dict shared across blocks, lets runs that reach a state an earlier
+    run passed through reuse its outcome; it holds at most PEEL_MEMO_CAP
+    entries and gives the same certificates as no memo.
 
-    Each digraph's first removal v comes from per-block terms, and with
-    it the memo key of the state after it.  A hit ends the choice with no
+    Each digraph's first removal v comes from the tail terms, and with it
+    the memo key of the state after it.  A hit ends the choice with no
     peeling state built; a miss builds the state, removes v and runs on
     from there, storing the keys a run from the start state would.  A
     start state with no eligible vertex, such as a union of cycles, is
     run as it stands.
 
     The policy tries vertex 0 first.  Whether 0 is protected (some tail
-    out-mask is {0}) and the right side of (1) at 0 (tail_inn[0] read
-    with the tail's degrees) are the same for every h, and the left side
-    1/(deg0 + 1) falls as deg0 rises, so 0 is removed first exactly when
-    deg0 is at most one threshold per block.  The state after it, D - 0,
-    is the same for all those digraphs: one memo key, built once.  (A
-    union of cycles removes nothing, but there 0's one in-neighbor has
-    out-mask {0}, so 0 is protected.)
+    out-mask is {0}) and the right side of (1) at 0, terms.rhs[0], are the
+    same for every h, and the left side 1/(deg0 + 1) falls as deg0 rises,
+    so 0 is removed first exactly when deg0 is at most one threshold per
+    block.  The state after it, D - 0, is the same for all those digraphs:
+    one memo key, built once.  (A union of cycles removes nothing, but
+    there 0's one in-neighbor has out-mask {0}, so 0 is protected.)
 
     Every other digraph removes some v >= 1 first, and whether v is
     eligible in its start state depends on h in two ways only: v in h
-    adds gains[deg0] to the right side of (1) at v, and when deg0 = 1
-    the one vertex of h is protected.  So per-block tables, built on
-    first use, give v in a few mask operations, and the memo key is the
-    out-masks with bit v cleared and slot v emptied.
+    adds gains[deg0] to the right side of (1) at v, terms.rhs[v] without
+    it, and when deg0 = 1 the one vertex of h is protected.  So per-block
+    tables, built on first use, give v in a few mask operations, and the
+    memo key is the out-masks with bit v cleared and slot v emptied.
 
     cycle(h) gives the cycle short_cycle_via_peeling(d) certifies, and
     raises as it does when that cycle is longer than 2 phi of d's own
@@ -387,33 +415,33 @@ class BlockPeeler:
     """
 
     __slots__ = (
-        "n", "tail", "tail_inn", "memo", "scale", "gains", "degs", "tail_phi", "zero_first",
-        "_zero_key", "_tables",
+        "n", "tail", "tail_inn", "memo", "scale", "gains", "degs", "tail_phi", "rhs",
+        "zero_first", "_zero_key", "_tables",
     )
 
     def __init__(
-        self, n: int, tail: tuple[int, ...], tail_inn: Sequence[int], memo: PeelMemo
+        self, n: int, tail: tuple[int, ...], tail_inn: Sequence[int], terms: TailTerms,
+        memo: PeelMemo,
     ) -> None:
         if 0 in tail:
             raise NotSinkless(f"sink at vertex {tail.index(0) + 1}")
         self.n, self.tail, self.tail_inn, self.memo = n, tail, tail_inn, memo
         self.scale = scale = _scale(n)
-        self.gains = gains = _gains(n, n - 1)
-        # Out-degrees of (0,) + tail; vertex 0's own is h.bit_count().
-        self.degs = degs = (0, *[m.bit_count() for m in tail])
-        self.tail_phi = _phi_scaled(scale, degs[1:])
+        self.gains = _gains(n, n - 1)
+        # Vertex 0's own out-degree is h.bit_count(), not degs[0].
+        self.degs, self.tail_phi, self.rhs = terms
         # The vertex-0 out-degrees whose digraphs remove vertex 0 first,
         # and the memo key of D - 0, the state they reach.
         self.zero_first = range(0)
         self._zero_key: tuple[int, ...] = ()
         if 1 not in tail:  # else some tail vertex's only out-arc enters 0
-            rhs0 = _rhs_scaled(gains, degs, tail_inn[0])
+            rhs0 = terms.rhs[0]
             top = max((d for d in range(1, n) if scale // (d + 1) >= rhs0), default=0)
             self.zero_first = range(1, top + 1)
             if top:
                 self._zero_key = (0, *[m & ~1 for m in tail])
         # The first-step tables (see _first_step_tables), built on first use.
-        self._tables: tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
+        self._tables: tuple[int, tuple[int, ...], list[tuple[int, ...]]] | None = None
 
     def certificate(self, h: int) -> CycleCertificate:
         """short_cycle_via_peeling of the digraph (h,) + tail, with memo."""
@@ -456,12 +484,12 @@ class BlockPeeler:
         v = (cand & -cand).bit_length() - 1
         return v, (h & ~(1 << v), *after[v])
 
-    def _first_step_tables(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """Built once per block, from the start state's terms: the vertices
-        v >= 1 eligible when v is not in h; for each deg0, those eligible
-        when v is in h; and for each v, the tail's out-masks once v is
-        gone.  Neither vertex set holds a vertex the tail protects, the
-        sole out-neighbor of a tail vertex of out-degree 1, and the set for
+    def _first_step_tables(self) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
+        """Built once per block, from the tail terms: the vertices v >= 1
+        eligible when v is not in h; for each deg0, those eligible when v
+        is in h; and for each v in the first set, the tail's out-masks once
+        v is gone.  Neither set holds a vertex the tail protects, the sole
+        out-neighbor of a tail vertex of out-degree 1, and the set for
         deg0 = 1 is empty, since then h's one vertex is protected."""
         n, tail, degs, gains, m = self.n, self.tail, self.degs, self.gains, self.scale
         protected = 0
@@ -470,28 +498,32 @@ class BlockPeeler:
                 protected |= mask
         outside = 0
         inside = [0] * n
-        after: list[tuple[int, ...]] = [()]
+        after: list[tuple[int, ...]] = [()] * n
         for v in range(1, n):
             bit = 1 << v
-            rest = [mask & ~bit for mask in tail]
-            rest[v - 1] = 0
-            after.append(tuple(rest))
             if protected & bit:
                 continue
-            slack = m // (degs[v] + 1) - _rhs_scaled(gains, degs, self.tail_inn[v])
-            if slack >= 0:
-                outside |= bit
+            slack = m // (degs[v] + 1) - self.rhs[v]
+            if slack < 0:
+                continue
+            outside |= bit
             for d in range(2, n):
                 if slack >= gains[d]:
                     inside[d] |= bit
-        self._tables = (outside, tuple(inside), tuple(after))
+            rest = [mask & ~bit for mask in tail]
+            rest[v - 1] = 0
+            after[v] = tuple(rest)
+        self._tables = (outside, tuple(inside), after)
         return self._tables
 
     def _state(self, h: int, deg0: int) -> _PeelState:
         """The state a run of the digraph (h,) + tail begins in."""
         inn = list(self.tail_inn)
-        for v in bits(h):
-            inn[v] |= 1
+        rest = h
+        while rest:
+            low = rest & -rest
+            inn[low.bit_length() - 1] |= 1
+            rest ^= low
         return _PeelState(
             self.n, (h, *self.tail), inn, (deg0, *self.degs[1:]), self.scale, self.gains
         )

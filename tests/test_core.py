@@ -25,7 +25,7 @@ from cyclecert.digraph import Digraph, bits, first_sink
 from cyclecert.errors import GraphInputError
 from cyclecert.families import RainbowInstance, normalize_edge
 from cyclecert.oracles import enumerate_cycles, girth_exact
-from cyclecert.peeling import BlockPeeler, short_cycle_via_peeling
+from cyclecert.peeling import BlockPeeler, short_cycle_via_peeling, tail_terms
 
 TRIANGLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 C4 = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -37,6 +37,13 @@ def all_digraphs(n):
     slots = [(u, v) for u in range(n) for v in range(n) if u != v]
     for code in range(1 << len(slots)):
         yield Digraph(n, [slots[i] for i in range(len(slots)) if code >> i & 1])
+
+
+def block_peeler(n, tail, memo):
+    """The BlockPeeler of the block with this tail, from its tail terms as
+    a sweep builds them."""
+    inn = digraph.in_masks_of((0, *tail))
+    return BlockPeeler(n, tail, inn, tail_terms(n, (0, *[m.bit_count() for m in tail]), inn), memo)
 
 
 def is_union_of_cycles(d):
@@ -474,7 +481,7 @@ class TestBlockCycleValidator:
         for n in range(1, 5):
             choices = [[m for m in range(1, 1 << n) if not m >> u & 1] for u in range(n)]
             for tail in itertools.product(*choices[1:]):
-                peeler = BlockPeeler(n, tail, digraph.in_masks_of((0, *tail)), {})
+                peeler = block_peeler(n, tail, {})
                 validator = BlockCycleValidator(n, tail)
                 offered = []
                 for cyc in dict.fromkeys(map(peeler.cycle, choices[0])):

@@ -8,17 +8,18 @@ import json
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclecert import harness, oracles, peeling
+from cyclecert import certificates, harness, oracles, peeling
 from cyclecert.digraph import Digraph, first_sink, in_masks_of
 from cyclecert.errors import GraphInputError, Infeasible, LimitExceeded, TheoremViolation
 from cyclecert.families import RainbowInstance
 from cyclecert.formats import format_rainbow
-from cyclecert.peeling import _psi_scaled, _scale
+from cyclecert.peeling import _gains, _phi_scaled, _psi_scaled, _rhs_scaled, _scale
 from cyclecert.harness import (
     ALL_CHECKS,
     DIGRAPH_CHECKS,
@@ -194,6 +195,14 @@ def assert_facts_from_scratch(b, r):
     assert b.head.deg0[r] >= 1
     hit = oracles._girth_masks(b.n, out, in_masks_of(out))
     assert b.girth[r] == (None if hit is None else hit[0])
+    # The tail terms eq1-identity and two-phi share, from the tail alone.
+    terms = b.terms()
+    assert b.terms() is terms
+    degs = (0, *[m.bit_count() for m in b.tail])
+    assert terms.degs == degs
+    assert terms.phi == _phi_scaled(_scale(b.n), degs[1:])
+    gains = _gains(b.n, b.n - 1)
+    assert terms.rhs == tuple(_rhs_scaled(gains, degs, m) for m in in_masks_of((0, *b.tail)))
 
 
 class TestBlocks:
@@ -246,6 +255,48 @@ class TestBlocks:
         if dmax == 2:
             assert acc.checked["two-cycles"] == acc.checked["two-phi"]
         assert acc.violations == [] and acc.findings == []
+
+
+class TestTailTerms:
+    """Each block builds its tail terms once, for every check that reads
+    them, and each validator's thresholds come from a memo by degrees."""
+
+    def test_built_once_per_block(self, monkeypatch):
+        inns = []
+        build = harness.tail_terms
+        monkeypatch.setattr(harness, "tail_terms", lambda n, degs, inn: inns.append(inn) or build(n, degs, inn))
+        calls = {"outside runs": 0, "in runs": 0}
+        rhs = peeling._rhs_scaled
+
+        def counting_rhs(gains, degs, inn):
+            ran = sys._getframe(1).f_code.co_name == "first_eligible"
+            calls["in runs" if ran else "outside runs"] += 1
+            return rhs(gains, degs, inn)
+
+        monkeypatch.setattr(peeling, "_rhs_scaled", counting_rhs)
+        certificates._two_phi_tops.cache_clear()
+        cfg = SuiteConfig(4, 4, "labeled", ("eq1-identity", "two-phi"))
+        res = _run_shard(cfg, 4, 0, 1 << 12)
+        assert res["passed"] == {"eq1-identity": 2401, "two-phi": 2401}
+        # One build for each of the 343 blocks (7^3 sink-free tails), whose
+        # in-masks tell them apart.
+        assert len(inns) == len(set(inns)) == 343
+        # The right side of (1) once per vertex of each block: 4 * 343.
+        # Before the tail terms were shared, eq1-identity, BlockPeeler's
+        # threshold for vertex 0 and its first-step tables each worked out
+        # their own, 2,056 calls here.
+        assert calls == {"outside runs": 1372, "in runs": 90}
+        # One threshold table per distinct tail out-degrees, 3^3 of them,
+        # read by the validator of each of the 343 blocks.
+        info = certificates._two_phi_tops.cache_info()
+        assert (info.misses, info.hits + info.misses) == (27, 343)
+
+    def test_outmaps_checks_build_none(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(harness, "tail_terms", lambda *args: built.append(args))
+        cfg = SuiteConfig(4, 4, "outmaps", ("two-cycles", "deg2-girth", "chc", "two-psi-strict"))
+        assert _run_shard(cfg, 4, 0, 6**4)["generated"] == 6**4
+        assert built == []
 
 
 class TestBestRatio:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclecert.certificates import BOUND_TWO_PHI, validate_cycle
-from cyclecert.digraph import Digraph, first_sink, in_masks_of
+from cyclecert.digraph import Digraph, first_sink
 from cyclecert import harness, peeling
 from cyclecert.errors import EmptyGraph, LemmaViolation, NotSinkless
 from cyclecert.harness import SuiteConfig, _run_shard, run_suite
@@ -28,6 +28,7 @@ from test_core import (
     BI_TRIANGLE,
     TRIANGLE,
     all_digraphs,
+    block_peeler,
     digraph_strategy,
     is_union_of_cycles,
     remove_vertex,
@@ -267,7 +268,7 @@ def peel_through(memo, d):
     """short_cycle_via_peeling of d as a sweep runs it: through a
     BlockPeeler of d's block that shares memo."""
     tail = d.out_masks[1:]
-    return BlockPeeler(d.n, tail, in_masks_of((0, *tail)), memo).certificate(d.out_masks[0])
+    return block_peeler(d.n, tail, memo).certificate(d.out_masks[0])
 
 
 class TestPeelMemo:
@@ -359,6 +360,28 @@ def count_peel_runs(monkeypatch):
     return runs
 
 
+class TestColdPeels:
+    """A run from a state no memo holds stores the same keys and cycles."""
+
+    def test_memo_contents_pinned(self, monkeypatch):
+        # The memo after the first n = 5 window of the labeled benchmark
+        # (vertex 3 at out-mask slot 6, vertex 4 at slot 1: 15^3 digraphs),
+        # as sorted (key, cycle) JSON; pinned before the cold-peel loops
+        # walked set bits inline.
+        accs = []
+        accum = harness._Accum
+        monkeypatch.setattr(harness, "_Accum", lambda: accs.append(accum()) or accs[-1])
+        lo = (1 << 16) | (6 << 12)
+        cfg = SuiteConfig(5, 5, "labeled", ("two-phi", "two-psi-strict", "eq1-identity"))
+        assert _run_shard(cfg, 5, lo, lo + (1 << 12))["passed"]["two-phi"] == 15**3
+        (acc,) = accs
+        assert len(acc.peel_memo) == 259
+        items = json.dumps(sorted(acc.peel_memo.items())).encode()
+        assert hashlib.sha256(items).hexdigest() == (
+            "ec877f1fd91f8682beb429183165a3879f0c08bf3c2d7c909ad56212b0704ac4"
+        )
+
+
 class TestBlockPeeler:
     """The two-phi check peels a block of vertex-0 choices through one
     BlockPeeler: the choices that remove vertex 0 first share one memo
@@ -396,7 +419,7 @@ class TestBlockPeeler:
             zero_first.append([first_removed(d) == 0 for d in ds])
         runs = count_peel_runs(monkeypatch)
         for tail, firsts in zip(self.tails(), zero_first):
-            peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)), {})
+            peeler = block_peeler(4, tail, {})
             runs.clear()
             certs = [peeler.certificate(h) for h in self.HEADS]
             ds = [Digraph.from_out_masks(4, (h, *tail)) for h in self.HEADS]
@@ -428,7 +451,7 @@ class TestBlockPeeler:
         # state after it.  Unions of cycles give none.
         checked = 0
         for tail in self.tails():
-            peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)), {})
+            peeler = block_peeler(4, tail, {})
             for h in self.HEADS:
                 d = Digraph.from_out_masks(4, (h, *tail))
                 first = peeler._first_step(h, h.bit_count())
@@ -448,7 +471,7 @@ class TestBlockPeeler:
         # is run from its start state, which raises as today.
         monkeypatch.setattr(peeling, "_rhs_scaled", lambda gains, degs, inn: 1 << 20)
         tail = (0b1101, 0b1011, 0b0111)  # K4 on vertices 1..3 and 0
-        peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)), {})
+        peeler = block_peeler(4, tail, {})
         assert not peeler.zero_first
         for h in (0b0010, 0b0110, 0b1110):
             d = Digraph.from_out_masks(4, (h, *tail))
@@ -502,7 +525,7 @@ class TestBlockPeeler:
         assert len(unions) == 1 + 2 + 9
         for d in unions:
             tail = d.out_masks[1:]
-            peeler = BlockPeeler(d.n, tail, in_masks_of((0, *tail)), {})
+            peeler = block_peeler(d.n, tail, {})
             assert not peeler.zero_first
             assert peeler.certificate(d.out_masks[0]) == short_cycle_via_peeling(d)
 
@@ -517,7 +540,7 @@ class TestBlockPeeler:
         monkeypatch.setattr(peeling._PeelState, "first_eligible", stuck_after_first_removal)
         runs = count_peel_runs(monkeypatch)
         tail = (0b1101, 0b1011, 0b0111)  # K4 on vertices 1..3 and 0
-        peeler = BlockPeeler(4, tail, in_masks_of((0, *tail)), {})
+        peeler = block_peeler(4, tail, {})
         assert list(peeler.zero_first) == [1, 2, 3]
         messages = []
         for h in (0b0010, 0b0110, 0b1110):
@@ -567,7 +590,7 @@ class TestBlockPeeler:
         memo = {}
         seen = {"zero first": 0, "other": 0, "union": 0}
         for tail in self.random_tails(random.Random(n), n, 16):
-            peeler = BlockPeeler(n, tail, in_masks_of((0, *tail)), memo)
+            peeler = block_peeler(n, tail, memo)
             for h in range(2, 1 << n, 2):
                 d = Digraph.from_out_masks(n, (h, *tail))
                 assert peeler.certificate(h) == short_cycle_via_peeling(d)
@@ -580,7 +603,7 @@ class TestBlockPeeler:
 
     def test_sinks_are_refused(self):
         with pytest.raises(NotSinkless, match="vertex 2"):
-            BlockPeeler(3, (0b100, 0), (0, 0, 0b010), {})
-        peeler = BlockPeeler(3, (0b100, 0b001), in_masks_of((0, 0b100, 0b001)), {})
+            block_peeler(3, (0b100, 0), {})
+        peeler = block_peeler(3, (0b100, 0b001), {})
         with pytest.raises(NotSinkless, match="vertex 0"):
             peeler.certificate(0)
