@@ -763,12 +763,24 @@ def _check_chc(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
             yield r, f"girth {g} exceeds ceil(n / min out-degree) = {bound}"
 
 
+def _walked(b: _Block, rs: Sequence[int], least: int) -> Sequence[int]:
+    """rs, or only again (if in rs) when no girth of the block's table, any
+    choice's, exceeds least, the least of its heads' bounds."""
+    try:
+        if max(b.girth) <= least:
+            return (b.again,) if b.again is not None and b.again in rs else ()
+    except TypeError:  # a None, an acyclic choice: walk rs
+        pass
+    return rs
+
+
 def _check_deg2_girth(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
     # Instance again also gets the exhaustive oracle's certificate, from
     # the cycle pair two-cycles reads too, and it must validate on the
     # instance's out-masks.
     n, girth, deg0, again = b.n, b.girth, b.head.deg0, b.again
     tail_p = b.degs.count(1)
+    rs = _walked(b, rs, (n + tail_p + 1) // 2)  # deg0 == 2's bound
     for r in rs:
         g = girth[r]
         bound = (n + tail_p + (deg0[r] == 1) + 1) // 2
@@ -787,6 +799,7 @@ def _check_deg2_girth(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
 def _check_two_cycles(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
     girth, deg0, again = b.girth, b.head.deg0, b.again
     tail_p = b.degs.count(1)
+    rs = _walked(b, rs, tail_p + 1)  # deg0 == 2's limit
     # D - 0's cycles, shared by the block's scans; enumerated on first need.
     rest: tuple[list[int], int] | None = None
     for r in rs:

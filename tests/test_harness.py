@@ -1,5 +1,6 @@
 """Enumeration generators, the verification suite driver, and the ratio search."""
 
+import collections
 import dataclasses
 import gc
 import hashlib
@@ -519,6 +520,61 @@ class TestCrossChecks:
         assert report.checked == report.passed and not report.violations
         assert len(calls) == len(set(calls)) == 4
         assert shorts == calls
+
+
+class TestBlockCompare:
+    """deg2-girth and two-cycles settle a block when its table's largest
+    girth is within the least of its heads' bounds, and walk its heads
+    otherwise.  The counts here were taken when every head was walked."""
+
+    def test_unsettled_heads_reach_the_pair_scan(self, monkeypatch):
+        # A scan that never finds a pair disagrees with the oracle on every
+        # head whose girth exceeds its limit.
+        monkeypatch.setattr(harness, "_cycle_pair_within", lambda *args: False)
+        res = _run_shard(SuiteConfig(5, 5, "outmaps", ("two-cycles",)), 5, 0, 100_000)
+        violations = res["violations"]
+        assert len(violations) == 8316
+        assert {v["message"] for v in violations} == {
+            "fast pair scan disagrees with the exhaustive oracle"
+        }
+        assert hashlib.sha256(json.dumps(violations).encode()).hexdigest() == (
+            "f5d16216f71668518634ac7ed5f1724fd9f87abf0ea7586fda609ede115577f3"
+        )
+
+    def test_a_table_too_high_fails_the_heads_beyond_their_bound(self, monkeypatch):
+        # Only block tables (s = 0) read one too high, so the levels below
+        # stay right.  Indices from 10 skip block 0, whose search again
+        # would raise.
+        table = harness._girth_table
+        monkeypatch.setattr(
+            harness,
+            "_girth_table",
+            lambda inn, heads, g_rest, s: [
+                g if g is None or s else g + 1 for g in table(inn, heads, g_rest, s)
+            ],
+        )
+        cfg = SuiteConfig(5, 5, "outmaps", ("deg2-girth", "two-cycles"))
+        res = _run_shard(cfg, 5, 10, 100_000)
+        assert res["checked"] == {"deg2-girth": 99_990, "two-cycles": 99_990}
+        assert res["passed"] == {"deg2-girth": 99_282, "two-cycles": 99_990}
+        messages = collections.Counter(v["message"] for v in res["violations"])
+        assert messages == {
+            "girth 4 exceeds ceil((n + p) / 2) = 3": 564,
+            "girth 5 exceeds ceil((n + p) / 2) = 4": 120,
+            "girth 6 exceeds ceil((n + p) / 2) = 5": 24,
+        }
+
+    def test_scan_work_is_unchanged(self, monkeypatch):
+        # The compare drops only heads the loop passed without a scan.
+        calls = collections.Counter()
+        for name in ("_cycle_pair_within", "_tail_cycles"):
+            fn = getattr(harness, name)
+            monkeypatch.setattr(
+                harness, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args)
+            )
+        report = run_suite(SuiteConfig(1, 5, "outmaps", ("two-cycles", "deg2-girth")))
+        assert report.checked == report.passed and not report.violations
+        assert calls == {"_cycle_pair_within": 8398, "_tail_cycles": 1644}
 
 
 class TestTwoPhiFailures:
@@ -1100,12 +1156,13 @@ class TestGoldenReports:
     """Byte-for-byte pins of whole reports, so engine rewrites cannot drift.
 
     The digests were taken before the sweep engine was unified, except
-    the sinkless one, taken just before labeled:none was removed.  They
-    cover both labeled filters (every sink-free digraph, and the strongly
-    connected ones alone), three out-degree ranges (a single radix, a
-    range wider than 2 that skips the deg2-only checks, and one that
-    excludes out-degree 1), the chc finding channel, and both
-    ratio-search modes.
+    the sinkless one, taken just before labeled:none was removed, and the
+    outmaps 1:2 one, taken just before deg2-girth and two-cycles began to
+    settle whole blocks.  They cover both labeled filters (every
+    sink-free digraph, and the strongly connected ones alone), four
+    out-degree ranges (a single radix, the benchmark's 1:2, a range wider
+    than 2 that skips the deg2-only checks, and one that excludes
+    out-degree 1), the chc finding channel, and both ratio-search modes.
     """
 
     @pytest.mark.parametrize(
@@ -1125,6 +1182,7 @@ class TestGoldenReports:
         "dmin, dmax, digest",
         [
             (1, 1, "2f4b753558458005389015dff8ba8047365dff613ef8548b69840a66d96d30fe"),
+            (1, 2, "60d9623d707d739cc003a2af066f58588f5af0ec87ed0a7029660d80696fde1a"),
             (1, 3, "dae05470d6a8e201d00b374db331b8766fdd10201b88450c0ef97bcb23657258"),
             (2, 3, "4c469c2e62738b105003ace0377df477cc4fdb279677c84e1db8d2c68126a077"),
         ],
