@@ -358,93 +358,77 @@ def _sweep(
     arc-bitmask code: arc (u, v) is bit u*(n-1) + v - (v > u).
 
     A block is r0 = len(choices[0]) consecutive indices with vertices 1..
-    fixed.  The digits of vertices 1.. step as an odometer, vertex 1
-    fastest.  Level u >= 1 holds the out-masks, out-degrees and in-masks
-    of vertices u..; a digit that changes rebuilds its level and those
-    below it, so most blocks rebuild level 1 alone.  Each rebuild of level
-    u also tables, over vertex u - 1's choices, the girth of the digraph
-    on vertices u - 1.. (_girth_table): from level u's in-masks and the
-    entry of level u's own table.  Level 0's table is the block's girth.
-    A block whose vertices 1.. include a sink is skipped whole, with every
-    later block that shares that sink's digit, and a vertex-0 choice with
-    no out-arc is not kept.  Instance again has its girth searched again
-    from scratch, and a disagreement raises.
+    fixed.  The sweep is one recursion over vertices n - 1 down to 1
+    (_blocks).  Each out-mask of vertex u prepends itself and its
+    out-degree to the tail, ORs its in-mask column into the in-masks, and
+    tables, over vertex u - 1's choices, the girth of the digraph on
+    vertices u - 1.. (_girth_table); vertex 0's table is the block's
+    girth.  An empty out-mask (a sink) is skipped with every block under
+    it, and a vertex-0 choice with no out-arc is not kept.  Instance again
+    has its girth searched again from scratch, and a disagreement raises.
     """
-    if lo >= hi:
-        return
+    n = len(choices)
+    if lo >= hi or n < 2:
+        return  # one vertex without a loop is a sink
     head = _Head(choices)
-    n, first = head.n, head.first
-    has_empty = 0 in first
-    r0 = len(first)
-    degs = [[m.bit_count() for m in c] for c in choices]
-    cols = [head.cols] + [
+    cols = [
         [(*((m >> v & 1) << u for v in range(n)),) for m in c]
         for u, c in enumerate(choices[1:], 1)
     ]
-    # span[u]: the blocks one step of vertex u's digit moves by.
+    # span[u]: the blocks one step of vertex u's choice moves by.
     span = [1, 1]
     for c in choices[1:]:
         span.append(span[-1] * len(c))
-    block, stop = lo // r0, -(-hi // r0)
-    digits = [0] * (n + 1)
-    x = block
-    for u in range(1, n):
-        x, digits[u] = divmod(x, len(choices[u]))
-    # Level n is empty.
-    tails: list[tuple[int, ...]] = [()] * (n + 1)
-    tdegs: list[tuple[int, ...]] = [()] * (n + 1)
-    inns = [(0,) * n] * (n + 1)
-    # girths[u][d]: the girth of the digraph on vertices u.. when vertex u
-    # takes choices[u][d], None where acyclic.  One vertex has no cycle, so
-    # the tables start all None; each rebuild of level u builds level
-    # u - 1's table.
-    girths: list[list[int | None]] = [[None] * len(c) for c in choices]
-    top = n - 1  # the highest level to rebuild
-    while block < stop:
-        u = top
-        while u:
-            d = digits[u]
-            m = choices[u][d]
-            if not m:
-                break  # a sink: skip every block under this digit
-            tails[u] = (m,) + tails[u + 1]
-            tdegs[u] = (degs[u][d],) + tdegs[u + 1]
-            inns[u] = _or_column(inns[u + 1], cols[u][d])
-            girths[u - 1] = _girth_table(inns[u], choices[u - 1], girths[u][d], u - 1)
-            u -= 1
-        if not u:
-            base = block * r0
-            kept: Sequence[int] = range(max(lo - base, 0), min(hi - base, r0))
-            if has_empty:
-                kept = [r for r in kept if first[r]]
-            b = _Block(head, base, tails[1], (0,) + tdegs[1], inns[1], girths[0], kept)
-            if strong:
-                b.kept = [r for r in kept if _is_strongly_connected(b.out(r), b.inn(r))]
-            if b.kept:
-                # In a block holding a multiple of _CROSS_CHECK_EVERY, the
-                # first kept choice at or after it (at labeled n <= 5 the
-                # multiple itself has vertex 0 empty).
-                r = -base % _CROSS_CHECK_EVERY
-                b.again = r = next((k for k in b.kept if k >= r), None) if r < r0 else None
-                if r is not None:
-                    hit = _girth_masks(n, b.out(r), b.inn(r))
-                    g = None if hit is None else hit[0]
-                    if g != b.girth[r]:
-                        raise TheoremViolation(
-                            f"girth table says {b.girth[r]}, breadth-first search says {g}, "
-                            f"on:\n{b.text(r)}"
-                        )
-                yield b
-            u = 1
-        # Step digit u, carrying upward; the digits below it restart at 0.
-        block = (block // span[u] + 1) * span[u]
-        for k in range(1, u):
-            digits[k] = 0
-        while u < n - 1 and digits[u] + 1 == len(choices[u]):
-            digits[u] = 0
-            u += 1
-        digits[u] += 1
-        top = u
+    sweep = (head, choices, cols, span, lo, hi, strong, 0 in head.first)
+    # One vertex has no cycle: vertex n - 1's table is all None.
+    yield from _blocks(sweep, n - 1, 0, (), (), (0,) * n, [None] * len(choices[-1]))
+
+
+def _blocks(
+    sweep: tuple[Any, ...], u: int, block: int, tail: tuple[int, ...], degs: tuple[int, ...],
+    inn: tuple[int, ...], girth: list[int | None],
+) -> Iterator[_Block]:
+    """_sweep's blocks from block on whose vertices u + 1.. have out-masks
+    tail and out-degrees degs, giving in-masks inn; girth[d] is the girth
+    of the digraph on vertices u.. when vertex u takes choices[u][d], None
+    where acyclic.  Module-level, passed _sweep's constants, so a call
+    makes no reference cycle."""
+    head, choices, cols, span, lo, hi, strong, has_empty = sweep
+    first, r0, step = head.first, len(head.first), span[u]
+    for d, m in enumerate(choices[u]):
+        at = block + d * step  # the first block under this out-mask
+        if at * r0 >= hi:
+            return
+        if not m or (at + step) * r0 <= lo:
+            continue  # a sink, or blocks that all lie before lo
+        tail_u, degs_u = (m,) + tail, (m.bit_count(),) + degs
+        inn_u = _or_column(inn, cols[u - 1][d])
+        table = _girth_table(inn_u, choices[u - 1], girth[d], u - 1)
+        if u > 1:
+            yield from _blocks(sweep, u - 1, at, tail_u, degs_u, inn_u, table)
+            continue
+        base = at * r0
+        kept: Sequence[int] = range(max(lo - base, 0), min(hi - base, r0))
+        if has_empty:
+            kept = [r for r in kept if first[r]]
+        b = _Block(head, base, tail_u, (0,) + degs_u, inn_u, table, kept)
+        if strong:
+            b.kept = [r for r in kept if _is_strongly_connected(b.out(r), b.inn(r))]
+        if b.kept:
+            # In a block holding a multiple of _CROSS_CHECK_EVERY, the
+            # first kept choice at or after it (at labeled n <= 5 the
+            # multiple itself has vertex 0 empty).
+            r = -base % _CROSS_CHECK_EVERY
+            b.again = r = next((k for k in b.kept if k >= r), None) if r < r0 else None
+            if r is not None:
+                hit = _girth_masks(head.n, b.out(r), b.inn(r))
+                g = None if hit is None else hit[0]
+                if g != b.girth[r]:
+                    raise TheoremViolation(
+                        f"girth table says {b.girth[r]}, breadth-first search says {g}, "
+                        f"on:\n{b.text(r)}"
+                    )
+            yield b
 
 
 def _is_strongly_connected(out: tuple[int, ...], inn: tuple[int, ...]) -> bool:

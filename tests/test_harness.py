@@ -17,7 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from cyclecert import certificates, harness, oracles, peeling
 from cyclecert.digraph import Digraph, first_sink, in_masks_of
-from cyclecert.errors import GraphInputError, Infeasible, LimitExceeded, TheoremViolation
+from cyclecert.errors import (
+    ClaimViolation,
+    GraphInputError,
+    Infeasible,
+    LimitExceeded,
+    TheoremViolation,
+)
 from cyclecert.families import RainbowInstance
 from cyclecert.formats import format_rainbow
 from cyclecert.peeling import _gains, _phi_scaled, _psi_scaled, _rhs_scaled, _scale
@@ -142,7 +148,7 @@ SWEEP_CASES += [("outmaps", n, None) for n in range(2, 6)]
 
 
 class TestSweep:
-    """The odometer's in-masks and indices against a plain reference decode.
+    """The sweep's in-masks and indices against a plain reference decode.
     Every population visits only sink-free digraphs, and a shard counts as
     generated exactly the instances it checks."""
 
@@ -156,8 +162,8 @@ class TestSweep:
         if size > 2 * r0:
             # Start and end inside a block of vertex-0 choices, across blocks.
             ranges += [(1, r0 - 1), (r0 // 2, size - r0 // 2 - 1), (r0 + 1, 3 * r0 - 2)]
-        # One index either side of a carry into each digit: the first two
-        # multiples of w = len(choices[0]) * ... * len(choices[u - 1]).
+        # One index either side of a step of each vertex's choice: the first
+        # two multiples of w = len(choices[0]) * ... * len(choices[u - 1]).
         for w in itertools.accumulate(map(len, choices[:-1]), operator.mul):
             for lo, hi in ((w - 1, w + 1), (w + 1, 2 * w - 1), (w - 1, 2 * w + 1)):
                 if lo < hi <= size:
@@ -170,6 +176,22 @@ class TestSweep:
             assert all(inn == in_masks_of(out) for _, out, inn in got)
             res = _run_shard(cfg, n, lo, hi)
             assert res["generated"] == res["checked"].get("chc", 0) == len(want)
+
+    def test_leaves_no_reference_cycles(self):
+        # The recursion over vertices is a module-level generator passed the
+        # sweep's constants: a nested one that names itself would make every
+        # call a cycle that only the cyclic collector frees.
+        cfg = SuiteConfig(4, 4, "labeled", DIGRAPH_CHECKS)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                list(_sweep(_outmap_choices(4, 0, 3), 0, 4096))
+            for _ in range(20):
+                _run_shard(cfg, 4, 0, 4096)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def choice_lists(n):
@@ -441,6 +463,27 @@ class TestCrossChecks:
         assert res["checked"] == res["passed"]
         assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)]
 
+    def test_an_oracle_failure_is_stored_and_raised_again(self, monkeypatch):
+        # Instance 0's oracle runs once for both checks.  deg2-girth records
+        # the TheoremViolation it raised; two-cycles gets it raised again and
+        # finds its scan's pair where the oracle found none.
+        calls = []
+
+        def planted(d):
+            calls.append(d)
+            raise TheoremViolation("planted")
+
+        monkeypatch.setattr(harness, "two_cycles_min_intersection", planted)
+        cfg = SuiteConfig(4, 4, "outmaps", ("deg2-girth", "two-cycles"))
+        res = _run_shard(cfg, 4, 0, 1296)
+        assert len(calls) == 1
+        assert [(v["check"], v["index"], v["message"]) for v in res["violations"]] == [
+            ("deg2-girth", 0, "TheoremViolation: planted"),
+            ("two-cycles", 0, "fast pair scan disagrees with the exhaustive oracle"),
+        ]
+        assert res["checked"] == {"deg2-girth": 1296, "two-cycles": 1296}
+        assert res["passed"] == {"deg2-girth": 1295, "two-cycles": 1295}
+
     def test_block_peel_is_run_again_from_scratch(self, monkeypatch):
         # 100,001 is peeled again, with no memo, and validated on its Digraph.
         peel = harness.short_cycle_via_peeling
@@ -542,8 +585,8 @@ class TestBlockCompare:
         )
 
     def test_a_table_too_high_fails_the_heads_beyond_their_bound(self, monkeypatch):
-        # Only block tables (s = 0) read one too high, so the levels below
-        # stay right.  Indices from 10 skip block 0, whose search again
+        # Only block tables (s = 0) read one too high, so the tables of
+        # vertices 1.. stay right.  Indices from 10 skip block 0, whose search again
         # would raise.
         table = harness._girth_table
         monkeypatch.setattr(
@@ -632,6 +675,154 @@ class TestTwoPhiFailures:
         assert self.digest(violations) == (
             "8a99506d6fdd86a3e04dd6d8fe6b82df8b269d9425a970ea2e275361dfc79021"
         )
+
+    def test_report_does_not_depend_on_the_worker_count(self, monkeypatch):
+        # Violations from several shards, each shard's in index order, are
+        # sorted by (check, n, index) in the report whatever the workers.
+        term = peeling._terminal_shortest_cycle
+        monkeypatch.setattr(peeling, "_terminal_shortest_cycle", lambda state: term(state)[::-1])
+        docs = []
+        for workers in (1, 3):
+            cfg = SuiteConfig(3, 4, "labeled", ("two-phi", "chc"), workers=workers)
+            d = run_suite(cfg).to_json_dict()
+            d["config"].pop("workers")
+            docs.append(json.dumps(d, sort_keys=True))
+        assert docs[0] == docs[1]
+        violations = json.loads(docs[0])["violations"]
+        assert len(violations) == 224
+        assert [(v["n"], v["index"]) for v in violations[:3]] == [(3, 25), (3, 38), (4, 593)]
+        assert hashlib.sha256(docs[0].encode()).hexdigest() == (
+            "701ef1f58aca36efa030c7fec92f5c26dc78f588669628eb12e3f2984116bcc2"
+        )
+
+
+def grown_then_raised(find):
+    """find_rainbow_cycle that grows its greedy subgraphs, then raises."""
+
+    def wrong(inst, collect=None):
+        find(inst, collect=collect)
+        raise ClaimViolation("planted")
+
+    return wrong
+
+
+def doubled_steps(find):
+    """find_rainbow_cycle with every step taken twice, so colors repeat."""
+
+    def wrong(inst, collect=None):
+        return certificates.RainbowCycleCertificate(find(inst, collect=collect).steps * 2)
+
+    return wrong
+
+
+def raising(_):
+    """An oracle that raises ClaimViolation on every call."""
+
+    def wrong(*args):
+        raise ClaimViolation("planted")
+
+    return wrong
+
+
+class TestRainbowFailures:
+    """A rainbow construction or oracle that goes wrong is reported at its
+    index, on 20 seeded instances at n = 7: the first record is pinned
+    whole, with the passed counts and the count and digest of all records."""
+
+    INSTANCE_0 = "rainbow 7 7\n1-6,3-6\n0-3,0-6\n1-2,1-5\n1-2\n1-3,1-4\n2-3\n0-4,3-5\n"
+    CHECKED = {"rainbow-bound": 20, "rd-claim": 20}
+
+    @pytest.mark.parametrize(
+        "name, wrong, passed, count, first, digest",
+        [
+            (
+                # No certificate; the subgraphs grown before the raise are
+                # still checked, and pass.
+                "find_rainbow_cycle", grown_then_raised, {"rd-claim": 20}, 20,
+                {
+                    "check": "rainbow-bound", "n": 7, "index": 0,
+                    "message": "ClaimViolation: planted",
+                    "instance": INSTANCE_0, "certificate": None,
+                },
+                "8aeed4d234c29856ad2711824737d10d92d6c421a79a55898d1ef4548080f5ff",
+            ),
+            (
+                "find_rainbow_cycle", doubled_steps, {"rd-claim": 20}, 20,
+                {
+                    "check": "rainbow-bound", "n": 7, "index": 0,
+                    "message": "constructed cycle invalid or longer than ceil((n + p) / 2)",
+                    "instance": INSTANCE_0,
+                    "certificate": {
+                        "kind": "rainbow",
+                        "steps": [
+                            {"edge": [1, 2], "color": 2}, {"edge": [1, 2], "color": 3},
+                            {"edge": [1, 2], "color": 2}, {"edge": [1, 2], "color": 3},
+                        ],
+                        "length": 4,
+                    },
+                },
+                "dfd1e1eedbbc6db3a14147dc5692befe3c95647ed0e340ef0319450f5c81bda5",
+            ),
+            (
+                "shortest_rainbow_cycle_exact",
+                lambda exact: lambda inst: (exact(inst)[0] + 1, None),
+                {"rd-claim": 20}, 20,
+                {
+                    "check": "rainbow-bound", "n": 7, "index": 0,
+                    "message": "independent search says the shortest rainbow cycle has "
+                    "length 3, yet one of length 2 validated",
+                    "instance": INSTANCE_0,
+                    "certificate": {
+                        "kind": "rainbow",
+                        "steps": [{"edge": [1, 2], "color": 2}, {"edge": [1, 2], "color": 3}],
+                        "length": 2,
+                    },
+                },
+                "e32dff640172c8f82710d7f47fdbc41251c5222f82ac580f3121dcb1b97c554a",
+            ),
+            (
+                # Only instances with a greedy subgraph reach the oracle.
+                "all_pairs_rainbow_distances", raising, {**CHECKED, "rd-claim": 11}, 9,
+                {
+                    "check": "rd-claim", "n": 7, "index": 2,
+                    "message": "ClaimViolation: planted",
+                    "instance": "rainbow 7 7\n0-4,2-4\n0-2\n0-6\n1-2\n2-5\n2-6\n1-5\n",
+                    "certificate": None,
+                },
+                "6d97cb377d310e153a5fedda0873068c40bf103d618697c4fdd3bf2c69a6ffae",
+            ),
+            (
+                # Two pairs at the extremal distance; at odd t that passes.
+                "all_pairs_rainbow_distances",
+                lambda _: lambda h: dict.fromkeys([(0, 1), (0, 2)], h.t // 2 + 1),
+                {**CHECKED, "rd-claim": 13}, 7,
+                {
+                    "check": "rd-claim", "n": 7, "index": 3,
+                    "message": "2 pairs sit at the extremal distance 1; at most one may",
+                    "instance": "rainbow 7 7\n2-4\n0-1,5-6\n0-4,0-6\n2-6,3-5\n0-2\n4-6\n"
+                    "1-2,1-3\n",
+                    "certificate": None,
+                },
+                "f8a27b6363f4fce253f56b78b84c204302f29cd5b28a2e08e5766093e510d177",
+            ),
+        ],
+        ids=[
+            "construction-raised",
+            "invalid-certificate",
+            "oracle-says-longer",
+            "distances-raised",
+            "two-extremal-pairs",
+        ],
+    )
+    def test_pinned(self, monkeypatch, name, wrong, passed, count, first, digest):
+        monkeypatch.setattr(harness, name, wrong(getattr(harness, name)))
+        res = _run_shard(SuiteConfig(7, 7, "rainbow", RAINBOW_CHECKS, count=20), 7, 0, 20)
+        assert res["checked"] == self.CHECKED
+        assert res["passed"] == passed
+        violations = res["violations"]
+        assert len(violations) == count
+        assert violations[0] == first
+        assert hashlib.sha256(json.dumps(violations).encode()).hexdigest() == digest
 
 
 AGAIN_CASES = [("labeled", n, flt) for n in (3, 4, 5) for flt in ("sinkless", "strong")]
@@ -902,7 +1093,7 @@ class TestRunSuite:
     def test_in_masks_derived_once_per_digraph(self, monkeypatch):
         # eq1-identity reads the in-masks and two-phi peels a Digraph built
         # on them.  The sweep derives what each vertex 2 choice gives once,
-        # as its odometer digit changes (3 sink-free choices), and each
+        # as its recursion fixes it (3 sink-free choices), and each
         # block's tail in-masks from that once (3 * 3 = 9 blocks whose
         # vertices 1..2 have no sink), then carries them to each digraph.
         calls = self.count_derivations(monkeypatch)
@@ -912,10 +1103,10 @@ class TestRunSuite:
         assert len(calls) == 3 + 9
 
     def test_unfiltered_levels_derive_in_masks_once_per_digit_change(self, monkeypatch):
-        # The odometer visits only the 7^3 = 343 blocks at n = 4 whose
+        # The sweep visits only the 7^3 = 343 blocks at n = 4 whose
         # vertices 1..3 have no sink, 7^4 = 2401 sink-free digraphs.  Its
-        # levels derive what vertices 3.., 2.. and 1.. give once per change
-        # of a sink-free digit: 7 + 7^2 + 7^3.
+        # recursion derives what vertices 3.., 2.. and 1.. give once per
+        # sink-free out-mask it fixes: 7 + 7^2 + 7^3.
         calls = self.count_derivations(monkeypatch)
         report = run_suite(SuiteConfig(4, 4, "labeled", DIGRAPH_CHECKS))
         assert report.instances_generated == 7**4
@@ -1127,8 +1318,8 @@ class TestExtremalRatioSearch:
     def test_exhaustive_mode_reads_block_tables(self, monkeypatch):
         # No girth search at all, not per digraph (2401) nor for the
         # witness: girths come from tables, one per block (343) and one per
-        # rebuild of each odometer level with no sink above it, 7^2 = 49
-        # for vertex 1's choices and 7 for vertex 2's.
+        # sink-free out-mask the recursion fixes with no sink above it,
+        # 7^2 = 49 for vertex 1's choices and 7 for vertex 2's.
         calls = []
         search = oracles._girth_masks
 

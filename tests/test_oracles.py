@@ -58,8 +58,9 @@ def from_vertex(s, out):
 
 class TestGirthTable:
     """_girth_table, and the tables the sweep builds with it at every
-    odometer level (the girth of the digraph on vertices u - 1.., over
-    vertex u - 1's choices), against a girth search of each digraph."""
+    vertex u of its recursion (the girth of the digraph on vertices
+    u - 1.., over vertex u - 1's choices), against a girth search of each
+    digraph."""
 
     @pytest.mark.parametrize(
         "n, dmin, dmax",
@@ -82,7 +83,7 @@ class TestGirthTable:
     def test_random_tails(self, data):
         # The table over vertex s's out-masks heads, from the in-masks of
         # vertices s+1.. (arcs into vertices below s included, as the
-        # sweep's levels hold them) and the girth of the digraph on s+1...
+        # sweep's recursion holds them) and the girth of the digraph on s+1...
         n = data.draw(st.integers(6, 8), label="n")
         s = data.draw(st.integers(0, 2), label="s")
         full = (1 << n) - 1
@@ -110,9 +111,9 @@ class TestGirthTable:
         ones = data.draw(st.lists(masks(1), min_size=1, max_size=6), label="ones")
         rest = [(data.draw(masks(v), label=f"out {v}"),) for v in range(2, n)]
         choices = [(0, 0b110), tuple(ones), *rest]
-        # The sweep builds every girth with tables alone: one for each of
-        # levels n-2..0, then a level-0 table, the block's, for each later
-        # block.  Its one girth search is the first block's cross-check, of
+        # The sweep builds every girth with tables alone: one over each of
+        # vertices n-2..0, then a vertex-0 table, the block's, for each
+        # later block.  Its one girth search is the first block's cross-check, of
         # kept choice 1, as the sweep yields it.
         searches, tables = [], []
         with pytest.MonkeyPatch.context() as m:
