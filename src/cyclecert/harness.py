@@ -81,8 +81,6 @@ WORKERS_CAP = 64
 # code space 2^(n(n-1)) it builds grow without bound in n.
 SEARCH_CAP = 512
 
-_FILTERS = ("sinkless", "strong")
-
 # How often, in indices, the girth table, the fast pair scan and the block
 # peel are checked against a search or run from scratch (see _Block.again).
 _CROSS_CHECK_EVERY = 100_000
@@ -93,11 +91,11 @@ class SuiteConfig:
     """What to enumerate and what to check.
 
     n_lo..n_hi is inclusive.  generator names an entry of _POPULATIONS:
-    "labeled" (every sink-free labeled digraph, or under filter "strong"
-    the strongly connected ones alone), "outmaps" (every assignment of
-    out-neighborhoods with dmin <= out-degree <= dmax), or "rainbow"
-    (count seeded random instances per n).  Every check must apply to the
-    chosen population.
+    "labeled" (every sink-free labeled digraph; filter "sinkless" is its
+    only filter), "outmaps" (every assignment of out-neighborhoods with
+    dmin <= out-degree <= dmax), or "rainbow" (count seeded random
+    instances per n).  Every check must apply to the chosen population,
+    and only "labeled" reads filter.
     """
 
     n_lo: int
@@ -115,8 +113,6 @@ class SuiteConfig:
         pop = _POPULATIONS.get(self.generator)
         if pop is None:
             raise GraphInputError(f"unknown generator {self.generator!r}")
-        if self.filter not in _FILTERS:
-            raise GraphInputError(f"unknown filter {self.filter!r}; use {_LABELED.spelling}")
         if not self.checks:
             raise GraphInputError("no checks selected")
         for i, c in enumerate(self.checks):
@@ -231,9 +227,10 @@ def _or_column(inn: tuple[int, ...], col: tuple[int, ...]) -> tuple[int, ...]:
 
 class _Block:
     """The kept instances base + r that share the out-masks tail of
-    vertices 1..: vertex 0's out-mask is head.first[r], r in kept.  Every
-    kept instance is sink-free: the tail has no empty out-mask, and the
-    empty vertex-0 choice is never kept.
+    vertices 1..: vertex 0's out-mask is head.first[r], r in the range
+    kept.  Every kept instance is sink-free: the tail has no empty
+    out-mask, and kept starts past vertex 0's empty choice, which can only
+    be its first.
 
     degs are the out-degrees of (0,) + tail, tail_inn the in-masks of
     (0,) + tail (what vertices 1.. give every instance), and girth holds
@@ -260,7 +257,7 @@ class _Block:
         degs: tuple[int, ...],
         tail_inn: tuple[int, ...],
         girth: list[int | None],
-        kept: Sequence[int],
+        kept: range,
     ) -> None:
         self.head = head
         self.n = head.n
@@ -345,12 +342,9 @@ def _girth_table(
     return table
 
 
-def _sweep(
-    choices: list[tuple[int, ...]], lo: int, hi: int, strong: bool = False
-) -> Iterator[_Block]:
-    """The blocks of sink-free digraphs, strongly connected ones alone if
-    strong, whose mixed-radix indices lie in [lo, hi), each block with at
-    least one kept choice.
+def _sweep(choices: list[tuple[int, ...]], lo: int, hi: int) -> Iterator[_Block]:
+    """The blocks of sink-free digraphs whose mixed-radix indices lie in
+    [lo, hi), each block with at least one kept choice.
 
     Digit u of an index, in radix len(choices[u]) with vertex 0 varying
     fastest, picks vertex u's out-mask from choices[u].  When every
@@ -364,8 +358,10 @@ def _sweep(
     tables, over vertex u - 1's choices, the girth of the digraph on
     vertices u - 1.. (_girth_table); vertex 0's table is the block's
     girth.  An empty out-mask (a sink) is skipped with every block under
-    it, and a vertex-0 choice with no out-arc is not kept.  Instance again
-    has its girth searched again from scratch, and a disagreement raises.
+    it.  Vertex 0's empty choice, if it has one, must come first, as it
+    does when choices ascend; a block keeps the range of its other choices
+    inside [lo, hi).  Instance again has its girth searched again from
+    scratch, and a disagreement raises.
     """
     n = len(choices)
     if lo >= hi or n < 2:
@@ -379,7 +375,7 @@ def _sweep(
     span = [1, 1]
     for c in choices[1:]:
         span.append(span[-1] * len(c))
-    sweep = (head, choices, cols, span, lo, hi, strong, 0 in head.first)
+    sweep = (head, choices, cols, span, lo, hi, int(head.first[0] == 0))
     # One vertex has no cycle: vertex n - 1's table is all None.
     yield from _blocks(sweep, n - 1, 0, (), (), (0,) * n, [None] * len(choices[-1]))
 
@@ -393,8 +389,8 @@ def _blocks(
     of the digraph on vertices u.. when vertex u takes choices[u][d], None
     where acyclic.  Module-level, passed _sweep's constants, so a call
     makes no reference cycle."""
-    head, choices, cols, span, lo, hi, strong, has_empty = sweep
-    first, r0, step = head.first, len(head.first), span[u]
+    head, choices, cols, span, lo, hi, start = sweep
+    r0, step = len(head.first), span[u]
     for d, m in enumerate(choices[u]):
         at = block + d * step  # the first block under this out-mask
         if at * r0 >= hi:
@@ -408,46 +404,24 @@ def _blocks(
             yield from _blocks(sweep, u - 1, at, tail_u, degs_u, inn_u, table)
             continue
         base = at * r0
-        kept: Sequence[int] = range(max(lo - base, 0), min(hi - base, r0))
-        if has_empty:
-            kept = [r for r in kept if first[r]]
+        kept = range(max(lo - base, start), min(hi - base, r0))
+        if not kept:
+            continue
         b = _Block(head, base, tail_u, (0,) + degs_u, inn_u, table, kept)
-        if strong:
-            b.kept = [r for r in kept if _is_strongly_connected(b.out(r), b.inn(r))]
-        if b.kept:
-            # In a block holding a multiple of _CROSS_CHECK_EVERY, the
-            # first kept choice at or after it (at labeled n <= 5 the
-            # multiple itself has vertex 0 empty).
-            r = -base % _CROSS_CHECK_EVERY
-            b.again = r = next((k for k in b.kept if k >= r), None) if r < r0 else None
-            if r is not None:
-                hit = _girth_masks(head.n, b.out(r), b.inn(r))
-                g = None if hit is None else hit[0]
-                if g != b.girth[r]:
-                    raise TheoremViolation(
-                        f"girth table says {b.girth[r]}, breadth-first search says {g}, "
-                        f"on:\n{b.text(r)}"
-                    )
-            yield b
-
-
-def _is_strongly_connected(out: tuple[int, ...], inn: tuple[int, ...]) -> bool:
-    n = len(out)
-    for adj in (out, inn):
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-        if seen != (1 << n) - 1:
-            return False
-    return True
+        # In a block holding a multiple of _CROSS_CHECK_EVERY, the first
+        # kept choice at or after it (at labeled n <= 5 the multiple itself
+        # has vertex 0 empty).  A multiple past the block lies past kept.
+        r = -base % _CROSS_CHECK_EVERY
+        if r < kept.stop:
+            b.again = r = max(r, kept.start)
+            hit = _girth_masks(head.n, b.out(r), b.inn(r))
+            g = None if hit is None else hit[0]
+            if g != b.girth[r]:
+                raise TheoremViolation(
+                    f"girth table says {b.girth[r]}, breadth-first search says {g}, "
+                    f"on:\n{b.text(r)}"
+                )
+        yield b
 
 
 @functools.lru_cache(maxsize=64)
@@ -923,12 +897,11 @@ _Units = Iterator[tuple[_Unit, Sequence[int]]]
 
 
 def _sweep_size(cfg: SuiteConfig, n: int) -> int:
-    return math.prod(map(len, _POPULATIONS[cfg.generator].sweep(cfg, n)[0]))
+    return math.prod(map(len, _POPULATIONS[cfg.generator].sweep(cfg, n)))
 
 
 def _sweep_units(cfg: SuiteConfig, n: int, lo: int, hi: int) -> _Units:
-    choices, strong = _POPULATIONS[cfg.generator].sweep(cfg, n)
-    for b in _sweep(choices, lo, hi, strong):
+    for b in _sweep(_POPULATIONS[cfg.generator].sweep(cfg, n), lo, hi):
         yield b, b.kept
 
 
@@ -945,6 +918,11 @@ def _rainbow_runs(cfg: SuiteConfig, n: int, lo: int, hi: int) -> _Units:
             except CounterexampleFound as exc:
                 built.append((None, f"{type(exc).__name__}: {exc}", grown))
         yield _RainbowRun(n, base, insts, built), range(len(insts))
+
+
+def _check_filter(cfg: SuiteConfig) -> None:
+    if cfg.filter != "sinkless":
+        raise GraphInputError(f"unknown filter {cfg.filter!r}; use {_LABELED.spelling}")
 
 
 def _check_degrees(cfg: SuiteConfig) -> None:
@@ -969,9 +947,8 @@ class _Population(NamedTuple):
     # CLI's VALUEs give them in this order.
     keys: dict[str, type]
     checks: tuple[str, ...]  # the checks that apply; the CLI's default
-    # A digraph population's out-mask choice lists at n, and whether it
-    # keeps only strongly connected digraphs.
-    sweep: Callable[[SuiteConfig, int], tuple[list[tuple[int, ...]], bool]] | None = None
+    # A digraph population's out-mask choice lists at n.
+    sweep: Callable[[SuiteConfig, int], list[tuple[int, ...]]] | None = None
     size: Callable[[SuiteConfig, int], int] = _sweep_size  # domain indices at n
     units: Callable[[SuiteConfig, int, int, int], _Units] = _sweep_units
     validate: Callable[[SuiteConfig], None] = lambda cfg: None  # raises if out of range
@@ -985,12 +962,13 @@ class _Population(NamedTuple):
 
 
 _LABELED = _Population(
-    "labeled", "labeled[:sinkless|strong]", LABELED_CAP, {"filter": str}, DIGRAPH_CHECKS,
-    sweep=lambda cfg, n: (_outmap_choices(n, 0, n - 1), cfg.filter == "strong"),
+    "labeled", "labeled[:sinkless]", LABELED_CAP, {"filter": str}, DIGRAPH_CHECKS,
+    sweep=lambda cfg, n: _outmap_choices(n, 0, n - 1),
+    validate=_check_filter,
 )
 _OUTMAPS = _Population(
     "outmaps", "outmaps[:DMIN:DMAX]", OUTMAP_CAP, {"dmin": int, "dmax": int}, DIGRAPH_CHECKS,
-    sweep=lambda cfg, n: (_outmap_choices(n, cfg.dmin, cfg.dmax), False),
+    sweep=lambda cfg, n: _outmap_choices(n, cfg.dmin, cfg.dmax),
     validate=_check_degrees,
 )
 _RAINBOW = _Population(

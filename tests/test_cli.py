@@ -60,6 +60,17 @@ class TestGirth:
         assert r.stdout == json.dumps(json.loads(r.stdout), indent=2, sort_keys=True) + "\n"
 
 
+    def test_certificate_that_fails_revalidation_is_not_printed(self, tmp_path, monkeypatch, capsys):
+        # In process, so the gate itself runs: a certificate the validator
+        # refuses exits 1 with nothing on stdout.
+        from cyclecert import cli
+
+        monkeypatch.setattr(cli, "validate_cycle", lambda d, cert: False)
+        assert cli.main(["girth", write(tmp_path, "d.txt", BI_TRIANGLE)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "counterexample: girth certificate failed re-validation before output\n"
+
 class TestPeel:
     def test_bidirected_triangle(self, tmp_path):
         r = run_cli("peel", write(tmp_path, "d.txt", BI_TRIANGLE))
@@ -223,7 +234,7 @@ class TestVerify:
         r = run_cli("verify", "--generator", "labeled:none", "--n", "1-4", "--jobs", "2")
         assert r.returncode == 2
         assert r.stdout == ""
-        assert "unknown filter 'none'; use labeled[:sinkless|strong]" in r.stderr
+        assert "unknown filter 'none'; use labeled[:sinkless]" in r.stderr
         assert "Traceback" not in r.stderr
         assert "progress:" not in r.stderr
 
@@ -252,7 +263,7 @@ class TestVerify:
             ("outmaps:3:2", None),
             ("labeled:", {"generator": "labeled", "checks": DIGRAPH, "filter": "sinkless"}),
             ("outmaps:", {"generator": "outmaps", "checks": DIGRAPH, "dmin": 1, "dmax": 2}),
-            ("labeled:strong", {"generator": "labeled", "checks": DIGRAPH, "filter": "strong"}),
+            ("labeled:strong", None),
             ("outmaps:1:3", {"generator": "outmaps", "checks": DIGRAPH, "dmin": 1, "dmax": 3}),
             ("rainbow:7", {"generator": "rainbow", "checks": ["rainbow-bound", "rd-claim"], "count": 7}),
             ("labeled:none", None),

@@ -566,3 +566,23 @@ class TestRainbowValidation:
 
     def test_empty_certificate_rejected(self):
         assert not validate_rainbow_cycle(self.INST, RainbowCycleCertificate(steps=()))
+
+    def test_one_step_without_a_loop_rejected(self):
+        # A length-1 cycle must be a loop, even where loops are allowed.
+        inst = RainbowInstance(2, [[(0, 1)], [(0, 1)]], simple_origin=False)
+        cert = RainbowCycleCertificate(steps=(((0, 1), 0),))
+        assert not validate_rainbow_cycle(inst, cert)
+
+    def test_two_loops_are_no_two_cycle(self):
+        # Two loops at one vertex share their vertex pair, yet a cycle of
+        # two or more steps has no loop.
+        inst = RainbowInstance(2, [[(0, 0)], [(0, 0)]], simple_origin=False)
+        cert = RainbowCycleCertificate(steps=(((0, 0), 0), ((0, 0), 1)))
+        assert not validate_rainbow_cycle(inst, cert)
+
+    def test_open_walk_rejected(self):
+        inst = RainbowInstance(4, [[(0, 1)], [(1, 2)], [(2, 3)], [(0, 3)]])
+        walk = (((0, 1), 0), ((1, 2), 1), ((2, 3), 2))
+        assert not validate_rainbow_cycle(inst, RainbowCycleCertificate(steps=walk))
+        closed = walk + (((0, 3), 3),)
+        assert validate_rainbow_cycle(inst, RainbowCycleCertificate(steps=closed))

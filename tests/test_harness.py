@@ -21,6 +21,7 @@ from cyclecert.errors import (
     ClaimViolation,
     GraphInputError,
     Infeasible,
+    LemmaViolation,
     LimitExceeded,
     TheoremViolation,
 )
@@ -95,6 +96,24 @@ class TestSuiteConfig:
         with pytest.raises(LimitExceeded):
             SuiteConfig(1, 3, "labeled", ("two-phi",), workers=WORKERS_CAP + 1).validate()
 
+    def test_filter_belongs_to_labeled(self):
+        # Only labeled reads filter; the other populations ignore it.
+        SuiteConfig(2, 3, "outmaps", ("chc",), filter="x").validate()
+        SuiteConfig(2, 3, "rainbow", ("rainbow-bound",), filter="x").validate()
+        with pytest.raises(GraphInputError, match=r"^unknown filter 'x'; use labeled\[:sinkless\]$"):
+            SuiteConfig(2, 3, "labeled", ("chc",), filter="x").validate()
+
+    def test_strong_is_refused_before_any_pool(self, monkeypatch):
+        # The strongly connected digraphs are no population of their own:
+        # every bound passes to a sink strong component of a sink-free one.
+        def no_pool(method):
+            raise AssertionError("a pool started")
+
+        monkeypatch.setattr(harness.multiprocessing, "get_context", no_pool)
+        cfg = SuiteConfig(1, 4, "labeled", DIGRAPH_CHECKS, filter="strong", workers=2)
+        with pytest.raises(GraphInputError, match=r"^unknown filter 'strong'; use labeled\[:sinkless\]$"):
+            run_suite(cfg)
+
     def test_bad_ranges_rejected(self):
         with pytest.raises(GraphInputError):
             SuiteConfig(3, 2, "labeled", ("two-phi",)).validate()
@@ -107,10 +126,9 @@ class TestSuiteConfig:
         assert len(ALL_CHECKS) == len(set(ALL_CHECKS))
 
 
-def reference_sweep(choices, lo, hi, strong=False):
+def reference_sweep(choices, lo, hi):
     """(index, out-masks) by plain divmod decoding of every index in [lo, hi)
-    whose digraph has no sink, and is strongly connected if strong."""
-    n = len(choices)
+    whose digraph has no sink."""
     for idx in range(lo, hi):
         x, out = idx, []
         for c in choices:
@@ -118,23 +136,7 @@ def reference_sweep(choices, lo, hi, strong=False):
             out.append(c[r])
         if 0 in out:
             continue
-        if strong and not all(
-            reaches(out, s) == (1 << n) - 1 for s in range(n)
-        ):
-            continue
         yield idx, tuple(out)
-
-
-def reaches(out, s):
-    """The set of vertices reachable from s, as a bitmask."""
-    seen, stack = 1 << s, [s]
-    while stack:
-        u = stack.pop()
-        for v in range(len(out)):
-            if out[u] >> v & 1 and not seen >> v & 1:
-                seen |= 1 << v
-                stack.append(v)
-    return seen
 
 
 def case_config(kind, n, flt):
@@ -143,7 +145,7 @@ def case_config(kind, n, flt):
     return SuiteConfig(n, n, kind, ("chc",), **({"filter": flt} if flt else {}))
 
 
-SWEEP_CASES = [("labeled", n, flt) for n in range(1, 5) for flt in ("sinkless", "strong")]
+SWEEP_CASES = [("labeled", n, "sinkless") for n in range(1, 5)]
 SWEEP_CASES += [("outmaps", n, None) for n in range(2, 6)]
 
 
@@ -171,7 +173,7 @@ class TestSweep:
         for lo, hi in ranges:
             units = harness._sweep_units(cfg, n, lo, hi)
             got = [(b.base + r, b.out(r), b.inn(r)) for b, rs in units for r in rs]
-            want = list(reference_sweep(choices, lo, hi, flt == "strong"))
+            want = list(reference_sweep(choices, lo, hi))
             assert [(i, out) for i, out, _ in got] == want
             assert all(inn == in_masks_of(out) for _, out, inn in got)
             res = _run_shard(cfg, n, lo, hi)
@@ -236,17 +238,19 @@ class TestBlocks:
     def test_facts_match_from_scratch(self, data):
         n = data.draw(st.integers(1, 6), label="n")
         choices = data.draw(choice_lists(n), label="choices")
-        flt = data.draw(st.sampled_from(("sinkless", "strong")), label="filter")
+        # The sweep asks that vertex 0's empty choice, if any, come first.
+        choices[0] = tuple(sorted(choices[0], key=bool))
         size = math.prod(map(len, choices))
         lo = data.draw(st.integers(0, size), label="lo")
         hi = data.draw(st.integers(lo, size), label="hi")
         got = []
-        for b in _sweep(choices, lo, hi, flt == "strong"):
-            assert b.kept and all(0 <= b.base + r - lo < hi - lo for r in b.kept)
+        for b in _sweep(choices, lo, hi):
+            assert isinstance(b.kept, range) and b.kept
+            assert all(0 <= b.base + r - lo < hi - lo for r in b.kept)
             for r in b.kept:
                 got.append((b.base + r, b.out(r)))
                 assert_facts_from_scratch(b, r)
-        assert got == list(reference_sweep(choices, lo, hi, flt == "strong"))
+        assert got == list(reference_sweep(choices, lo, hi))
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     @pytest.mark.parametrize("dmin, dmax", [(0, None), (1, 2)], ids=["labeled", "outdeg-1-2"])
@@ -335,7 +339,7 @@ class TestBestRatio:
     def test_shard_best_is_first_largest_ratio(self, cfg, n):
         # Equal ratios go to the smallest index, also within one block; a
         # shard's range, unlike a whole population, often ends on such a tie.
-        choices = _POPULATIONS[cfg.generator].sweep(cfg, n)[0]
+        choices = _POPULATIONS[cfg.generator].sweep(cfg, n)
         size = math.prod(map(len, choices))
         width = 3 * len(choices[0]) + 3
         scale = _scale(n)
@@ -696,6 +700,115 @@ class TestTwoPhiFailures:
         )
 
 
+def raised_by_4(table):
+    """_girth_table with every cycle's girth raised by 4."""
+    return lambda *args: [None if g is None else g + 4 for g in table(*args)]
+
+
+def planted(exc):
+    """A function that raises exc("planted") on every call."""
+
+    def wrong(*args):
+        raise exc("planted")
+
+    return wrong
+
+
+class TestDigraphFailures:
+    """The failure records of the digraph checks that no correct run
+    makes, each from a planted fault, with the counts and digests of the
+    records pinned here."""
+
+    @staticmethod
+    def digest(records):
+        return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+    def test_eq1_sides_that_differ(self, monkeypatch):
+        terms = harness.tail_terms
+
+        def wrong(*args):
+            t = terms(*args)
+            return t._replace(rhs=(t.rhs[0] + 1, *t.rhs[1:]))
+
+        monkeypatch.setattr(harness, "tail_terms", wrong)
+        res = _run_shard(SuiteConfig(3, 3, "labeled", ("eq1-identity",)), 3, 0, 64)
+        assert res["checked"] == {"eq1-identity": 27}
+        assert res["passed"] == {}
+        violations = res["violations"]
+        assert len(violations) == 27
+        assert violations[0] == {
+            "check": "eq1-identity",
+            "n": 3,
+            "index": 21,
+            "message": "removability right sides sum to 10/6, phi is 9/6",
+            "instance": "digraph 3 3\n0 1\n1 0\n2 0\n",
+            "certificate": None,
+        }
+        assert self.digest(violations) == (
+            "9e1d4a16cdeea98ea0d0cb459b8c84baa4a12be4becdd106a4e0710c47842e55"
+        )
+
+    def test_girths_above_their_bounds(self, monkeypatch):
+        # No block of [8, 4096) holds a multiple of _CROSS_CHECK_EVERY, so
+        # no girth is searched again and the raised table stands.
+        monkeypatch.setattr(harness, "_girth_table", raised_by_4(harness._girth_table))
+        res = _run_shard(SuiteConfig(4, 4, "labeled", DIGRAPH_CHECKS), 4, 8, 4096)
+        assert res["passed"] == {"eq1-identity": 2401, "two-psi-strict": 262, "two-cycles": 1296}
+        kinds = collections.Counter(v["check"] for v in res["violations"])
+        assert kinds == {"two-phi": 2401, "two-psi-strict": 2139, "deg2-girth": 1296}
+        assert [f["check"] for f in res["findings"]] == ["chc"] * 2401
+        at_585 = [(v["check"], v["message"]) for v in res["violations"] + res["findings"] if v["index"] == 585]
+        assert at_585 == [
+            ("two-phi", "girth 6 exceeds 2 phi = 48/12"),
+            ("deg2-girth", "girth 6 exceeds ceil((n + p) / 2) = 4"),
+            ("chc", "girth 6 exceeds ceil(n / min out-degree) = 4"),
+        ]
+        assert self.digest(res["violations"]) == (
+            "06eea036d55251fdc85fe3400655d2ddef7033a69a2f7c3fde83d54abb9b90ba"
+        )
+        assert self.digest(res["findings"]) == (
+            "3ae44e6f59f77e4b41fd3e8bf3c39487dca3323f866de96eb0d50539934aa17e"
+        )
+
+    def test_cycle_pairs_that_all_meet_too_much(self, monkeypatch):
+        # The fast scan and the oracle agree that no pair qualifies.  Index
+        # 0, the only one cross-checked, lies before the shard.
+        monkeypatch.setattr(harness, "_girth_table", raised_by_4(harness._girth_table))
+        monkeypatch.setattr(harness, "_cycle_pair_within", lambda *args: False)
+        monkeypatch.setattr(harness, "two_cycles_min_intersection", planted(TheoremViolation))
+        res = _run_shard(SuiteConfig(4, 4, "outmaps", ("two-cycles",)), 4, 6, 1296)
+        assert res["checked"] == {"two-cycles": 1290}
+        assert res["passed"] == {}
+        violations = res["violations"]
+        assert len(violations) == 1290
+        assert all(v["message"].startswith("every cycle pair meets in more than p + 1 = ") for v in violations)
+        assert violations[0]["message"] == "every cycle pair meets in more than p + 1 = 5 vertices"
+        assert self.digest(violations) == (
+            "8684c64f18aac4a10f3b418e39b61e03dfef7712c8e7bc938445493f4af3cbb9"
+        )
+
+    def test_a_run_from_scratch_that_raises(self, monkeypatch):
+        monkeypatch.setattr(harness, "short_cycle_via_peeling", planted(LemmaViolation))
+        res = _run_shard(SuiteConfig(3, 3, "outmaps", ("two-phi",)), 3, 0, 8)
+        assert res["checked"] == {"two-phi": 8}
+        assert res["passed"] == {"two-phi": 7}
+        assert res["violations"] == [
+            {
+                "check": "two-phi",
+                "n": 3,
+                "index": 0,
+                "message": "block peeling and a run from scratch disagree",
+                "instance": "digraph 3 3\n0 1\n1 0\n2 0\n",
+                "certificate": {"kind": "two-phi", "vertices": [0, 1], "bound": {"num": 3, "den": 1}},
+            }
+        ]
+
+    def test_hill_climb_ratio_that_reaches_2(self, monkeypatch):
+        monkeypatch.setattr(harness, "_girth_masks", lambda n, out, inn: (2 * n, 0))
+        with pytest.raises(TheoremViolation, match=r"^girth / psi ratio 6 reaches 2 on:\ndigraph 5 15\n"):
+            extremal_ratio_search(5, 10, seed=0)
+
+
 def grown_then_raised(find):
     """find_rainbow_cycle that grows its greedy subgraphs, then raises."""
 
@@ -825,14 +938,14 @@ class TestRainbowFailures:
         assert hashlib.sha256(json.dumps(violations).encode()).hexdigest() == digest
 
 
-AGAIN_CASES = [("labeled", n, flt) for n in (3, 4, 5) for flt in ("sinkless", "strong")]
+AGAIN_CASES = [("labeled", n, "sinkless") for n in (3, 4, 5)]
 AGAIN_CASES += [("outmaps", n, None) for n in (4, 5)]
 
 
 class TestAgain:
     """Each block's cross-checked choice, against the first kept choice at
     or after the first multiple of _CROSS_CHECK_EVERY in the block, read
-    from the block's kept choices after every filter has run."""
+    from the block's kept choices."""
 
     EVERY = 7  # several multiples per block at n >= 4, so many blocks hold one
 
@@ -939,10 +1052,10 @@ def generated(cfg):
     return run_suite(cfg).instances_generated
 
 
-def swept(n, strong=False, dmin=0, dmax=None):
+def swept(n, dmin=0, dmax=None):
     """Every digraph of a sweep at n, in index order."""
     choices = _outmap_choices(n, dmin, n - 1 if dmax is None else dmax)
-    blocks = _sweep(choices, 0, math.prod(map(len, choices)), strong)
+    blocks = _sweep(choices, 0, math.prod(map(len, choices)))
     return [b.digraph(r) for b in blocks for r in b.kept]
 
 
@@ -969,9 +1082,6 @@ class TestEnumerateDigraphs:
         # product over vertices of (2^(n-1) - 1) nonempty out-sets
         assert [self.labeled(n, "sinkless") for n in (1, 2, 3, 4)] == [0, 1, 27, 2401]
 
-    def test_counts_strong(self):
-        assert [self.labeled(n, "strong") for n in (1, 2, 3)] == [0, 1, 18]
-
     def test_yields_digraphs_in_code_order(self):
         # The 27 sink-less digraphs at n = 3; arc (u, v) is code bit
         # u*(n-1) + v - (v > u).
@@ -982,12 +1092,6 @@ class TestEnumerateDigraphs:
         assert codes == sorted(set(codes))
         assert items[0] == Digraph(3, [(0, 1), (1, 0), (2, 0)])
         assert items[-1] == Digraph(3, [(u, v) for u in range(3) for v in range(3) if u != v])
-
-    def test_filters_nest(self):
-        sinkless = set(swept(3))
-        strong = set(swept(3, True))
-        assert strong <= sinkless
-        assert all(first_sink(d) is None for d in sinkless)
 
 
 class TestEnumerateOutmaps:
@@ -1349,18 +1453,17 @@ class TestGoldenReports:
     The digests were taken before the sweep engine was unified, except
     the sinkless one, taken just before labeled:none was removed, and the
     outmaps 1:2 one, taken just before deg2-girth and two-cycles began to
-    settle whole blocks.  They cover both labeled filters (every
-    sink-free digraph, and the strongly connected ones alone), four
-    out-degree ranges (a single radix, the benchmark's 1:2, a range wider
-    than 2 that skips the deg2-only checks, and one that excludes
-    out-degree 1), the chc finding channel, and both ratio-search modes.
+    settle whole blocks.  They cover the labeled population (every
+    sink-free digraph), four out-degree ranges (a single radix, the
+    benchmark's 1:2, a range wider than 2 that skips the deg2-only checks,
+    and one that excludes out-degree 1), the chc finding channel, and both
+    ratio-search modes.
     """
 
     @pytest.mark.parametrize(
         "flt, generated, checked, digest",
         [
             ("sinkless", 2429, 2429, "d2066863b64656c38110bbaef3723c62ba3244c72edd22428a1cc0ece11b0f2d"),
-            ("strong", 1625, 1625, "85b27277eb3bd7723e0ac1c15161eebd35455147bc60cdc58c75e6b9cfb62e96"),
         ],
     )
     def test_labeled(self, flt, generated, checked, digest):
