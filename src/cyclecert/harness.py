@@ -91,18 +91,16 @@ class SuiteConfig:
     """What to enumerate and what to check.
 
     n_lo..n_hi is inclusive.  generator names an entry of _POPULATIONS:
-    "labeled" (every sink-free labeled digraph; filter "sinkless" is its
-    only filter), "outmaps" (every assignment of out-neighborhoods with
-    dmin <= out-degree <= dmax), or "rainbow" (count seeded random
-    instances per n).  Every check must apply to the chosen population,
-    and only "labeled" reads filter.
+    "labeled" (every sink-free labeled digraph), "outmaps" (every
+    assignment of out-neighborhoods with dmin <= out-degree <= dmax), or
+    "rainbow" (count seeded random instances per n).  Every check must
+    apply to the chosen population.
     """
 
     n_lo: int
     n_hi: int
     generator: str
     checks: tuple[str, ...]
-    filter: str = "sinkless"
     dmin: int = 1
     dmax: int = 2
     count: int = 100
@@ -148,6 +146,8 @@ class SuiteConfig:
         }
         for key in _POPULATIONS[self.generator].keys:
             d[key] = getattr(self, key)
+        if self.generator == _LABELED.name:
+            d["filter"] = "sinkless"  # pinned report digests hash this key
         return d
 
 
@@ -479,9 +479,7 @@ def _instance_seed(seed: int, n: int, i: int) -> int:
 
 
 def _rainbow_for_index(n: int, seed: int, i: int) -> RainbowInstance:
-    """The i-th random instance at size n: mixed p, mixed disjointness."""
-    if n < 2:
-        raise Infeasible("random rainbow instances need n >= 2")
+    """The i-th random instance at size n >= 2: mixed p, mixed disjointness."""
     rng = random.Random(_instance_seed(seed, n, i))
     p = rng.choice(_feasible_p(n))
     disjoint_ok = 2 * n - p <= len(_vertex_pairs(n))
@@ -920,11 +918,6 @@ def _rainbow_runs(cfg: SuiteConfig, n: int, lo: int, hi: int) -> _Units:
         yield _RainbowRun(n, base, insts, built), range(len(insts))
 
 
-def _check_filter(cfg: SuiteConfig) -> None:
-    if cfg.filter != "sinkless":
-        raise GraphInputError(f"unknown filter {cfg.filter!r}; use {_LABELED.spelling}")
-
-
 def _check_degrees(cfg: SuiteConfig) -> None:
     if not 1 <= cfg.dmin <= cfg.dmax:
         raise GraphInputError(f"bad degree range {cfg.dmin}..{cfg.dmax}")
@@ -943,9 +936,9 @@ class _Population(NamedTuple):
     name: str  # SuiteConfig.generator; on the CLI, --generator NAME[:VALUE...]
     spelling: str  # for CLI help and errors
     cap: int  # the largest n
-    # The SuiteConfig fields the report's config adds, with their types; the
-    # CLI's VALUEs give them in this order.
-    keys: dict[str, type]
+    # The int SuiteConfig fields the report's config adds; the CLI's VALUEs
+    # give them in this order.
+    keys: tuple[str, ...]
     checks: tuple[str, ...]  # the checks that apply; the CLI's default
     # A digraph population's out-mask choice lists at n.
     sweep: Callable[[SuiteConfig, int], list[tuple[int, ...]]] | None = None
@@ -953,26 +946,25 @@ class _Population(NamedTuple):
     units: Callable[[SuiteConfig, int, int, int], _Units] = _sweep_units
     validate: Callable[[SuiteConfig], None] = lambda cfg: None  # raises if out of range
 
-    def parse(self, rest: str) -> dict[str, Any]:
+    def parse(self, rest: str) -> dict[str, int]:
         """SuiteConfig keywords from the CLI's VALUEs, none for SuiteConfig's
         defaults; a ValueError if they are malformed."""
         if not rest:
             return {}
-        return {k: t(v) for (k, t), v in zip(self.keys.items(), rest.split(":"), strict=True)}
+        return {k: int(v) for k, v in zip(self.keys, rest.split(":"), strict=True)}
 
 
 _LABELED = _Population(
-    "labeled", "labeled[:sinkless]", LABELED_CAP, {"filter": str}, DIGRAPH_CHECKS,
+    "labeled", "labeled", LABELED_CAP, (), DIGRAPH_CHECKS,
     sweep=lambda cfg, n: _outmap_choices(n, 0, n - 1),
-    validate=_check_filter,
 )
 _OUTMAPS = _Population(
-    "outmaps", "outmaps[:DMIN:DMAX]", OUTMAP_CAP, {"dmin": int, "dmax": int}, DIGRAPH_CHECKS,
+    "outmaps", "outmaps[:DMIN:DMAX]", OUTMAP_CAP, ("dmin", "dmax"), DIGRAPH_CHECKS,
     sweep=lambda cfg, n: _outmap_choices(n, cfg.dmin, cfg.dmax),
     validate=_check_degrees,
 )
 _RAINBOW = _Population(
-    "rainbow", "rainbow[:COUNT]", RAINBOW_CAP, {"count": int}, RAINBOW_CHECKS,
+    "rainbow", "rainbow[:COUNT]", RAINBOW_CAP, ("count",), RAINBOW_CHECKS,
     size=lambda cfg, n: cfg.count, units=_rainbow_runs,
     validate=_check_rainbow,
 )

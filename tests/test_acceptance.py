@@ -50,7 +50,6 @@ def labeled_sweep():
         n_hi=5,
         generator="labeled",
         checks=("two-phi", "two-psi-strict", "eq1-identity"),
-        filter="sinkless",
     )
     t0 = time.perf_counter()
     report = run_suite(cfg)

@@ -229,14 +229,21 @@ class TestVerify:
         assert r.stdout == ""
 
     def test_unknown_filter_is_refused_before_any_shard(self):
-        # Digraphs with a sink are no population: labeled:none is an
-        # unknown filter, refused before a worker starts or a shard runs.
-        r = run_cli("verify", "--generator", "labeled:none", "--n", "1-4", "--jobs", "2")
+        # The labeled population takes no VALUE, so a filter such as strong
+        # is refused before a worker starts or a shard runs.
+        r = run_cli("verify", "--generator", "labeled:strong", "--n", "1-4", "--jobs", "2")
         assert r.returncode == 2
         assert r.stdout == ""
-        assert "unknown filter 'none'; use labeled[:sinkless]" in r.stderr
+        assert "error: bad generator 'labeled:strong'; use labeled" in r.stderr
         assert "Traceback" not in r.stderr
         assert "progress:" not in r.stderr
+
+    def test_zero_jobs_is_usage_error(self):
+        r = run_cli("verify", "--generator", "labeled", "--n", "2", "--jobs", "0")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "workers must be >= 1" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_bad_check_name_is_usage_error(self):
         r = run_cli("verify", "--generator", "labeled", "--n", "2", "--checks", "nope")
@@ -267,6 +274,7 @@ class TestVerify:
             ("outmaps:1:3", {"generator": "outmaps", "checks": DIGRAPH, "dmin": 1, "dmax": 3}),
             ("rainbow:7", {"generator": "rainbow", "checks": ["rainbow-bound", "rd-claim"], "count": 7}),
             ("labeled:none", None),
+            ("labeled:sinkless", None),
         ],
     )
     def test_generator_spellings(self, spelling, config):

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclecert import certificates, harness, oracles, peeling
+from cyclecert import certificates, harness, oracles, peeling, rainbow
 from cyclecert.digraph import Digraph, first_sink, in_masks_of
 from cyclecert.errors import (
     ClaimViolation,
@@ -68,8 +68,6 @@ class TestSuiteConfig:
         with pytest.raises(GraphInputError):
             SuiteConfig(1, 3, "labeled", ("bogus",)).validate()
         with pytest.raises(GraphInputError):
-            SuiteConfig(1, 3, "labeled", ("two-phi",), filter="odd").validate()
-        with pytest.raises(GraphInputError):
             SuiteConfig(1, 3, "labeled", ("two-phi", "chc", "two-phi")).validate()
 
     def test_check_generator_mismatch_rejected(self):
@@ -96,23 +94,13 @@ class TestSuiteConfig:
         with pytest.raises(LimitExceeded):
             SuiteConfig(1, 3, "labeled", ("two-phi",), workers=WORKERS_CAP + 1).validate()
 
-    def test_filter_belongs_to_labeled(self):
-        # Only labeled reads filter; the other populations ignore it.
-        SuiteConfig(2, 3, "outmaps", ("chc",), filter="x").validate()
-        SuiteConfig(2, 3, "rainbow", ("rainbow-bound",), filter="x").validate()
-        with pytest.raises(GraphInputError, match=r"^unknown filter 'x'; use labeled\[:sinkless\]$"):
-            SuiteConfig(2, 3, "labeled", ("chc",), filter="x").validate()
+    def test_no_checks_rejected(self):
+        with pytest.raises(GraphInputError, match=r"^no checks selected$"):
+            SuiteConfig(1, 3, "labeled", ()).validate()
 
-    def test_strong_is_refused_before_any_pool(self, monkeypatch):
-        # The strongly connected digraphs are no population of their own:
-        # every bound passes to a sink strong component of a sink-free one.
-        def no_pool(method):
-            raise AssertionError("a pool started")
-
-        monkeypatch.setattr(harness.multiprocessing, "get_context", no_pool)
-        cfg = SuiteConfig(1, 4, "labeled", DIGRAPH_CHECKS, filter="strong", workers=2)
-        with pytest.raises(GraphInputError, match=r"^unknown filter 'strong'; use labeled\[:sinkless\]$"):
-            run_suite(cfg)
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(GraphInputError, match=r"^workers must be >= 1$"):
+            SuiteConfig(1, 3, "labeled", ("two-phi",), workers=0).validate()
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(GraphInputError):
@@ -139,14 +127,19 @@ def reference_sweep(choices, lo, hi):
         yield idx, tuple(out)
 
 
-def case_config(kind, n, flt):
-    """A chc-only config at n; flt is the labeled filter, None for outmaps,
-    which has none."""
-    return SuiteConfig(n, n, kind, ("chc",), **({"filter": flt} if flt else {}))
+def case_config(kind, n):
+    """A chc-only config at n."""
+    return SuiteConfig(n, n, kind, ("chc",))
 
 
-SWEEP_CASES = [("labeled", n, "sinkless") for n in range(1, 5)]
-SWEEP_CASES += [("outmaps", n, None) for n in range(2, 6)]
+def cases(kind, ns):
+    """(kind, n) cases, with ids whose last field, "sinkless" for labeled
+    and "None" for outmaps, keeps the test names stable."""
+    tag = "sinkless" if kind == "labeled" else "None"
+    return [pytest.param(kind, n, id=f"{kind}-{n}-{tag}") for n in ns]
+
+
+SWEEP_CASES = cases("labeled", range(1, 5)) + cases("outmaps", range(2, 6))
 
 
 class TestSweep:
@@ -154,9 +147,9 @@ class TestSweep:
     Every population visits only sink-free digraphs, and a shard counts as
     generated exactly the instances it checks."""
 
-    @pytest.mark.parametrize("kind, n, flt", SWEEP_CASES)
-    def test_matches_reference(self, kind, n, flt):
-        cfg = case_config(kind, n, flt)
+    @pytest.mark.parametrize("kind, n", SWEEP_CASES)
+    def test_matches_reference(self, kind, n):
+        cfg = case_config(kind, n)
         choices = _outmap_choices(n, 0, n - 1) if kind == "labeled" else _outmap_choices(n, 1, 2)
         size = math.prod(map(len, choices))
         r0 = len(choices[0])
@@ -447,7 +440,7 @@ class TestCrossChecks:
         assert _run_shard(cfg, 6, 100_006, 100_014)["checked"] == {"two-cycles": 8}
 
     def test_sinkless_sweep_searches_the_next_kept_instance(self, monkeypatch):
-        # Code 100,000 at n = 5 has vertex 0 empty, so the sinkless filter
+        # Code 100,000 at n = 5 has vertex 0 empty, so the sink-free sweep
         # drops it; 100,001, next in its block, is searched again instead.
         monkeypatch.setattr(harness, "_girth_table", self.off_by_one(harness._girth_table))
         cfg = SuiteConfig(5, 5, "labeled", ("chc",))
@@ -937,9 +930,27 @@ class TestRainbowFailures:
         assert violations[0] == first
         assert hashlib.sha256(json.dumps(violations).encode()).hexdigest() == digest
 
+    def test_construction_that_fails_its_own_validation(self, monkeypatch):
+        # The construction re-validates its cycle before returning it; a
+        # refusal raises at every instance, and no certificate is kept.
+        monkeypatch.setattr(rainbow, "validate_rainbow_cycle", lambda inst, cert: False)
+        res = _run_shard(SuiteConfig(7, 7, "rainbow", RAINBOW_CHECKS, count=20), 7, 0, 20)
+        assert res["checked"] == self.CHECKED
+        assert res["passed"] == {"rd-claim": 20}
+        violations = res["violations"]
+        assert len(violations) == 20
+        assert {v["check"] for v in violations} == {"rainbow-bound"}
+        assert violations[0] == {
+            "check": "rainbow-bound", "n": 7, "index": 0,
+            "message": "BoundViolation: constructed cycle failed validation on:\n"
+            + self.INSTANCE_0,
+            "instance": self.INSTANCE_0, "certificate": None,
+        }
+        digest = "0f83ed0c692a083e937e55130a6578f5e8daa2455b10319d0681a3f2cfc7b61d"
+        assert hashlib.sha256(json.dumps(violations).encode()).hexdigest() == digest
 
-AGAIN_CASES = [("labeled", n, "sinkless") for n in (3, 4, 5)]
-AGAIN_CASES += [("outmaps", n, None) for n in (4, 5)]
+
+AGAIN_CASES = cases("labeled", (3, 4, 5)) + cases("outmaps", (4, 5))
 
 
 class TestAgain:
@@ -949,8 +960,8 @@ class TestAgain:
 
     EVERY = 7  # several multiples per block at n >= 4, so many blocks hold one
 
-    @pytest.mark.parametrize("kind, n, flt", AGAIN_CASES)
-    def test_matches_reference(self, monkeypatch, kind, n, flt):
+    @pytest.mark.parametrize("kind, n", AGAIN_CASES)
+    def test_matches_reference(self, monkeypatch, kind, n):
         monkeypatch.setattr(harness, "_CROSS_CHECK_EVERY", self.EVERY)
         choices = _outmap_choices(n, 0, n - 1) if kind == "labeled" else _outmap_choices(n, 1, 2)
         size, r0 = math.prod(map(len, choices)), len(choices[0])
@@ -960,7 +971,7 @@ class TestAgain:
             lo = rng.randrange(size)
             windows.append((lo, min(size, lo + rng.randrange(1, 400))))
         held = 0
-        cfg = case_config(kind, n, flt)
+        cfg = case_config(kind, n)
         for lo, hi in windows:
             for b, _ in harness._sweep_units(cfg, n, lo, hi):
                 multiples = [i for i in range(b.base, b.base + r0) if i % self.EVERY == 0]
@@ -1065,22 +1076,18 @@ class TestEnumerateDigraphs:
     def test_refuses_what_a_suite_refuses(self):
         with pytest.raises(LimitExceeded):
             SuiteConfig(LABELED_CAP + 1, LABELED_CAP + 1, "labeled", ("chc",)).validate()
-        with pytest.raises(GraphInputError):
-            SuiteConfig(3, 3, "labeled", ("chc",), filter="odd").validate()
-        with pytest.raises(GraphInputError):
-            SuiteConfig(3, 3, "labeled", ("chc",), filter="none").validate()
         with pytest.raises(LimitExceeded):
             SuiteConfig(OUTMAP_CAP + 1, OUTMAP_CAP + 1, "outmaps", ("chc",)).validate()
         with pytest.raises(GraphInputError):
             SuiteConfig(3, 3, "outmaps", ("chc",), dmin=2, dmax=1).validate()
 
     @staticmethod
-    def labeled(n, flt):
-        return generated(SuiteConfig(n, n, "labeled", ("eq1-identity",), filter=flt))
+    def labeled(n):
+        return generated(SuiteConfig(n, n, "labeled", ("eq1-identity",)))
 
     def test_counts_sinkless(self):
         # product over vertices of (2^(n-1) - 1) nonempty out-sets
-        assert [self.labeled(n, "sinkless") for n in (1, 2, 3, 4)] == [0, 1, 27, 2401]
+        assert [self.labeled(n) for n in (1, 2, 3, 4)] == [0, 1, 27, 2401]
 
     def test_yields_digraphs_in_code_order(self):
         # The 27 sink-less digraphs at n = 3; arc (u, v) is code bit
@@ -1460,14 +1467,16 @@ class TestGoldenReports:
     ratio-search modes.
     """
 
+    LABELED = "d2066863b64656c38110bbaef3723c62ba3244c72edd22428a1cc0ece11b0f2d"
+
+    # The id's leading "sinkless" names the population; it keeps the test
+    # name from when labeled took a filter.
     @pytest.mark.parametrize(
-        "flt, generated, checked, digest",
-        [
-            ("sinkless", 2429, 2429, "d2066863b64656c38110bbaef3723c62ba3244c72edd22428a1cc0ece11b0f2d"),
-        ],
+        "generated, checked, digest",
+        [pytest.param(2429, 2429, LABELED, id=f"sinkless-2429-2429-{LABELED}")],
     )
-    def test_labeled(self, flt, generated, checked, digest):
-        report = run_suite(SuiteConfig(1, 4, "labeled", DIGRAPH_CHECKS, filter=flt))
+    def test_labeled(self, generated, checked, digest):
+        report = run_suite(SuiteConfig(1, 4, "labeled", DIGRAPH_CHECKS))
         assert report.instances_generated == generated
         assert report.checked["two-phi"] == checked
         assert report_digest(report) == digest

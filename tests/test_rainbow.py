@@ -126,6 +126,21 @@ class TestRainbowPaths:
         colors = [c for _, c in path]
         assert len(set(colors)) == len(colors)
 
+    def test_every_pair_is_shortest_where_states_are_reached_twice(self):
+        # On this subgraph the searches from 2 to 6 and 8, 3 to 7 and 8 to 7
+        # reach a (vertex, entering edge) state a second time; a search that
+        # expanded it again would return a 4-step path from 8 to 7.
+        h = GreedySubgraph(0, (0, 1), (
+            (2, 0, 1, 1), (3, 1, 0, 2), (4, 3, 1, 3), (5, 4, 0, 4),
+            (6, 5, 3, 5), (7, 2, 5, 6), (8, 3, 4, 7),
+        ))
+        dist = all_pairs_rainbow_distances(h)
+        pairs = [(u, v) for u in range(9) for v in range(9) if u != v]
+        assert len(pairs) == 72
+        for u, v in pairs:
+            path = rainbow_path_in_subgraph(h, u, v)
+            assert len(path) == dist[min(u, v), max(u, v)], (u, v, path)
+
     def test_trivial_path(self):
         h = build_greedy_subgraph(CHAIN, 0)
         assert rainbow_path_in_subgraph(h, 2, 2) == []
