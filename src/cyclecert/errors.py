@@ -57,7 +57,9 @@ class LemmaViolation(CounterexampleFound):
 
 
 class ClaimViolation(CounterexampleFound):
-    """A rainbow path inside a greedy subgraph exceeded the floor(t/2)+1 bound."""
+    """A claim the rainbow construction rests on failed: a rainbow path
+    inside a greedy subgraph exceeded the floor(t/2)+1 bound, or a level's
+    contraction broke the length arithmetic, or its lift lost its ends."""
 
 
 class BoundViolation(CounterexampleFound):

@@ -271,23 +271,28 @@ def shortest_rainbow_cycle_exact(
     """
     if inst.n > RAINBOW_VERTEX_CAP:
         raise LimitExceeded(f"rainbow search capped at {RAINBOW_VERTEX_CAP} vertices")
-    for c, fam in enumerate(inst.families):
-        for e in fam:
-            if e[0] == e[1]:
-                return 1, RainbowCycleCertificate(steps=((e, c),))
-    # No loops remain: a pair held by two families is a 2-cycle.
+    # One pass: the first loop returns at once, since a loop beats any
+    # shared pair, even one seen before it; the first shared pair is kept
+    # until the pass ends with no loop.
     first_color: dict[tuple[int, int], int] = {}
+    pair = None
     adj: list[list[tuple[int, int]]] = [[] for _ in range(inst.n)]
     for c, fam in enumerate(inst.families):
         for e in fam:
-            c0 = first_color.setdefault(e, c)
-            if c0 != c:
-                return 2, RainbowCycleCertificate(steps=((e, c0), (e, c)))
             u, v = e
-            adj[u].append((v, c))
-            adj[v].append((u, c))
-    for u in range(inst.n):
-        adj[u] = sorted(set(adj[u]))
+            if u == v:
+                return 1, RainbowCycleCertificate(steps=((e, c),))
+            c0 = first_color.get(e)
+            if c0 is None:
+                first_color[e] = c
+                adj[u].append((v, c))
+                adj[v].append((u, c))
+            elif c0 != c and pair is None:
+                pair = RainbowCycleCertificate(steps=((e, c0), (e, c)))
+    if pair is not None:
+        return 2, pair
+    for nbrs in adj:
+        nbrs.sort()
     for length in range(3, inst.n + 1):
         for s in range(inst.n):
             path = [s]

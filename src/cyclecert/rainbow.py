@@ -20,6 +20,8 @@ ceil((n+p)/2) holds at every level, so the lifted cycle meets the bound.
 
 Certificates bubble up through the levels and are re-validated at each
 one; the final certificate is checked against the original instance.
+The per-level arithmetic and the lift are checked by explicit raises of
+ClaimViolation, which hold under python -O too.
 """
 
 from __future__ import annotations
@@ -119,35 +121,41 @@ def build_greedy_subgraph(inst: RainbowInstance, seed_color: int) -> GreedySubgr
     seed_edge = seed_fam[0]
     if seed_edge[0] == seed_edge[1]:
         raise GraphInputError("seed edge is a loop")
+    # The disjointness pass also works out each size-2 family's shape: the
+    # vertex x its two edges share and their other ends a and b.  A family
+    # whose edges share no vertex is no candidate.  Distinct edges at x
+    # have a != b, so three membership tests settle whether one fits.
     seen: set[Edge] = set()
-    for fam in inst.families:
+    candidates: list[tuple[int, int, int, int]] = []
+    for c, fam in enumerate(inst.families):
         for e in fam:
             if e in seen:
                 raise GraphInputError(f"families are not edge-disjoint at {e}")
             seen.add(e)
+        if len(fam) == 2:
+            (p, q), (r, s) = fam
+            if p == r:
+                x, a, b = p, q, s
+            elif p == s:
+                x, a, b = p, q, r
+            elif q == r:
+                x, a, b = q, p, s
+            elif q == s:
+                x, a, b = q, p, r
+            else:
+                continue
+            candidates.append((x, a, b, c))
     vertices = {seed_edge[0], seed_edge[1]}
-    used = {seed_color}
     attachments: list[tuple[int, int, int, int]] = []
     while True:
-        adopted = False
-        for c, fam in enumerate(inst.families):
-            if c in used or len(fam) != 2:
-                continue
-            e1, e2 = fam
-            common = set(e1) & set(e2)
-            if len(common) != 1:
-                continue
-            x = common.pop()
-            a = e1[0] if e1[1] == x else e1[1]
-            b = e2[0] if e2[1] == x else e2[1]
-            if x in vertices or a not in vertices or b not in vertices or a == b:
-                continue
-            attachments.append((x, a, b, c))
-            vertices.add(x)
-            used.add(c)
-            adopted = True
-            break
-        if not adopted:
+        for i, att in enumerate(candidates):
+            x, a, b, _ = att
+            if x not in vertices and a in vertices and b in vertices:
+                attachments.append(att)
+                vertices.add(x)
+                del candidates[i]
+                break
+        else:
             return GreedySubgraph(
                 seed_color=seed_color,
                 seed_edge=seed_edge,
@@ -258,12 +266,13 @@ def contract(
     family (the seed).
     """
     hv = h.vertices
-    outside = [v for v in range(inst.n) if v not in hv]
-    new_n = len(outside) + 1
-    h_idx = new_n - 1
+    h_idx = inst.n - len(hv)
     old_to_new = [h_idx] * inst.n
-    for i, v in enumerate(outside):
-        old_to_new[v] = i
+    i = 0
+    for v in range(inst.n):
+        if v not in hv:
+            old_to_new[v] = i
+            i += 1
     used = h.colors
     fam_map = []
     new_fams: list[tuple[Edge, ...]] = []
@@ -290,7 +299,7 @@ def contract(
         else:
             new_fams.append((q0, q1))
             aligned.append(fam)
-    quotient = RainbowInstance(new_n, new_fams, simple_origin=False)
+    quotient = RainbowInstance(h_idx + 1, new_fams, simple_origin=False)
     cmap = ContractionMap(
         old_to_new=tuple(old_to_new),
         h=h_idx,
@@ -300,24 +309,25 @@ def contract(
     return quotient, cmap
 
 
-def shared_edge_cycle(inst: RainbowInstance) -> RainbowCycleCertificate | None:
-    """A length-2 cycle from a non-loop vertex pair held by two families."""
+def loop_or_shared_pair(inst: RainbowInstance) -> RainbowCycleCertificate | None:
+    """A cycle of length 1 or 2 from one scan of the families, or None.
+
+    The first loop wins, even over a non-loop vertex pair held by two
+    families that comes before it; without a loop, the first such pair
+    gives a length-2 cycle.  A family that holds one edge twice is no
+    shared pair.
+    """
     first: dict[Edge, int] = {}
-    for c, fam in enumerate(inst.families):
-        for e in fam:
-            if e[0] != e[1]:
-                c0 = first.setdefault(e, c)
-                if c0 != c:
-                    return RainbowCycleCertificate(steps=((e, c0), (e, c)))
-    return None
-
-
-def _first_loop(inst: RainbowInstance) -> tuple[Edge, int] | None:
+    pair = None
     for c, fam in enumerate(inst.families):
         for e in fam:
             if e[0] == e[1]:
-                return e, c
-    return None
+                return RainbowCycleCertificate(steps=((e, c),))
+            if pair is None:
+                c0 = first.setdefault(e, c)
+                if c0 != c:
+                    pair = RainbowCycleCertificate(steps=((e, c0), (e, c)))
+    return pair
 
 
 def _parent_step(
@@ -336,7 +346,11 @@ def _lift(
 ) -> RainbowCycleCertificate:
     """Pull a quotient cycle back through one contraction."""
     seq = _walk_vertices(sub.steps)
-    assert seq is not None
+    if seq is None:
+        raise ClaimViolation(
+            f"the quotient cycle {sub.steps} is no closed walk, lifting on:\n"
+            + format_rainbow(inst)
+        )
     k = len(seq)
     steps = list(sub.steps)
     if cmap.h not in seq:
@@ -345,22 +359,23 @@ def _lift(
     i0 = seq.index(cmap.h)
     seq = seq[i0:] + seq[:i0]
     steps = steps[i0:] + steps[:i0]
-    inv = {z: v for v, z in enumerate(cmap.old_to_new) if z != cmap.h}
-    parents = [_parent_step(q_inst, cmap, e, c) for e, c in steps]
-    hv = h.vertices
+    lifted = [_parent_step(q_inst, cmap, e, c) for e, c in steps]
     if k == 1:
-        (pe, pc), = parents
-        u, v = pe
-        lifted = [(pe, pc)]
+        u, v = lifted[0][0]
     else:
-        pe0 = parents[0][0]
-        w1 = inv[seq[1]]
-        u = pe0[0] if pe0[1] == w1 else pe0[1]
-        pel = parents[-1][0]
-        wl = inv[seq[-1]]
-        v = pel[0] if pel[1] == wl else pel[1]
-        lifted = list(parents)
-    assert u in hv and v in hv
+        # Of each parent edge at h, the end that maps to the quotient
+        # cycle's neighbour of h lies outside H; the other end is in H.
+        old_to_new = cmap.old_to_new
+        pe0 = lifted[0][0]
+        u = pe0[0] if old_to_new[pe0[1]] == seq[1] else pe0[1]
+        pel = lifted[-1][0]
+        v = pel[0] if old_to_new[pel[1]] == seq[-1] else pel[1]
+    hv = h.vertices
+    if u not in hv or v not in hv:
+        raise ClaimViolation(
+            f"the lifted cycle's ends {u} and {v} at h do not both lie in "
+            f"V(H) = {sorted(hv)} on:\n" + format_rainbow(inst)
+        )
     if u != v:
         lifted.extend(rainbow_path_in_subgraph(h, v, u))
     return RainbowCycleCertificate(steps=tuple(lifted))
@@ -371,28 +386,30 @@ def _length_bound(inst: RainbowInstance) -> int:
 
 
 def _find(inst: RainbowInstance, collect: Collector | None) -> RainbowCycleCertificate:
-    assert inst.m == inst.n
-    loop = _first_loop(inst)
-    if loop is not None:
-        cert = RainbowCycleCertificate(steps=(loop,))
-    else:
-        cert = shared_edge_cycle(inst)
-        if cert is None:
-            if inst.p == 0:
-                cert = assert_all_size2_bound(inst)
-            else:
-                seed = next(c for c, fam in enumerate(inst.families) if len(fam) == 1)
-                h = build_greedy_subgraph(inst, seed)
-                if collect is not None:
-                    collect.append((inst, h))
-                q_inst, cmap = contract(inst, h)
-                # Per-level arithmetic behind the length bound.
-                assert (
-                    (q_inst.n + q_inst.p + 1) // 2 + h.t // 2 <= _length_bound(inst)
+    cert = loop_or_shared_pair(inst)
+    if cert is None:
+        if inst.p == 0:
+            cert = assert_all_size2_bound(inst)
+        else:
+            seed = next(c for c, fam in enumerate(inst.families) if len(fam) == 1)
+            h = build_greedy_subgraph(inst, seed)
+            if collect is not None:
+                collect.append((inst, h))
+            q_inst, cmap = contract(inst, h)
+            # Per-level arithmetic behind the length bound; the quotient
+            # keeps m = n, as every level needs.
+            if (
+                q_inst.p != inst.p - 1
+                or q_inst.m != q_inst.n
+                or (q_inst.n + q_inst.p + 1) // 2 + h.t // 2 > _length_bound(inst)
+            ):
+                raise ClaimViolation(
+                    f"contracting H (t = {h.t}) leaves n' = {q_inst.n}, m' = {q_inst.m} "
+                    f"and p' = {q_inst.p}, which break the length arithmetic, on:\n"
+                    + format_rainbow(inst)
                 )
-                assert q_inst.p == inst.p - 1 and q_inst.m == q_inst.n
-                sub = _find(q_inst, collect)
-                cert = _lift(inst, h, q_inst, cmap, sub)
+            sub = _find(q_inst, collect)
+            cert = _lift(inst, h, q_inst, cmap, sub)
     if not validate_rainbow_cycle(inst, cert):
         raise BoundViolation(
             "constructed cycle failed validation on:\n" + format_rainbow(inst)

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -460,6 +461,53 @@ class TestNoReferenceCycles:
             gc.enable()
 
 
+def closes_one_cycle(edges):
+    """True iff the edges, one per color, form a single cycle: a loop, two
+    edges on one vertex pair, or k >= 3 edges on k vertices of degree 2
+    that are all joined up."""
+    k = len(edges)
+    if k == 1:
+        return edges[0][0] == edges[0][1]
+    if any(u == v for u, v in edges):
+        return False
+    if k == 2:
+        return edges[0] == edges[1]
+    nbrs = {}
+    for u, v in edges:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    if len(nbrs) != k or any(len(ws) != 2 for ws in nbrs.values()):
+        return False
+    reached, todo = {edges[0][0]}, [edges[0][0]]
+    while todo:
+        for w in nbrs[todo.pop()]:
+            if w not in reached:
+                reached.add(w)
+                todo.append(w)
+    return len(reached) == k
+
+
+def rainbow_girth_by_brute_force(inst):
+    """The least k such that some k families, one edge each, close one cycle."""
+    fams = inst.families
+    for k in range(1, len(fams) + 1):
+        for colors in itertools.combinations(range(len(fams)), k):
+            for edges in itertools.product(*(fams[c] for c in colors)):
+                if closes_one_cycle(edges):
+                    return k
+    return math.inf
+
+
+@st.composite
+def loose_rainbow_instances(draw):
+    """Instances not of simple origin on n <= 5 vertices: loops, families
+    that hold one edge twice and pairs shared by several families."""
+    n = draw(st.integers(1, 5))
+    edge = st.sampled_from([(u, v) for u in range(n) for v in range(u, n)])
+    fams = draw(st.lists(st.lists(edge, min_size=1, max_size=2), min_size=1, max_size=5))
+    return RainbowInstance(n, fams, simple_origin=False)
+
+
 class TestRainbowOracle:
     EX4 = RainbowInstance(4, [[(0, 1)], [(2, 3)], [(0, 2), (1, 2)], [(0, 3), (1, 3)]])
 
@@ -512,6 +560,16 @@ class TestRainbowOracle:
         cert = assert_all_size2_bound(inst)
         assert cert.length <= 3
         assert validate_rainbow_cycle(inst, cert)
+
+    @given(loose_rainbow_instances())
+    @example(RainbowInstance(3, [[(0, 1)], [(0, 1)], [(2, 2)]], simple_origin=False))
+    @example(RainbowInstance(3, [[(0, 1), (0, 1)], [(1, 2)], [(0, 2)]], simple_origin=False))
+    @settings(max_examples=300, deadline=None)
+    def test_length_matches_brute_force_off_simple_origin(self, inst):
+        g, cert = shortest_rainbow_cycle_exact(inst)
+        assert g == rainbow_girth_by_brute_force(inst)
+        if cert is not None:
+            assert cert.length == g and validate_rainbow_cycle(inst, cert)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

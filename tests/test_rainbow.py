@@ -1,28 +1,90 @@
 """The greedy subgraph, contraction, and the recursive rainbow-cycle construction."""
 
+import dataclasses
 import gc
 import hashlib
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cyclecert.certificates import validate_rainbow_cycle
+from cyclecert import rainbow
+from cyclecert.certificates import RainbowCycleCertificate, validate_rainbow_cycle
 from cyclecert.errors import ClaimViolation, GraphInputError, SeedNotSingleton
 from cyclecert.families import RainbowInstance
-from cyclecert.harness import _rainbow_for_index, random_rainbow_instance
+from cyclecert.harness import (
+    RAINBOW_CHECKS,
+    SuiteConfig,
+    _rainbow_for_index,
+    random_rainbow_instance,
+    run_suite,
+)
 from cyclecert.oracles import all_pairs_rainbow_distances, shortest_rainbow_cycle_exact
 from cyclecert.rainbow import (
     GreedySubgraph,
     build_greedy_subgraph,
     contract,
     find_rainbow_cycle,
+    loop_or_shared_pair,
     rainbow_path_in_subgraph,
-    shared_edge_cycle,
 )
 
 CHAIN = RainbowInstance(4, [[(0, 1)], [(0, 2), (1, 2)], [(0, 3), (2, 3)]])
 EX4 = RainbowInstance(4, [[(0, 1)], [(2, 3)], [(0, 2), (1, 2)], [(0, 3), (1, 3)]])
+# Color 1 hangs 3 on 0 and 2, which only color 2's adoption of 2 brings in.
+LOWER_AFTER_HIGHER = RainbowInstance(4, [[(0, 1)], [(0, 3), (2, 3)], [(0, 2), (1, 2)], [(1, 3)]])
+
+
+def restart_scan(inst, seed_color):
+    """The greedy growth as first written, for reference: every round
+    rescans the unused size-2 families by ascending color, working out
+    each one's shape anew, and adopts the first that fits."""
+    seed_edge = inst.families[seed_color][0]
+    vertices = set(seed_edge)
+    used = {seed_color}
+    attachments = []
+    while True:
+        for c, fam in enumerate(inst.families):
+            if c in used or len(fam) != 2:
+                continue
+            e1, e2 = fam
+            common = set(e1) & set(e2)
+            if len(common) != 1:
+                continue
+            x = common.pop()
+            a = e1[0] if e1[1] == x else e1[1]
+            b = e2[0] if e2[1] == x else e2[1]
+            if x in vertices or a not in vertices or b not in vertices or a == b:
+                continue
+            attachments.append((x, a, b, c))
+            vertices.add(x)
+            used.add(c)
+            break
+        else:
+            return tuple(attachments)
+
+
+@st.composite
+def edge_disjoint_instances(draw):
+    """Edge-disjoint simple-origin instances on n <= 9 vertices with 1-3
+    singleton families, some two-edge families shaped to attach (two edges
+    at one vertex) and some of two arbitrary edges, in any color order."""
+    n = draw(st.integers(3, 9))
+    edges = draw(st.permutations([(u, v) for u in range(n) for v in range(u + 1, n)]))
+    k = draw(st.integers(1, 3))
+    fams = [[e] for e in edges[:k]]
+    used = set(edges[:k])
+    vertex = st.integers(0, n - 1)
+    for x, a, b in draw(st.lists(st.tuples(vertex, vertex, vertex), max_size=2 * n)):
+        pair = {(min(x, a), max(x, a)), (min(x, b), max(x, b))}
+        if len({x, a, b}) == 3 and not pair & used:
+            used |= pair
+            fams.append(sorted(pair))
+    rest = [e for e in edges if e not in used]
+    j = draw(st.integers(0, len(rest) // 2))
+    fams += [rest[2 * i : 2 * i + 2] for i in range(j)]
+    return RainbowInstance(n, draw(st.permutations(fams)))
 
 
 class TestGreedySubgraph:
@@ -70,12 +132,27 @@ class TestGreedySubgraph:
 
     def test_rejects_families_sharing_an_edge(self):
         inst = RainbowInstance(4, [[(0, 1)], [(0, 3), (1, 3)], [(0, 2), (1, 3)]])
-        with pytest.raises(GraphInputError):
+        with pytest.raises(GraphInputError, match=r"^families are not edge-disjoint at \(1, 3\)$"):
             build_greedy_subgraph(inst, 0)
 
     def test_seed_must_be_singleton(self):
-        with pytest.raises(SeedNotSingleton):
+        with pytest.raises(SeedNotSingleton, match="^family 1 has size 2$"):
             build_greedy_subgraph(CHAIN, 1)
+
+    def test_adoption_can_make_a_lower_color_eligible(self):
+        h = build_greedy_subgraph(LOWER_AFTER_HIGHER, 0)
+        assert h.attachments == ((2, 0, 1, 2), (3, 0, 2, 1))
+        assert h.attachments == restart_scan(LOWER_AFTER_HIGHER, 0)
+
+    @given(edge_disjoint_instances())
+    @example(LOWER_AFTER_HIGHER)
+    @example(EX4)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_restart_scan(self, inst):
+        for seed, fam in enumerate(inst.families):
+            if len(fam) == 1:
+                h = build_greedy_subgraph(inst, seed)
+                assert h.attachments == restart_scan(inst, seed)
 
     def test_maximality(self):
         # after growth, no unused size-2 family joins a new vertex to two
@@ -266,12 +343,34 @@ class TestFindRainbowCycle:
         with pytest.raises(GraphInputError):
             find_rainbow_cycle(RainbowInstance(0, []))
 
+    def test_loop_wins_over_an_earlier_shared_pair(self):
+        # Colors 0 and 1 share the pair 0-1 before color 2's loop: the loop,
+        # the shorter cycle, is the answer of the scan, of a construction
+        # level and of the exact oracle.
+        inst = RainbowInstance(3, [[(0, 1)], [(0, 1)], [(2, 2)]], simple_origin=False)
+        loop = (((2, 2), 2),)
+        assert loop_or_shared_pair(inst).steps == loop
+        assert rainbow._find(inst, None).steps == loop
+        length, cert = shortest_rainbow_cycle_exact(inst)
+        assert length == 1 and cert.steps == loop
+
+    def test_an_edge_held_twice_by_one_family_is_no_shared_pair(self):
+        inst = RainbowInstance(3, [[(0, 1), (0, 1)], [(1, 2)], [(0, 2)]], simple_origin=False)
+        assert loop_or_shared_pair(inst) is None
+        length, cert = shortest_rainbow_cycle_exact(inst)
+        assert length == 3 and validate_rainbow_cycle(inst, cert)
+        # A second family on that edge makes it a shared pair.
+        inst = RainbowInstance(2, [[(0, 1), (0, 1)], [(0, 1)]], simple_origin=False)
+        pair = (((0, 1), 0), ((0, 1), 1))
+        assert loop_or_shared_pair(inst).steps == pair
+        assert shortest_rainbow_cycle_exact(inst) == (2, RainbowCycleCertificate(steps=pair))
+
     def test_shared_edge_shortcut(self):
         inst = RainbowInstance(3, [[(0, 1), (1, 2)], [(0, 1), (0, 2)]])
-        cert = shared_edge_cycle(inst)
+        cert = loop_or_shared_pair(inst)
         assert cert is not None and cert.length == 2
         assert validate_rainbow_cycle(inst, cert)
-        assert shared_edge_cycle(CHAIN) is None
+        assert loop_or_shared_pair(CHAIN) is None
 
     def test_randomized_bound_and_oracle_agreement(self):
         for seed in range(60):
@@ -284,6 +383,74 @@ class TestFindRainbowCycle:
             assert cert.length <= (inst.n + inst.p + 1) // 2
             exact, _ = shortest_rainbow_cycle_exact(inst)
             assert exact <= cert.length
+
+
+class TestLevelClaims:
+    """What each level of the construction relies on is checked with an
+    explicit raise, which holds under python -O, and a failure is a
+    ClaimViolation that names the instance, so a sweep records it."""
+
+    # Seeded instance 4 at n = 4: the only one of the first five that
+    # grows a greedy subgraph and contracts it.
+    INSTANCE_4 = "rainbow 4 4\n0-1\n0-3,1-3\n0-2\n2-3\n"
+
+    @staticmethod
+    def keep_the_seed(monkeypatch):
+        # A quotient that is the level itself keeps every family, the seed
+        # too, so p' = p breaks the per-level arithmetic.
+        real = rainbow.contract
+
+        def unshrunk(inst, h):
+            return RainbowInstance(inst.n, inst.families, simple_origin=False), real(inst, h)[1]
+
+        monkeypatch.setattr(rainbow, "contract", unshrunk)
+
+    def test_broken_arithmetic_raises(self, monkeypatch):
+        self.keep_the_seed(monkeypatch)
+        inst = RainbowInstance(4, [[(0, 1)], [(0, 3), (1, 3)], [(0, 2)], [(2, 3)]])
+        with pytest.raises(ClaimViolation) as info:
+            find_rainbow_cycle(inst)
+        assert str(info.value) == (
+            "contracting H (t = 1) leaves n' = 4, m' = 4 and p' = 3, which break "
+            "the length arithmetic, on:\n" + self.INSTANCE_4
+        )
+
+    def test_a_sweep_records_broken_arithmetic(self, monkeypatch):
+        self.keep_the_seed(monkeypatch)
+        report = run_suite(SuiteConfig(4, 4, "rainbow", RAINBOW_CHECKS, count=5))
+        assert report.checked == {"rainbow-bound": 5, "rd-claim": 5}
+        assert report.passed == {"rainbow-bound": 4, "rd-claim": 5}
+        assert report.violations == [
+            {
+                "check": "rainbow-bound", "n": 4, "index": 4,
+                "message": "ClaimViolation: contracting H (t = 1) leaves n' = 4, m' = 4 "
+                "and p' = 3, which break the length arithmetic, on:\n" + self.INSTANCE_4,
+                "instance": self.INSTANCE_4, "certificate": None,
+            }
+        ]
+
+    def test_a_sub_cycle_that_is_no_walk_raises(self):
+        inst = TestContract.INST
+        h = build_greedy_subgraph(inst, 0)
+        q, cmap = contract(inst, h)
+        apart = RainbowCycleCertificate(steps=(((0, 1), 0), ((0, 2), 1)))
+        with pytest.raises(ClaimViolation, match="is no closed walk"):
+            rainbow._lift(inst, h, q, cmap, apart)
+
+    def test_lifted_ends_outside_the_subgraph_raise(self):
+        inst = TestContract.INST
+        h = build_greedy_subgraph(inst, 0)
+        q, cmap = contract(inst, h)
+        # The closed walk h-0-1-h of the quotient, in colors 1, 0 and 1.
+        sub = RainbowCycleCertificate(steps=(((0, 2), 1), ((0, 1), 0), ((1, 2), 1)))
+        assert rainbow._lift(inst, h, q, cmap, sub).steps == (
+            ((2, 3), 3), ((3, 4), 2), ((2, 4), 3),
+        )
+        # A map that puts parent vertex 2, not 3, at quotient vertex 0 picks
+        # 3 as the parent edge's end in H.
+        wrong = dataclasses.replace(cmap, old_to_new=(2, 2, 0, 2, 1))
+        with pytest.raises(ClaimViolation, match=r"ends 3 and 2 at h do not both lie in"):
+            rainbow._lift(inst, h, q, wrong, sub)
 
 
 class TestGoldenRainbow:
