@@ -10,16 +10,21 @@ rainbow instances.  Checks of proved statements record violations, which
 callers treat as fatal; checks of open conjectures record findings only.
 Reports are independent of the worker count: shards partition the index
 space and merge by sums, concatenation sorted by index, and tie-broken
-extremes.
+extremes.  Several workers are forked children fed shard indices from
+one shared task pipe; each sends its results back on a pipe of its own,
+and a worker that dies owing a shard fails the run instead of hanging it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import multiprocessing
+import os
+import pickle
 import random
+import select
+import signal
+import struct
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -989,25 +994,162 @@ def _run_task(task: tuple[SuiteConfig, int, int, int]) -> dict[str, Any]:
     return _run_shard(*task)
 
 
+# A task index, as the parent writes it to the shared task pipe and as a
+# worker announces it on its result pipe when it takes the shard; every
+# write is a whole number of indices, so each read of _INDEX.size bytes
+# from the shared pipe takes exactly one.
+_INDEX = struct.Struct("=I")
+# The length prefix of a pickled (ok, result or exception) message.
+_SIZE = struct.Struct("=Q")
+
+
+def _serve(tasks: list[tuple[SuiteConfig, int, int, int]], task_r: int, res_w: int) -> None:
+    """A forked worker's loop: take task indices from the shared pipe until
+    it runs dry, announce each, and send back its pickled outcome."""
+    while raw := os.read(task_r, _INDEX.size):
+        os.write(res_w, raw)
+        try:
+            out = (True, _run_task(tasks[_INDEX.unpack(raw)[0]]))
+        except Exception as exc:
+            out = (False, exc)
+        data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+        view = memoryview(_SIZE.pack(len(data)) + data)
+        while view:
+            view = view[os.write(res_w, view) :]
+
+
+def _read_exact(fd: int, size: int) -> bytearray:
+    """size bytes from fd, or fewer if the pipe closes first."""
+    buf = bytearray()
+    while len(buf) < size and (chunk := os.read(fd, size - len(buf))):
+        buf += chunk
+    return buf
+
+
+def _message(fd: int) -> bytearray | None:
+    """The next length-prefixed message on fd, or None if the pipe closes first."""
+    head = _read_exact(fd, _SIZE.size)
+    if len(head) < _SIZE.size:
+        return None
+    (size,) = _SIZE.unpack(head)
+    body = _read_exact(fd, size)
+    return body if len(body) == size else None
+
+
+def _forked_results(
+    tasks: list[tuple[SuiteConfig, int, int, int]], k: int
+) -> Iterator[dict[str, Any]]:
+    """Each task's shard result, in task order, from k forked workers.
+
+    The workers share one pipe of task indices, so the next shard goes to
+    the first free worker, and each answers on a pipe of its own.  Results
+    that arrive early wait here for their turn; a shard's exception is
+    raised again in its turn, and a worker that dies owing a shard raises
+    ChildProcessError naming it.  Workers leave when the task pipe runs
+    dry; on an early exit the ones still running are killed.  Either way
+    every worker is reaped.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    task_r, task_w = os.pipe()
+    opened = {task_r, task_w}  # pipe ends the parent has yet to close
+    workers: dict[int, int] = {}  # a worker's result pipe -> its pid, until reaped
+    finished = False
+
+    def close(fd: int) -> None:
+        opened.discard(fd)
+        os.close(fd)
+
+    try:
+        for _ in range(k):
+            res_r, res_w = os.pipe()
+            opened |= {res_r, res_w}
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in opened - {task_r, res_w}:
+                        os.close(fd)
+                    _serve(tasks, task_r, res_w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            workers[res_r] = pid
+            close(res_w)
+        close(task_r)
+        # Written as the pipe takes them, so a full task pipe never waits on
+        # a worker that waits on its own full result pipe.
+        todo = memoryview(b"".join(map(_INDEX.pack, range(len(tasks)))))
+        poller = select.poll()
+        for fd in workers:
+            poller.register(fd, select.POLLIN)
+        poller.register(task_w, select.POLLOUT)
+        live = len(workers)
+        taken: dict[int, int] = {}  # a worker's result pipe -> the shard it took
+        done: dict[int, tuple[bool, Any]] = {}
+        for i, task in enumerate(tasks):
+            while i not in done:
+                if not live:
+                    raise ChildProcessError(
+                        f"every worker exited before returning shard {i + 1}/{len(tasks)} (n={task[1]})"
+                    )
+                ready = dict(poller.poll())
+                writable = ready.pop(task_w, 0)
+                for fd in ready:
+                    if fd not in taken:
+                        raw = os.read(fd, _INDEX.size)
+                        if raw:
+                            taken[fd] = _INDEX.unpack(raw)[0]
+                        else:
+                            poller.unregister(fd)
+                            close(fd)
+                            live -= 1
+                        continue
+                    body = _message(fd)
+                    if body is None:
+                        j = taken[fd]
+                        _, status = os.waitpid(workers.pop(fd), 0)
+                        raise ChildProcessError(
+                            f"a worker exited with code {os.waitstatus_to_exitcode(status)} "
+                            f"before returning shard {j + 1}/{len(tasks)} (n={tasks[j][1]})"
+                        )
+                    done[taken.pop(fd)] = pickle.loads(body)
+                if writable:
+                    todo = todo[os.write(task_w, todo[: select.PIPE_BUF]) :]
+                    if not todo:
+                        poller.unregister(task_w)
+                        close(task_w)
+            ok, res = done.pop(i)
+            if not ok:
+                raise res
+            yield res
+        finished = True
+    finally:
+        for fd in list(opened):
+            close(fd)
+        for pid in workers.values():
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _shard_results(
     cfg: SuiteConfig, tasks: list[tuple[SuiteConfig, int, int, int]]
 ) -> Iterator[dict[str, Any]]:
-    """Each task's shard result, in task order, from a pool of cfg.workers
-    processes, or one per task if fewer, when there are several; a
-    progress line goes to stderr as each one arrives."""
-    with contextlib.ExitStack() as stack:
-        results: Iterator[dict[str, Any]] = map(_run_task, tasks)
-        if cfg.workers > 1 and len(tasks) > 1:
-            ctx = multiprocessing.get_context("fork")
-            pool = stack.enter_context(ctx.Pool(processes=min(cfg.workers, len(tasks))))
-            results = pool.imap(_run_task, tasks)
-        for i, (task, res) in enumerate(zip(tasks, results)):
-            print(
-                f"progress: shard {i + 1}/{len(tasks)} done (n={task[1]})",
-                file=sys.stderr,
-                flush=True,
-            )
-            yield res
+    """Each task's shard result, in task order, from cfg.workers forked
+    workers, or one per task if fewer, when there are several; a progress
+    line goes to stderr as each one arrives."""
+    k = min(cfg.workers, len(tasks))
+    results = _forked_results(tasks, k) if k > 1 else map(_run_task, tasks)
+    # Run to its end, not cut off by a zip, so the workers are reaped
+    # without a signal.
+    for i, res in enumerate(results):
+        print(
+            f"progress: shard {i + 1}/{len(tasks)} done (n={tasks[i][1]})",
+            file=sys.stderr,
+            flush=True,
+        )
+        yield res
 
 
 def run_suite(cfg: SuiteConfig) -> Report:

@@ -8,8 +8,13 @@ import itertools
 import json
 import math
 import operator
+import os
 import random
+import subprocess
 import sys
+import textwrap
+import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -1299,22 +1304,56 @@ class TestRunSuite:
 
     def test_pool_has_no_more_processes_than_shards(self, monkeypatch):
         # n = 1 and n = 2 make 1 + 4 shards, so 16 workers start 5 processes.
-        sizes = []
-        get_context = harness.multiprocessing.get_context
+        forks = []
+        fork = harness.os.fork
 
-        class Recording:
-            def __init__(self, method):
-                self.ctx = get_context(method)
+        def recording():
+            forks.append(None)
+            return fork()
 
-            def Pool(self, processes):
-                sizes.append(processes)
-                return self.ctx.Pool(processes=processes)
-
-        monkeypatch.setattr(harness.multiprocessing, "get_context", Recording)
+        monkeypatch.setattr(harness.os, "fork", recording)
         report = run_suite(SuiteConfig(1, 2, "labeled", ("chc",), workers=16))
-        assert sizes == [5]
+        assert len(forks) == 5
         assert report.config["workers"] == 16
         assert doc_of(report) == doc_of(run_suite(SuiteConfig(1, 2, "labeled", ("chc",))))
+
+    def test_results_that_finish_early_wait_for_their_turn(self, monkeypatch, capsys):
+        # Shard 1 of 16 sleeps in its worker, so the other two workers
+        # finish the rest first; the run still takes the results, reports
+        # and logs in task order.
+        parent = os.getpid()
+        full = harness._run_shard
+
+        def run_shard(cfg, n, lo, hi):
+            if (n, lo) == (1, 0) and os.getpid() != parent:
+                time.sleep(0.2)
+            return full(cfg, n, lo, hi)
+
+        taken = []
+        shard_results = harness._shard_results
+
+        def recording(cfg, tasks):
+            for res in shard_results(cfg, tasks):
+                taken.append(res)
+                yield res
+            assert taken == [full(*task) for task in tasks]
+
+        cfg = SuiteConfig(1, 3, "labeled", ("two-phi", "chc"), workers=3)
+        serial = doc_of(run_suite(dataclasses.replace(cfg, workers=1)))
+        capsys.readouterr()
+        monkeypatch.setattr(harness, "_run_shard", run_shard)
+        monkeypatch.setattr(harness, "_shard_results", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            report = run_suite(cfg)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        ns = [1] + [2] * 4 + [3] * 11
+        assert len(taken) == len(ns)
+        assert capsys.readouterr().err.splitlines() == [
+            f"progress: shard {i}/{len(ns)} done (n={n})" for i, n in enumerate(ns, 1)
+        ]
+        assert doc_of(report) == serial
 
     def test_outmap_sweep(self):
         cfg = SuiteConfig(
@@ -1356,6 +1395,120 @@ class TestRunSuite:
         with pytest.raises(GraphInputError):
             run_suite(SuiteConfig(1, 3, "labeled", ("rainbow-bound",)))
 
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+# Opens every script run_script runs.  no_child_left() says whether every
+# worker process the script started has been reaped.
+PRELUDE = """
+import json, os, sys, time
+from cyclecert import cli, harness
+from cyclecert.harness import SuiteConfig, run_suite
+
+def no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+"""
+# A girth table one too high, so the sweep's breadth-first cross-check
+# raises a TheoremViolation at index 0 of outmaps n = 3.
+OFF_BY_ONE = """
+table = harness._girth_table
+harness._girth_table = lambda *args: [None if g is None else g + 1 for g in table(*args)]
+"""
+
+
+def run_script(*parts, timeout=60):
+    """Run PRELUDE and parts in a fresh interpreter with the package on its
+    path; one that outlives timeout seconds raises
+    subprocess.TimeoutExpired, so a hang fails the test."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", "\n".join(map(textwrap.dedent, (PRELUDE, *parts)))],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+class TestForkedWorkers:
+    """How a run with several workers fails: never by hanging, never
+    leaving a worker behind, and as one worker would."""
+
+    def test_dead_worker_fails_the_run_naming_its_shard(self):
+        # Labeled n = 1..3 on two workers makes 1 + 4 + 8 shards; the one
+        # at n = 3, lo = 16 is shard 8 of 13.  The run ends at once: the
+        # worker still busy, on shard 9 at the latest, is killed.
+        r = run_script(
+            """
+            full = harness._run_shard
+            def run_shard(cfg, n, lo, hi):
+                if (n, lo) == (3, 16):
+                    os._exit(7)
+                if (n, lo) == (3, 24):  # the other worker's next shard
+                    time.sleep(120)
+                return full(cfg, n, lo, hi)
+            harness._run_shard = run_shard
+            try:
+                run_suite(SuiteConfig(1, 3, "labeled", ("chc",), workers=2))
+            except ChildProcessError as exc:
+                print(exc)
+            print(no_child_left())
+            code = cli.main(["verify", "--generator", "labeled", "--n", "1-3", "--jobs", "2"])
+            print(code, no_child_left())
+            """
+        )
+        lost = "a worker exited with code 7 before returning shard 8/13 (n=3)"
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == [lost, "True", "2 True"]
+        # The command line reports it as an error, after the progress of
+        # the shards that came back before it.
+        assert r.stderr.splitlines()[-1] == f"error: {lost}"
+        assert "Traceback" not in r.stderr
+
+    def test_shard_exception_is_raised_as_one_worker_raises_it(self):
+        r = run_script(
+            OFF_BY_ONE,
+            """
+            for w in (1, 2):
+                try:
+                    run_suite(SuiteConfig(3, 3, "outmaps", ("deg2-girth",), workers=w))
+                except Exception as exc:
+                    print(json.dumps([type(exc).__name__, str(exc)]))
+            print(no_child_left())
+            """,
+        )
+        assert r.returncode == 0, r.stderr
+        one, two, reaped = r.stdout.splitlines()
+        assert one == two
+        assert json.loads(one)[0] == "TheoremViolation"
+        assert json.loads(one)[1].startswith(
+            "girth table says 3, breadth-first search says 2, on:\ndigraph 3 3\n"
+        )
+        assert reaped == "True"
+
+    def test_verify_reports_the_counterexample_as_one_job_does(self):
+        runs = [
+            run_script(
+                OFF_BY_ONE,
+                f"""
+                code = cli.main(["verify", "--generator", "outmaps", "--n", "3", "--jobs", "{jobs}"])
+                print(no_child_left())
+                sys.exit(code)
+                """,
+            )
+            for jobs in (1, 2)
+        ]
+        for r in runs:
+            assert r.returncode == 1, r.stderr
+            assert r.stdout == "True\n"
+            assert r.stderr.startswith(
+                "counterexample: girth table says 3, breadth-first search says 2, on:\ndigraph 3 3\n"
+            )
+        assert runs[0].stderr == runs[1].stderr
 
 class TestExtremalRatioSearch:
     def test_exhaustive_n3(self):
