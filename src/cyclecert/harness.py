@@ -10,9 +10,10 @@ rainbow instances.  Checks of proved statements record violations, which
 callers treat as fatal; checks of open conjectures record findings only.
 Reports are independent of the worker count: shards partition the index
 space and merge by sums, concatenation sorted by index, and tie-broken
-extremes.  Several workers are forked children fed shard indices from
-one shared task pipe; each sends its results back on a pipe of its own,
-and a worker that dies owing a shard fails the run instead of hanging it.
+extremes.  Several workers are forked children, each owing one shard at
+a time: its next shard index comes down a task pipe of its own once its
+last result is back on its result pipe, and a worker that dies owing a
+shard fails the run instead of hanging it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import or_
-from typing import Any, Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, Sequence, Union
 
 from .certificates import (
     BlockCycleValidator,
@@ -990,50 +991,21 @@ def _run_shard(cfg: SuiteConfig, n: int, lo: int, hi: int) -> dict[str, Any]:
     return acc.result()
 
 
-def _run_task(task: tuple[SuiteConfig, int, int, int]) -> dict[str, Any]:
-    return _run_shard(*task)
-
-
-# A task index, as the parent writes it to the shared task pipe and as a
-# worker announces it on its result pipe when it takes the shard; every
-# write is a whole number of indices, so each read of _INDEX.size bytes
-# from the shared pipe takes exactly one.
+# A task index, as the parent sends it down a worker's own task pipe.
 _INDEX = struct.Struct("=I")
-# The length prefix of a pickled (ok, result or exception) message.
-_SIZE = struct.Struct("=Q")
 
 
 def _serve(tasks: list[tuple[SuiteConfig, int, int, int]], task_r: int, res_w: int) -> None:
-    """A forked worker's loop: take task indices from the shared pipe until
-    it runs dry, announce each, and send back its pickled outcome."""
-    while raw := os.read(task_r, _INDEX.size):
-        os.write(res_w, raw)
-        try:
-            out = (True, _run_task(tasks[_INDEX.unpack(raw)[0]]))
-        except Exception as exc:
-            out = (False, exc)
-        data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
-        view = memoryview(_SIZE.pack(len(data)) + data)
-        while view:
-            view = view[os.write(res_w, view) :]
-
-
-def _read_exact(fd: int, size: int) -> bytearray:
-    """size bytes from fd, or fewer if the pipe closes first."""
-    buf = bytearray()
-    while len(buf) < size and (chunk := os.read(fd, size - len(buf))):
-        buf += chunk
-    return buf
-
-
-def _message(fd: int) -> bytearray | None:
-    """The next length-prefixed message on fd, or None if the pipe closes first."""
-    head = _read_exact(fd, _SIZE.size)
-    if len(head) < _SIZE.size:
-        return None
-    (size,) = _SIZE.unpack(head)
-    body = _read_exact(fd, size)
-    return body if len(body) == size else None
+    """A forked worker's loop: run each shard whose index comes down its
+    task pipe, until that pipe closes, and send back its pickled outcome."""
+    with open(res_w, "wb") as out:
+        while raw := os.read(task_r, _INDEX.size):
+            try:
+                res = (True, _run_shard(*tasks[_INDEX.unpack(raw)[0]]))
+            except Exception as exc:
+                res = (False, exc)
+            out.write(pickle.dumps(res, pickle.HIGHEST_PROTOCOL))
+            out.flush()
 
 
 def _forked_results(
@@ -1041,19 +1013,21 @@ def _forked_results(
 ) -> Iterator[dict[str, Any]]:
     """Each task's shard result, in task order, from k forked workers.
 
-    The workers share one pipe of task indices, so the next shard goes to
-    the first free worker, and each answers on a pipe of its own.  Results
-    that arrive early wait here for their turn; a shard's exception is
-    raised again in its turn, and a worker that dies owing a shard raises
-    ChildProcessError naming it.  Workers leave when the task pipe runs
-    dry; on an early exit the ones still running are killed.  Either way
-    every worker is reaped.
+    Each worker owes one shard at a time: the parent sends it the next
+    task index down its own task pipe when its result comes back, so the
+    next shard goes to the first free worker, and nothing follows a result
+    on its pipe.  Results that arrive early wait here for their turn; a
+    shard's exception is raised again in its turn, and a worker that dies
+    owing a shard raises ChildProcessError naming it.  The workers leave
+    when their task pipes close at the end; on an early exit the ones still
+    running are killed.  Either way every worker is reaped.
     """
     sys.stdout.flush()
     sys.stderr.flush()
-    task_r, task_w = os.pipe()
-    opened = {task_r, task_w}  # pipe ends the parent has yet to close
-    workers: dict[int, int] = {}  # a worker's result pipe -> its pid, until reaped
+    opened: set[int] = set()  # pipe ends the parent has yet to close
+    # A worker's result pipe -> its pid, its task pipe and a reader of it that
+    # leaves closing it to close(), until reaped.
+    workers: dict[int, tuple[int, int, BinaryIO]] = {}
     finished = False
 
     def close(fd: int) -> None:
@@ -1062,8 +1036,9 @@ def _forked_results(
 
     try:
         for _ in range(k):
+            task_r, task_w = os.pipe()
             res_r, res_w = os.pipe()
-            opened |= {res_r, res_w}
+            opened |= {task_r, task_w, res_r, res_w}
             pid = os.fork()
             if pid == 0:
                 code = 1
@@ -1074,51 +1049,43 @@ def _forked_results(
                     code = 0
                 finally:
                     os._exit(code)
-            workers[res_r] = pid
+            close(task_r)
             close(res_w)
-        close(task_r)
-        # Written as the pipe takes them, so a full task pipe never waits on
-        # a worker that waits on its own full result pipe.
-        todo = memoryview(b"".join(map(_INDEX.pack, range(len(tasks)))))
+            workers[res_r] = (pid, task_w, open(res_r, "rb", closefd=False))
+        pending = iter(range(len(tasks)))
+        owed: dict[int, int] = {}  # a worker's result pipe -> the shard it owes
         poller = select.poll()
+
+        def feed(fd: int) -> None:
+            """Send the worker on result pipe fd its next shard, if one is left;
+            if not, it idles until its task pipe closes."""
+            j = next(pending, None)
+            if j is None:
+                poller.unregister(fd)
+                return
+            owed[fd] = j
+            try:
+                os.write(workers[fd][1], _INDEX.pack(j))
+            except BrokenPipeError:
+                pass  # the worker is dead; reading its result pipe says so
+
         for fd in workers:
             poller.register(fd, select.POLLIN)
-        poller.register(task_w, select.POLLOUT)
-        live = len(workers)
-        taken: dict[int, int] = {}  # a worker's result pipe -> the shard it took
+            feed(fd)
         done: dict[int, tuple[bool, Any]] = {}
-        for i, task in enumerate(tasks):
+        for i in range(len(tasks)):
             while i not in done:
-                if not live:
-                    raise ChildProcessError(
-                        f"every worker exited before returning shard {i + 1}/{len(tasks)} (n={task[1]})"
-                    )
-                ready = dict(poller.poll())
-                writable = ready.pop(task_w, 0)
-                for fd in ready:
-                    if fd not in taken:
-                        raw = os.read(fd, _INDEX.size)
-                        if raw:
-                            taken[fd] = _INDEX.unpack(raw)[0]
-                        else:
-                            poller.unregister(fd)
-                            close(fd)
-                            live -= 1
-                        continue
-                    body = _message(fd)
-                    if body is None:
-                        j = taken[fd]
-                        _, status = os.waitpid(workers.pop(fd), 0)
+                for fd, _ in poller.poll():
+                    j = owed.pop(fd)
+                    try:
+                        done[j] = pickle.load(workers[fd][2])
+                    except (EOFError, pickle.UnpicklingError):
+                        _, status = os.waitpid(workers.pop(fd)[0], 0)
                         raise ChildProcessError(
                             f"a worker exited with code {os.waitstatus_to_exitcode(status)} "
                             f"before returning shard {j + 1}/{len(tasks)} (n={tasks[j][1]})"
-                        )
-                    done[taken.pop(fd)] = pickle.loads(body)
-                if writable:
-                    todo = todo[os.write(task_w, todo[: select.PIPE_BUF]) :]
-                    if not todo:
-                        poller.unregister(task_w)
-                        close(task_w)
+                        ) from None
+                    feed(fd)
             ok, res = done.pop(i)
             if not ok:
                 raise res
@@ -1127,7 +1094,7 @@ def _forked_results(
     finally:
         for fd in list(opened):
             close(fd)
-        for pid in workers.values():
+        for pid, _, _ in workers.values():
             if not finished:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -1140,7 +1107,7 @@ def _shard_results(
     workers, or one per task if fewer, when there are several; a progress
     line goes to stderr as each one arrives."""
     k = min(cfg.workers, len(tasks))
-    results = _forked_results(tasks, k) if k > 1 else map(_run_task, tasks)
+    results = _forked_results(tasks, k) if k > 1 else (_run_shard(*t) for t in tasks)
     # Run to its end, not cut off by a zip, so the workers are reaped
     # without a signal.
     for i, res in enumerate(results):

@@ -10,6 +10,7 @@ import math
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -1355,6 +1356,61 @@ class TestRunSuite:
         ]
         assert doc_of(report) == serial
 
+    @staticmethod
+    def open_fds():
+        return set(os.listdir("/proc/self/fd"))
+
+    def test_a_failed_fork_leaves_no_pipe_open_and_no_worker(self, monkeypatch):
+        cfg = SuiteConfig(1, 3, "labeled", ("chc",), workers=3)
+        before = self.open_fds()
+        run_suite(cfg)
+        assert self.open_fds() == before
+        forks = []
+        fork = harness.os.fork
+
+        def failing():
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError("no more processes")
+            return fork()
+
+        monkeypatch.setattr(harness.os, "fork", failing)
+        with pytest.raises(OSError, match="no more processes"):
+            run_suite(cfg)
+        assert len(forks) == 2
+        assert self.open_fds() == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_large_results_cross_many_pipe_reads(self, monkeypatch):
+        # Each result a worker sends is over 1 MiB, far more than a pipe
+        # holds, so the parent reads every one in many pieces.
+        parent = os.getpid()
+        full = harness._run_shard
+        pad = "x" * (1 << 20)
+
+        def run_shard(*task):
+            res = full(*task)
+            return dict(res, pad=pad) if os.getpid() != parent else res
+
+        padded = []
+        shard_results = harness._shard_results
+
+        def recording(cfg, tasks):
+            for res in shard_results(cfg, tasks):
+                padded.append(res.get("pad") == pad)
+                yield res
+
+        cfg = SuiteConfig(1, 3, "labeled", ("two-phi", "chc"), workers=3)
+        serial = doc_of(run_suite(dataclasses.replace(cfg, workers=1)))
+        monkeypatch.setattr(harness, "_run_shard", run_shard)
+        monkeypatch.setattr(harness, "_shard_results", recording)
+        report = run_suite(cfg)
+        assert padded == [True] * 16
+        assert doc_of(report) == serial
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_outmap_sweep(self):
         cfg = SuiteConfig(
             n_lo=1, n_hi=4, generator="outmaps", checks=("two-cycles", "deg2-girth")
@@ -1468,6 +1524,75 @@ class TestForkedWorkers:
         # the shards that came back before it.
         assert r.stderr.splitlines()[-1] == f"error: {lost}"
         assert "Traceback" not in r.stderr
+
+    def test_worker_dying_after_a_shard_fails_the_run(self):
+        # The worker that returns shard 8 of 13 dies 0.1 s later, owing the
+        # next shard it was sent.  The later shards sleep, so the run cannot
+        # finish on the other worker first.  On the second run the parent
+        # is slow to send indices 8.., so it sends that next shard to the
+        # dead worker, and the write's broken pipe must not be the error.
+        r = run_script(
+            """
+            import threading
+            full = harness._run_shard
+            def run_shard(cfg, n, lo, hi):
+                if (n, lo) == (3, 16):
+                    threading.Thread(target=lambda: time.sleep(0.1) or os._exit(9), daemon=True).start()
+                if n == 3 and lo > 16:
+                    time.sleep(1)
+                return full(cfg, n, lo, hi)
+            harness._run_shard = run_shard
+            write = os.write
+            def slow_write(fd, data):
+                if len(data) == harness._INDEX.size and harness._INDEX.unpack(data)[0] >= 8:
+                    time.sleep(0.5)
+                return write(fd, data)
+            for w in (write, slow_write):
+                harness.os.write = w
+                try:
+                    run_suite(SuiteConfig(1, 3, "labeled", ("chc",), workers=2))
+                except ChildProcessError as exc:
+                    print(exc)
+                print(no_child_left())
+            harness.os.write = write
+            code = cli.main(["verify", "--generator", "labeled", "--n", "1-3", "--jobs", "2"])
+            print(code, no_child_left())
+            """
+        )
+        assert r.returncode == 0, r.stderr
+        lost = r"a worker exited with code 9 before returning shard \d+/13 \(n=3\)"
+        first, reaped, second, reaped_again, verified = r.stdout.splitlines()
+        assert re.fullmatch(lost, first) and re.fullmatch(lost, second)
+        assert (reaped, reaped_again, verified) == ("True", "True", "2 True")
+        assert re.fullmatch(f"error: {lost}", r.stderr.splitlines()[-1])
+        assert "Traceback" not in r.stderr
+
+    def test_worker_dying_in_the_middle_of_a_result_fails_the_run(self):
+        # The worker running shard 8 of 13 sends all of its result but the
+        # last byte, then dies.
+        r = run_script(
+            """
+            import pickle, threading
+            full = harness._run_shard
+            dumps = pickle.dumps
+            def run_shard(cfg, n, lo, hi):
+                if (n, lo) == (3, 16):
+                    harness.pickle.dumps = lambda *args: dumps(*args)[:-1]
+                    threading.Thread(target=lambda: time.sleep(0.1) or os._exit(9), daemon=True).start()
+                return full(cfg, n, lo, hi)
+            harness._run_shard = run_shard
+            try:
+                run_suite(SuiteConfig(1, 3, "labeled", ("chc",), workers=2))
+            except ChildProcessError as exc:
+                print(exc)
+            print(no_child_left())
+            """
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == [
+            "a worker exited with code 9 before returning shard 8/13 (n=3)",
+            "True",
+        ]
 
     def test_shard_exception_is_raised_as_one_worker_raises_it(self):
         r = run_script(
