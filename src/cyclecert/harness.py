@@ -207,10 +207,11 @@ def _outmap_choices(n: int, dmin: int, dmax: int) -> list[tuple[int, ...]]:
 
 class _Head:
     """Vertex 0's out-mask choices in a sweep, and what each one adds to an
-    instance: its in-mask column (bit 0 at each out-neighbor) and its
-    out-degree.  deg2 says whether every out-degree is at most 2."""
+    instance: its in-mask column (bit 0 at each out-neighbor), out-degree
+    and, scaled, terms of phi and psi (0 for an empty choice, never kept)
+    and of (1)'s right sides.  deg2 says whether every out-degree is <= 2."""
 
-    __slots__ = ("n", "first", "cols", "deg0", "deg2", "scale")
+    __slots__ = ("n", "first", "cols", "deg0", "deg2", "scale", "phi0", "psi0", "rhs0")
 
     def __init__(self, choices: list[tuple[int, ...]]) -> None:
         self.n = n = len(choices)
@@ -219,7 +220,11 @@ class _Head:
         self.cols = [(*((m >> v) & 1 for v in range(n)),) for m in first]
         self.deg0 = [m.bit_count() for m in first]
         self.deg2 = max(self.deg0) <= 2
-        self.scale = _scale(n)
+        self.scale = scale = _scale(n)
+        gains = _gains(n, n - 1)
+        self.phi0 = [scale // (d + 1) for d in self.deg0]
+        self.psi0 = [scale // d if d else 0 for d in self.deg0]
+        self.rhs0 = [d * gains[d] for d in self.deg0]
 
 
 def _or_column(inn: tuple[int, ...], col: tuple[int, ...]) -> tuple[int, ...]:
@@ -239,31 +244,24 @@ class _Block:
     be its first.
 
     degs are the out-degrees of (0,) + tail, tail_inn the in-masks of
-    (0,) + tail (what vertices 1.. give every instance), and girth holds
-    each choice's girth, None where acyclic (_girth_table).  Every other
-    per-choice fact a check needs is a tail term plus one from vertex 0's
-    out-degree head.deg0[r], and terms() builds the tail's once.  out, inn
-    and the Digraph are built only for the r a check asks about, each time
-    it asks.
+    (0,) + tail (what vertices 1.. give every instance), g0 the girth of
+    D - 0, which no choice's exceeds, and girth each choice's girth; each
+    is None where acyclic.  Every other per-choice fact a check needs is a
+    tail term (terms() builds them once) plus vertex 0's, from head.  out,
+    inn and the Digraph are built anew for each r a check asks about.
 
     again is the kept choice whose instance the cross-checks search again
     from scratch, or None.
     """
 
     __slots__ = (
-        "head", "n", "base", "tail", "degs", "tail_inn", "girth", "kept", "again", "_pair",
-        "_terms",
+        "head", "n", "base", "tail", "degs", "tail_inn", "g0", "kept", "again", "_girth",
+        "_pair", "_terms",
     )
 
     def __init__(
-        self,
-        head: _Head,
-        base: int,
-        tail: tuple[int, ...],
-        degs: tuple[int, ...],
-        tail_inn: tuple[int, ...],
-        girth: list[int | None],
-        kept: range,
+        self, head: _Head, base: int, tail: tuple[int, ...], degs: tuple[int, ...],
+        tail_inn: tuple[int, ...], g0: int | None, kept: range,
     ) -> None:
         self.head = head
         self.n = head.n
@@ -271,11 +269,19 @@ class _Block:
         self.tail = tail
         self.degs = degs
         self.tail_inn = tail_inn
-        self.girth = girth
+        self.g0 = g0
         self.kept = kept
         self.again: int | None = None
+        self._girth: list[int | None] | None = None
         self._pair: TwoCyclePair | TheoremViolation | None = None
         self._terms: TailTerms | None = None
+
+    @property
+    def girth(self) -> list[int | None]:
+        """The block's _girth_table, built on the first read."""
+        if self._girth is None:
+            self._girth = _girth_table(self.tail_inn, self.head.first, self.g0, 0)
+        return self._girth
 
     def terms(self) -> TailTerms:
         """peeling.tail_terms of the block, built once, on the first ask."""
@@ -362,12 +368,12 @@ def _sweep(choices: list[tuple[int, ...]], lo: int, hi: int) -> Iterator[_Block]
     (_blocks).  Each out-mask of vertex u prepends itself and its
     out-degree to the tail, ORs its in-mask column into the in-masks, and
     tables, over vertex u - 1's choices, the girth of the digraph on
-    vertices u - 1.. (_girth_table); vertex 0's table is the block's
-    girth.  An empty out-mask (a sink) is skipped with every block under
-    it.  Vertex 0's empty choice, if it has one, must come first, as it
-    does when choices ascend; a block keeps the range of its other choices
-    inside [lo, hi).  Instance again has its girth searched again from
-    scratch, and a disagreement raises.
+    vertices u - 1.. (_girth_table), down to vertex 1's: g(D - 0) for
+    each block.  An empty out-mask (a sink) is skipped with every block
+    under it.  Vertex 0's empty choice, if it has one, must come first, as
+    it does when choices ascend; a block keeps the range of its other
+    choices inside [lo, hi).  Instance again has its girth searched again
+    from scratch, and a disagreement raises.
     """
     n = len(choices)
     if lo >= hi or n < 2:
@@ -405,15 +411,15 @@ def _blocks(
             continue  # a sink, or blocks that all lie before lo
         tail_u, degs_u = (m,) + tail, (m.bit_count(),) + degs
         inn_u = _or_column(inn, cols[u - 1][d])
-        table = _girth_table(inn_u, choices[u - 1], girth[d], u - 1)
         if u > 1:
+            table = _girth_table(inn_u, choices[u - 1], girth[d], u - 1)
             yield from _blocks(sweep, u - 1, at, tail_u, degs_u, inn_u, table)
             continue
         base = at * r0
         kept = range(max(lo - base, start), min(hi - base, r0))
         if not kept:
             continue
-        b = _Block(head, base, tail_u, (0,) + degs_u, inn_u, table, kept)
+        b = _Block(head, base, tail_u, (0,) + degs_u, inn_u, girth[d], kept)
         # In a block holding a multiple of _CROSS_CHECK_EVERY, the first
         # kept choice at or after it (at labeled n <= 5 the multiple itself
         # has vertex 0 empty).  A multiple past the block lies past kept.
@@ -641,17 +647,14 @@ _Failures = Iterator[tuple[int, _Failure]]
 
 
 def _check_eq1(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
-    # Summed over v, the right side of (1) adds gains[deg(u)] once per arc
-    # u -> v.  The arcs out of vertices 1.. are the block's, in its tail
-    # terms; vertex 0's deg0 arcs add deg0 * gains[deg0].
-    scale, deg0 = b.head.scale, b.head.deg0
-    gains = _gains(b.n, b.n - 1)
+    # Summed over v, the right side of (1) adds gains[deg(u)] per arc u -> v:
+    # the tail terms hold those of vertices 1.., head.rhs0 vertex 0's.
+    scale, phi0, rhs0 = b.head.scale, b.head.phi0, b.head.rhs0
     _, tail_phi, rhs = b.terms()
     tail_rhs = sum(rhs)
     for r in rs:
-        d = deg0[r]
-        rhs_total = tail_rhs + d * gains[d]
-        phi_m = tail_phi + scale // (d + 1)
+        rhs_total = tail_rhs + rhs0[r]
+        phi_m = tail_phi + phi0[r]
         if rhs_total != phi_m:
             yield r, (
                 f"removability right sides sum to {rhs_total}/{scale}, "
@@ -665,12 +668,12 @@ def _check_two_phi(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
     # choice's cycle; one validator checks each distinct cycle once and each
     # choice's head alone, and a certificate is built only for a cycle that
     # leaves the block, in a violation or a cross-check.
-    n, scale, girth, first, deg0 = b.n, b.head.scale, b.girth, b.head.first, b.head.deg0
+    n, scale, girth, first, phi0 = b.n, b.head.scale, b.girth, b.head.first, b.head.phi0
     peeler = BlockPeeler(n, b.tail, b.tail_inn, b.terms(), acc.peel_memo)
     valid = BlockCycleValidator(n, b.tail).valid
     tail_phi = peeler.tail_phi
     for r in rs:
-        g, phi_m = girth[r], tail_phi + scale // (deg0[r] + 1)
+        g, phi_m = girth[r], tail_phi + phi0[r]
         if g is None or g * scale > 2 * phi_m:
             yield r, f"girth {g} exceeds 2 phi = {2 * phi_m}/{scale}"
             continue
@@ -699,13 +702,12 @@ def _peels_alike(d: Digraph, cert: CycleCertificate) -> bool:
 
 
 def _check_two_psi_strict(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
-    scale, girth, deg0 = b.head.scale, b.girth, b.head.deg0
-    # Every kept choice has an out-arc, so deg0[r] >= 1.
+    scale, girth, psi0 = b.head.scale, b.girth, b.head.psi0
     tail_psi = _psi_scaled(scale, b.degs[1:])
     # The block's largest girth/psi, the first on ties, is offered once.
     best: tuple[int, int, int] | None = None
     for r in rs:
-        g, psi_m = girth[r], tail_psi + scale // deg0[r]
+        g, psi_m = girth[r], tail_psi + psi0[r]
         if g is not None and (best is None or g * scale * best[1] > best[0] * psi_m):
             best = (g * scale, psi_m, r)
         if g is None or g * scale >= 2 * psi_m:
@@ -725,24 +727,12 @@ def _check_chc(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
             yield r, f"girth {g} exceeds ceil(n / min out-degree) = {bound}"
 
 
-def _walked(b: _Block, rs: Sequence[int], least: int) -> Sequence[int]:
-    """rs, or only again (if in rs) when no girth of the block's table, any
-    choice's, exceeds least, the least of its heads' bounds."""
-    try:
-        if max(b.girth) <= least:
-            return (b.again,) if b.again is not None and b.again in rs else ()
-    except TypeError:  # a None, an acyclic choice: walk rs
-        pass
-    return rs
-
-
 def _check_deg2_girth(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
     # Instance again also gets the exhaustive oracle's certificate, from
     # the cycle pair two-cycles reads too, and it must validate on the
     # instance's out-masks.
     n, girth, deg0, again = b.n, b.girth, b.head.deg0, b.again
     tail_p = b.degs.count(1)
-    rs = _walked(b, rs, (n + tail_p + 1) // 2)  # deg0 == 2's bound
     for r in rs:
         g = girth[r]
         bound = (n + tail_p + (deg0[r] == 1) + 1) // 2
@@ -761,7 +751,6 @@ def _check_deg2_girth(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
 def _check_two_cycles(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
     girth, deg0, again = b.girth, b.head.deg0, b.again
     tail_p = b.degs.count(1)
-    rs = _walked(b, rs, tail_p + 1)  # deg0 == 2's limit
     # D - 0's cycles, shared by the block's scans; enumerated on first need.
     rest: tuple[list[int], int] | None = None
     for r in rs:
@@ -839,6 +828,9 @@ class _Check(NamedTuple):
     run: Callable[[Any, Sequence[int], _Accum], _Failures]
     kind: str  # what a failure records: "violation" (proved) or "finding" (open)
     deg2_only: bool = False  # applies only when every out-degree is at most 2
+    # The least bound of a block's heads, vertex 0's with out-degree 2, from
+    # n and p, the out-degree-1 vertices among 1..; see _run_checks.
+    bound: Callable[[int, int], int] | None = None
 
 
 # Run in this order, so what one check derives serves the later ones.  A
@@ -848,8 +840,8 @@ _DIGRAPH_ROWS = (
     _Check("two-phi", _check_two_phi, "violation"),
     _Check("two-psi-strict", _check_two_psi_strict, "violation"),
     _Check("chc", _check_chc, "finding"),
-    _Check("deg2-girth", _check_deg2_girth, "violation", deg2_only=True),
-    _Check("two-cycles", _check_two_cycles, "violation", deg2_only=True),
+    _Check("deg2-girth", _check_deg2_girth, "violation", True, lambda n, p: (n + p + 1) // 2),
+    _Check("two-cycles", _check_two_cycles, "violation", True, lambda n, p: p + 1),
 )
 _RAINBOW_ROWS = (
     _Check("rainbow-bound", _check_rainbow_bound, "violation"),
@@ -867,9 +859,11 @@ def _name_of(run: Callable[..., _Failures]) -> str:
 
 
 def _run_checks(x: _Unit, rs: Sequence[int], checks: Sequence[_Check], acc: _Accum) -> None:
-    """Run each check over the choices rs of x, counting them checked."""
+    """Run each check over the choices rs of x, counting them checked.  A
+    check with a bound walks only again, if selected, of a block whose
+    girths are all within it: g(D - 0), which none exceeds, or the table."""
     deg2_rs: Sequence[int] | None = None
-    for name, run, kind, deg2_only in checks:
+    for name, run, kind, deg2_only, bound in checks:
         sel = rs
         if deg2_only:
             if deg2_rs is None:
@@ -885,6 +879,12 @@ def _run_checks(x: _Unit, rs: Sequence[int], checks: Sequence[_Check], acc: _Acc
         if not sel:
             continue
         acc.checked[name] = acc.checked.get(name, 0) + len(sel)
+        if bound is not None:  # x is a _Block
+            least, g0 = bound(x.n, x.degs.count(1)), x.g0
+            if (g0 is not None and g0 <= least) or (None not in x.girth and max(x.girth) <= least):
+                if x.again is None or x.again not in sel:
+                    continue
+                sel = (x.again,)
         for r, fail in run(x, sel, acc):
             acc.failed[name] = acc.failed.get(name, 0) + 1
             message, certificate = fail if isinstance(fail, tuple) else (fail, None)

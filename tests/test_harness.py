@@ -11,6 +11,7 @@ import operator
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -255,8 +256,9 @@ class TestBlocks:
     @pytest.mark.parametrize("dmin, dmax", [(0, None), (1, 2)], ids=["labeled", "outdeg-1-2"])
     def test_block_built_without_the_odometer(self, n, dmin, dmax):
         # A block needs only its tail's facts: in-masks from in_masks_of and
-        # a girth table from g(D - 0), found by a girth search, here on
-        # seeded sink-free tails past the sweeps, under every non-empty head.
+        # g(D - 0), found by a girth search, from which it builds its girth
+        # table, here on seeded sink-free tails past the sweeps, under every
+        # non-empty head.
         choices = _outmap_choices(n, dmin, n - 1 if dmax is None else dmax)
         head = harness._Head(choices)
         checks = [c for c in harness._CHECKS if c.name in DIGRAPH_CHECKS]
@@ -269,8 +271,7 @@ class TestBlocks:
             g0 = None if hit is None else hit[0]
             tail_inn = in_masks_of((0,) + tail)
             b = harness._Block(
-                head, 0, tail, (0, *(m.bit_count() for m in tail)), tail_inn,
-                harness._girth_table(tail_inn, head.first, g0, 0),
+                head, 0, tail, (0, *(m.bit_count() for m in tail)), tail_inn, g0,
                 [r for r, h in enumerate(head.first) if h],
             )
             assert b.again is None
@@ -569,9 +570,82 @@ class TestCrossChecks:
 
 
 class TestBlockCompare:
-    """deg2-girth and two-cycles settle a block when its table's largest
-    girth is within the least of its heads' bounds, and walk its heads
-    otherwise.  The counts here were taken when every head was walked."""
+    """deg2-girth and two-cycles settle a block when g(D - 0), or else its
+    table's largest girth, is within the least of its heads' bounds, and
+    walk its heads otherwise.  The pair-scan counts here were taken when
+    every head was walked."""
+
+    @pytest.mark.parametrize(
+        "kind, dmax, n_hi, blocks, deg2_walked, pairs_walked",
+        [
+            ("outmaps", 2, 5, 10_226, 0, 2004),
+            ("outmaps", 3, 4, 226, 0, 40),
+            ("labeled", None, 4, 226, 72, 104),
+        ],
+        ids=["outmaps-1-2", "outmaps-1-3", "labeled"],
+    )
+    def test_settles_exactly_the_blocks_the_table_would(
+        self, kind, dmax, n_hi, blocks, deg2_walked, pairs_walked
+    ):
+        # Every block the deg2 rows select heads of (the heads with
+        # out-degree at most 2, under a tail whose out-degrees are too), run
+        # with no instance searched again: a block settles, and nothing is
+        # walked, iff the largest entry of its table, built here from
+        # scratch, is within the row's bound.  Then every kept head's girth,
+        # found by a breadth-first search, is within it too.
+        rows = [c for c in harness._CHECKS if c.bound is not None]
+        assert [c.name for c in rows] == ["deg2-girth", "two-cycles"]
+        settled = collections.Counter()
+        for n in range(2, n_hi + 1):
+            choices = _outmap_choices(n, 1 if dmax else 0, dmax or n - 1)
+            for b in _sweep(choices, 0, math.prod(map(len, choices))):
+                if max(b.degs) > 2:
+                    continue
+                b.again = None
+                table = harness._girth_table(b.tail_inn, b.head.first, b.g0, 0)
+                top = None if None in table else max(table)
+                girths = None
+                for row in rows:
+                    least = row.bound(n, b.degs.count(1))
+                    walked = []
+                    spy = row._replace(run=lambda x, rs, acc: walked.append(rs) or ())
+                    harness._run_checks(b, b.kept, [spy], harness._Accum())
+                    settles = top is not None and top <= least
+                    assert (walked == []) == settles, (n, b.base, row.name)
+                    settled[row.name, settles] += 1
+                    if settles:
+                        if girths is None:
+                            girths = [oracles._girth_masks(n, b.out(r), b.inn(r)) for r in b.kept]
+                        assert all(hit is not None and hit[0] <= least for hit in girths)
+        assert [settled[row.name, s] for row in rows for s in (True, False)] == [
+            blocks - deg2_walked, deg2_walked, blocks - pairs_walked, pairs_walked
+        ]
+
+    def test_a_tail_girth_too_high_reaches_the_compare(self, monkeypatch):
+        # Vertex 1's tables (s = 1) read two too high, so each block's
+        # g(D - 0), and the table built from it, read too high too.  The
+        # compare reads that g(D - 0) first and walks the blocks it leaves
+        # unsettled; the heads whose table entry is then beyond their bound
+        # fail.  The counts were taken when every block built its table
+        # before the compare.  Indices from 10 skip block 0, whose search
+        # again would raise.
+        table = harness._girth_table
+        monkeypatch.setattr(
+            harness,
+            "_girth_table",
+            lambda inn, heads, g_rest, s: [
+                g if g is None or s != 1 else g + 2 for g in table(inn, heads, g_rest, s)
+            ],
+        )
+        res = _run_shard(SuiteConfig(5, 5, "outmaps", ("deg2-girth",)), 5, 10, 100_000)
+        assert res["checked"] == {"deg2-girth": 99_990}
+        assert res["passed"] == {"deg2-girth": 95_448}
+        messages = collections.Counter(v["message"] for v in res["violations"])
+        assert messages == {
+            "girth 4 exceeds ceil((n + p) / 2) = 3": 3762,
+            "girth 5 exceeds ceil((n + p) / 2) = 4": 720,
+            "girth 6 exceeds ceil((n + p) / 2) = 5": 60,
+        }
 
     def test_unsettled_heads_reach_the_pair_scan(self, monkeypatch):
         # A scan that never finds a pair disagrees with the oracle on every
@@ -590,7 +664,9 @@ class TestBlockCompare:
     def test_a_table_too_high_fails_the_heads_beyond_their_bound(self, monkeypatch):
         # Only block tables (s = 0) read one too high, so the tables of
         # vertices 1.. stay right.  Indices from 10 skip block 0, whose search again
-        # would raise.
+        # would raise.  A block whose g(D - 0) is within the least bound is
+        # settled before its table is read, so only the heads of the blocks
+        # left to their tables fail; no correct table exceeds g(D - 0).
         table = harness._girth_table
         monkeypatch.setattr(
             harness,
@@ -602,11 +678,11 @@ class TestBlockCompare:
         cfg = SuiteConfig(5, 5, "outmaps", ("deg2-girth", "two-cycles"))
         res = _run_shard(cfg, 5, 10, 100_000)
         assert res["checked"] == {"deg2-girth": 99_990, "two-cycles": 99_990}
-        assert res["passed"] == {"deg2-girth": 99_282, "two-cycles": 99_990}
+        assert res["passed"] == {"deg2-girth": 99_834, "two-cycles": 99_990}
         messages = collections.Counter(v["message"] for v in res["violations"])
         assert messages == {
-            "girth 4 exceeds ceil((n + p) / 2) = 3": 564,
-            "girth 5 exceeds ceil((n + p) / 2) = 4": 120,
+            "girth 4 exceeds ceil((n + p) / 2) = 3": 60,
+            "girth 5 exceeds ceil((n + p) / 2) = 4": 72,
             "girth 6 exceeds ceil((n + p) / 2) = 5": 24,
         }
 
@@ -621,6 +697,34 @@ class TestBlockCompare:
         report = run_suite(SuiteConfig(1, 5, "outmaps", ("two-cycles", "deg2-girth")))
         assert report.checked == report.passed and not report.violations
         assert calls == {"_cycle_pair_within": 8398, "_tail_cycles": 1644}
+
+    @staticmethod
+    def block_tables(monkeypatch):
+        """The calls of harness._girth_table with s = 0 (block tables) the
+        returned list gathers, one entry each."""
+        table = harness._girth_table
+        calls = []
+        monkeypatch.setattr(
+            harness, "_girth_table", lambda *a: (a[3] == 0 and calls.append(a)) or table(*a)
+        )
+        return calls
+
+    def test_only_unsettled_blocks_build_their_tables(self, monkeypatch):
+        # Of the 10,226 blocks of outmaps n <= 5, 3,435 have g(D - 0) beyond
+        # two-cycles' limit (or no cycle in D - 0) and build their tables.
+        calls = self.block_tables(monkeypatch)
+        report = run_suite(SuiteConfig(1, 5, "outmaps", ("two-cycles", "deg2-girth")))
+        assert report.checked == report.passed and not report.violations
+        assert len(calls) == 3435
+
+    def test_a_check_that_reads_no_girth_builds_no_table(self, monkeypatch):
+        # eq1-identity reads tail terms only.  Of the 10,309 blocks of this
+        # labeled n = 5 shard, only the one holding 100,000 builds its
+        # table, for the breadth-first search of its instance 100,001.
+        calls = self.block_tables(monkeypatch)
+        res = _run_shard(SuiteConfig(5, 5, "labeled", ("eq1-identity",)), 5, 100_000, 300_000)
+        assert res["checked"] == res["passed"] == {"eq1-identity": 154_635}
+        assert len(calls) == 1
 
 
 class TestTwoPhiFailures:
@@ -1054,7 +1158,10 @@ class TestShardTallies:
         ids=["labeled-n3", "nothing-passed", "deg2-only", "labeled-n4", "rainbow"],
     )
     def test_pinned(self, monkeypatch, check, cfg, n, lo, hi, checked, passed, failures, digest):
-        table = tuple(c._replace(run=fail_on_odd) if c.name == check else c for c in harness._CHECKS)
+        # With no bound, the patched check settles no block: it sees every choice.
+        table = tuple(
+            c._replace(run=fail_on_odd, bound=None) if c.name == check else c for c in harness._CHECKS
+        )
         monkeypatch.setattr(harness, "_CHECKS", table)
         res = _run_shard(cfg, n, lo, hi)
         assert res["checked"] == checked
@@ -1173,6 +1280,25 @@ class TestRandomRainbowInstance:
             assert inst.m == 8 and inst.p == seed % 9
 
 
+@pytest.fixture
+def deadline():
+    """Fails a test that runs forked workers in this process after 60 s,
+    rather than letting a lost result hang the whole run: SIGALRM raises
+    TimeoutError wherever the parent waits, and _forked_results' clean-up
+    still kills and reaps the workers.  A forked child has no timer."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test outlived its 60 s deadline")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
 class TestRunSuite:
     CFG = SuiteConfig(
         n_lo=1,
@@ -1282,6 +1408,7 @@ class TestRunSuite:
         ]
         assert res["generated"] == 27 and res["checked"] == {"two-phi": 27}
 
+    @pytest.mark.usefixtures("deadline")
     def test_deterministic_and_worker_invariant(self):
         base = doc_of(run_suite(self.CFG))
         again = doc_of(run_suite(self.CFG))
@@ -1303,6 +1430,7 @@ class TestRunSuite:
         assert len({doc_of(r) for r in reports}) == 1
         assert {r.instances_generated for r in reports} == {2429}
 
+    @pytest.mark.usefixtures("deadline")
     def test_pool_has_no_more_processes_than_shards(self, monkeypatch):
         # n = 1 and n = 2 make 1 + 4 shards, so 16 workers start 5 processes.
         forks = []
@@ -1318,6 +1446,7 @@ class TestRunSuite:
         assert report.config["workers"] == 16
         assert doc_of(report) == doc_of(run_suite(SuiteConfig(1, 2, "labeled", ("chc",))))
 
+    @pytest.mark.usefixtures("deadline")
     def test_results_that_finish_early_wait_for_their_turn(self, monkeypatch, capsys):
         # Shard 1 of 16 sleeps in its worker, so the other two workers
         # finish the rest first; the run still takes the results, reports
@@ -1360,6 +1489,7 @@ class TestRunSuite:
     def open_fds():
         return set(os.listdir("/proc/self/fd"))
 
+    @pytest.mark.usefixtures("deadline")
     def test_a_failed_fork_leaves_no_pipe_open_and_no_worker(self, monkeypatch):
         cfg = SuiteConfig(1, 3, "labeled", ("chc",), workers=3)
         before = self.open_fds()
@@ -1382,6 +1512,7 @@ class TestRunSuite:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.usefixtures("deadline")
     def test_large_results_cross_many_pipe_reads(self, monkeypatch):
         # Each result a worker sends is over 1 MiB, far more than a pipe
         # holds, so the parent reads every one in many pieces.
