@@ -372,8 +372,9 @@ def _sweep(choices: list[tuple[int, ...]], lo: int, hi: int) -> Iterator[_Block]
     each block.  An empty out-mask (a sink) is skipped with every block
     under it.  Vertex 0's empty choice, if it has one, must come first, as
     it does when choices ascend; a block keeps the range of its other
-    choices inside [lo, hi).  Instance again has its girth searched again
-    from scratch, and a disagreement raises.
+    choices inside [lo, hi), one range shared by every block lying wholly
+    inside.  Instance again has its girth searched again from scratch, and
+    a disagreement raises.
     """
     n = len(choices)
     if lo >= hi or n < 2:
@@ -387,7 +388,10 @@ def _sweep(choices: list[tuple[int, ...]], lo: int, hi: int) -> Iterator[_Block]
     span = [1, 1]
     for c in choices[1:]:
         span.append(span[-1] * len(c))
-    sweep = (head, choices, cols, span, lo, hi, int(head.first[0] == 0))
+    # The blocks wholly in [lo, hi), block indices -(-lo // r0) to
+    # hi // r0, share one kept range.
+    r0, start = len(head.first), int(head.first[0] == 0)
+    sweep = (head, choices, cols, span, lo, hi, start, -(-lo // r0), hi // r0, range(start, r0))
     # One vertex has no cycle: vertex n - 1's table is all None.
     yield from _blocks(sweep, n - 1, 0, (), (), (0,) * n, [None] * len(choices[-1]))
 
@@ -401,7 +405,7 @@ def _blocks(
     of the digraph on vertices u.. when vertex u takes choices[u][d], None
     where acyclic.  Module-level, passed _sweep's constants, so a call
     makes no reference cycle."""
-    head, choices, cols, span, lo, hi, start = sweep
+    head, choices, cols, span, lo, hi, start, whole_lo, whole_hi, whole = sweep
     r0, step = len(head.first), span[u]
     for d, m in enumerate(choices[u]):
         at = block + d * step  # the first block under this out-mask
@@ -416,7 +420,10 @@ def _blocks(
             yield from _blocks(sweep, u - 1, at, tail_u, degs_u, inn_u, table)
             continue
         base = at * r0
-        kept = range(max(lo - base, start), min(hi - base, r0))
+        if whole_lo <= at < whole_hi:
+            kept = whole
+        else:
+            kept = range(max(lo - base, start), min(hi - base, r0))
         if not kept:
             continue
         b = _Block(head, base, tail_u, (0,) + degs_u, inn_u, girth[d], kept)
@@ -524,6 +531,11 @@ class _RainbowRun:
     insts: list[RainbowInstance]
     built: list[tuple[RainbowCycleCertificate | None, str, Collector]]
 
+    @property
+    def kept(self) -> range:
+        """The choices the checks run on: every instance of the run."""
+        return range(len(self.insts))
+
     def text(self, r: int) -> str:
         return format_rainbow(self.insts[r])
 
@@ -538,10 +550,17 @@ _Unit = Union[_Block, _RainbowRun]
 
 @dataclass(slots=True)
 class _Accum:
-    """Shard-local tallies; result() is the shard's result for run_suite to merge."""
+    """Shard-local tallies for the selected check rows; result() is the
+    shard's result for run_suite to merge.
 
+    generated counts the instances of every unit, and deg2 those the
+    deg2_only rows apply to; result() derives each row's checked count from
+    them, so nothing is tallied per row per unit.
+    """
+
+    rows: Sequence[_Check]
     generated: int = 0
-    checked: dict[str, int] = field(default_factory=dict)
+    deg2: int = 0
     failed: dict[str, int] = field(default_factory=dict)
     violations: list[dict[str, Any]] = field(default_factory=list)
     findings: list[dict[str, Any]] = field(default_factory=list)
@@ -578,11 +597,15 @@ class _Accum:
             self.tight_witnesses.append((x.n, x.base + r, x.text(r)))
 
     def result(self) -> dict[str, Any]:
-        # A check with nothing passed has no "passed" entry, as with checked.
-        passed = {k: v - self.failed.get(k, 0) for k, v in self.checked.items()}
+        # A check with nothing checked or passed has no entry there.
+        checked = {}
+        for c in self.rows:
+            if k := self.deg2 if c.deg2_only else self.generated:
+                checked[c.name] = k
+        passed = {k: v - self.failed.get(k, 0) for k, v in checked.items()}
         return {
             "generated": self.generated,
-            "checked": self.checked,
+            "checked": checked,
             "passed": {k: v for k, v in passed.items() if v},
             "violations": self.violations,
             "findings": self.findings,
@@ -592,16 +615,20 @@ class _Accum:
         }
 
 
-def _tail_cycles(out: tuple[int, ...]) -> tuple[list[int], int]:
-    """The cycles of D - 0 as vertex masks, with the fewest vertices two of
-    them share (one counted twice allowed), len(out) + 1 if there is none.
+def _tail_search(out: tuple[int, ...], limit: int) -> tuple[list[int], int]:
+    """A search of D - 0 for two cycles (one counted twice allowed) that
+    share at most limit vertices: (cycles, least).
 
-    D has out-masks out; out[0] is never read, so every digraph of a block
+    It stops at the first such pair, and then least <= limit.  Otherwise
+    cycles holds every cycle of D - 0 as a vertex mask, and least is the
+    fewest vertices two of them share, len(out) + 1 if there is none.  D
+    has out-masks out; out[0] is never read, so every digraph of a block
     gives the same answer.
     """
     found: list[int] = []
     for s in range(1, len(out)):
-        _pair_dfs(out, -1, found, 1 << s, s, 1 << s)  # limit -1: never stops early
+        if _pair_dfs(out, limit, found, 1 << s, s, 1 << s):
+            return found, limit
     pairs = ((a & b).bit_count() for i, a in enumerate(found) for b in found[i:])
     return found, min(pairs, default=len(out) + 1)
 
@@ -609,10 +636,11 @@ def _tail_cycles(out: tuple[int, ...]) -> tuple[list[int], int]:
 def _cycle_pair_within(out: tuple[int, ...], limit: int, rest: list[int], least: int) -> bool:
     """True iff some two cycles (one counted twice allowed) share <= limit vertices.
 
-    rest and least are _tail_cycles(out): a pair within D - 0 is settled
-    by least, so only the cycles through vertex 0 are enumerated, each
-    compared against itself, rest and the earlier ones, exiting on the
-    first qualifying pair.  Intended for small bounded-degree graphs.
+    rest and least are _tail_search(out, l) for some l, all of D - 0's
+    cycles if least > l: a pair within D - 0 is settled by least, so only
+    the cycles through vertex 0 are enumerated, each compared against
+    itself, rest and the earlier ones, exiting on the first qualifying
+    pair.  Intended for small bounded-degree graphs.
     """
     return least <= limit or _pair_dfs(out, limit, list(rest), 1, 0, 1)
 
@@ -749,20 +777,32 @@ def _check_deg2_girth(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
 
 
 def _check_two_cycles(b: _Block, rs: Sequence[int], acc: _Accum) -> _Failures:
+    """Whether two cycles of each instance share at most p + 1 vertices.
+
+    A head's limit is p + 1 = tail_p + (deg0 == 1) + 1, so D - 0 is first
+    searched at the least, tail_p + 1, where tail_p counts the out-degree-1
+    vertices among 1...  A pair it finds lies in every instance within
+    every limit: each head passes, and only again is walked, for the
+    oracle.  Otherwise the search has listed every cycle of D - 0 and
+    their least intersection, which each head's scan reads; a head whose
+    girth is within its limit needs no scan.  Instance again, and any head
+    the scan fails, is searched by the exhaustive oracle too.
+    """
     girth, deg0, again = b.girth, b.head.deg0, b.again
     tail_p = b.degs.count(1)
-    # D - 0's cycles, shared by the block's scans; enumerated on first need.
-    rest: tuple[list[int], int] | None = None
+    cycles, least = _tail_search((0,) + b.tail, tail_p + 1)
+    settled = least <= tail_p + 1
+    if settled:
+        rs = () if again is None or again not in rs else (again,)
     for r in rs:
         limit = tail_p + (deg0[r] == 1) + 1
         g = girth[r]
         # A cycle no longer than the limit pairs with itself.
-        ok = g is not None and g <= limit
-        if not ok:
-            out = b.out(r)
-            if rest is None:
-                rest = _tail_cycles(out)
-            ok = _cycle_pair_within(out, limit, *rest)
+        ok = (
+            settled
+            or (g is not None and g <= limit)
+            or _cycle_pair_within(b.out(r), limit, cycles, least)
+        )
         if ok and r != again:
             continue
         try:
@@ -858,29 +898,36 @@ def _name_of(run: Callable[..., _Failures]) -> str:
     return next(c.name for c in _CHECKS if c.run is run)
 
 
-def _run_checks(x: _Unit, rs: Sequence[int], checks: Sequence[_Check], acc: _Accum) -> None:
-    """Run each check over the choices rs of x, counting them checked.  A
-    check with a bound walks only again, if selected, of a block whose
-    girths are all within it: g(D - 0), which none exceeds, or the table."""
+def _run_checks(x: _Unit, acc: _Accum) -> None:
+    """Run each of acc's rows over the kept choices of x, counting them
+    generated, and the ones a deg2_only row selects once, in acc.deg2.  A
+    row with a bound walks only again, if selected, of a block whose
+    girths are all within it: g(D - 0), which none exceeds, or the table;
+    p, the bound's out-degree-1 count, is counted once per block."""
+    rs = x.kept
+    acc.generated += len(rs)
     deg2_rs: Sequence[int] | None = None
-    for name, run, kind, deg2_only, bound in checks:
+    p: int | None = None
+    for name, run, kind, deg2_only, bound in acc.rows:
         sel = rs
         if deg2_only:
             if deg2_rs is None:
                 # Only digraph checks are deg2_only, so x is a _Block.
                 if max(x.degs) > 2:
-                    deg2_rs = []
+                    deg2_rs = ()
                 elif x.head.deg2:  # every choice qualifies
                     deg2_rs = rs
                 else:
                     deg0 = x.head.deg0
                     deg2_rs = [r for r in rs if deg0[r] <= 2]
+                acc.deg2 += len(deg2_rs)
             sel = deg2_rs
         if not sel:
             continue
-        acc.checked[name] = acc.checked.get(name, 0) + len(sel)
         if bound is not None:  # x is a _Block
-            least, g0 = bound(x.n, x.degs.count(1)), x.g0
+            if p is None:
+                p = x.degs.count(1)
+            least, g0 = bound(x.n, p), x.g0
             if (g0 is not None and g0 <= least) or (None not in x.girth and max(x.girth) <= least):
                 if x.again is None or x.again not in sel:
                     continue
@@ -895,21 +942,11 @@ def _run_checks(x: _Unit, rs: Sequence[int], checks: Sequence[_Check], acc: _Acc
 # Populations
 
 
-# A population's units over domain indices [lo, hi) at n: each unit and
-# its choices the checks run on.
-_Units = Iterator[tuple[_Unit, Sequence[int]]]
-
-
 def _sweep_size(cfg: SuiteConfig, n: int) -> int:
     return math.prod(map(len, _POPULATIONS[cfg.generator].sweep(cfg, n)))
 
 
-def _sweep_units(cfg: SuiteConfig, n: int, lo: int, hi: int) -> _Units:
-    for b in _sweep(_POPULATIONS[cfg.generator].sweep(cfg, n), lo, hi):
-        yield b, b.kept
-
-
-def _rainbow_runs(cfg: SuiteConfig, n: int, lo: int, hi: int) -> _Units:
+def _rainbow_runs(cfg: SuiteConfig, n: int, lo: int, hi: int) -> Iterator[_RainbowRun]:
     # Both rainbow checks read every construction, so each is built here, once.
     for base in range(lo, hi, _RAINBOW_RUN):
         top = min(base + _RAINBOW_RUN, hi)
@@ -921,7 +958,7 @@ def _rainbow_runs(cfg: SuiteConfig, n: int, lo: int, hi: int) -> _Units:
                 built.append((find_rainbow_cycle(inst, collect=grown), "", grown))
             except CounterexampleFound as exc:
                 built.append((None, f"{type(exc).__name__}: {exc}", grown))
-        yield _RainbowRun(n, base, insts, built), range(len(insts))
+        yield _RainbowRun(n, base, insts, built)
 
 
 def _check_degrees(cfg: SuiteConfig) -> None:
@@ -949,7 +986,11 @@ class _Population(NamedTuple):
     # A digraph population's out-mask choice lists at n.
     sweep: Callable[[SuiteConfig, int], list[tuple[int, ...]]] | None = None
     size: Callable[[SuiteConfig, int], int] = _sweep_size  # domain indices at n
-    units: Callable[[SuiteConfig, int, int, int], _Units] = _sweep_units
+    # The units over domain indices [lo, hi) at n, each with its kept
+    # choices; a digraph population's are its sweep's blocks.
+    units: Callable[[SuiteConfig, int, int, int], Iterator[_Unit]] = (
+        lambda cfg, n, lo, hi: _sweep(_POPULATIONS[cfg.generator].sweep(cfg, n), lo, hi)
+    )
     validate: Callable[[SuiteConfig], None] = lambda cfg: None  # raises if out of range
 
     def parse(self, rest: str) -> dict[str, int]:
@@ -983,11 +1024,9 @@ _POPULATIONS = {p.name: p for p in (_LABELED, _OUTMAPS, _RAINBOW)}
 
 def _run_shard(cfg: SuiteConfig, n: int, lo: int, hi: int) -> dict[str, Any]:
     """Process raw domain indices [lo, hi) at size n."""
-    acc = _Accum()
-    checks = [c for c in _CHECKS if c.name in cfg.checks]
-    for x, rs in _POPULATIONS[cfg.generator].units(cfg, n, lo, hi):
-        acc.generated += len(rs)
-        _run_checks(x, rs, checks, acc)
+    acc = _Accum([c for c in _CHECKS if c.name in cfg.checks])
+    for x in _POPULATIONS[cfg.generator].units(cfg, n, lo, hi):
+        _run_checks(x, acc)
     return acc.result()
 
 

@@ -50,7 +50,7 @@ from cyclecert.harness import (
     _outmap_choices,
     _run_shard,
     _sweep,
-    _tail_cycles,
+    _tail_search,
     extremal_ratio_search,
     random_rainbow_instance,
     run_suite,
@@ -171,8 +171,8 @@ class TestSweep:
                 if lo < hi <= size:
                     ranges.append((lo, hi))
         for lo, hi in ranges:
-            units = harness._sweep_units(cfg, n, lo, hi)
-            got = [(b.base + r, b.out(r), b.inn(r)) for b, rs in units for r in rs]
+            units = _POPULATIONS[cfg.generator].units(cfg, n, lo, hi)
+            got = [(b.base + r, b.out(r), b.inn(r)) for b in units for r in b.kept]
             want = list(reference_sweep(choices, lo, hi))
             assert [(i, out) for i, out, _ in got] == want
             assert all(inn == in_masks_of(out) for _, out, inn in got)
@@ -261,8 +261,7 @@ class TestBlocks:
         # non-empty head.
         choices = _outmap_choices(n, dmin, n - 1 if dmax is None else dmax)
         head = harness._Head(choices)
-        checks = [c for c in harness._CHECKS if c.name in DIGRAPH_CHECKS]
-        acc = harness._Accum()
+        acc = harness._Accum([c for c in harness._CHECKS if c.name in DIGRAPH_CHECKS])
         rng = random.Random(n)
         for _ in range(8):
             tail = tuple(rng.choice([m for m in c if m]) for c in choices[1:])
@@ -277,10 +276,11 @@ class TestBlocks:
             assert b.again is None
             for r in b.kept:
                 assert_facts_from_scratch(b, r)
-            harness._run_checks(b, b.kept, checks, acc)
-        assert acc.checked["two-phi"] > 0
+            harness._run_checks(b, acc)
+        checked = acc.result()["checked"]
+        assert checked["two-phi"] > 0
         if dmax == 2:
-            assert acc.checked["two-cycles"] == acc.checked["two-phi"]
+            assert checked["two-cycles"] == checked["two-phi"]
         assert acc.violations == [] and acc.findings == []
 
 
@@ -355,18 +355,23 @@ class TestBestRatio:
             assert want == (best and (Fraction(best[0], best[1]), best[3]))
 
 
+def cycle_masks(out):
+    """The vertex mask of each cycle enumerate_cycles finds."""
+    cycles = oracles.enumerate_cycles(Digraph.from_out_masks(len(out), out))
+    return [sum(1 << v for v in c.vertices) for c in cycles]
+
+
 def least_overlap(out):
     """The fewest vertices two cycles share (one counted twice allowed),
     over enumerate_cycles; None if the digraph is acyclic."""
-    cycles = oracles.enumerate_cycles(Digraph.from_out_masks(len(out), out))
-    masks = [sum(1 << v for v in c.vertices) for c in cycles]
+    masks = cycle_masks(out)
     return min(((a & b).bit_count() for i, a in enumerate(masks) for b in masks[i:]), default=None)
 
 
 def assert_block_scan(tail, heads):
     """The scan of each digraph (h,) + tail, h in heads, with D - 0's
     cycles found once, says at every limit 0..n what least_overlap says."""
-    rest = _tail_cycles((0,) + tail)
+    rest = _tail_search((0,) + tail, -1)  # limit -1: lists every cycle
     for h in heads:
         out = (h,) + tail
         want = least_overlap(out)
@@ -381,7 +386,7 @@ def deg2_masks(n, v):
 
 
 class TestPairScan:
-    """_cycle_pair_within, fed _tail_cycles once per block, against the
+    """_cycle_pair_within, fed _tail_search once per block, against the
     least intersection over every cycle pair.  Every deg-2 sweep scan says
     True (the theorem), so only limits below p + 1 show a False."""
 
@@ -415,7 +420,7 @@ class TestPairScan:
         gc.disable()
         try:
             for _ in range(100):
-                assert not _cycle_pair_within(triangle, 1, *_tail_cycles(triangle))
+                assert not _cycle_pair_within(triangle, 1, *_tail_search(triangle, 1))
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -609,7 +614,7 @@ class TestBlockCompare:
                     least = row.bound(n, b.degs.count(1))
                     walked = []
                     spy = row._replace(run=lambda x, rs, acc: walked.append(rs) or ())
-                    harness._run_checks(b, b.kept, [spy], harness._Accum())
+                    harness._run_checks(b, harness._Accum([spy]))
                     settles = top is not None and top <= least
                     assert (walked == []) == settles, (n, b.base, row.name)
                     settled[row.name, settles] += 1
@@ -620,6 +625,71 @@ class TestBlockCompare:
         assert [settled[row.name, s] for row in rows for s in (True, False)] == [
             blocks - deg2_walked, deg2_walked, blocks - pairs_walked, pairs_walked
         ]
+
+    @pytest.mark.parametrize(
+        "kind, dmax, n_hi, walked, settled",
+        [
+            ("outmaps", 2, 5, 2004, 910),
+            ("outmaps", 3, 4, 40, 10),
+            ("labeled", None, 4, 104, 10),
+        ],
+        ids=["outmaps-1-2", "outmaps-1-3", "labeled"],
+    )
+    def test_a_pair_in_d_minus_0_settles_exactly(
+        self, monkeypatch, kind, dmax, n_hi, walked, settled
+    ):
+        # Every block two-cycles walks (the compare leaves it open), with no
+        # instance searched again, searches D - 0 once at p' + 1, the least
+        # limit of its heads.  The search stops on a pair, and so settles
+        # the block, iff the least intersection over enumerate_cycles is
+        # within that limit; otherwise it reports that least exactly.  A
+        # settled block's heads, the deg0 <= 2 ones the row selects, each
+        # have a pair within their own limit, and none is scanned; in a
+        # block left open, each head whose girth exceeds its limit is.
+        row = next(c for c in harness._CHECKS if c.name == "two-cycles")
+        searches = []
+        search = harness._tail_search
+        monkeypatch.setattr(
+            harness, "_tail_search",
+            lambda out, limit: searches.append((out, limit, search(out, limit))) or searches[-1][2],
+        )
+        scans = []
+        scan = harness._cycle_pair_within
+        monkeypatch.setattr(
+            harness, "_cycle_pair_within", lambda out, *args: scans.append(out) or scan(out, *args)
+        )
+        heads = []
+        spy = row._replace(run=lambda x, rs, acc: heads.append(list(rs)) or row.run(x, rs, acc))
+        count = collections.Counter()
+        for n in range(2, n_hi + 1):
+            choices = _outmap_choices(n, 1 if dmax else 0, dmax or n - 1)
+            for b in _sweep(choices, 0, math.prod(map(len, choices))):
+                b.again = None
+                acc = harness._Accum([spy])
+                scans.clear()
+                harness._run_checks(b, acc)
+                assert acc.failed == {} and acc.violations == []
+                if len(heads) == len(searches) == count["walked"]:
+                    continue  # settled by the compare
+                count["walked"] += 1
+                (out, limit, (cycles, least)), rs = searches[-1], heads[-1]
+                tail_p = b.degs.count(1)
+                assert out == (0, *b.tail) and limit == tail_p + 1
+                want = least_overlap(out)
+                fires = want is not None and want <= limit
+                assert (least <= limit) == fires, out
+                limits = {r: tail_p + (b.head.deg0[r] == 1) + 1 for r in rs}
+                if not fires:
+                    assert least == (n + 1 if want is None else want)
+                    assert sorted(cycles) == sorted(cycle_masks(out))
+                    long = [b.out(r) for r in rs if b.girth[r] is None or b.girth[r] > limits[r]]
+                    assert scans == long
+                    continue
+                count["settled"] += 1
+                assert scans == []
+                for r in rs:
+                    assert least_overlap(b.out(r)) <= limits[r], b.out(r)
+        assert count == {"walked": walked, "settled": settled}
 
     def test_a_tail_girth_too_high_reaches_the_compare(self, monkeypatch):
         # Vertex 1's tables (s = 1) read two too high, so each block's
@@ -648,8 +718,10 @@ class TestBlockCompare:
         }
 
     def test_unsettled_heads_reach_the_pair_scan(self, monkeypatch):
-        # A scan that never finds a pair disagrees with the oracle on every
-        # head whose girth exceeds its limit.
+        # A scan that never finds a pair, in D - 0 or through vertex 0,
+        # disagrees with the oracle on every head whose girth exceeds its
+        # limit.
+        monkeypatch.setattr(harness, "_tail_search", no_tail_pair)
         monkeypatch.setattr(harness, "_cycle_pair_within", lambda *args: False)
         res = _run_shard(SuiteConfig(5, 5, "outmaps", ("two-cycles",)), 5, 0, 100_000)
         violations = res["violations"]
@@ -687,16 +759,21 @@ class TestBlockCompare:
         }
 
     def test_scan_work_is_unchanged(self, monkeypatch):
-        # The compare drops only heads the loop passed without a scan.
+        # The compare drops only heads the loop passed without a scan.  Each
+        # walked block (2,004, and 4 settled ones searched again) searches
+        # D - 0 once; a pair there within the least limit settles 910 of
+        # the 2,004, and 5,106 scans go.  Before that settle the counts were
+        # 8,398 scans and 1,644 listings of D - 0's cycles, one per block
+        # whose first scan needed them.
         calls = collections.Counter()
-        for name in ("_cycle_pair_within", "_tail_cycles"):
+        for name in ("_cycle_pair_within", "_tail_search"):
             fn = getattr(harness, name)
             monkeypatch.setattr(
                 harness, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args)
             )
         report = run_suite(SuiteConfig(1, 5, "outmaps", ("two-cycles", "deg2-girth")))
         assert report.checked == report.passed and not report.violations
-        assert calls == {"_cycle_pair_within": 8398, "_tail_cycles": 1644}
+        assert calls == {"_cycle_pair_within": 3292, "_tail_search": 2008}
 
     @staticmethod
     def block_tables(monkeypatch):
@@ -808,6 +885,11 @@ def raised_by_4(table):
     return lambda *args: [None if g is None else g + 4 for g in table(*args)]
 
 
+def no_tail_pair(out, limit):
+    """_tail_search planted to find no cycle of D - 0, so no pair either."""
+    return [], len(out) + 1
+
+
 def planted(exc):
     """A function that raises exc("planted") on every call."""
 
@@ -877,6 +959,7 @@ class TestDigraphFailures:
         # The fast scan and the oracle agree that no pair qualifies.  Index
         # 0, the only one cross-checked, lies before the shard.
         monkeypatch.setattr(harness, "_girth_table", raised_by_4(harness._girth_table))
+        monkeypatch.setattr(harness, "_tail_search", no_tail_pair)
         monkeypatch.setattr(harness, "_cycle_pair_within", lambda *args: False)
         monkeypatch.setattr(harness, "two_cycles_min_intersection", planted(TheoremViolation))
         res = _run_shard(SuiteConfig(4, 4, "outmaps", ("two-cycles",)), 4, 6, 1296)
@@ -1083,7 +1166,7 @@ class TestAgain:
         held = 0
         cfg = case_config(kind, n)
         for lo, hi in windows:
-            for b, _ in harness._sweep_units(cfg, n, lo, hi):
+            for b in _POPULATIONS[cfg.generator].units(cfg, n, lo, hi):
                 multiples = [i for i in range(b.base, b.base + r0) if i % self.EVERY == 0]
                 want = None
                 if multiples:
@@ -1182,6 +1265,52 @@ def swept(n, dmin=0, dmax=None):
     blocks = _sweep(choices, 0, math.prod(map(len, choices)))
     return [b.digraph(r) for b in blocks for r in b.kept]
 
+
+class TestDerivedChecked:
+    """A shard's checked counts are derived from what it generated and
+    what the deg2 rows selected, not tallied per row per unit: they must
+    equal what rows that record their selections, and walk every one,
+    are handed shard by shard."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SuiteConfig(1, 4, "labeled", DIGRAPH_CHECKS),
+            SuiteConfig(1, 4, "outmaps", DIGRAPH_CHECKS, dmax=3),
+            SuiteConfig(4, 6, "rainbow", RAINBOW_CHECKS, count=50),
+        ],
+        ids=["labeled", "outmaps-1-3", "rainbow"],
+    )
+    def test_equals_the_selections_rows_receive(self, monkeypatch, cfg):
+        seen = collections.Counter()
+
+        def recording(name):
+            def run(x, rs, acc):
+                seen[name] += len(rs)
+                return iter(())
+
+            return run
+
+        rows = [c._replace(run=recording(c.name), bound=None) for c in harness._CHECKS]
+        total = collections.Counter()
+        pop = _POPULATIONS[cfg.generator]
+        for n in range(cfg.n_lo, cfg.n_hi + 1):
+            size = pop.size(cfg, n)
+            # Shards that cut blocks and rainbow runs at uneven indices.
+            step = size // 3 + 1
+            for lo in range(0, size, step):
+                hi = min(lo + step, size)
+                checked = _run_shard(cfg, n, lo, hi)["checked"]
+                seen.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(harness, "_CHECKS", rows)
+                    recorded = _run_shard(cfg, n, lo, hi)
+                assert checked == recorded["checked"] == recorded["passed"] == +seen, (n, lo)
+                total.update(checked)
+        assert set(total) == set(cfg.checks)
+        if cfg.generator != "rainbow":
+            # The deg2 rows see a strict subset of the instances.
+            assert total["two-cycles"] == total["deg2-girth"] < total["chc"]
 
 class TestEnumerateDigraphs:
     """The labeled population: its refusals, sizes and order."""

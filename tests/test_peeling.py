@@ -370,7 +370,7 @@ class TestColdPeels:
         # walked set bits inline.
         accs = []
         accum = harness._Accum
-        monkeypatch.setattr(harness, "_Accum", lambda: accs.append(accum()) or accs[-1])
+        monkeypatch.setattr(harness, "_Accum", lambda rows: accs.append(accum(rows)) or accs[-1])
         lo = (1 << 16) | (6 << 12)
         cfg = SuiteConfig(5, 5, "labeled", ("two-phi", "two-psi-strict", "eq1-identity"))
         assert _run_shard(cfg, 5, lo, lo + (1 << 12))["passed"]["two-phi"] == 15**3
