@@ -6,8 +6,10 @@ choices), or seeded random rainbow instances.  run_suite streams them
 through the named checks of one table and returns a deterministic
 Report.  Each check runs over a unit of instances at once: a block of
 digraphs that differ only in vertex 0's out-mask, or a short run of
-rainbow instances.  Checks of proved statements record violations, which
-callers treat as fatal; checks of open conjectures record findings only.
+rainbow instances; a block that the out-degree checks' bounds settle
+from the girth of D - 0 alone is counted, not built.  Checks of proved
+statements record violations, which callers treat as fatal; checks of
+open conjectures record findings only.
 Reports are independent of the worker count: shards partition the index
 space and merge by sums, concatenation sorted by index, and tie-broken
 extremes.  Several workers are forked children, each owing one shard at
@@ -354,7 +356,10 @@ def _girth_table(
     return table
 
 
-def _sweep(choices: list[tuple[int, ...]], lo: int, hi: int) -> Iterator[_Block]:
+def _sweep(
+    choices: list[tuple[int, ...]], lo: int, hi: int,
+    least: Sequence[int] | None = None, tally: _Accum | None = None,
+) -> Iterator[_Block]:
     """The blocks of sink-free digraphs whose mixed-radix indices lie in
     [lo, hi), each block with at least one kept choice.
 
@@ -375,6 +380,15 @@ def _sweep(choices: list[tuple[int, ...]], lo: int, hi: int) -> Iterator[_Block]
     choices inside [lo, hi), one range shared by every block lying wholly
     inside.  Instance again has its girth searched again from scratch, and
     a disagreement raises.
+
+    Given least, a girth threshold for each p (the out-degree-1 count of
+    vertices 1..), the sweep settles a block before building it when the
+    block lies wholly inside, holds no multiple of _CROSS_CHECK_EVERY and
+    has g(D - 0) within least[p]: nothing is yielded for it, its kept
+    choices are added to tally.generated and those the deg2_only rows
+    select (_deg2_choices) to tally.deg2.  Its tail, out-degrees, in-masks
+    and _Block are never built.  Edge blocks and blocks holding a multiple
+    are built and yielded as without least.
     """
     n = len(choices)
     if lo >= hi or n < 2:
@@ -391,7 +405,13 @@ def _sweep(choices: list[tuple[int, ...]], lo: int, hi: int) -> Iterator[_Block]
     # The blocks wholly in [lo, hi), block indices -(-lo // r0) to
     # hi // r0, share one kept range.
     r0, start = len(head.first), int(head.first[0] == 0)
-    sweep = (head, choices, cols, span, lo, hi, start, -(-lo // r0), hi // r0, range(start, r0))
+    whole = range(start, r0)
+    # A settled block's deg2 count, by its tail's largest out-degree.
+    deg2_kept = None if least is None else [len(_deg2_choices(head, t, whole)) for t in range(n)]
+    sweep = (
+        head, choices, cols, span, lo, hi, start, -(-lo // r0), hi // r0, whole,
+        least, tally, deg2_kept,
+    )
     # One vertex has no cycle: vertex n - 1's table is all None.
     yield from _blocks(sweep, n - 1, 0, (), (), (0,) * n, [None] * len(choices[-1]))
 
@@ -403,34 +423,50 @@ def _blocks(
     """_sweep's blocks from block on whose vertices u + 1.. have out-masks
     tail and out-degrees degs, giving in-masks inn; girth[d] is the girth
     of the digraph on vertices u.. when vertex u takes choices[u][d], None
-    where acyclic.  Module-level, passed _sweep's constants, so a call
+    where acyclic.  At u = 1 each choice of vertex 1 is one block, girth[d]
+    its g(D - 0), which is compared with least, when _sweep has it, before
+    the block is built.  Module-level, passed _sweep's constants, so a call
     makes no reference cycle."""
-    head, choices, cols, span, lo, hi, start, whole_lo, whole_hi, whole = sweep
+    (head, choices, cols, span, lo, hi, start, whole_lo, whole_hi, whole,
+     least, tally, deg2_kept) = sweep
     r0, step = len(head.first), span[u]
+    if u == 1 and least is not None:
+        # p and the largest out-degree of vertices 2..; vertex 1 adds its own.
+        p, top = degs.count(1), max(degs, default=0)
     for d, m in enumerate(choices[u]):
         at = block + d * step  # the first block under this out-mask
         if at * r0 >= hi:
             return
         if not m or (at + step) * r0 <= lo:
             continue  # a sink, or blocks that all lie before lo
-        tail_u, degs_u = (m,) + tail, (m.bit_count(),) + degs
-        inn_u = _or_column(inn, cols[u - 1][d])
         if u > 1:
+            inn_u = _or_column(inn, cols[u - 1][d])
             table = _girth_table(inn_u, choices[u - 1], girth[d], u - 1)
-            yield from _blocks(sweep, u - 1, at, tail_u, degs_u, inn_u, table)
+            yield from _blocks(
+                sweep, u - 1, at, (m,) + tail, (m.bit_count(),) + degs, inn_u, table
+            )
             continue
         base = at * r0
-        if whole_lo <= at < whole_hi:
-            kept = whole
-        else:
-            kept = range(max(lo - base, start), min(hi - base, r0))
+        # The offset of the block's first multiple of _CROSS_CHECK_EVERY;
+        # one at or past r0 lies past the block.
+        r = -base % _CROSS_CHECK_EVERY
+        whole_block = whole_lo <= at < whole_hi
+        if least is not None and whole_block and r >= r0:
+            g0, k = girth[d], m.bit_count()
+            if g0 is not None and g0 <= least[p + (k == 1)]:
+                tally.generated += len(whole)
+                tally.deg2 += deg2_kept[k if k > top else top]
+                continue
+        kept = whole if whole_block else range(max(lo - base, start), min(hi - base, r0))
         if not kept:
             continue
-        b = _Block(head, base, tail_u, (0,) + degs_u, inn_u, girth[d], kept)
+        b = _Block(
+            head, base, (m,) + tail, (0, m.bit_count()) + degs, _or_column(inn, cols[0][d]),
+            girth[d], kept,
+        )
         # In a block holding a multiple of _CROSS_CHECK_EVERY, the first
         # kept choice at or after it (at labeled n <= 5 the multiple itself
         # has vertex 0 empty).  A multiple past the block lies past kept.
-        r = -base % _CROSS_CHECK_EVERY
         if r < kept.stop:
             b.again = r = max(r, kept.start)
             hit = _girth_masks(head.n, b.out(r), b.inn(r))
@@ -898,28 +934,50 @@ def _name_of(run: Callable[..., _Failures]) -> str:
     return next(c.name for c in _CHECKS if c.run is run)
 
 
+def _deg2_choices(head: _Head, top: int, rs: Sequence[int]) -> Sequence[int]:
+    """The choices of rs the deg2_only rows select in a block whose tail's
+    largest out-degree is top: those with deg0 <= 2, under a tail whose
+    out-degrees are all at most 2 too, and none under any other tail."""
+    if top > 2:
+        return ()
+    if head.deg2:  # every choice qualifies
+        return rs
+    deg0 = head.deg0
+    return [r for r in rs if deg0[r] <= 2]
+
+
+def _least_bounds(rows: Sequence[_Check], n: int) -> list[int] | None:
+    """For each p, the out-degree-1 count of vertices 1.., the least bound
+    of rows at n: the girth within which a block settles every row.  None
+    if some row has no bound, so no block settles before it is built."""
+    if not rows or any(c.bound is None for c in rows):
+        return None
+    return [min(c.bound(n, p) for c in rows) for p in range(n)]
+
+
 def _run_checks(x: _Unit, acc: _Accum) -> None:
     """Run each of acc's rows over the kept choices of x, counting them
     generated, and the ones a deg2_only row selects once, in acc.deg2.  A
     row with a bound walks only again, if selected, of a block whose
-    girths are all within it: g(D - 0), which none exceeds, or the table;
-    p, the bound's out-degree-1 count, is counted once per block."""
+    girths are all within it: g(D - 0), which none exceeds, or the
+    table's largest entry, read once per block.  p, the bound's
+    out-degree-1 count, is counted once per block.
+
+    When every selected row has a bound, _run_shard's sweep settles a
+    block whose g(D - 0) is within the least of them before building it,
+    so the blocks that reach here then are those g(D - 0) leaves open, a
+    shard's edge blocks and the blocks holding again."""
     rs = x.kept
     acc.generated += len(rs)
     deg2_rs: Sequence[int] | None = None
     p: int | None = None
+    top: int | None = 0  # the table's largest girth, None if it holds None; 0 until read
     for name, run, kind, deg2_only, bound in acc.rows:
         sel = rs
         if deg2_only:
             if deg2_rs is None:
                 # Only digraph checks are deg2_only, so x is a _Block.
-                if max(x.degs) > 2:
-                    deg2_rs = ()
-                elif x.head.deg2:  # every choice qualifies
-                    deg2_rs = rs
-                else:
-                    deg0 = x.head.deg0
-                    deg2_rs = [r for r in rs if deg0[r] <= 2]
+                deg2_rs = _deg2_choices(x.head, max(x.degs), rs)
                 acc.deg2 += len(deg2_rs)
             sel = deg2_rs
         if not sel:
@@ -928,7 +986,13 @@ def _run_checks(x: _Unit, acc: _Accum) -> None:
             if p is None:
                 p = x.degs.count(1)
             least, g0 = bound(x.n, p), x.g0
-            if (g0 is not None and g0 <= least) or (None not in x.girth and max(x.girth) <= least):
+            settled = g0 is not None and g0 <= least
+            if not settled:
+                if top == 0:
+                    girth = x.girth
+                    top = None if None in girth else max(girth)
+                settled = top is not None and top <= least
+            if settled:
                 if x.again is None or x.again not in sel:
                     continue
                 sel = (x.again,)
@@ -946,8 +1010,11 @@ def _sweep_size(cfg: SuiteConfig, n: int) -> int:
     return math.prod(map(len, _POPULATIONS[cfg.generator].sweep(cfg, n)))
 
 
-def _rainbow_runs(cfg: SuiteConfig, n: int, lo: int, hi: int) -> Iterator[_RainbowRun]:
-    # Both rainbow checks read every construction, so each is built here, once.
+def _rainbow_runs(
+    cfg: SuiteConfig, n: int, lo: int, hi: int, least: None = None, tally: Any = None
+) -> Iterator[_RainbowRun]:
+    # Both rainbow checks read every construction, so each is built here,
+    # once.  Rainbow rows have no bound, so least is None and nothing settles.
     for base in range(lo, hi, _RAINBOW_RUN):
         top = min(base + _RAINBOW_RUN, hi)
         insts = [_rainbow_for_index(n, cfg.seed, i) for i in range(base, top)]
@@ -987,9 +1054,12 @@ class _Population(NamedTuple):
     sweep: Callable[[SuiteConfig, int], list[tuple[int, ...]]] | None = None
     size: Callable[[SuiteConfig, int], int] = _sweep_size  # domain indices at n
     # The units over domain indices [lo, hi) at n, each with its kept
-    # choices; a digraph population's are its sweep's blocks.
-    units: Callable[[SuiteConfig, int, int, int], Iterator[_Unit]] = (
-        lambda cfg, n, lo, hi: _sweep(_POPULATIONS[cfg.generator].sweep(cfg, n), lo, hi)
+    # choices; a digraph population's are its sweep's blocks, less those
+    # settled by the thresholds least into tally (see _sweep).
+    units: Callable[..., Iterator[_Unit]] = (
+        lambda cfg, n, lo, hi, least=None, tally=None: _sweep(
+            _POPULATIONS[cfg.generator].sweep(cfg, n), lo, hi, least, tally
+        )
     )
     validate: Callable[[SuiteConfig], None] = lambda cfg: None  # raises if out of range
 
@@ -1024,8 +1094,9 @@ _POPULATIONS = {p.name: p for p in (_LABELED, _OUTMAPS, _RAINBOW)}
 
 def _run_shard(cfg: SuiteConfig, n: int, lo: int, hi: int) -> dict[str, Any]:
     """Process raw domain indices [lo, hi) at size n."""
-    acc = _Accum([c for c in _CHECKS if c.name in cfg.checks])
-    for x in _POPULATIONS[cfg.generator].units(cfg, n, lo, hi):
+    rows = [c for c in _CHECKS if c.name in cfg.checks]
+    acc = _Accum(rows)
+    for x in _POPULATIONS[cfg.generator].units(cfg, n, lo, hi, _least_bounds(rows, n), acc):
         _run_checks(x, acc)
     return acc.result()
 

@@ -758,7 +758,7 @@ class TestBlockCompare:
             "girth 6 exceeds ceil((n + p) / 2) = 5": 24,
         }
 
-    def test_scan_work_is_unchanged(self, monkeypatch):
+    def test_scan_work_is_pinned(self, monkeypatch):
         # The compare drops only heads the loop passed without a scan.  Each
         # walked block (2,004, and 4 settled ones searched again) searches
         # D - 0 once; a pair there within the least limit settles 910 of
@@ -802,6 +802,115 @@ class TestBlockCompare:
         res = _run_shard(SuiteConfig(5, 5, "labeled", ("eq1-identity",)), 5, 100_000, 300_000)
         assert res["checked"] == res["passed"] == {"eq1-identity": 154_635}
         assert len(calls) == 1
+
+
+def built_blocks(monkeypatch):
+    """The base of each harness._Block built from here on, in order."""
+    built = []
+
+    class Counted(harness._Block):
+        __slots__ = ()
+
+        def __init__(self, head, base, *rest):
+            built.append(base)
+            super().__init__(head, base, *rest)
+
+    monkeypatch.setattr(harness, "_Block", Counted)
+    return built
+
+
+def built_through_run_checks(cfg, n, lo, hi):
+    """_run_shard's result for [lo, hi) at n the way it was before the sweep
+    settled blocks: every block built and passed through _run_checks."""
+    acc = harness._Accum([c for c in harness._CHECKS if c.name in cfg.checks])
+    for b in _sweep(_POPULATIONS[cfg.generator].sweep(cfg, n), lo, hi):
+        harness._run_checks(b, acc)
+    return acc.result()
+
+
+OUT_DEGREE_ROWS = ("deg2-girth", "two-cycles")
+
+
+class TestSettledBeforeBuilt:
+    """With only rows that carry a bound selected, the sweep settles a
+    whole block whose g(D - 0) is within the least bound at its p' before
+    building it: the shard counts its instances and builds nothing.  Edge
+    blocks and blocks holding the instance searched again are built."""
+
+    @pytest.mark.parametrize(
+        "cfg, built, every",
+        [
+            (SuiteConfig(1, 5, "outmaps", OUT_DEGREE_ROWS), 3442, 10_231),
+            # deg0 = 3 heads and out-degree-3 tails, which no deg2 row selects.
+            (SuiteConfig(1, 5, "outmaps", OUT_DEGREE_ROWS, dmax=3), 14_174, 38_774),
+            (SuiteConfig(1, 4, "labeled", OUT_DEGREE_ROWS), 157, 354),
+        ],
+        ids=["outmaps-1-2", "outmaps-1-3", "labeled"],
+    )
+    def test_shards_equal_building_every_block(self, monkeypatch, cfg, built, every):
+        bases = built_blocks(monkeypatch)
+        count = collections.Counter()
+        pop = _POPULATIONS[cfg.generator]
+        for n in range(cfg.n_lo, cfg.n_hi + 1):
+            size, r0 = pop.size(cfg, n), len(pop.sweep(cfg, n)[0])
+            # Three shards of uneven widths, cut inside blocks where n > 2.
+            cuts = sorted({0, size // 5 + 1, size // 2 + 3, size})
+            assert n <= 2 or any(c % r0 for c in cuts[1:-1])
+            for lo, hi in zip(cuts, cuts[1:]):
+                bases.clear()
+                res = _run_shard(cfg, n, lo, hi)
+                count["built"] += len(bases)
+                bases.clear()
+                assert res == built_through_run_checks(cfg, n, lo, hi), (n, lo, hi)
+                count["every"] += len(bases)
+        assert count == {"built": built, "every": every}
+
+    def test_again_and_edge_blocks_are_built(self, monkeypatch):
+        searches = []
+        search = harness._girth_masks
+        monkeypatch.setattr(
+            harness, "_girth_masks", lambda *args: searches.append(args) or search(*args)
+        )
+        report = run_suite(SuiteConfig(1, 5, "outmaps", OUT_DEGREE_ROWS))
+        assert report.checked == report.passed and not report.violations
+        assert len(searches) == 4  # index 0 at n = 2..5
+
+        bases = built_blocks(monkeypatch)
+        cfg = SuiteConfig(5, 5, "outmaps", OUT_DEGREE_ROWS)
+        choices = _outmap_choices(5, 1, 2)
+        least = harness._least_bounds([c for c in harness._CHECKS if c.bound is not None], 5)
+        # The blocks g(D - 0) settles, at the bases of outmaps 1:2 n = 5's
+        # 10,000 blocks of 10.
+        settles = {
+            b.base for b in _sweep(choices, 0, 100_000)
+            if b.g0 is not None and b.g0 <= least[b.degs.count(1)]
+        }
+        assert len(settles) == 6669
+
+        # Every 13th index searched again: each block holding a multiple of
+        # 13 is built and searched once, the 5,124 of them g(D - 0) settles
+        # too.
+        monkeypatch.setattr(harness, "_CROSS_CHECK_EVERY", 13)
+        holding = [base for base in range(0, 100_000, 10) if -base % 13 < 10]
+        searches.clear()
+        bases.clear()
+        res = _run_shard(cfg, 5, 0, 100_000)
+        assert res["checked"] == res["passed"] == {"deg2-girth": 100_000, "two-cycles": 100_000}
+        assert len(searches) == len(holding) == 7693
+        assert set(holding) <= set(bases)
+        assert len(set(holding) & settles) == 5124
+        monkeypatch.undo()
+
+        # A shard boundary through a block g(D - 0) settles builds that block.
+        base = min(settles - {0})
+        bases = built_blocks(monkeypatch)
+        assert _run_shard(cfg, 5, base, base + 10)["checked"] == {"deg2-girth": 10, "two-cycles": 10}
+        assert bases == []
+        for lo, hi in ((base + 3, base + 10), (base - 10, base + 4), (base + 3, base + 17)):
+            bases.clear()
+            res = _run_shard(cfg, 5, lo, hi)
+            assert base in bases, (lo, hi)
+            assert res == built_through_run_checks(cfg, 5, lo, hi)
 
 
 class TestTwoPhiFailures:
