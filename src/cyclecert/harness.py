@@ -6,10 +6,11 @@ choices), or seeded random rainbow instances.  run_suite streams them
 through the named checks of one table and returns a deterministic
 Report.  Each check runs over a unit of instances at once: a block of
 digraphs that differ only in vertex 0's out-mask, or a short run of
-rainbow instances; a block that the out-degree checks' bounds settle
-from the girth of D - 0 alone is counted, not built.  Checks of proved
-statements record violations, which callers treat as fatal; checks of
-open conjectures record findings only.
+rainbow instances.  When only the out-degree-2 checks, the rows with a
+bound, are selected, a block they need not walk (none of its instances
+is theirs, or the girth of D - 0 is within their bounds) is counted, not
+built.  Checks of proved statements record violations, which callers
+treat as fatal; checks of open conjectures record findings only.
 Reports are independent of the worker count: shards partition the index
 space and merge by sums, concatenation sorted by index, and tie-broken
 extremes.  Several workers are forked children, each owing one shard at
@@ -357,8 +358,7 @@ def _girth_table(
 
 
 def _sweep(
-    choices: list[tuple[int, ...]], lo: int, hi: int,
-    least: Sequence[int] | None = None, tally: _Accum | None = None,
+    choices: list[tuple[int, ...]], lo: int, hi: int, acc: _Accum | None = None
 ) -> Iterator[_Block]:
     """The blocks of sink-free digraphs whose mixed-radix indices lie in
     [lo, hi), each block with at least one kept choice.
@@ -381,14 +381,14 @@ def _sweep(
     inside.  Instance again has its girth searched again from scratch, and
     a disagreement raises.
 
-    Given least, a girth threshold for each p (the out-degree-1 count of
-    vertices 1..), the sweep settles a block before building it when the
-    block lies wholly inside, holds no multiple of _CROSS_CHECK_EVERY and
-    has g(D - 0) within least[p]: nothing is yielded for it, its kept
-    choices are added to tally.generated and those the deg2_only rows
-    select (_deg2_choices) to tally.deg2.  Its tail, out-degrees, in-masks
-    and _Block are never built.  Edge blocks and blocks holding a multiple
-    are built and yielded as without least.
+    Given the shard's acc, when each of its rows is an out-degree-2 row
+    (it has a bound), the sweep counts a block instead of building it when
+    the block holds no again and either its tail (vertex 1's out-degree
+    included) has an out-degree above 2, so no row selects anything, or
+    its g(D - 0) is within the least bound at its p (_least_bounds).
+    Nothing is yielded for it: its kept choices are added to acc.generated
+    and those the rows select (_deg2_choices) to acc.deg2, and its tail,
+    out-degrees, in-masks and _Block are never built.
     """
     n = len(choices)
     if lo >= hi or n < 2:
@@ -405,12 +405,10 @@ def _sweep(
     # The blocks wholly in [lo, hi), block indices -(-lo // r0) to
     # hi // r0, share one kept range.
     r0, start = len(head.first), int(head.first[0] == 0)
-    whole = range(start, r0)
-    # A settled block's deg2 count, by its tail's largest out-degree.
-    deg2_kept = None if least is None else [len(_deg2_choices(head, t, whole)) for t in range(n)]
+    least = None if acc is None else _least_bounds(acc.rows, n)
     sweep = (
-        head, choices, cols, span, lo, hi, start, -(-lo // r0), hi // r0, whole,
-        least, tally, deg2_kept,
+        head, choices, cols, span, lo, hi, start, -(-lo // r0), hi // r0, range(start, r0),
+        least, acc,
     )
     # One vertex has no cycle: vertex n - 1's table is all None.
     yield from _blocks(sweep, n - 1, 0, (), (), (0,) * n, [None] * len(choices[-1]))
@@ -424,11 +422,10 @@ def _blocks(
     tail and out-degrees degs, giving in-masks inn; girth[d] is the girth
     of the digraph on vertices u.. when vertex u takes choices[u][d], None
     where acyclic.  At u = 1 each choice of vertex 1 is one block, girth[d]
-    its g(D - 0), which is compared with least, when _sweep has it, before
-    the block is built.  Module-level, passed _sweep's constants, so a call
-    makes no reference cycle."""
-    (head, choices, cols, span, lo, hi, start, whole_lo, whole_hi, whole,
-     least, tally, deg2_kept) = sweep
+    its g(D - 0): its kept range comes first, then, when _sweep has least,
+    the test that counts it unbuilt.  Module-level, passed _sweep's
+    constants, so a call makes no reference cycle."""
+    head, choices, cols, span, lo, hi, start, whole_lo, whole_hi, whole, least, acc = sweep
     r0, step = len(head.first), span[u]
     if u == 1 and least is not None:
         # p and the largest out-degree of vertices 2..; vertex 1 adds its own.
@@ -447,26 +444,27 @@ def _blocks(
             )
             continue
         base = at * r0
-        # The offset of the block's first multiple of _CROSS_CHECK_EVERY;
-        # one at or past r0 lies past the block.
-        r = -base % _CROSS_CHECK_EVERY
-        whole_block = whole_lo <= at < whole_hi
-        if least is not None and whole_block and r >= r0:
-            g0, k = girth[d], m.bit_count()
-            if g0 is not None and g0 <= least[p + (k == 1)]:
-                tally.generated += len(whole)
-                tally.deg2 += deg2_kept[k if k > top else top]
-                continue
-        kept = whole if whole_block else range(max(lo - base, start), min(hi - base, r0))
+        if whole_lo <= at < whole_hi:
+            kept = whole
+        else:
+            kept = range(max(lo - base, start), min(hi - base, r0))
         if not kept:
             continue
+        # The offset of the block's first multiple of _CROSS_CHECK_EVERY;
+        # one at or past kept.stop leaves the block no again.
+        r, k = -base % _CROSS_CHECK_EVERY, m.bit_count()
+        if least is not None and r >= kept.stop:
+            g0, t = girth[d], k if k > top else top
+            if t > 2 or (g0 is not None and g0 <= least[p + (k == 1)]):
+                acc.generated += len(kept)
+                acc.deg2 += len(_deg2_choices(head, t, kept))
+                continue
         b = _Block(
-            head, base, (m,) + tail, (0, m.bit_count()) + degs, _or_column(inn, cols[0][d]),
-            girth[d], kept,
+            head, base, (m,) + tail, (0, k) + degs, _or_column(inn, cols[0][d]), girth[d], kept
         )
         # In a block holding a multiple of _CROSS_CHECK_EVERY, the first
         # kept choice at or after it (at labeled n <= 5 the multiple itself
-        # has vertex 0 empty).  A multiple past the block lies past kept.
+        # has vertex 0 empty).
         if r < kept.stop:
             b.again = r = max(r, kept.start)
             hit = _girth_masks(head.n, b.out(r), b.inn(r))
@@ -590,8 +588,9 @@ class _Accum:
     shard's result for run_suite to merge.
 
     generated counts the instances of every unit, and deg2 those the
-    deg2_only rows apply to; result() derives each row's checked count from
-    them, so nothing is tallied per row per unit.
+    out-degree-2 rows (the rows with a bound) select; result() derives
+    each row's checked count from them, so nothing is tallied per row per
+    unit.
     """
 
     rows: Sequence[_Check]
@@ -636,7 +635,7 @@ class _Accum:
         # A check with nothing checked or passed has no entry there.
         checked = {}
         for c in self.rows:
-            if k := self.deg2 if c.deg2_only else self.generated:
+            if k := self.generated if c.bound is None else self.deg2:
                 checked[c.name] = k
         passed = {k: v - self.failed.get(k, 0) for k, v in checked.items()}
         return {
@@ -903,9 +902,9 @@ class _Check(NamedTuple):
     name: str
     run: Callable[[Any, Sequence[int], _Accum], _Failures]
     kind: str  # what a failure records: "violation" (proved) or "finding" (open)
-    deg2_only: bool = False  # applies only when every out-degree is at most 2
-    # The least bound of a block's heads, vertex 0's with out-degree 2, from
-    # n and p, the out-degree-1 vertices among 1..; see _run_checks.
+    # Set on the out-degree-2 rows alone (they select _deg2_choices): the
+    # least bound of a block's heads, vertex 0's with out-degree 2, from n
+    # and p, the out-degree-1 vertices among 1..; see _run_checks.
     bound: Callable[[int, int], int] | None = None
 
 
@@ -916,8 +915,8 @@ _DIGRAPH_ROWS = (
     _Check("two-phi", _check_two_phi, "violation"),
     _Check("two-psi-strict", _check_two_psi_strict, "violation"),
     _Check("chc", _check_chc, "finding"),
-    _Check("deg2-girth", _check_deg2_girth, "violation", True, lambda n, p: (n + p + 1) // 2),
-    _Check("two-cycles", _check_two_cycles, "violation", True, lambda n, p: p + 1),
+    _Check("deg2-girth", _check_deg2_girth, "violation", lambda n, p: (n + p + 1) // 2),
+    _Check("two-cycles", _check_two_cycles, "violation", lambda n, p: p + 1),
 )
 _RAINBOW_ROWS = (
     _Check("rainbow-bound", _check_rainbow_bound, "violation"),
@@ -935,9 +934,10 @@ def _name_of(run: Callable[..., _Failures]) -> str:
 
 
 def _deg2_choices(head: _Head, top: int, rs: Sequence[int]) -> Sequence[int]:
-    """The choices of rs the deg2_only rows select in a block whose tail's
-    largest out-degree is top: those with deg0 <= 2, under a tail whose
-    out-degrees are all at most 2 too, and none under any other tail."""
+    """The choices of rs the out-degree-2 rows select in a block whose
+    tail's largest out-degree, vertex 1's included, is top: those with
+    deg0 <= 2, under a tail whose out-degrees are all at most 2 too, and
+    none under any other tail."""
     if top > 2:
         return ()
     if head.deg2:  # every choice qualifies
@@ -949,7 +949,7 @@ def _deg2_choices(head: _Head, top: int, rs: Sequence[int]) -> Sequence[int]:
 def _least_bounds(rows: Sequence[_Check], n: int) -> list[int] | None:
     """For each p, the out-degree-1 count of vertices 1.., the least bound
     of rows at n: the girth within which a block settles every row.  None
-    if some row has no bound, so no block settles before it is built."""
+    if some row has no bound, so the sweep counts no block unbuilt."""
     if not rows or any(c.bound is None for c in rows):
         return None
     return [min(c.bound(n, p) for c in rows) for p in range(n)]
@@ -957,34 +957,31 @@ def _least_bounds(rows: Sequence[_Check], n: int) -> list[int] | None:
 
 def _run_checks(x: _Unit, acc: _Accum) -> None:
     """Run each of acc's rows over the kept choices of x, counting them
-    generated, and the ones a deg2_only row selects once, in acc.deg2.  A
-    row with a bound walks only again, if selected, of a block whose
-    girths are all within it: g(D - 0), which none exceeds, or the
-    table's largest entry, read once per block.  p, the bound's
-    out-degree-1 count, is counted once per block.
+    generated, and the ones the out-degree-2 rows (the rows with a bound)
+    select once, in acc.deg2.  That selection and p, the bound's
+    out-degree-1 count, are made once per block.  Such a row walks only
+    again, if selected, of a block whose girths are all within its bound:
+    g(D - 0), which none exceeds, or else the table's largest entry, read
+    once per block.
 
-    When every selected row has a bound, _run_shard's sweep settles a
-    block whose g(D - 0) is within the least of them before building it,
-    so the blocks that reach here then are those g(D - 0) leaves open, a
-    shard's edge blocks and the blocks holding again."""
+    When every selected row has a bound, _run_shard's sweep counts each
+    block unbuilt that holds no again and that g(D - 0) settles or no row
+    selects anything of, so only the blocks g(D - 0) leaves open and those
+    holding again reach here then."""
     rs = x.kept
     acc.generated += len(rs)
     deg2_rs: Sequence[int] | None = None
-    p: int | None = None
-    top: int | None = 0  # the table's largest girth, None if it holds None; 0 until read
-    for name, run, kind, deg2_only, bound in acc.rows:
+    for name, run, kind, bound in acc.rows:
         sel = rs
-        if deg2_only:
+        if bound is not None:  # an out-degree-2 row, so x is a _Block
             if deg2_rs is None:
-                # Only digraph checks are deg2_only, so x is a _Block.
                 deg2_rs = _deg2_choices(x.head, max(x.degs), rs)
                 acc.deg2 += len(deg2_rs)
+                # p, and the table's largest girth: None if it holds None, 0 until read.
+                p, top = x.degs.count(1), 0
             sel = deg2_rs
-        if not sel:
-            continue
-        if bound is not None:  # x is a _Block
-            if p is None:
-                p = x.degs.count(1)
+            if not sel:
+                continue
             least, g0 = bound(x.n, p), x.g0
             settled = g0 is not None and g0 <= least
             if not settled:
@@ -1011,10 +1008,10 @@ def _sweep_size(cfg: SuiteConfig, n: int) -> int:
 
 
 def _rainbow_runs(
-    cfg: SuiteConfig, n: int, lo: int, hi: int, least: None = None, tally: Any = None
+    cfg: SuiteConfig, n: int, lo: int, hi: int, acc: _Accum | None = None
 ) -> Iterator[_RainbowRun]:
     # Both rainbow checks read every construction, so each is built here,
-    # once.  Rainbow rows have no bound, so least is None and nothing settles.
+    # once.  Rainbow rows have no bound, so acc settles no run.
     for base in range(lo, hi, _RAINBOW_RUN):
         top = min(base + _RAINBOW_RUN, hi)
         insts = [_rainbow_for_index(n, cfg.seed, i) for i in range(base, top)]
@@ -1055,11 +1052,9 @@ class _Population(NamedTuple):
     size: Callable[[SuiteConfig, int], int] = _sweep_size  # domain indices at n
     # The units over domain indices [lo, hi) at n, each with its kept
     # choices; a digraph population's are its sweep's blocks, less those
-    # settled by the thresholds least into tally (see _sweep).
-    units: Callable[..., Iterator[_Unit]] = (
-        lambda cfg, n, lo, hi, least=None, tally=None: _sweep(
-            _POPULATIONS[cfg.generator].sweep(cfg, n), lo, hi, least, tally
-        )
+    # the sweep counts into the shard's acc unbuilt (see _sweep).
+    units: Callable[..., Iterator[_Unit]] = lambda cfg, n, lo, hi, acc=None: _sweep(
+        _POPULATIONS[cfg.generator].sweep(cfg, n), lo, hi, acc
     )
     validate: Callable[[SuiteConfig], None] = lambda cfg: None  # raises if out of range
 
@@ -1094,9 +1089,8 @@ _POPULATIONS = {p.name: p for p in (_LABELED, _OUTMAPS, _RAINBOW)}
 
 def _run_shard(cfg: SuiteConfig, n: int, lo: int, hi: int) -> dict[str, Any]:
     """Process raw domain indices [lo, hi) at size n."""
-    rows = [c for c in _CHECKS if c.name in cfg.checks]
-    acc = _Accum(rows)
-    for x in _POPULATIONS[cfg.generator].units(cfg, n, lo, hi, _least_bounds(rows, n), acc):
+    acc = _Accum([c for c in _CHECKS if c.name in cfg.checks])
+    for x in _POPULATIONS[cfg.generator].units(cfg, n, lo, hi, acc):
         _run_checks(x, acc)
     return acc.result()
 

@@ -794,6 +794,17 @@ class TestBlockCompare:
         assert report.checked == report.passed and not report.violations
         assert len(calls) == 3435
 
+    @pytest.mark.parametrize("row, tables", [("two-cycles", 104), ("deg2-girth", 72)])
+    def test_g_d_minus_0_settles_before_the_table_is_built(self, monkeypatch, row, tables):
+        # eq1-identity has no bound, so the sweep builds each of labeled n <=
+        # 4's 353 blocks.  The out-degree row's g(D - 0) compare settles a
+        # block before its table is read; settling from the table alone
+        # would build 226 of them.
+        calls = self.block_tables(monkeypatch)
+        report = run_suite(SuiteConfig(1, 4, "labeled", ("eq1-identity", row)))
+        assert report.checked == report.passed and not report.violations
+        assert len(calls) == tables
+
     def test_a_check_that_reads_no_girth_builds_no_table(self, monkeypatch):
         # eq1-identity reads tail terms only.  Of the 10,309 blocks of this
         # labeled n = 5 shard, only the one holding 100,000 builds its
@@ -832,20 +843,28 @@ OUT_DEGREE_ROWS = ("deg2-girth", "two-cycles")
 
 
 class TestSettledBeforeBuilt:
-    """With only rows that carry a bound selected, the sweep settles a
-    whole block whose g(D - 0) is within the least bound at its p' before
-    building it: the shard counts its instances and builds nothing.  Edge
-    blocks and blocks holding the instance searched again are built."""
+    """With only rows that carry a bound selected, the sweep counts a block
+    that holds no instance searched again, without building it, when its
+    g(D - 0) is within the least bound at its p' or its tail has an
+    out-degree above 2, so that no row selects any of its instances.  That
+    holds for whole blocks and for blocks a shard's edge cuts alike; the
+    blocks holding the instance searched again are built."""
 
     @pytest.mark.parametrize(
         "cfg, built, every",
         [
-            (SuiteConfig(1, 5, "outmaps", OUT_DEGREE_ROWS), 3442, 10_231),
+            (SuiteConfig(1, 5, "outmaps", OUT_DEGREE_ROWS), 3438, 10_231),
             # deg0 = 3 heads and out-degree-3 tails, which no deg2 row selects.
-            (SuiteConfig(1, 5, "outmaps", OUT_DEGREE_ROWS, dmax=3), 14_174, 38_774),
-            (SuiteConfig(1, 4, "labeled", OUT_DEGREE_ROWS), 157, 354),
+            (SuiteConfig(1, 5, "outmaps", OUT_DEGREE_ROWS, dmax=3), 3442, 38_774),
+            # One out-degree row: the least bound is that row's own.
+            (SuiteConfig(1, 5, "outmaps", ("deg2-girth",), dmax=3), 1695, 38_774),
+            (SuiteConfig(1, 5, "outmaps", ("two-cycles",), dmax=3), 3442, 38_774),
+            (SuiteConfig(1, 4, "labeled", OUT_DEGREE_ROWS), 105, 354),
         ],
-        ids=["outmaps-1-2", "outmaps-1-3", "labeled"],
+        ids=[
+            "outmaps-1-2", "outmaps-1-3", "outmaps-1-3-deg2-girth", "outmaps-1-3-two-cycles",
+            "labeled",
+        ],
     )
     def test_shards_equal_building_every_block(self, monkeypatch, cfg, built, every):
         bases = built_blocks(monkeypatch)
@@ -865,7 +884,7 @@ class TestSettledBeforeBuilt:
                 count["every"] += len(bases)
         assert count == {"built": built, "every": every}
 
-    def test_again_and_edge_blocks_are_built(self, monkeypatch):
+    def test_again_blocks_are_built_and_edge_blocks_counted(self, monkeypatch):
         searches = []
         search = harness._girth_masks
         monkeypatch.setattr(
@@ -901,7 +920,8 @@ class TestSettledBeforeBuilt:
         assert len(set(holding) & settles) == 5124
         monkeypatch.undo()
 
-        # A shard boundary through a block g(D - 0) settles builds that block.
+        # A shard boundary through a block g(D - 0) settles builds nothing
+        # of it, and the shard's result is the one building every block.
         base = min(settles - {0})
         bases = built_blocks(monkeypatch)
         assert _run_shard(cfg, 5, base, base + 10)["checked"] == {"deg2-girth": 10, "two-cycles": 10}
@@ -909,8 +929,33 @@ class TestSettledBeforeBuilt:
         for lo, hi in ((base + 3, base + 10), (base - 10, base + 4), (base + 3, base + 17)):
             bases.clear()
             res = _run_shard(cfg, 5, lo, hi)
-            assert base in bases, (lo, hi)
+            assert base not in bases, (lo, hi)
             assert res == built_through_run_checks(cfg, 5, lo, hi)
+
+    def test_again_blocks_with_an_out_degree_3_tail_are_built(self, monkeypatch):
+        # Outmaps 1:3 n = 5 has blocks of 14 choices, so with every 13th
+        # index searched again each of its 38,416 blocks holds one.  Each is
+        # built and searched once, also the 28,416 whose tail has an
+        # out-degree-3 vertex, of which no out-degree row selects anything.
+        monkeypatch.setattr(harness, "_CROSS_CHECK_EVERY", 13)
+        searches = []
+        search = harness._girth_masks
+        monkeypatch.setattr(
+            harness, "_girth_masks", lambda *args: searches.append(args[1]) or search(*args)
+        )
+        cfg = SuiteConfig(5, 5, "outmaps", OUT_DEGREE_ROWS, dmax=3)
+        choices = _outmap_choices(5, 1, 3)
+        size = math.prod(map(len, choices))
+        blocks = [(b.base, max(b.degs)) for b in _sweep(choices, 0, size)]
+        assert len(blocks) == len(searches) == 38_416
+        searches.clear()
+        bases = built_blocks(monkeypatch)
+        res = _run_shard(cfg, 5, 0, size)
+        assert bases == [base for base, _ in blocks]
+        assert len(searches) == len(set(searches)) == len(blocks)
+        assert sum(top > 2 for _, top in blocks) == 28_416
+        bases.clear()
+        assert res == built_through_run_checks(cfg, 5, 0, size)
 
 
 class TestTwoPhiFailures:
@@ -1285,6 +1330,12 @@ class TestAgain:
         assert held > 20
 
 
+def never_settles(c):
+    """Check row c, given a bound that no girth meets if it has one: an
+    out-degree-2 row that settles no block."""
+    return c if c.bound is None else c._replace(bound=lambda n, p: 0)
+
+
 def fail_on_odd(x, rs, acc):
     return ((r, "odd index") for r in rs if (x.base + r) % 2)
 
@@ -1350,9 +1401,10 @@ class TestShardTallies:
         ids=["labeled-n3", "nothing-passed", "deg2-only", "labeled-n4", "rainbow"],
     )
     def test_pinned(self, monkeypatch, check, cfg, n, lo, hi, checked, passed, failures, digest):
-        # With no bound, the patched check settles no block: it sees every choice.
+        # The patched check settles no block: it sees every choice.
         table = tuple(
-            c._replace(run=fail_on_odd, bound=None) if c.name == check else c for c in harness._CHECKS
+            never_settles(c)._replace(run=fail_on_odd) if c.name == check else c
+            for c in harness._CHECKS
         )
         monkeypatch.setattr(harness, "_CHECKS", table)
         res = _run_shard(cfg, n, lo, hi)
@@ -1400,7 +1452,7 @@ class TestDerivedChecked:
 
             return run
 
-        rows = [c._replace(run=recording(c.name), bound=None) for c in harness._CHECKS]
+        rows = [never_settles(c)._replace(run=recording(c.name)) for c in harness._CHECKS]
         total = collections.Counter()
         pop = _POPULATIONS[cfg.generator]
         for n in range(cfg.n_lo, cfg.n_hi + 1):
