@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .digraph import Digraph, bits
 from .families import Edge, RainbowInstance, normalize_edge
@@ -30,8 +29,7 @@ BOUND_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class CycleCertificate:
+class CycleCertificate(NamedTuple):
     """A directed cycle given by its vertex sequence, plus a length bound."""
 
     vertices: tuple[int, ...]
@@ -43,8 +41,7 @@ class CycleCertificate:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class RainbowCycleCertificate:
+class RainbowCycleCertificate(NamedTuple):
     """A rainbow cycle as a sequence of (edge, color) steps.
 
     Consecutive edges share a vertex, the last edge closes on the first,

@@ -30,7 +30,6 @@ import select
 import signal
 import struct
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import or_
 from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, Sequence, Union
@@ -95,8 +94,7 @@ SEARCH_CAP = 512
 _CROSS_CHECK_EVERY = 100_000
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     """What to enumerate and what to check.
 
     n_lo..n_hi is inclusive.  generator names an entry of _POPULATIONS:
@@ -164,17 +162,37 @@ def _record_key(rec: dict[str, Any]) -> tuple[str, int, int]:
     return (rec["check"], rec["n"], rec["index"])
 
 
-@dataclass
 class Report:
-    """Deterministic outcome of a suite run."""
+    """Deterministic outcome of a suite run.  Reports with equal fields
+    are equal; a report is mutable, so it has no hash."""
 
-    config: dict[str, Any]
-    instances_generated: int = 0
-    checked: dict[str, int] = field(default_factory=dict)
-    passed: dict[str, int] = field(default_factory=dict)
-    violations: list[dict[str, Any]] = field(default_factory=list)
-    findings: list[dict[str, Any]] = field(default_factory=list)
-    extremal: dict[str, Any] = field(default_factory=dict)
+    __slots__ = (
+        "config", "instances_generated", "checked", "passed", "violations", "findings",
+        "extremal",
+    )
+
+    def __init__(
+        self,
+        config: dict[str, Any],
+        instances_generated: int = 0,
+        checked: dict[str, int] | None = None,
+        passed: dict[str, int] | None = None,
+        violations: list[dict[str, Any]] | None = None,
+        findings: list[dict[str, Any]] | None = None,
+        extremal: dict[str, Any] | None = None,
+    ) -> None:
+        self.config = config
+        self.instances_generated = instances_generated
+        self.checked = {} if checked is None else checked
+        self.passed = {} if passed is None else passed
+        self.violations = [] if violations is None else violations
+        self.findings = [] if findings is None else findings
+        self.extremal = {} if extremal is None else extremal
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     @property
     def has_violations(self) -> bool:
@@ -383,12 +401,14 @@ def _sweep(
 
     Given the shard's acc, when each of its rows is an out-degree-2 row
     (it has a bound), the sweep counts a block instead of building it when
-    the block holds no again and either its tail (vertex 1's out-degree
-    included) has an out-degree above 2, so no row selects anything, or
-    its g(D - 0) is within the least bound at its p (_least_bounds).
-    Nothing is yielded for it: its kept choices are added to acc.generated
-    and those the rows select (_deg2_choices) to acc.deg2, and its tail,
-    out-degrees, in-masks and _Block are never built.
+    the block holds no again and either the rows select none of its kept
+    choices (_deg2_choices: none under a tail, vertex 1 included, with an
+    out-degree above 2) or its g(D - 0) is within the least bound at its p
+    (_least_bounds).  Nothing is yielded for it: its kept choices are
+    added to acc.generated and those the rows select to acc.deg2, and its
+    tail, out-degrees, in-masks and _Block are never built.  How many of
+    the shared range the rows select is worked out once per sweep, for
+    each largest out-degree of a tail.
     """
     n = len(choices)
     if lo >= hi or n < 2:
@@ -404,11 +424,14 @@ def _sweep(
         span.append(span[-1] * len(c))
     # The blocks wholly in [lo, hi), block indices -(-lo // r0) to
     # hi // r0, share one kept range.
-    r0, start = len(head.first), int(head.first[0] == 0)
+    r0 = len(head.first)
+    whole = range(int(head.first[0] == 0), r0)
     least = None if acc is None else _least_bounds(acc.rows, n)
+    # How many of the shared range the out-degree-2 rows select, by the
+    # largest out-degree t of a block's tail.
+    whole_deg2 = [len(_deg2_choices(head, t, whole)) for t in range(n)]
     sweep = (
-        head, choices, cols, span, lo, hi, start, -(-lo // r0), hi // r0, range(start, r0),
-        least, acc,
+        head, choices, cols, span, lo, hi, -(-lo // r0), hi // r0, whole, whole_deg2, least, acc,
     )
     # One vertex has no cycle: vertex n - 1's table is all None.
     yield from _blocks(sweep, n - 1, 0, (), (), (0,) * n, [None] * len(choices[-1]))
@@ -425,7 +448,7 @@ def _blocks(
     its g(D - 0): its kept range comes first, then, when _sweep has least,
     the test that counts it unbuilt.  Module-level, passed _sweep's
     constants, so a call makes no reference cycle."""
-    head, choices, cols, span, lo, hi, start, whole_lo, whole_hi, whole, least, acc = sweep
+    head, choices, cols, span, lo, hi, whole_lo, whole_hi, whole, whole_deg2, least, acc = sweep
     r0, step = len(head.first), span[u]
     if u == 1 and least is not None:
         # p and the largest out-degree of vertices 2..; vertex 1 adds its own.
@@ -447,7 +470,7 @@ def _blocks(
         if whole_lo <= at < whole_hi:
             kept = whole
         else:
-            kept = range(max(lo - base, start), min(hi - base, r0))
+            kept = range(max(lo - base, whole.start), min(hi - base, r0))
         if not kept:
             continue
         # The offset of the block's first multiple of _CROSS_CHECK_EVERY;
@@ -455,9 +478,10 @@ def _blocks(
         r, k = -base % _CROSS_CHECK_EVERY, m.bit_count()
         if least is not None and r >= kept.stop:
             g0, t = girth[d], k if k > top else top
-            if t > 2 or (g0 is not None and g0 <= least[p + (k == 1)]):
+            deg2 = whole_deg2[t] if kept is whole else len(_deg2_choices(head, t, kept))
+            if not deg2 or (g0 is not None and g0 <= least[p + (k == 1)]):
                 acc.generated += len(kept)
-                acc.deg2 += len(_deg2_choices(head, t, kept))
+                acc.deg2 += deg2
                 continue
         b = _Block(
             head, base, (m,) + tail, (0, k) + degs, _or_column(inn, cols[0][d]), girth[d], kept
@@ -554,16 +578,21 @@ def _beats(a: Sequence[Any], b: Sequence[Any]) -> bool:
     return lhs > rhs or (lhs == rhs and (a[2], a[3]) < (b[2], b[3]))
 
 
-@dataclass(slots=True)
 class _RainbowRun:
     """Seeded rainbow instances base + r at size n, r < len(insts), each
     with its construction built[r]: the certificate, or None and why, and
     every greedy subgraph grown."""
 
-    n: int
-    base: int
-    insts: list[RainbowInstance]
-    built: list[tuple[RainbowCycleCertificate | None, str, Collector]]
+    __slots__ = ("n", "base", "insts", "built")
+
+    def __init__(
+        self,
+        n: int,
+        base: int,
+        insts: list[RainbowInstance],
+        built: list[tuple[RainbowCycleCertificate | None, str, Collector]],
+    ) -> None:
+        self.n, self.base, self.insts, self.built = n, base, insts, built
 
     @property
     def kept(self) -> range:
@@ -582,7 +611,6 @@ _RAINBOW_RUN = 16
 _Unit = Union[_Block, _RainbowRun]
 
 
-@dataclass(slots=True)
 class _Accum:
     """Shard-local tallies for the selected check rows; result() is the
     shard's result for run_suite to merge.
@@ -593,19 +621,37 @@ class _Accum:
     unit.
     """
 
-    rows: Sequence[_Check]
-    generated: int = 0
-    deg2: int = 0
-    failed: dict[str, int] = field(default_factory=dict)
-    violations: list[dict[str, Any]] = field(default_factory=list)
-    findings: list[dict[str, Any]] = field(default_factory=list)
-    # [num, den, n, index, instance text]: girth/psi is num/den in lowest terms.
-    best_ratio: list[Any] | None = None
-    tight_count: int = 0
-    tight_witnesses: list[tuple[int, int, str]] = field(default_factory=list)
-    # Peeling outcomes shared by this shard's two-phi runs; bounded by
-    # peeling.PEEL_MEMO_CAP and never part of the shard's result.
-    peel_memo: PeelMemo = field(default_factory=dict)
+    __slots__ = (
+        "rows", "generated", "deg2", "failed", "violations", "findings", "best_ratio",
+        "tight_count", "tight_witnesses", "peel_memo",
+    )
+
+    def __init__(
+        self,
+        rows: Sequence[_Check],
+        generated: int = 0,
+        deg2: int = 0,
+        failed: dict[str, int] | None = None,
+        violations: list[dict[str, Any]] | None = None,
+        findings: list[dict[str, Any]] | None = None,
+        best_ratio: list[Any] | None = None,
+        tight_count: int = 0,
+        tight_witnesses: list[tuple[int, int, str]] | None = None,
+        peel_memo: PeelMemo | None = None,
+    ) -> None:
+        self.rows = rows
+        self.generated = generated
+        self.deg2 = deg2
+        self.failed = {} if failed is None else failed
+        self.violations = [] if violations is None else violations
+        self.findings = [] if findings is None else findings
+        # [num, den, n, index, instance text]: girth/psi is num/den in lowest terms.
+        self.best_ratio = best_ratio
+        self.tight_count = tight_count
+        self.tight_witnesses = [] if tight_witnesses is None else tight_witnesses
+        # Peeling outcomes shared by this shard's two-phi runs; bounded by
+        # peeling.PEEL_MEMO_CAP and never part of the shard's result.
+        self.peel_memo = {} if peel_memo is None else peel_memo
 
     def record(
         self, kind: str, check: str, x: _Unit, r: int, message: str, certificate: Any = None

@@ -8,9 +8,8 @@ be compared.  Oracles enforce hard caps and refuse rather than truncate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Protocol
+from typing import Iterator, NamedTuple, Protocol
 
 from .certificates import (
     BOUND_CEIL_N_PLUS_P,
@@ -176,8 +175,7 @@ def enumerate_cycles(d: Digraph) -> Iterator[CycleCertificate]:
         )
 
 
-@dataclass(frozen=True)
-class TwoCyclePair:
+class TwoCyclePair(NamedTuple):
     """Two cycles (possibly the same one) minimizing vertex intersection."""
 
     c1: CycleCertificate

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, NamedTuple, Sequence
 
@@ -128,8 +127,7 @@ def eq1_terms(d: Digraph) -> list[tuple[Fraction, Fraction]]:
     ]
 
 
-@dataclass(frozen=True)
-class PeelingTrace:
+class PeelingTrace(NamedTuple):
     """A full record of one peeling run, checkable step by step.
 
     steps holds (removed vertex, phi after removal); vertices are

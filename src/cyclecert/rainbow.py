@@ -26,7 +26,7 @@ ClaimViolation, which hold under python -O too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .certificates import RainbowCycleCertificate, _walk_vertices, validate_rainbow_cycle
 from .errors import (
@@ -42,7 +42,6 @@ from .oracles import assert_all_size2_bound
 Collector = list[tuple[RainbowInstance, "GreedySubgraph"]]
 
 
-@dataclass(frozen=True)
 class GreedySubgraph:
     """The greedy subgraph H: a seed edge plus t two-edge attachments.
 
@@ -53,42 +52,67 @@ class GreedySubgraph:
     a forbidden turn: a path entering x by one may not leave by the
     other, because both edges carry the same color.  Its vertex and
     color sets, edge list, forbidden turns and incidence lists are built
-    at construction; callers must not change them.
+    at construction; callers must not change them.  Its attributes are
+    read-only, and equality, hashing and the repr use the three
+    constructor fields only.
     """
 
-    seed_color: int
-    seed_edge: Edge
-    attachments: tuple[tuple[int, int, int, int], ...]
-    vertices: frozenset[int] = field(init=False, compare=False, repr=False)
-    colors: frozenset[int] = field(init=False, compare=False, repr=False)
-    # Per vertex, the ids of its edges, ascending.
-    incident: dict[int, list[int]] = field(init=False, compare=False, repr=False)
-    _edges: list[tuple[Edge, int]] = field(init=False, compare=False, repr=False)
-    _turns: dict[int, tuple[int, int]] = field(init=False, compare=False, repr=False)
+    __slots__ = (
+        "seed_color", "seed_edge", "attachments", "vertices", "colors", "incident", "_edges",
+        "_turns",
+    )
 
-    def __post_init__(self) -> None:
-        seed = self.seed_edge
-        vertices = {seed[0], seed[1]}
-        colors = {self.seed_color}
-        edges = [(seed, self.seed_color)]
+    def __init__(
+        self, seed_color: int, seed_edge: Edge, attachments: tuple[tuple[int, int, int, int], ...]
+    ) -> None:
+        vertices = {seed_edge[0], seed_edge[1]}
+        colors = {seed_color}
+        edges = [(seed_edge, seed_color)]
         turns = {}
-        for i, (x, a, b, c) in enumerate(self.attachments):
+        for i, (x, a, b, c) in enumerate(attachments):
             vertices.add(x)
             colors.add(c)
             edges.append(((x, a) if x <= a else (a, x), c))
             edges.append(((x, b) if x <= b else (b, x), c))
             turns[x] = (1 + 2 * i, 2 + 2 * i)
+        # Per vertex, the ids of its edges, ascending.
         incident: dict[int, list[int]] = {w: [] for w in vertices}
         for eid, ((a, b), _) in enumerate(edges):
             incident[a].append(eid)
             if a != b:
                 incident[b].append(eid)
-        put = object.__setattr__  # the dataclass is frozen
+        put = object.__setattr__  # __setattr__ refuses
+        put(self, "seed_color", seed_color)
+        put(self, "seed_edge", seed_edge)
+        put(self, "attachments", attachments)
         put(self, "vertices", frozenset(vertices))
         put(self, "colors", frozenset(colors))
         put(self, "incident", incident)
         put(self, "_edges", edges)
         put(self, "_turns", turns)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple[int, Edge, tuple[tuple[int, int, int, int], ...]]:
+        return self.seed_color, self.seed_edge, self.attachments
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(seed_color={self.seed_color!r}, "
+            f"seed_edge={self.seed_edge!r}, attachments={self.attachments!r})"
+        )
 
     @property
     def t(self) -> int:
@@ -238,8 +262,7 @@ def rainbow_path_in_subgraph(
     return path
 
 
-@dataclass(frozen=True)
-class ContractionMap:
+class ContractionMap(NamedTuple):
     """Everything needed to undo one contraction of V(H) to h.
 
     old_to_new maps parent vertices to quotient vertices (V(H) maps to

@@ -1,7 +1,6 @@
 """Enumeration generators, the verification suite driver, and the ratio search."""
 
 import collections
-import dataclasses
 import gc
 import hashlib
 import itertools
@@ -506,7 +505,7 @@ class TestCrossChecks:
         assert [d.out_masks for d in calls] == [(2, 20, 10, 16, 1)]
         # A run from scratch that differs is a violation at that index.
         monkeypatch.setattr(
-            harness, "short_cycle_via_peeling", lambda d: dataclasses.replace(peel(d), vertices=())
+            harness, "short_cycle_via_peeling", lambda d: peel(d)._replace(vertices=())
         )
         res = _run_shard(cfg, 5, 100_000, 100_016)
         assert [(v["index"], v["message"]) for v in res["violations"]] == [
@@ -536,7 +535,7 @@ class TestCrossChecks:
 
         def one_off(d, pair):
             cert = oracle(d, pair)
-            return dataclasses.replace(cert, vertices=(*cert.vertices[:-1], cert.vertices[-1] + 1))
+            return cert._replace(vertices=(*cert.vertices[:-1], cert.vertices[-1] + 1))
 
         calls = []
         monkeypatch.setattr(
@@ -956,6 +955,39 @@ class TestSettledBeforeBuilt:
         assert sum(top > 2 for _, top in blocks) == 28_416
         bases.clear()
         assert res == built_through_run_checks(cfg, 5, 0, size)
+
+    def test_edge_blocks_the_rows_select_nothing_of_are_counted(self, monkeypatch):
+        # Outmaps 1:3 n <= 5 cut as run_suite cuts it at --jobs 3, 12 shards
+        # per n.  An edge block whose kept choices all have out-degree 3,
+        # under a tail of out-degree at most 2, holds nothing the rows
+        # select, so it is counted, and each block built builds its table.
+        cfg = SuiteConfig(1, 5, "outmaps", OUT_DEGREE_ROWS, dmax=3)
+        whole = run_suite(cfg).checked
+        bases = built_blocks(monkeypatch)
+        tables = TestBlockCompare.block_tables(monkeypatch)
+        pop = _POPULATIONS[cfg.generator]
+        checked = collections.Counter()
+        for n in range(cfg.n_lo, cfg.n_hi + 1):
+            size = pop.size(cfg, n)
+            step = -(-size // min(12, size)) if size else 1
+            for lo in range(0, size, step):
+                checked.update(_run_shard(cfg, n, lo, min(lo + step, size))["checked"])
+        assert checked == whole
+        assert len(bases) == len(tables) == 3449
+
+    def test_whole_blocks_share_one_selection_per_sweep(self, monkeypatch):
+        # One shard of outmaps 1:2 n = 5: the sweep works out how many of
+        # the shared range the rows select once for each largest tail
+        # out-degree 0..4, and _run_checks once for each of the 3,331
+        # blocks built.  The 6,669 blocks counted make no call.
+        calls = []
+        select = harness._deg2_choices
+        monkeypatch.setattr(harness, "_deg2_choices", lambda *a: calls.append(a) or select(*a))
+        bases = built_blocks(monkeypatch)
+        res = _run_shard(SuiteConfig(5, 5, "outmaps", OUT_DEGREE_ROWS), 5, 0, 100_000)
+        assert res["checked"] == res["passed"] == {"deg2-girth": 100_000, "two-cycles": 100_000}
+        assert len(bases) == 3331
+        assert len(calls) == 5 + 3331
 
 
 class TestTwoPhiFailures:
@@ -1716,7 +1748,7 @@ class TestRunSuite:
         assert base == again == forked
         # Each shard counts the sink-free digraphs it checks.
         sinkless = SuiteConfig(1, 4, "labeled", DIGRAPH_CHECKS)
-        reports = [run_suite(dataclasses.replace(sinkless, workers=w)) for w in (1, 2, 3)]
+        reports = [run_suite(sinkless._replace(workers=w)) for w in (1, 2, 3)]
         assert len({doc_of(r) for r in reports}) == 1
         assert {r.instances_generated for r in reports} == {2429}
 
@@ -1759,7 +1791,7 @@ class TestRunSuite:
             assert taken == [full(*task) for task in tasks]
 
         cfg = SuiteConfig(1, 3, "labeled", ("two-phi", "chc"), workers=3)
-        serial = doc_of(run_suite(dataclasses.replace(cfg, workers=1)))
+        serial = doc_of(run_suite(cfg._replace(workers=1)))
         capsys.readouterr()
         monkeypatch.setattr(harness, "_run_shard", run_shard)
         monkeypatch.setattr(harness, "_shard_results", recording)
@@ -1823,7 +1855,7 @@ class TestRunSuite:
                 yield res
 
         cfg = SuiteConfig(1, 3, "labeled", ("two-phi", "chc"), workers=3)
-        serial = doc_of(run_suite(dataclasses.replace(cfg, workers=1)))
+        serial = doc_of(run_suite(cfg._replace(workers=1)))
         monkeypatch.setattr(harness, "_run_shard", run_shard)
         monkeypatch.setattr(harness, "_shard_results", recording)
         report = run_suite(cfg)

@@ -1,14 +1,26 @@
 """The import graph keeps oracles and validators apart from what they check,
 every module imports at its top, only what it uses, and every name the
-benchmark wraps is still bound where it looks it up."""
+benchmark wraps is still bound where it looks it up.  No module loads the
+dataclasses machinery, and the records written without it keep their
+fields, defaults, equality, hashing and immutability."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cyclecert
+from cyclecert.certificates import CycleCertificate, RainbowCycleCertificate
+from cyclecert.digraph import Digraph
+from cyclecert.harness import Report, SuiteConfig, _Accum, _RainbowRun
+from cyclecert.oracles import TwoCyclePair
+from cyclecert.peeling import PeelingTrace
+from cyclecert.rainbow import ContractionMap, GreedySubgraph
 
 PACKAGE = Path(cyclecert.__file__).parent
 
@@ -133,3 +145,121 @@ def test_perfbench_targets_resolve():
         if owner is None:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def imported_modules(tree):
+    """The top-level names of the modules a module imports, absolute
+    imports only."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+        elif isinstance(node, ast.Import):
+            yield from (a.name.split(".")[0] for a in node.names)
+
+
+def test_imported_modules_sees_every_spelling():
+    tree = ast.parse(
+        "import dataclasses as dc\n"
+        "from dataclasses import field\n"
+        "from .formats import format_digraph\n"
+        "import os.path\n"
+    )
+    assert list(imported_modules(tree)) == ["dataclasses", "dataclasses", "os"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses(path):
+    # Importing dataclasses also loads inspect, dis and tokenize, and each
+    # decorator execs its generated methods: about 12 ms of every process's
+    # set-up, for records a NamedTuple or a __slots__ class gives as well.
+    assert "dataclasses" not in set(imported_modules(ast.parse(path.read_text())))
+
+
+@pytest.mark.parametrize("module", ["cyclecert.harness", "cyclecert.cli"])
+def test_import_loads_no_dataclasses_or_inspect(module):
+    # Only what the import itself loads counts, not what site loaded first.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"import {module}\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+CERT = CycleCertificate((0, 1), Fraction(2), "exact-length")
+
+# Each immutable record with positional arguments for its fields, in order.
+FROZEN = [
+    (SuiteConfig, {
+        "n_lo": 1, "n_hi": 3, "generator": "labeled", "checks": ("two-phi",), "dmin": 1,
+        "dmax": 2, "count": 100, "workers": 1, "seed": 0,
+    }),
+    (CycleCertificate, {"vertices": (0, 1), "bound": Fraction(2), "bound_kind": "exact-length"}),
+    (RainbowCycleCertificate, {"steps": (((0, 1), 0), ((0, 1), 1))}),
+    (TwoCyclePair, {"c1": CERT, "c2": CERT, "intersection": (0, 1), "p": 0}),
+    (PeelingTrace, {
+        "initial_phi": Fraction(1), "steps": (), "terminal": Digraph(2, [(0, 1), (1, 0)]),
+        "terminal_vertices": (0, 1), "certificate": CERT,
+    }),
+    (ContractionMap, {
+        "old_to_new": (0, 0, 1), "h": 0, "family_map": (1, 2),
+        "parent_edges": (((1, 2),), ((0, 2),)),
+    }),
+    (GreedySubgraph, {"seed_color": 0, "seed_edge": (0, 1), "attachments": ((2, 0, 1, 1),)}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", FROZEN, ids=[cls.__name__ for cls, _ in FROZEN])
+def test_frozen_records(cls, fields):
+    a, b = cls(*fields.values()), cls(**fields)
+    assert [getattr(a, f) for f in fields] == list(fields.values())
+    assert a == b and hash(a) == hash(b)
+    for f, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(a, f, value)
+    assert [getattr(a, f) for f in fields] == list(fields.values())
+
+
+def test_suite_config_defaults():
+    cfg = SuiteConfig(1, 3, "labeled", ("two-phi",))
+    assert cfg == SuiteConfig(1, 3, "labeled", ("two-phi",), 1, 2, 100, 1, 0)
+    assert (cfg.dmin, cfg.dmax, cfg.count, cfg.workers, cfg.seed) == (1, 2, 100, 1, 0)
+    assert cfg != SuiteConfig(1, 3, "labeled", ("two-phi",), seed=1)
+
+
+def test_greedy_subgraph_refuses_every_attribute():
+    h = GreedySubgraph(0, (0, 1), ((2, 0, 1, 1),))
+    for name in ("vertices", "colors", "incident", "_edges", "_turns", "t", "other"):
+        with pytest.raises(AttributeError):
+            setattr(h, name, None)
+    with pytest.raises(AttributeError):
+        del h.seed_color
+    assert h != GreedySubgraph(0, (0, 1), ())
+
+
+def test_mutable_records():
+    rep = Report({"generator": "labeled"})
+    assert (rep.instances_generated, rep.checked, rep.passed) == (0, {}, {})
+    assert (rep.violations, rep.findings, rep.extremal) == ([], [], {})
+    full = Report({"generator": "labeled"}, 0, {}, {}, [], [], {})
+    assert rep == full and rep.checked is not full.checked
+    full.instances_generated = 1
+    assert rep != full and Report.__hash__ is None
+
+    acc = _Accum(())
+    assert [getattr(acc, k) for k in _Accum.__slots__] == [(), 0, 0, {}, [], [], None, 0, [], {}]
+    assert _Accum(()).failed is not acc.failed
+    acc = _Accum((), 1, 2, {"a": 3}, [4], [5], [6], 7, [8], {(9,): (0,)})
+    assert [getattr(acc, k) for k in _Accum.__slots__] == [
+        (), 1, 2, {"a": 3}, [4], [5], [6], 7, [8], {(9,): (0,)},
+    ]
+
+    run = _RainbowRun(4, 16, [], [])
+    assert (run.n, run.base, run.insts, run.built, run.kept) == (4, 16, [], [], range(0))
+    assert not any(hasattr(obj, "__dict__") for obj in (rep, acc, run))

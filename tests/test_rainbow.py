@@ -1,6 +1,5 @@
 """The greedy subgraph, contraction, and the recursive rainbow-cycle construction."""
 
-import dataclasses
 import gc
 import hashlib
 import json
@@ -448,7 +447,7 @@ class TestLevelClaims:
         )
         # A map that puts parent vertex 2, not 3, at quotient vertex 0 picks
         # 3 as the parent edge's end in H.
-        wrong = dataclasses.replace(cmap, old_to_new=(2, 2, 0, 2, 1))
+        wrong = cmap._replace(old_to_new=(2, 2, 0, 2, 1))
         with pytest.raises(ClaimViolation, match=r"ends 3 and 2 at h do not both lie in"):
             rainbow._lift(inst, h, q, wrong, sub)
 
