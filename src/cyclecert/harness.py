@@ -9,7 +9,9 @@ digraphs that differ only in vertex 0's out-mask, or a short run of
 rainbow instances.  When only the out-degree-2 checks, the rows with a
 bound, are selected, a block they need not walk (none of its instances
 is theirs, or the girth of D - 0 is within their bounds) is counted, not
-built.  Checks of proved statements record violations, which callers
+built.  A block that is built tables its girths as it is built, and a
+row with a bound walks it only where the table's largest girth exceeds
+that bound.  Checks of proved statements record violations, which callers
 treat as fatal; checks of open conjectures record findings only.
 Reports are independent of the worker count: shards partition the index
 space and merge by sums, concatenation sorted by index, and tie-broken
@@ -171,23 +173,14 @@ class Report:
         "extremal",
     )
 
-    def __init__(
-        self,
-        config: dict[str, Any],
-        instances_generated: int = 0,
-        checked: dict[str, int] | None = None,
-        passed: dict[str, int] | None = None,
-        violations: list[dict[str, Any]] | None = None,
-        findings: list[dict[str, Any]] | None = None,
-        extremal: dict[str, Any] | None = None,
-    ) -> None:
+    def __init__(self, config: dict[str, Any]) -> None:
         self.config = config
-        self.instances_generated = instances_generated
-        self.checked = {} if checked is None else checked
-        self.passed = {} if passed is None else passed
-        self.violations = [] if violations is None else violations
-        self.findings = [] if findings is None else findings
-        self.extremal = {} if extremal is None else extremal
+        self.instances_generated = 0
+        self.checked: dict[str, int] = {}
+        self.passed: dict[str, int] = {}
+        self.violations: list[dict[str, Any]] = []
+        self.findings: list[dict[str, Any]] = []
+        self.extremal: dict[str, Any] = {}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -265,19 +258,20 @@ class _Block:
     be its first.
 
     degs are the out-degrees of (0,) + tail, tail_inn the in-masks of
-    (0,) + tail (what vertices 1.. give every instance), g0 the girth of
-    D - 0, which no choice's exceeds, and girth each choice's girth; each
-    is None where acyclic.  Every other per-choice fact a check needs is a
-    tail term (terms() builds them once) plus vertex 0's, from head.  out,
-    inn and the Digraph are built anew for each r a check asks about.
+    (0,) + tail (what vertices 1.. give every instance), and girth each
+    choice's girth, None where acyclic: the block's _girth_table, built
+    here from g0, the girth of D - 0.  Every other per-choice fact a check
+    needs is a tail term (terms() builds them once) plus vertex 0's, from
+    head.  out, inn and the Digraph are built anew for each r a check asks
+    about.
 
     again is the kept choice whose instance the cross-checks search again
     from scratch, or None.
     """
 
     __slots__ = (
-        "head", "n", "base", "tail", "degs", "tail_inn", "g0", "kept", "again", "_girth",
-        "_pair", "_terms",
+        "head", "n", "base", "tail", "degs", "tail_inn", "girth", "kept", "again", "_pair",
+        "_terms",
     )
 
     def __init__(
@@ -290,19 +284,11 @@ class _Block:
         self.tail = tail
         self.degs = degs
         self.tail_inn = tail_inn
-        self.g0 = g0
+        self.girth = _girth_table(tail_inn, head.first, g0, 0)
         self.kept = kept
         self.again: int | None = None
-        self._girth: list[int | None] | None = None
         self._pair: TwoCyclePair | TheoremViolation | None = None
         self._terms: TailTerms | None = None
-
-    @property
-    def girth(self) -> list[int | None]:
-        """The block's _girth_table, built on the first read."""
-        if self._girth is None:
-            self._girth = _girth_table(self.tail_inn, self.head.first, self.g0, 0)
-        return self._girth
 
     def terms(self) -> TailTerms:
         """peeling.tail_terms of the block, built once, on the first ask."""
@@ -392,12 +378,12 @@ def _sweep(
     out-degree to the tail, ORs its in-mask column into the in-masks, and
     tables, over vertex u - 1's choices, the girth of the digraph on
     vertices u - 1.. (_girth_table), down to vertex 1's: g(D - 0) for
-    each block.  An empty out-mask (a sink) is skipped with every block
-    under it.  Vertex 0's empty choice, if it has one, must come first, as
-    it does when choices ascend; a block keeps the range of its other
-    choices inside [lo, hi), one range shared by every block lying wholly
-    inside.  Instance again has its girth searched again from scratch, and
-    a disagreement raises.
+    each block, from which a block built tables its own girths.  An empty
+    out-mask (a sink) is skipped with every block under it.  Vertex 0's
+    empty choice, if it has one, must come first, as it does when choices
+    ascend; a block keeps the range of its other choices inside [lo, hi),
+    one range shared by every block lying wholly inside.  Instance again
+    has its girth searched again from scratch, and a disagreement raises.
 
     Given the shard's acc, when each of its rows is an out-degree-2 row
     (it has a bound), the sweep counts a block instead of building it when
@@ -406,9 +392,9 @@ def _sweep(
     out-degree above 2) or its g(D - 0) is within the least bound at its p
     (_least_bounds).  Nothing is yielded for it: its kept choices are
     added to acc.generated and those the rows select to acc.deg2, and its
-    tail, out-degrees, in-masks and _Block are never built.  How many of
-    the shared range the rows select is worked out once per sweep, for
-    each largest out-degree of a tail.
+    tail, out-degrees, in-masks, girth table and _Block are never built.
+    How many of the shared range the rows select is worked out once per
+    sweep, for each largest out-degree of a tail.
     """
     n = len(choices)
     if lo >= hi or n < 2:
@@ -446,8 +432,9 @@ def _blocks(
     of the digraph on vertices u.. when vertex u takes choices[u][d], None
     where acyclic.  At u = 1 each choice of vertex 1 is one block, girth[d]
     its g(D - 0): its kept range comes first, then, when _sweep has least,
-    the test that counts it unbuilt.  Module-level, passed _sweep's
-    constants, so a call makes no reference cycle."""
+    the test that counts it unbuilt, and a block built tables its girths
+    from girth[d].  Module-level, passed _sweep's constants, so a call
+    makes no reference cycle."""
     head, choices, cols, span, lo, hi, whole_lo, whole_hi, whole, whole_deg2, least, acc = sweep
     r0, step = len(head.first), span[u]
     if u == 1 and least is not None:
@@ -626,35 +613,23 @@ class _Accum:
         "tight_count", "tight_witnesses", "peel_memo",
     )
 
-    def __init__(
-        self,
-        rows: Sequence[_Check],
-        generated: int = 0,
-        deg2: int = 0,
-        failed: dict[str, int] | None = None,
-        violations: list[dict[str, Any]] | None = None,
-        findings: list[dict[str, Any]] | None = None,
-        best_ratio: list[Any] | None = None,
-        tight_count: int = 0,
-        tight_witnesses: list[tuple[int, int, str]] | None = None,
-        peel_memo: PeelMemo | None = None,
-    ) -> None:
+    def __init__(self, rows: Sequence[_Check]) -> None:
         self.rows = rows
-        self.generated = generated
-        self.deg2 = deg2
-        self.failed = {} if failed is None else failed
-        self.violations = [] if violations is None else violations
-        self.findings = [] if findings is None else findings
+        self.generated = 0
+        self.deg2 = 0
+        self.failed: dict[str, int] = {}
+        self.violations: list[dict[str, Any]] = []
+        self.findings: list[dict[str, Any]] = []
         # [num, den, n, index, instance text]: girth/psi is num/den in lowest terms.
-        self.best_ratio = best_ratio
-        self.tight_count = tight_count
-        self.tight_witnesses = [] if tight_witnesses is None else tight_witnesses
+        self.best_ratio: list[Any] | None = None
+        self.tight_count = 0
+        self.tight_witnesses: list[tuple[int, int, str]] = []
         # Peeling outcomes shared by this shard's two-phi runs; bounded by
         # peeling.PEEL_MEMO_CAP and never part of the shard's result.
-        self.peel_memo = {} if peel_memo is None else peel_memo
+        self.peel_memo: PeelMemo = {}
 
     def record(
-        self, kind: str, check: str, x: _Unit, r: int, message: str, certificate: Any = None
+        self, kind: str, check: str, x: _Unit, r: int, message: str, certificate: Any
     ) -> None:
         rec = {
             "check": check,
@@ -1004,16 +979,17 @@ def _least_bounds(rows: Sequence[_Check], n: int) -> list[int] | None:
 def _run_checks(x: _Unit, acc: _Accum) -> None:
     """Run each of acc's rows over the kept choices of x, counting them
     generated, and the ones the out-degree-2 rows (the rows with a bound)
-    select once, in acc.deg2.  That selection and p, the bound's
-    out-degree-1 count, are made once per block.  Such a row walks only
-    again, if selected, of a block whose girths are all within its bound:
-    g(D - 0), which none exceeds, or else the table's largest entry, read
-    once per block.
+    select once, in acc.deg2.  That selection, p, the bound's out-degree-1
+    count, and the girth table's largest entry are read once per block.
+    Such a row walks only again, if selected, of a block whose girths are
+    all within its bound.
 
-    When every selected row has a bound, _run_shard's sweep counts each
-    block unbuilt that holds no again and that g(D - 0) settles or no row
-    selects anything of, so only the blocks g(D - 0) leaves open and those
-    holding again reach here then."""
+    g(D - 0) is compared only in the sweep, before a block is built: when
+    every selected row has a bound, _run_shard's sweep counts each block
+    unbuilt that holds no again and that g(D - 0) settles or no row selects
+    anything of, so only the blocks g(D - 0) leaves open and those holding
+    again reach here then.  No table entry exceeds g(D - 0), so the table
+    settles every block that g(D - 0) would."""
     rs = x.kept
     acc.generated += len(rs)
     deg2_rs: Sequence[int] | None = None
@@ -1023,19 +999,14 @@ def _run_checks(x: _Unit, acc: _Accum) -> None:
             if deg2_rs is None:
                 deg2_rs = _deg2_choices(x.head, max(x.degs), rs)
                 acc.deg2 += len(deg2_rs)
-                # p, and the table's largest girth: None if it holds None, 0 until read.
-                p, top = x.degs.count(1), 0
+                # p, and the table's largest girth, None if it holds None.
+                p, girth = x.degs.count(1), x.girth
+                top = None if None in girth else max(girth)
             sel = deg2_rs
             if not sel:
                 continue
-            least, g0 = bound(x.n, p), x.g0
-            settled = g0 is not None and g0 <= least
-            if not settled:
-                if top == 0:
-                    girth = x.girth
-                    top = None if None in girth else max(girth)
-                settled = top is not None and top <= least
-            if settled:
+            if top is not None and top <= bound(x.n, p):
+                # None in a range is a linear search, so again is tested first.
                 if x.again is None or x.again not in sel:
                     continue
                 sel = (x.again,)

@@ -229,6 +229,13 @@ def assert_facts_from_scratch(b, r):
     assert terms.rhs == tuple(_rhs_scaled(gains, degs, m) for m in in_masks_of((0, *b.tail)))
 
 
+def girth_minus_0(b):
+    """g(D - 0) of block b, by a girth search of D - 0 alone."""
+    minus_zero = (0, *(m & ~1 for m in b.tail))
+    hit = oracles._girth_masks(b.n, minus_zero, in_masks_of(minus_zero))
+    return None if hit is None else hit[0]
+
+
 class TestBlocks:
     """Every fact a block gives, against a derivation from scratch."""
 
@@ -606,7 +613,7 @@ class TestBlockCompare:
                 if max(b.degs) > 2:
                     continue
                 b.again = None
-                table = harness._girth_table(b.tail_inn, b.head.first, b.g0, 0)
+                table = harness._girth_table(b.tail_inn, b.head.first, girth_minus_0(b), 0)
                 top = None if None in table else max(table)
                 girths = None
                 for row in rows:
@@ -734,10 +741,11 @@ class TestBlockCompare:
 
     def test_a_table_too_high_fails_the_heads_beyond_their_bound(self, monkeypatch):
         # Only block tables (s = 0) read one too high, so the tables of
-        # vertices 1.. stay right.  Indices from 10 skip block 0, whose search again
-        # would raise.  A block whose g(D - 0) is within the least bound is
-        # settled before its table is read, so only the heads of the blocks
-        # left to their tables fail; no correct table exceeds g(D - 0).
+        # vertices 1.., and each block's g(D - 0), stay right.  Indices from
+        # 10 skip block 0, whose search again would raise.  The sweep counts
+        # a block whose g(D - 0) is within the least bound without building
+        # it; every block it builds checks each row against the planted
+        # table alone, so each of its heads beyond a bound there fails.
         table = harness._girth_table
         monkeypatch.setattr(
             harness,
@@ -749,11 +757,11 @@ class TestBlockCompare:
         cfg = SuiteConfig(5, 5, "outmaps", ("deg2-girth", "two-cycles"))
         res = _run_shard(cfg, 5, 10, 100_000)
         assert res["checked"] == {"deg2-girth": 99_990, "two-cycles": 99_990}
-        assert res["passed"] == {"deg2-girth": 99_834, "two-cycles": 99_990}
+        assert res["passed"] == {"deg2-girth": 99_306, "two-cycles": 99_990}
         messages = collections.Counter(v["message"] for v in res["violations"])
         assert messages == {
-            "girth 4 exceeds ceil((n + p) / 2) = 3": 60,
-            "girth 5 exceeds ceil((n + p) / 2) = 4": 72,
+            "girth 4 exceeds ceil((n + p) / 2) = 3": 564,
+            "girth 5 exceeds ceil((n + p) / 2) = 4": 96,
             "girth 6 exceeds ceil((n + p) / 2) = 5": 24,
         }
 
@@ -793,25 +801,43 @@ class TestBlockCompare:
         assert report.checked == report.passed and not report.violations
         assert len(calls) == 3435
 
-    @pytest.mark.parametrize("row, tables", [("two-cycles", 104), ("deg2-girth", 72)])
-    def test_g_d_minus_0_settles_before_the_table_is_built(self, monkeypatch, row, tables):
-        # eq1-identity has no bound, so the sweep builds each of labeled n <=
-        # 4's 353 blocks.  The out-degree row's g(D - 0) compare settles a
-        # block before its table is read; settling from the table alone
-        # would build 226 of them.
-        calls = self.block_tables(monkeypatch)
-        report = run_suite(SuiteConfig(1, 4, "labeled", ("eq1-identity", row)))
-        assert report.checked == report.passed and not report.violations
-        assert len(calls) == tables
+    @staticmethod
+    def tables_per_block(monkeypatch):
+        """(per_block, calls): for each harness._Block built from here on,
+        how many block tables (s = 0) its constructor built, and every
+        block table built, as block_tables gathers them."""
+        calls = TestBlockCompare.block_tables(monkeypatch)
+        per_block = []
 
-    def test_a_check_that_reads_no_girth_builds_no_table(self, monkeypatch):
-        # eq1-identity reads tail terms only.  Of the 10,309 blocks of this
-        # labeled n = 5 shard, only the one holding 100,000 builds its
-        # table, for the breadth-first search of its instance 100,001.
-        calls = self.block_tables(monkeypatch)
+        class Counted(harness._Block):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                before = len(calls)
+                super().__init__(*args)
+                per_block.append(len(calls) - before)
+
+        monkeypatch.setattr(harness, "_Block", Counted)
+        return per_block, calls
+
+    @pytest.mark.parametrize("row", ["two-cycles", "deg2-girth"])
+    def test_each_block_builds_its_table_as_it_is_built(self, monkeypatch, row):
+        # eq1-identity has no bound, so the sweep builds each of labeled n <=
+        # 4's 353 blocks, and each builds one table there, whether the
+        # out-degree row then settles it from the table or walks it.
+        per_block, calls = self.tables_per_block(monkeypatch)
+        report = run_suite(SuiteConfig(1, 4, "labeled", ("eq1-identity", row)))
+        assert report.checked == report.passed == {"eq1-identity": 2429, row: 1324}
+        assert not report.violations and not report.findings
+        assert per_block == [1] * 353 and len(calls) == 353
+
+    def test_a_check_that_reads_no_girth_still_builds_each_table(self, monkeypatch):
+        # eq1-identity reads tail terms only, yet each of the 10,309 blocks
+        # of this labeled n = 5 shard builds its table as it is built.
+        per_block, calls = self.tables_per_block(monkeypatch)
         res = _run_shard(SuiteConfig(5, 5, "labeled", ("eq1-identity",)), 5, 100_000, 300_000)
         assert res["checked"] == res["passed"] == {"eq1-identity": 154_635}
-        assert len(calls) == 1
+        assert per_block == [1] * 10_309 and len(calls) == 10_309
 
 
 def built_blocks(monkeypatch):
@@ -901,7 +927,7 @@ class TestSettledBeforeBuilt:
         # 10,000 blocks of 10.
         settles = {
             b.base for b in _sweep(choices, 0, 100_000)
-            if b.g0 is not None and b.g0 <= least[b.degs.count(1)]
+            if (g0 := girth_minus_0(b)) is not None and g0 <= least[b.degs.count(1)]
         }
         assert len(settles) == 6669
 

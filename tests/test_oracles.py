@@ -113,23 +113,20 @@ class TestGirthTable:
         rest = [(data.draw(masks(v), label=f"out {v}"),) for v in range(2, n)]
         choices = [(0, 0b110), tuple(ones), *rest]
         # The sweep builds every girth with tables alone: one over each of
-        # vertices n-2..1, then a vertex-0 table, the block's.  The first
-        # block builds its own as the sweep yields it, for its one girth
-        # search, the cross-check of kept choice 1; each later block builds
-        # its own when its girths are first read.
+        # vertices n-2..1, then a vertex-0 table, the block's.  Each block
+        # builds its own as it is built; the first one's serves its one
+        # girth search, the cross-check of kept choice 1.
         searches, tables = [], []
         with pytest.MonkeyPatch.context() as m:
             m.setattr(harness, "_girth_masks", lambda *a: searches.append(a) or _girth_masks(*a))
             m.setattr(harness, "_girth_table", lambda *a: tables.append(a) or _girth_table(*a))
             blocks = list(_sweep(choices, 0, math.prod(map(len, choices))))
-            assert [a[3] for a in tables] == list(range(n - 2, -1, -1))
-            girths = [b.girth for b in blocks]
         assert [a[3] for a in tables] == list(range(n - 2, -1, -1)) + [0] * (len(ones) - 1)
         assert len(blocks) == len(ones)
         assert blocks[0].again == 1 and searches == [(n, blocks[0].out(1), blocks[0].inn(1))]
-        for b, girth in zip(blocks, girths):
+        for b in blocks:
             assert b.tail[1:] == blocks[0].tail[1:]
-            assert girth == [bfs_girth(b.out(r)) for r in (0, 1)]
+            assert b.girth == [bfs_girth(b.out(r)) for r in (0, 1)]
 
 
 class TestGirth:
