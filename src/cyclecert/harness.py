@@ -501,6 +501,30 @@ def _feasible_p(n: int) -> tuple[int, ...]:
     return tuple(q for q in range(n + 1) if q == n or len(_vertex_pairs(n)) >= 2)
 
 
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A draw from range(n), n >= 1: CPython's _randbelow_with_getrandbits."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _sample(bits: Callable[[int], int], pop: Sequence[Any], k: int) -> list[Any]:
+    """Random.sample(pop, k) from the same draws, in both of its branches."""
+    n = len(pop)
+    if n <= (21 if k <= 5 else 21 + 4 ** math.ceil(math.log(k * 3, 4))):
+        pool = list(pop)  # each pick swaps to the end: the last k, last first
+        for i in range(n, n - k, -1):
+            j = _below(bits, i)
+            pool[j], pool[i - 1] = pool[i - 1], pool[j]
+        return pool[n - k :][::-1]
+    seen: dict[int, None] = {}  # drawn indices, in draw order
+    while len(seen) < k:
+        seen[_below(bits, n)] = None
+    return [pop[j] for j in seen]
+
+
 def random_rainbow_instance(
     n: int, p: int, seed: int, disjoint: bool = True
 ) -> RainbowInstance:
@@ -508,7 +532,9 @@ def random_rainbow_instance(
 
     disjoint=True draws all edges distinct across families; False lets
     families collide.  Family sizes are shuffled across positions.
-    Raises Infeasible when no such instance exists.
+    Raises Infeasible when no such instance exists.  The instance is a
+    function of Random(seed)'s MT19937 seeding and getrandbits alone,
+    drawn as Random.shuffle, then Random.sample, draw.
     """
     if not 0 <= p <= n:
         raise Infeasible(f"p must lie in 0..{n}, got {p}")
@@ -522,19 +548,21 @@ def random_rainbow_instance(
         raise Infeasible(
             f"{need} distinct edges needed, only {len(pairs)} exist on {n} vertices"
         )
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     sizes = [1] * p + [2] * (n - p)
-    rng.shuffle(sizes)
+    for i in range(n - 1, 0, -1):
+        j = _below(bits, i + 1)
+        sizes[i], sizes[j] = sizes[j], sizes[i]
     fams: list[list[tuple[int, int]]] = []
     if disjoint:
-        drawn = rng.sample(pairs, need)
+        drawn = _sample(bits, pairs, need)
         pos = 0
         for s in sizes:
             fams.append(drawn[pos : pos + s])
             pos += s
     else:
         for s in sizes:
-            fams.append(rng.sample(pairs, s))
+            fams.append(_sample(bits, pairs, s))
     return RainbowInstance(n, fams, simple_origin=True)
 
 
@@ -543,12 +571,14 @@ def _instance_seed(seed: int, n: int, i: int) -> int:
 
 
 def _rainbow_for_index(n: int, seed: int, i: int) -> RainbowInstance:
-    """The i-th random instance at size n >= 2: mixed p, mixed disjointness."""
+    """The i-th random instance at size n >= 2: mixed p, mixed disjointness,
+    drawn as Random.choice, random() and Random.randrange(1 << 32) draw."""
     rng = random.Random(_instance_seed(seed, n, i))
-    p = rng.choice(_feasible_p(n))
+    ps = _feasible_p(n)
+    p = ps[_below(rng.getrandbits, len(ps))]
     disjoint_ok = 2 * n - p <= len(_vertex_pairs(n))
     disjoint = disjoint_ok and rng.random() < 0.5
-    return random_rainbow_instance(n, p, rng.randrange(1 << 32), disjoint=disjoint)
+    return random_rainbow_instance(n, p, _below(rng.getrandbits, 1 << 32), disjoint=disjoint)
 
 
 # ---------------------------------------------------------------------------

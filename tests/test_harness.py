@@ -1627,6 +1627,65 @@ class TestRandomRainbowInstance:
             assert isinstance(inst, RainbowInstance)
             assert inst.m == 8 and inst.p == seed % 9
 
+    @staticmethod
+    def by_random_methods(n, p, seed, disjoint):
+        """The instance drawn with random.Random's own shuffle and sample,
+        or None where random_rainbow_instance must refuse the shape."""
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        if not pairs or (p < n and len(pairs) < 2) or (disjoint and 2 * n - p > len(pairs)):
+            return None
+        rng = random.Random(seed)
+        sizes = [1] * p + [2] * (n - p)
+        rng.shuffle(sizes)
+        if not disjoint:
+            return RainbowInstance(n, [rng.sample(pairs, s) for s in sizes], simple_origin=True)
+        drawn = rng.sample(pairs, 2 * n - p)
+        ends = list(itertools.accumulate(sizes))
+        fams = [drawn[e - s : e] for s, e in zip(sizes, ends)]
+        return RainbowInstance(n, fams, simple_origin=True)
+
+    def by_index_with_random_methods(self, n, seed, i):
+        rng = random.Random(((seed * 1_000_003 + n) * 1_000_003 + i) % (1 << 63))
+        p = rng.choice([q for q in range(n + 1) if q == n or n >= 3])
+        disjoint = 2 * n - p <= n * (n - 1) // 2 and rng.random() < 0.5
+        return self.by_random_methods(n, p, rng.randrange(1 << 32), disjoint)
+
+    def test_the_sweep_draws_what_random_methods_draw(self):
+        # The generator spells choice, randrange, shuffle and sample on
+        # getrandbits; these copies call random.Random's own methods.
+        for seed in (0, 1, 7, 20261017, -3, 2**70):
+            for n in range(2, 13):
+                for i in range(200):
+                    want = self.by_index_with_random_methods(n, seed, i)
+                    assert harness._rainbow_for_index(n, seed, i) == want, (seed, n, i)
+
+    def test_every_shape_draws_what_random_methods_draw(self):
+        # At n = 40 a disjoint draw of 2n - p >= 40 of the 780 pairs takes
+        # sample's set branch, past the k > 5 threshold 21 + 4 ** 4 = 277.
+        for n in [*range(2, 13), 30, 40]:
+            for p in range(n + 1):
+                for disjoint in (True, False):
+                    for seed in (0, 99, 2**40 + 1):
+                        want = self.by_random_methods(n, p, seed, disjoint)
+                        if want is None:
+                            with pytest.raises(Infeasible):
+                                random_rainbow_instance(n, p, seed, disjoint=disjoint)
+                        else:
+                            assert random_rainbow_instance(n, p, seed, disjoint=disjoint) == want
+
+    def test_draws_call_no_random_method(self, monkeypatch):
+        # Instances come from getrandbits and random() alone, not from the
+        # per-call machinery of choice, randrange, shuffle or sample.
+        cfg = SuiteConfig(4, 12, "rainbow", RAINBOW_CHECKS, count=50)
+        want = doc_of(run_suite(cfg))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a random.Random method drew an instance")
+
+        for name in ("choice", "randrange", "shuffle", "sample"):
+            monkeypatch.setattr(random.Random, name, refuse)
+        assert doc_of(run_suite(cfg)) == want
+
 
 @pytest.fixture
 def deadline():
@@ -1777,6 +1836,14 @@ class TestRunSuite:
         reports = [run_suite(sinkless._replace(workers=w)) for w in (1, 2, 3)]
         assert len({doc_of(r) for r in reports}) == 1
         assert {r.instances_generated for r in reports} == {2429}
+
+    @pytest.mark.usefixtures("deadline")
+    def test_rainbow_reports_are_worker_invariant(self):
+        # 37 instances per n put shard edges inside the 16-instance runs.
+        cfg = SuiteConfig(4, 7, "rainbow", RAINBOW_CHECKS, count=37, seed=5)
+        reports = [run_suite(cfg._replace(workers=w)) for w in (1, 2, 3)]
+        assert len({doc_of(r) for r in reports}) == 1
+        assert {r.instances_generated for r in reports} == {4 * 37}
 
     @pytest.mark.usefixtures("deadline")
     def test_pool_has_no_more_processes_than_shards(self, monkeypatch):
