@@ -192,7 +192,9 @@ class Report:
         return bool(self.violations)
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
+        """The report as a JSON document that shares no dict or list with
+        the report, so editing the one leaves the other as it was."""
+        return _fresh({
             "config": self.config,
             "instances_generated": self.instances_generated,
             "checked": dict(sorted(self.checked.items())),
@@ -200,7 +202,16 @@ class Report:
             "violations": sorted(self.violations, key=_record_key),
             "findings": sorted(self.findings, key=_record_key),
             "extremal": self.extremal,
-        }
+        })
+
+
+def _fresh(x: Any) -> Any:
+    """x with every dict and list in it copied, at every depth."""
+    if isinstance(x, dict):
+        return {k: _fresh(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_fresh(v) for v in x]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -595,21 +606,15 @@ def _beats(a: Sequence[Any], b: Sequence[Any]) -> bool:
     return lhs > rhs or (lhs == rhs and (a[2], a[3]) < (b[2], b[3]))
 
 
-class _RainbowRun:
+class _RainbowRun(NamedTuple):
     """Seeded rainbow instances base + r at size n, r < len(insts), each
     with its construction built[r]: the certificate, or None and why, and
     every greedy subgraph grown."""
 
-    __slots__ = ("n", "base", "insts", "built")
-
-    def __init__(
-        self,
-        n: int,
-        base: int,
-        insts: list[RainbowInstance],
-        built: list[tuple[RainbowCycleCertificate | None, str, Collector]],
-    ) -> None:
-        self.n, self.base, self.insts, self.built = n, base, insts, built
+    n: int
+    base: int
+    insts: Sequence[RainbowInstance]
+    built: Sequence[tuple[RainbowCycleCertificate | None, str, Collector]]
 
     @property
     def kept(self) -> range:

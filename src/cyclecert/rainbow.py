@@ -42,7 +42,7 @@ from .oracles import assert_all_size2_bound
 Collector = list[tuple[RainbowInstance, "GreedySubgraph"]]
 
 
-class GreedySubgraph:
+class GreedySubgraph(NamedTuple):
     """The greedy subgraph H: a seed edge plus t two-edge attachments.
 
     Attachment i = (x, a, b, color) joins the new vertex x to the
@@ -51,80 +51,51 @@ class GreedySubgraph:
     ids 1 + 2i (x-a) and 2 + 2i (x-b).  The (x-a, x-b) id pair at x is
     a forbidden turn: a path entering x by one may not leave by the
     other, because both edges carry the same color.  Its vertex and
-    color sets, edge list, forbidden turns and incidence lists are built
-    at construction; callers must not change them.  Its attributes are
-    read-only, and equality, hashing and the repr use the three
-    constructor fields only.
+    color sets, edge list, forbidden turns and incidence lists are
+    computed from its three fields at each call.
     """
 
-    __slots__ = (
-        "seed_color", "seed_edge", "attachments", "vertices", "colors", "incident", "_edges",
-        "_turns",
-    )
-
-    def __init__(
-        self, seed_color: int, seed_edge: Edge, attachments: tuple[tuple[int, int, int, int], ...]
-    ) -> None:
-        vertices = {seed_edge[0], seed_edge[1]}
-        colors = {seed_color}
-        edges = [(seed_edge, seed_color)]
-        turns = {}
-        for i, (x, a, b, c) in enumerate(attachments):
-            vertices.add(x)
-            colors.add(c)
-            edges.append(((x, a) if x <= a else (a, x), c))
-            edges.append(((x, b) if x <= b else (b, x), c))
-            turns[x] = (1 + 2 * i, 2 + 2 * i)
-        # Per vertex, the ids of its edges, ascending.
-        incident: dict[int, list[int]] = {w: [] for w in vertices}
-        for eid, ((a, b), _) in enumerate(edges):
-            incident[a].append(eid)
-            if a != b:
-                incident[b].append(eid)
-        put = object.__setattr__  # __setattr__ refuses
-        put(self, "seed_color", seed_color)
-        put(self, "seed_edge", seed_edge)
-        put(self, "attachments", attachments)
-        put(self, "vertices", frozenset(vertices))
-        put(self, "colors", frozenset(colors))
-        put(self, "incident", incident)
-        put(self, "_edges", edges)
-        put(self, "_turns", turns)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple[int, Edge, tuple[tuple[int, int, int, int], ...]]:
-        return self.seed_color, self.seed_edge, self.attachments
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(seed_color={self.seed_color!r}, "
-            f"seed_edge={self.seed_edge!r}, attachments={self.attachments!r})"
-        )
+    seed_color: int
+    seed_edge: Edge
+    attachments: tuple[tuple[int, int, int, int], ...]
 
     @property
     def t(self) -> int:
         return len(self.attachments)
 
+    @property
+    def vertices(self) -> frozenset[int]:
+        return frozenset([*self.seed_edge, *[x for x, _, _, _ in self.attachments]])
+
+    @property
+    def colors(self) -> frozenset[int]:
+        return frozenset([self.seed_color, *[c for _, _, _, c in self.attachments]])
+
+    @property
+    def incident(self) -> dict[int, list[int]]:
+        """Per vertex, the ids of its edges, ascending."""
+        return _incident(self.edges())
+
     def edges(self) -> list[tuple[Edge, int]]:
         """All edges with colors, indexed by edge id."""
-        return self._edges
+        edges = [(self.seed_edge, self.seed_color)]
+        for x, a, b, c in self.attachments:
+            edges.append(((x, a) if x <= a else (a, x), c))
+            edges.append(((x, b) if x <= b else (b, x), c))
+        return edges
 
     def forbidden_turns(self) -> dict[int, tuple[int, int]]:
         """Per attachment vertex x, the pair of same-color edge ids at x."""
-        return self._turns
+        return {x: (1 + 2 * i, 2 + 2 * i) for i, (x, _, _, _) in enumerate(self.attachments)}
+
+
+def _incident(edges: list[tuple[Edge, int]]) -> dict[int, list[int]]:
+    incident: dict[int, list[int]] = {}
+    for eid, ((a, b), _) in enumerate(edges):
+        incident.setdefault(a, []).append(eid)
+        if a != b:
+            incident.setdefault(b, []).append(eid)
+    return incident
 
 
 def build_greedy_subgraph(inst: RainbowInstance, seed_color: int) -> GreedySubgraph:
@@ -201,13 +172,13 @@ def rainbow_path_in_subgraph(
     above floor(t/2) + 1 raises ClaimViolation, since each would refute
     the structure or the distance bound the construction guarantees.
     """
-    if u not in h.vertices or v not in h.vertices:
+    edges = h.edges()
+    incident = _incident(edges)  # keyed by the ends of H's edges: V(H)
+    if u not in incident or v not in incident:
         raise GraphInputError("path endpoints must lie in the subgraph")
     bound = h.t // 2 + 1
     if u == v:
         return []
-    edges = h.edges()
-    incident = h.incident
     forbidden = h.forbidden_turns()
     start = (u, -1)
     parent: dict[tuple[int, int], tuple[tuple[int, int], int]] = {start: (start, -1)}

@@ -1474,6 +1474,58 @@ class TestShardTallies:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def edit_every_container(x):
+    """Add an entry to every dict and list in x, innermost first; the
+    number of containers edited."""
+    if isinstance(x, dict):
+        edited = sum(edit_every_container(v) for v in x.values())
+        x["edited"] = True
+    elif isinstance(x, list):
+        edited = sum(edit_every_container(v) for v in x)
+        x.append("edited")
+    else:
+        return 0
+    return edited + 1
+
+
+class TestReportDocument:
+    """A report's JSON document shares no dict or list with the report."""
+
+    def test_editing_the_document_leaves_the_report(self, monkeypatch):
+        def fail_on_odd_with_certificate(x, rs, acc):
+            return (
+                (r, ("odd index", {"vertices": [r], "bound": {"num": 1, "den": 1}}))
+                for r in rs
+                if (x.base + r) % 2
+            )
+
+        table = tuple(
+            never_settles(c)._replace(run=fail_on_odd_with_certificate) if c.name == "chc" else c
+            for c in harness._CHECKS
+        )
+        monkeypatch.setattr(harness, "_CHECKS", table)
+        report = run_suite(SuiteConfig(3, 3, "labeled", ("chc", "two-psi-strict", "two-phi")))
+        before = json.dumps(report.to_json_dict(), sort_keys=True)
+        doc = report.to_json_dict()
+        recs = doc["violations"] + doc["findings"]
+        assert len(recs) == 18 and all(rec["certificate"]["vertices"] for rec in recs)
+        assert set(doc["extremal"]) == {"max_girth_psi_ratio", "tightness"}
+        assert doc["extremal"]["tightness"]["witnesses"] and doc["config"]["checks"]
+        # The document, config and its checks, checked, passed, the two
+        # record lists and extremal; extremal's two entries and the ratio
+        # and witnesses in them; per record, itself and its certificate
+        # with its vertices and bound.
+        assert edit_every_container(doc) == 8 + 4 + 4 * 18
+        assert json.dumps(report.to_json_dict(), sort_keys=True) == before
+
+    @pytest.mark.usefixtures("deadline")
+    def test_doc_of_leaves_each_reports_workers(self):
+        cfg = SuiteConfig(1, 3, "labeled", ("two-phi",))
+        reports = [run_suite(cfg._replace(workers=w)) for w in (1, 2, 3)]
+        assert len({doc_of(r) for r in reports}) == 1
+        assert [r.config["workers"] for r in reports] == [1, 2, 3]
+
+
 def generated(cfg):
     return run_suite(cfg).instances_generated
 

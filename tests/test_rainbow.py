@@ -96,13 +96,9 @@ class TestGreedySubgraph:
         assert h.vertices == frozenset({0, 1, 2, 3})
         assert h.colors == frozenset({0, 1, 2})
 
-    def test_vertex_and_color_sets_are_built_once(self):
+    def test_equality_hash_and_repr_read_the_three_fields(self):
         h = build_greedy_subgraph(CHAIN, 0)
-        assert h.vertices is h.vertices and h.colors is h.colors
-        assert h.incident is h.incident
-        assert h.edges() is h.edges() and h.forbidden_turns() is h.forbidden_turns()
         twin = GreedySubgraph(h.seed_color, h.seed_edge, h.attachments)
-        # Cached sets play no part in equality, hashing or the repr.
         assert h == twin and hash(h) == hash(twin) and repr(h) == repr(twin)
         assert repr(h) == (
             "GreedySubgraph(seed_color=0, seed_edge=(0, 1), "
