@@ -233,25 +233,41 @@ def validate_rainbow_cycle(inst: RainbowInstance, cert: RainbowCycleCertificate)
     single loop edge is a legal length-1 cycle only on instances not of
     simple origin.  Two edges on the same vertex pair form a legal
     length-2 cycle when their colors differ.
+
+    The color set is tested first; then one pass over the steps checks,
+    per step, that its color is in range and its normalized edge is in
+    that color's family, and notes a loop.  A malformed step (an edge
+    or a step that is no pair, a color that is no int) that these checks
+    reach raises the TypeError or ValueError that unpacking, comparing or
+    indexing with it raises.
     """
-    k = cert.length
-    if k == 0:
-        return False
-    colors = [c for _, c in cert.steps]
-    if len(set(colors)) != k:
+    steps = cert.steps
+    k = len(steps)
+    try:
+        colors = {c for _, c in steps}
+    except TypeError:
+        # An unhashable color: every step is unpacked before any color
+        # is hashed, so a later step that is no pair raises first.
+        colors = set([c for _, c in steps])
+    if k == 0 or len(colors) != k:
         return False
     fams = inst.families
     m = len(fams)
-    for e, c in cert.steps:
-        if not 0 <= c < m or normalize_edge(e) not in fams[c]:
+    loop = False
+    for e, c in steps:
+        if not 0 <= c < m:
             return False
+        u, v = e
+        if ((u, v) if u <= v else (v, u)) not in fams[c]:
+            return False
+        if u == v:
+            loop = True
     if k == 1:
-        (e, _), = cert.steps
-        return e[0] == e[1] and not inst.simple_origin
-    if any(e[0] == e[1] for e, _ in cert.steps):
+        return loop and not inst.simple_origin
+    if loop:
         return False
     if k == 2:
-        (e1, _), (e2, _) = cert.steps
+        (e1, _), (e2, _) = steps
         return normalize_edge(e1) == normalize_edge(e2)
-    seq = _walk_vertices(cert.steps)
+    seq = _walk_vertices(steps)
     return seq is not None and len(set(seq)) == k

@@ -5,7 +5,10 @@ holding 1 or 2 undirected edges.  The family index doubles as the color
 of its edges.  Instances that model ordinary user input live in a simple
 graph (no loops, and a size-2 family holds two distinct vertex pairs);
 instances produced internally by contraction may contain loops and
-repeated pairs, and are marked simple_origin=False.
+repeated pairs, and are marked simple_origin=False.  The constructor
+normalizes, orders and checks every family; a contraction quotient,
+whose families rainbow.contract has already ordered from endpoints it
+has checked, is built by the private RainbowInstance._quotient instead.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ class RainbowInstance:
     """Edge families with one color per family, immutable by convention.
 
     p, the number of size-1 families, is counted once, on construction.
+    The constructor stores each family's edges normalized and in order,
+    and refuses an edge outside 0..n-1 and, for simple origin, a loop or
+    a repeated edge.
     """
 
     __slots__ = ("n", "families", "simple_origin", "p")
@@ -80,6 +86,20 @@ class RainbowInstance:
         self.families = tuple(fams)
         self.simple_origin = simple_origin
         self.p = p
+
+    @classmethod
+    def _quotient(cls, n: int, families: list[tuple[Edge, ...]]) -> RainbowInstance:
+        """The instance not of simple origin that the constructor would
+        build from families, each already holding its normalized edges in
+        order, every endpoint in 0..n-1.  Nothing is checked here: its one
+        caller, rainbow.contract, orders them and checks the endpoints.
+        p is counted from the families."""
+        inst = cls.__new__(cls)
+        inst.n = n
+        inst.families = tuple(families)
+        inst.simple_origin = False
+        inst.p = list(map(len, families)).count(1)
+        return inst
 
     @property
     def m(self) -> int:

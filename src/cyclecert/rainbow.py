@@ -20,8 +20,9 @@ ceil((n+p)/2) holds at every level, so the lifted cycle meets the bound.
 
 Certificates bubble up through the levels and are re-validated at each
 one; the final certificate is checked against the original instance.
-The per-level arithmetic and the lift are checked by explicit raises of
-ClaimViolation, which hold under python -O too.
+The per-level arithmetic, the contraction's vertex map and the lift are
+checked by explicit raises of ClaimViolation, which hold under python -O
+too.
 """
 
 from __future__ import annotations
@@ -258,6 +259,12 @@ def contract(
     Loops and repeated pairs created by contraction are kept; family
     sizes are preserved, so the quotient loses exactly one size-1
     family (the seed).
+
+    A vertex map with some value outside 0..h (as a subgraph that is not
+    inst's gives) raises ClaimViolation before anything is built.  Every
+    quotient endpoint is an image under the map, so the quotient's
+    families, each put in order here, go to RainbowInstance._quotient
+    without a second check.
     """
     hv = h.vertices
     h_idx = inst.n - len(hv)
@@ -267,6 +274,12 @@ def contract(
         if v not in hv:
             old_to_new[v] = i
             i += 1
+    # Each value is h_idx or a count from 0, so these bound every value.
+    if h_idx < 0 or max(old_to_new) > h_idx:
+        raise ClaimViolation(
+            f"contracting V(H) = {sorted(hv)} maps a vertex outside 0..{h_idx}, on:\n"
+            + format_rainbow(inst)
+        )
     used = h.colors
     fam_map = []
     new_fams: list[tuple[Edge, ...]] = []
@@ -293,7 +306,7 @@ def contract(
         else:
             new_fams.append((q0, q1))
             aligned.append(fam)
-    quotient = RainbowInstance(h_idx + 1, new_fams, simple_origin=False)
+    quotient = RainbowInstance._quotient(h_idx + 1, new_fams)
     cmap = ContractionMap(
         old_to_new=tuple(old_to_new),
         h=h_idx,

@@ -105,20 +105,28 @@ class TestPeel:
         assert "sink" in r.stderr
 
 
+def rainbow_document(steps, **fields):
+    """The CLI's stdout for a rainbow certificate of (edge, color) steps."""
+    cert = {
+        "kind": "rainbow",
+        "length": len(steps),
+        "steps": [{"color": c, "edge": list(e)} for e, c in steps],
+    }
+    return json.dumps({"certificate": cert, **fields}, indent=2, sort_keys=True) + "\n"
+
+
 class TestRainbow:
+    # The whole document is pinned, so a change in which certificate the
+    # construction or the oracle prints fails here.
     def test_constructive(self, tmp_path):
         r = run_cli("rainbow", write(tmp_path, "r.txt", RAINBOW4))
         assert r.returncode == 0
-        doc = json.loads(r.stdout)
-        assert doc["bound"] == 3
-        assert doc["certificate"]["length"] <= 3
+        assert r.stdout == rainbow_document((((2, 3), 1), ((0, 3), 3), ((0, 2), 2)), bound=3)
 
     def test_oracle_mode(self, tmp_path):
         r = run_cli("rainbow", "--oracle", write(tmp_path, "r.txt", RAINBOW4))
         assert r.returncode == 0
-        doc = json.loads(r.stdout)
-        assert doc["rg"] == 3
-        assert doc["certificate"]["length"] == 3
+        assert r.stdout == rainbow_document((((0, 2), 2), ((2, 3), 1), ((0, 3), 3)), rg=3)
 
     def test_family_count_mismatch_is_usage_error(self, tmp_path):
         r = run_cli("rainbow", write(tmp_path, "r.txt", "rainbow 3 2\n0-1\n1-2\n"))

@@ -1,6 +1,7 @@
 """The import graph keeps oracles and validators apart from what they check
 and the leaf modules below what uses them, every module imports at its
-top, only what it uses, and every name the benchmark wraps is still
+top, only what it uses, the unchecked quotient constructor has one
+caller, and every name the benchmark wraps is still
 bound where it looks it up.  No module loads the
 dataclasses machinery, and the records written without it keep their
 fields, defaults, equality, hashing and immutability."""
@@ -123,6 +124,33 @@ def test_scanners_see_unused_and_lazy_imports():
     )
     assert list(imported_names(tree)) == ["os", "Any", "It", "format_digraph", "json"]
     assert lazy_imports(tree) == {"formats", "json"}
+
+
+def attribute_uses(attr):
+    """(module, function) for each use of .attr in the package, the
+    function being the innermost def around it, or None at module level."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner[node] = fn.name  # inner defs are walked later
+        found += [
+            (path.stem, owner.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == attr
+        ]
+    return found
+
+
+def test_the_quotient_constructor_has_one_caller():
+    # RainbowInstance._quotient checks nothing: only contract, which
+    # orders the families and range-checks the map first, may call it.
+    assert attribute_uses("_quotient") == [("rainbow", "contract")]
+    # The scan sees uses inside methods, stores among them.
+    assert ("families", "__init__") in attribute_uses("simple_origin")
 
 
 PERFBENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"

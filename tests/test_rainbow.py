@@ -1,17 +1,23 @@
 """The greedy subgraph, contraction, and the recursive rainbow-cycle construction."""
 
+import copy
 import gc
 import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cyclecert import rainbow
-from cyclecert.certificates import RainbowCycleCertificate, validate_rainbow_cycle
+from cyclecert.certificates import (
+    RainbowCycleCertificate,
+    _walk_vertices,
+    validate_rainbow_cycle,
+)
 from cyclecert.errors import ClaimViolation, GraphInputError, SeedNotSingleton
-from cyclecert.families import RainbowInstance
+from cyclecert.families import RainbowInstance, normalize_edge
 from cyclecert.harness import (
     RAINBOW_CHECKS,
     SuiteConfig,
@@ -62,6 +68,33 @@ def restart_scan(inst, seed_color):
             break
         else:
             return tuple(attachments)
+
+
+@pytest.fixture(scope="module")
+def construction():
+    """What the construction builds for the harness's rainbow instances of
+    seeds 0-1, n = 2..12, 100 each: every (instance, certificate) pair a
+    level of _find validates, and every quotient contract returns."""
+    validated, quotients = [], []
+    real_validate, real_contract = rainbow.validate_rainbow_cycle, rainbow.contract
+
+    def validate(inst, cert):
+        validated.append((inst, cert))
+        return real_validate(inst, cert)
+
+    def contract_and_keep(inst, h):
+        q, cmap = real_contract(inst, h)
+        quotients.append(q)
+        return q, cmap
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rainbow, "validate_rainbow_cycle", validate)
+        mp.setattr(rainbow, "contract", contract_and_keep)
+        for seed in (0, 1):
+            for n in range(2, 13):
+                for i in range(100):
+                    find_rainbow_cycle(_rainbow_for_index(n, seed, i))
+    return validated, quotients
 
 
 @st.composite
@@ -290,6 +323,42 @@ class TestContract:
         kept = [self.INST.families[c] for c in cmap.family_map]
         assert [len(f) for f in q.families] == [len(f) for f in kept]
 
+    def test_quotients_are_what_the_checking_constructor_builds(self, construction):
+        # contract builds its quotient without the constructor's checks; on
+        # every quotient of the sweep, the constructor agrees in every field.
+        _, quotients = construction
+        assert len(quotients) == 1437
+        for q in quotients:
+            checked = RainbowInstance(q.n, q.families, simple_origin=False)
+            assert (q.n, q.families, q.p, q.simple_origin) == (
+                checked.n, checked.families, checked.p, checked.simple_origin
+            )
+            assert q == checked and hash(q) == hash(checked) and repr(q) == repr(checked)
+
+    @pytest.mark.parametrize(
+        "h, outside",
+        [
+            # V(H) off the instance: the five vertices outside H take 0..4,
+            # above h = 3.
+            (GreedySubgraph(0, (5, 6), ()), "0..3"),
+            # Every vertex of the instance in H, and one more: h = -1, and
+            # every vertex maps there.
+            (GreedySubgraph(0, (0, 1), tuple((x, 0, 1, 1) for x in range(2, 6))), "0..-1"),
+        ],
+    )
+    def test_a_map_outside_the_quotient_raises(self, monkeypatch, h, outside):
+        built = []
+        real = RainbowInstance._quotient.__func__
+        monkeypatch.setattr(
+            RainbowInstance, "_quotient",
+            classmethod(lambda cls, n, fams: built.append(n) or real(cls, n, fams)),
+        )
+        assert contract(self.INST, build_greedy_subgraph(self.INST, 0))[0].n == 3
+        assert built == [3]
+        with pytest.raises(ClaimViolation, match=rf"maps a vertex outside {outside}, on:\n"):
+            contract(self.INST, h)
+        assert built == [3]
+
 
 class TestFindRainbowCycle:
     def test_four_vertex_example(self):
@@ -446,6 +515,159 @@ class TestLevelClaims:
         wrong = cmap._replace(old_to_new=(2, 2, 0, 2, 1))
         with pytest.raises(ClaimViolation, match=r"ends 3 and 2 at h do not both lie in"):
             rainbow._lift(inst, h, q, wrong, sub)
+
+
+def reference_validate_rainbow_cycle(inst, cert):
+    """validate_rainbow_cycle as first written, for reference: it builds a
+    color list, normalizes each step's edge with normalize_edge and looks
+    for a loop in a pass of its own."""
+    k = cert.length
+    if k == 0:
+        return False
+    colors = [c for _, c in cert.steps]
+    if len(set(colors)) != k:
+        return False
+    fams = inst.families
+    m = len(fams)
+    for e, c in cert.steps:
+        if not 0 <= c < m or normalize_edge(e) not in fams[c]:
+            return False
+    if k == 1:
+        (e, _), = cert.steps
+        return e[0] == e[1] and not inst.simple_origin
+    if any(e[0] == e[1] for e, _ in cert.steps):
+        return False
+    if k == 2:
+        (e1, _), (e2, _) = cert.steps
+        return normalize_edge(e1) == normalize_edge(e2)
+    seq = _walk_vertices(cert.steps)
+    return seq is not None and len(set(seq)) == k
+
+
+def outcome(validate, inst, steps):
+    """validate's verdict on the steps, or the type of what it raised."""
+    try:
+        return validate(inst, RainbowCycleCertificate(steps))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def other_origin(inst):
+    """inst with simple_origin flipped, also where the constructor would
+    refuse the flip (a quotient's loop or repeated edge)."""
+    twin = copy.copy(inst)
+    twin.simple_origin = not inst.simple_origin
+    return twin
+
+
+def rainbow_mutants(inst, steps):
+    """Each single-step mutation of the steps of a cycle of inst, by
+    family, as (instance, steps) pairs."""
+    n, m = inst.n, inst.m
+    out = {f: [] for f in (
+        "recolor", "color-out-of-range", "reverse", "endpoint", "drop", "duplicate", "rotate",
+        "loop",
+    )}
+    twin = other_origin(inst)
+    for i, (e, c) in enumerate(steps):
+        def put(step):
+            return (inst, steps[:i] + (step,) + steps[i + 1 :])
+
+        u, v = e
+        out["recolor"] += [put((e, d)) for d in range(m) if d != c]
+        out["color-out-of-range"] += [put((e, d)) for d in (-1, m)]
+        out["reverse"].append(put(((v, u), c)))
+        out["endpoint"] += [put(((w, v), c)) for w in range(n) if w != u]
+        out["endpoint"] += [put(((u, w), c)) for w in range(n) if w != v]
+        out["drop"].append((inst, steps[:i] + steps[i + 1 :]))
+        out["duplicate"].append((inst, steps[: i + 1] + steps[i:]))
+        if i:
+            out["rotate"].append((inst, steps[i:] + steps[:i]))
+        for w in {u, v}:
+            out["loop"] += [(on, (((w, w), c),)) for on in (inst, twin)]
+    return out
+
+
+def malformed(steps):
+    """Each step of steps made malformed in turn, by kind: an edge of three
+    ends, a color that is no int, a step of three parts, an unhashable
+    color ahead of a step of three parts, and an edge of three ends after
+    a color out of range or with a color used before."""
+    kinds = (
+        "edge-of-three", "color-not-int", "step-of-three", "unhashable-first",
+        "after-a-bad-color", "repeated-color",
+    )
+    out = {f: [] for f in kinds}
+    for i, (e, c) in enumerate(steps):
+        def put(*step):
+            return steps[:i] + (step,) + steps[i + 1 :]
+
+        out["edge-of-three"].append(put((*e, e[0]), c))
+        out["color-not-int"] += [put(e, bad) for bad in (str(c), float(c), None, [c])]
+        out["step-of-three"].append(put(e, c, c))
+        if i < len(steps) - 1:
+            out["unhashable-first"].append(put(e, [c])[:-1] + ((*steps[-1], 0),))
+        # The checks that come first settle these before the edge is read.
+        if i:
+            bad_first = ((steps[0][0], -1),) + put((*e, e[0]), c)[1:]
+            out["after-a-bad-color"].append(bad_first)
+            out["repeated-color"].append(put((*e, e[0]), steps[0][1]))
+    return out
+
+
+class TestRainbowCertificateMutations:
+    """validate_rainbow_cycle checks a certificate in one pass over its
+    steps; on everything the construction validates, every single-step
+    mutation of it and malformed steps, it gives the verdict, or raises
+    the exception type, that reference_validate_rainbow_cycle does."""
+
+    def test_every_constructed_certificate(self, construction):
+        validated, _ = construction
+        assert len(validated) == 3637
+        for inst, cert in validated:
+            assert validate_rainbow_cycle(inst, cert) is True
+            assert reference_validate_rainbow_cycle(inst, cert) is True
+
+    def test_every_single_step_mutation(self, construction):
+        validated, _ = construction
+        tally = {}
+        for inst, cert in validated:
+            for family, cases in rainbow_mutants(inst, cert.steps).items():
+                for on, steps in cases:
+                    ok = outcome(validate_rainbow_cycle, on, steps)
+                    assert ok == outcome(reference_validate_rainbow_cycle, on, steps), (on, steps)
+                    tally.setdefault(family, Counter())[ok] += 1
+        # Reversing an edge or rotating the steps keeps the cycle.  A loop
+        # of the step's color passes where that family holds the loop, on
+        # the quotient but not on its twin of simple origin.
+        assert tally == {
+            "recolor": {False: 55873, True: 521},
+            "color-out-of-range": {False: 18218},
+            "reverse": {True: 9109},
+            "endpoint": {False: 112788},
+            "drop": {False: 9109},
+            "duplicate": {False: 9109},
+            "rotate": {True: 5472},
+            "loop": {False: 36397, True: 13},
+        }
+
+    def test_malformed_steps(self, construction):
+        validated, _ = construction
+        tally = {}
+        for inst, cert in validated:
+            for kind, cases in malformed(cert.steps).items():
+                for steps in cases:
+                    got = outcome(validate_rainbow_cycle, inst, steps)
+                    assert got == outcome(reference_validate_rainbow_cycle, inst, steps), steps
+                    tally.setdefault(kind, Counter())[got] += 1
+        assert tally == {
+            "edge-of-three": {"ValueError": 9109},
+            "color-not-int": {"TypeError": 36436},
+            "step-of-three": {"ValueError": 9109},
+            "unhashable-first": {"ValueError": 5472},
+            "after-a-bad-color": {False: 5472},
+            "repeated-color": {False: 5472},
+        }
 
 
 class TestGoldenRainbow:
