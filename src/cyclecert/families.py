@@ -6,9 +6,12 @@ of its edges.  Instances that model ordinary user input live in a simple
 graph (no loops, and a size-2 family holds two distinct vertex pairs);
 instances produced internally by contraction may contain loops and
 repeated pairs, and are marked simple_origin=False.  The constructor
-normalizes, orders and checks every family; a contraction quotient,
-whose families rainbow.contract has already ordered from endpoints it
-has checked, is built by the private RainbowInstance._quotient instead.
+normalizes, orders and checks every family.  Two internal producers,
+whose families hold every rule by construction, build through the
+private RainbowInstance._trusted instead, which checks nothing: a
+contraction quotient, whose families rainbow.contract has ordered from
+endpoints it has checked, and a seeded random instance, whose families
+the harness draws in order from the pairs u < v < n without replacement.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ class RainbowInstance:
     p, the number of size-1 families, is counted once, on construction.
     The constructor stores each family's edges normalized and in order,
     and refuses an edge outside 0..n-1 and, for simple origin, a loop or
-    a repeated edge.
+    a repeated edge.  Parsed files and user code build through it; only
+    the contraction quotient and the seeded generator skip it, through
+    _trusted.
     """
 
     __slots__ = ("n", "families", "simple_origin", "p")
@@ -88,16 +93,19 @@ class RainbowInstance:
         self.p = p
 
     @classmethod
-    def _quotient(cls, n: int, families: list[tuple[Edge, ...]]) -> RainbowInstance:
-        """The instance not of simple origin that the constructor would
-        build from families, each already holding its normalized edges in
-        order, every endpoint in 0..n-1.  Nothing is checked here: its one
-        caller, rainbow.contract, orders them and checks the endpoints.
-        p is counted from the families."""
+    def _trusted(
+        cls, n: int, families: list[tuple[Edge, ...]], simple_origin: bool
+    ) -> RainbowInstance:
+        """The instance that the constructor would build from families,
+        each already holding 1 or 2 normalized edges in order, every
+        endpoint in 0..n-1, and, for simple origin, no loop and no
+        repeated edge.  Nothing is checked here: its two callers,
+        rainbow.contract and the harness's seeded generator, build
+        families that hold those rules.  p is counted from the families."""
         inst = cls.__new__(cls)
         inst.n = n
         inst.families = tuple(families)
-        inst.simple_origin = False
+        inst.simple_origin = simple_origin
         inst.p = list(map(len, families)).count(1)
         return inst
 

@@ -505,13 +505,6 @@ def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
-@functools.lru_cache(maxsize=64)
-def _feasible_p(n: int) -> tuple[int, ...]:
-    """The singleton counts a random instance at size n may draw: size-2
-    families need two distinct vertex pairs."""
-    return tuple(q for q in range(n + 1) if q == n or len(_vertex_pairs(n)) >= 2)
-
-
 def _below(bits: Callable[[int], int], n: int) -> int:
     """A draw from range(n), n >= 1: CPython's _randbelow_with_getrandbits."""
     k = n.bit_length()
@@ -536,6 +529,13 @@ def _sample(bits: Callable[[int], int], pop: Sequence[Any], k: int) -> list[Any]
     return [pop[j] for j in seen]
 
 
+# Every seeded instance is drawn from this one generator, reseeded first
+# through the C-level seed: for an int, what random.Random(seed) does.
+# No state carries from call to call; forked workers each hold a copy.
+_RNG = random.Random(0)
+_reseed, _bits = super(random.Random, _RNG).seed, _RNG.getrandbits
+
+
 def random_rainbow_instance(
     n: int, p: int, seed: int, disjoint: bool = True
 ) -> RainbowInstance:
@@ -544,8 +544,8 @@ def random_rainbow_instance(
     disjoint=True draws all edges distinct across families; False lets
     families collide.  Family sizes are shuffled across positions.
     Raises Infeasible when no such instance exists.  The instance is a
-    function of Random(seed)'s MT19937 seeding and getrandbits alone,
-    drawn as Random.shuffle, then Random.sample, draw.
+    function of Random(seed)'s MT19937 seeding and getrandbits alone, for
+    an int seed, drawn as Random.shuffle, then Random.sample, draw.
     """
     if not 0 <= p <= n:
         raise Infeasible(f"p must lie in 0..{n}, got {p}")
@@ -559,37 +559,33 @@ def random_rainbow_instance(
         raise Infeasible(
             f"{need} distinct edges needed, only {len(pairs)} exist on {n} vertices"
         )
-    bits = random.Random(seed).getrandbits
+    _reseed(seed)
     sizes = [1] * p + [2] * (n - p)
     for i in range(n - 1, 0, -1):
-        j = _below(bits, i + 1)
+        k = (i + 1).bit_length()  # j = _below(_bits, i + 1), inlined
+        j = _bits(k)
+        while j > i:
+            j = _bits(k)
         sizes[i], sizes[j] = sizes[j], sizes[i]
-    fams: list[list[tuple[int, int]]] = []
     if disjoint:
-        drawn = _sample(bits, pairs, need)
-        pos = 0
-        for s in sizes:
-            fams.append(drawn[pos : pos + s])
-            pos += s
+        drawn = iter(_sample(_bits, pairs, need))
+        fams = [(next(drawn),) if s == 1 else (next(drawn), next(drawn)) for s in sizes]
     else:
-        for s in sizes:
-            fams.append(_sample(bits, pairs, s))
-    return RainbowInstance(n, fams, simple_origin=True)
-
-
-def _instance_seed(seed: int, n: int, i: int) -> int:
-    return ((seed * 1_000_003 + n) * 1_000_003 + i) % (1 << 63)
+        fams = [_sample(_bits, pairs, s) for s in sizes]
+    # Each pair is u < v < n and a family's pairs are distinct, so one
+    # compare orders it and the checking constructor has nothing to refuse.
+    ordered = [tuple(f) if f[0] <= f[-1] else (f[1], f[0]) for f in fams]
+    return RainbowInstance._trusted(n, ordered, True)
 
 
 def _rainbow_for_index(n: int, seed: int, i: int) -> RainbowInstance:
     """The i-th random instance at size n >= 2: mixed p, mixed disjointness,
     drawn as Random.choice, random() and Random.randrange(1 << 32) draw."""
-    rng = random.Random(_instance_seed(seed, n, i))
-    ps = _feasible_p(n)
-    p = ps[_below(rng.getrandbits, len(ps))]
-    disjoint_ok = 2 * n - p <= len(_vertex_pairs(n))
-    disjoint = disjoint_ok and rng.random() < 0.5
-    return random_rainbow_instance(n, p, _below(rng.getrandbits, 1 << 32), disjoint=disjoint)
+    _reseed(((seed * 1_000_003 + n) * 1_000_003 + i) % (1 << 63))
+    ps = range(n + 1) if n >= 3 else (n,)  # size-2 families need two pairs
+    p = ps[_below(_bits, len(ps))]
+    disjoint = 2 * n - p <= n * (n - 1) // 2 and _RNG.random() < 0.5
+    return random_rainbow_instance(n, p, _below(_bits, 1 << 32), disjoint=disjoint)
 
 
 # ---------------------------------------------------------------------------

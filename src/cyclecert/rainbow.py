@@ -263,7 +263,7 @@ def contract(
     A vertex map with some value outside 0..h (as a subgraph that is not
     inst's gives) raises ClaimViolation before anything is built.  Every
     quotient endpoint is an image under the map, so the quotient's
-    families, each put in order here, go to RainbowInstance._quotient
+    families, each put in order here, go to RainbowInstance._trusted
     without a second check.
     """
     hv = h.vertices
@@ -306,7 +306,7 @@ def contract(
         else:
             new_fams.append((q0, q1))
             aligned.append(fam)
-    quotient = RainbowInstance._quotient(h_idx + 1, new_fams)
+    quotient = RainbowInstance._trusted(h_idx + 1, new_fams, False)
     cmap = ContractionMap(
         old_to_new=tuple(old_to_new),
         h=h_idx,

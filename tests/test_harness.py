@@ -8,6 +8,7 @@ import json
 import math
 import operator
 import os
+import pickle
 import random
 import re
 import signal
@@ -1737,6 +1738,78 @@ class TestRandomRainbowInstance:
         for name in ("choice", "randrange", "shuffle", "sample"):
             monkeypatch.setattr(random.Random, name, refuse)
         assert doc_of(run_suite(cfg)) == want
+
+    def test_a_rainbow_sweep_builds_and_seeds_no_random(self, monkeypatch):
+        # One private generator is reseeded in place through the C-level
+        # seed, at every n the sweep takes, two and three among them.
+        cfg = SuiteConfig(2, 12, "rainbow", RAINBOW_CHECKS, count=30)
+        want = doc_of(run_suite(cfg))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a random.Random was built or seeded")
+
+        for name in ("__init__", "seed"):
+            monkeypatch.setattr(random.Random, name, refuse)
+        assert doc_of(run_suite(cfg)) == want
+
+    def test_draws_depend_on_nothing_drawn_before(self, deadline):
+        # The generator is shared and reseeded first: reverse and shuffled
+        # order, the other entry point's calls in between, and a forked
+        # child's copy of a used generator all give the fresh in-order draws.
+        keys = [(n, seed, i) for seed in (0, -3) for n in range(2, 13) for i in range(20)]
+        shapes = [(9, j % 10, j, j % 2 == 0) for j in range(len(keys))]
+        fresh = [harness._rainbow_for_index(*k) for k in keys]
+        fresh_shapes = [random_rainbow_instance(*s) for s in shapes]
+        assert [harness._rainbow_for_index(*k) for k in reversed(keys)] == fresh[::-1]
+        order = list(range(len(keys)))
+        random.Random(5).shuffle(order)
+        for j in order:
+            assert random_rainbow_instance(*shapes[j]) == fresh_shapes[j]
+            assert harness._rainbow_for_index(*keys[j]) == fresh[j]
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(r)
+                drawn = [harness._rainbow_for_index(*keys[j]) for j in order]
+                with open(w, "wb") as out:
+                    pickle.dump([(x.n, x.families, x.p) for x in drawn], out)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        try:
+            with open(r, "rb") as f:
+                got = pickle.load(f)
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        assert status == 0
+        assert got == [(fresh[j].n, fresh[j].families, fresh[j].p) for j in order]
+
+    @staticmethod
+    def checked(inst):
+        """inst's fields beside those the checking constructor builds from
+        its families: n, families, p, simple origin, hash and repr."""
+        ref = RainbowInstance(inst.n, inst.families, simple_origin=True)
+        return [(x.n, x.families, x.p, x.simple_origin, hash(x), repr(x)) for x in (inst, ref)]
+
+    def test_drawn_instances_are_what_the_checking_constructor_builds(self):
+        for seed in (0, 1, 7, 20261017, -3, 2**70):
+            for n in range(2, 13):
+                for i in range(200):
+                    got, want = self.checked(harness._rainbow_for_index(n, seed, i))
+                    assert got == want, (seed, n, i)
+        for n in [*range(2, 13), 30, 40]:
+            for p in range(n + 1):
+                for disjoint in (True, False):
+                    for seed in (0, 99, 2**40 + 1):
+                        try:
+                            inst = random_rainbow_instance(n, p, seed, disjoint=disjoint)
+                        except Infeasible:
+                            continue
+                        got, want = self.checked(inst)
+                        assert got == want, (n, p, disjoint, seed)
 
 
 @pytest.fixture

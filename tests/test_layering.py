@@ -1,7 +1,7 @@
 """The import graph keeps oracles and validators apart from what they check
 and the leaf modules below what uses them, every module imports at its
-top, only what it uses, the unchecked quotient constructor has one
-caller, and every name the benchmark wraps is still
+top, only what it uses, the unchecked instance constructor has two
+callers, and every name the benchmark wraps is still
 bound where it looks it up.  No module loads the
 dataclasses machinery, and the records written without it keep their
 fields, defaults, equality, hashing and immutability."""
@@ -145,10 +145,15 @@ def attribute_uses(attr):
     return found
 
 
-def test_the_quotient_constructor_has_one_caller():
-    # RainbowInstance._quotient checks nothing: only contract, which
-    # orders the families and range-checks the map first, may call it.
-    assert attribute_uses("_quotient") == [("rainbow", "contract")]
+def test_the_unchecked_constructor_has_two_callers():
+    # RainbowInstance._trusted checks nothing.  Only contract, which
+    # orders the families and range-checks the map first, and the seeded
+    # generator, which orders pairs u < v < n drawn without replacement,
+    # may call it.
+    assert attribute_uses("_trusted") == [
+        ("harness", "random_rainbow_instance"),
+        ("rainbow", "contract"),
+    ]
     # The scan sees uses inside methods, stores among them.
     assert ("families", "__init__") in attribute_uses("simple_origin")
 

@@ -348,10 +348,10 @@ class TestContract:
     )
     def test_a_map_outside_the_quotient_raises(self, monkeypatch, h, outside):
         built = []
-        real = RainbowInstance._quotient.__func__
+        real = RainbowInstance._trusted.__func__
         monkeypatch.setattr(
-            RainbowInstance, "_quotient",
-            classmethod(lambda cls, n, fams: built.append(n) or real(cls, n, fams)),
+            RainbowInstance, "_trusted",
+            classmethod(lambda cls, n, fams, simple: built.append(n) or real(cls, n, fams, simple)),
         )
         assert contract(self.INST, build_greedy_subgraph(self.INST, 0))[0].n == 3
         assert built == [3]
